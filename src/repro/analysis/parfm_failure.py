@@ -19,6 +19,7 @@ Bank failure is upper-bounded by R * Fail(1); the system failure with
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -90,6 +91,7 @@ def parfm_system_failure_probability(
     return 1.0 - (1.0 - bank) ** n_banks
 
 
+@functools.lru_cache(maxsize=256)
 def parfm_rfm_th_for(
     flip_th: int,
     target: float = 1e-15,
@@ -99,7 +101,9 @@ def parfm_rfm_th_for(
 ) -> Optional[int]:
     """Largest RFM_TH whose system failure probability stays below target.
 
-    Returns None when even RFM_TH = 2 cannot meet the target.
+    Returns None when even RFM_TH = 2 cannot meet the target.  A pure
+    function of its arguments, memoized: every point of a FlipTH sweep
+    asks for the same few values.
     """
     best = None
     lo, hi = 2, max_rfm_th

@@ -61,7 +61,11 @@ from repro.campaigns.planner import CampaignPlan, plan_campaign
 from repro.campaigns.spec import CampaignSpec, campaign_dir
 from repro.engine.cache import ResultCache, code_version
 from repro.engine.durable import atomic_write_json, quarantine_file
-from repro.engine.executor import DEFAULT_MAX_RETRIES, run_jobs
+from repro.engine.executor import (
+    DEFAULT_MAX_RETRIES,
+    group_by_workload,
+    run_jobs,
+)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -457,7 +461,12 @@ def run_campaign(
 
     completed = set(manifest.completed)
     skip = completed | set(manifest.quarantined)
-    pending = [h for h in plan.jobs if h not in skip]
+    # Workload-grouped, so each batch reuses one materialized workload
+    # across its points (completion order changes, results do not).
+    pending = group_by_workload(
+        [h for h in plan.jobs if h not in skip],
+        lambda job_hash: plan.jobs[job_hash].workload,
+    )
     stats.previously_complete = len(completed & set(plan.jobs))
 
     batch_size = max(1, int(batch_size))

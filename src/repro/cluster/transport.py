@@ -177,11 +177,7 @@ class SpoolTransport(Transport):
         ``not_before`` passes; torn/unparsable files are quarantined.
         """
         inbox = self.inbox(mailbox)
-        try:
-            pending = sorted(p for p in inbox.iterdir()
-                             if p.name.startswith("msg-"))
-        except FileNotFoundError:
-            return []
+        pending = sorted(self._spooled(inbox))
         now = time.time()
         delivered: List[Message] = []
         for path in pending:
@@ -230,25 +226,25 @@ class SpoolTransport(Transport):
         not replay assignments (or a shutdown order) addressed to a
         previous incarnation's agent.
         """
-        removed = 0
-        try:
-            entries = list(self.inbox(mailbox).iterdir())
-        except FileNotFoundError:
-            return 0
-        for path in entries:
-            if path.name.startswith("msg-"):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+        spooled = self._spooled(self.inbox(mailbox))
+        for path in spooled:
+            path.unlink(missing_ok=True)
+        return len(spooled)
 
     # -- introspection -------------------------------------------------
 
     def pending_count(self, mailbox: str) -> int:
+        return len(self._spooled(self.inbox(mailbox)))
+
+    @staticmethod
+    def _spooled(inbox: Path) -> List[Path]:
+        """Published messages only: ``msg-*.json``, never a sender's
+        in-flight ``msg-*.tmp.<pid>`` temp file awaiting its rename."""
         try:
-            return sum(1 for p in self.inbox(mailbox).iterdir()
-                       if p.name.startswith("msg-"))
+            return [p for p in inbox.iterdir()
+                    if p.name.startswith("msg-") and p.suffix == ".json"]
         except FileNotFoundError:
-            return 0
+            return []
 
 
 def heartbeat_gate(host_id: str) -> bool:

@@ -14,6 +14,7 @@ the matching bound needs proportionally more entries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -165,12 +166,17 @@ def lossy_counting_entries(
     return lo
 
 
+@functools.lru_cache(maxsize=256)
 def paper_default_config(
     flip_th: int,
     adaptive_th: int = 0,
     timings: Optional[DramTimings] = None,
 ) -> MithrilConfig:
-    """The paper's headline configuration for a FlipTH (Section VI-A)."""
+    """The paper's headline configuration for a FlipTH (Section VI-A).
+
+    Memoized: the table-sizing search is a pure function of the
+    arguments, and a sweep asks for each FlipTH once per point.
+    """
     from repro.params import MITHRIL_DEFAULT_RFM_TH
 
     rfm_th = MITHRIL_DEFAULT_RFM_TH.get(flip_th)

@@ -16,6 +16,13 @@ Worker processes receive only the pickled :class:`SimJob`; traces are
 rebuilt from their seeded generators inside the child, so parallel
 runs are byte-identical to serial ones.
 
+Each process builds a workload once per run of jobs that share it:
+:func:`materialize_job` keeps the last materialized workload, and
+:func:`run_jobs` executes its missing jobs in workload-grouped order
+(:func:`group_by_workload`), so consecutive jobs reuse the held
+traces.  Only one workload is held at a time — a miss drops it before
+building the next — so memory stays that of a single workload.
+
 Every call publishes a :class:`RunStats` on ``run_jobs.last_stats``
 (``simulated == 0`` on a fully warm cache is the invariant the
 determinism tests pin down).  Jobs that exhaust their retry budget
@@ -33,11 +40,11 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.engine.cache import ResultCache
 from repro.engine.catalog import build_config, build_workload, scheme_factory_for
-from repro.engine.job import SimJob
+from repro.engine.job import SimJob, WorkloadSpec
 from repro.engine.supervisor import (
     JobFailure,
     RetryPolicy,
@@ -87,15 +94,53 @@ class RunStats:
     timing_breakdown: Dict[str, float] = field(default_factory=dict)
 
 
+T = TypeVar("T")
+
+
+def group_by_workload(
+    items: List[T], spec_of: Callable[[T], WorkloadSpec]
+) -> List[T]:
+    """``items`` reordered so jobs sharing a workload run back to back.
+
+    A stable grouping: groups appear in order of their first member,
+    and members keep their relative order.  Only execution order
+    changes, never what a job computes.
+    """
+    groups: Dict[WorkloadSpec, List[T]] = {}
+    for item in items:
+        groups.setdefault(spec_of(item), []).append(item)
+    return [item for group in groups.values() for item in group]
+
+
+#: The last materialized workload: ``(spec, traces)`` or None.
+_held_workload = None
+
+
+def _workload_traces(spec: WorkloadSpec):
+    """A fresh list of the spec's traces, built at most once in a row.
+
+    The :class:`~repro.workloads.trace.CoreTrace` objects are shared
+    between callers; the simulator only reads them (each core keeps
+    its own cursor and entries are frozen).
+    """
+    global _held_workload
+    if _held_workload is None or _held_workload[0] != spec:
+        _held_workload = None  # never hold two workloads at once
+        _held_workload = (spec, build_workload(spec))
+    return list(_held_workload[1])
+
+
 def materialize_job(job: SimJob):
     """(traces, scheme factory, config, rfm_th) for one job.
 
     The single build path shared by the executor, the speed bench
     (:mod:`repro.speed`) and ``repro profile`` — callers that time or
     profile ``simulate()`` separately from workload construction must
-    still build exactly what :func:`run_jobs` executes.
+    still build exactly what :func:`run_jobs` executes.  Consecutive
+    jobs on the same workload share its traces (built once); callers
+    must treat them as read-only.
     """
-    traces = build_workload(job.workload)
+    traces = _workload_traces(job.workload)
     factory, rfm_th = scheme_factory_for(job)
     config = build_config(job.config_overrides)
     return traces, factory, config, rfm_th
@@ -266,11 +311,14 @@ def run_jobs(
         stats.cache_quarantined = cache.quarantined
     stats.timing_breakdown["cache_lookup"] = time.perf_counter() - t0
 
-    missing = [
-        (job_hash, job)
-        for job_hash, job in unique.items()
-        if job_hash not in results
-    ]
+    missing = group_by_workload(
+        [
+            (job_hash, job)
+            for job_hash, job in unique.items()
+            if job_hash not in results
+        ],
+        lambda pair: pair[1].workload,
+    )
     if missing:
         workers = min(n_jobs, len(missing))
         supervised = workers > 1 or job_timeout is not None

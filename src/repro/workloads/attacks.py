@@ -22,6 +22,9 @@ from typing import List, Optional, Sequence
 from repro.streaming.counting_bloom import CountingBloomFilter
 from repro.workloads.trace import CoreTrace, TraceEntry
 
+#: Rows the attacker's offline CBF profiling sweep covers.
+PROFILE_SEARCH_SPACE = 65536
+
 
 def _act_entries(
     rows: Sequence[int],
@@ -123,7 +126,7 @@ def find_aliasing_rows(
     cbf: CountingBloomFilter,
     target_row: int,
     count: int,
-    search_space: int = 65536,
+    search_space: int = PROFILE_SEARCH_SPACE,
     min_shared: int = 1,
 ) -> List[int]:
     """Rows sharing at least ``min_shared`` CBF counters with the target.
@@ -160,7 +163,7 @@ def find_aliasing_rows(
 def find_covering_rows(
     cbf: CountingBloomFilter,
     target_row: int,
-    search_space: int = 65536,
+    search_space: int = PROFILE_SEARCH_SPACE,
 ) -> List[int]:
     """One alias row per CBF counter of the target.
 
@@ -169,8 +172,22 @@ def find_covering_rows(
     of the target, pick a different row that also hashes there —
     hammering the set raises every counter and thus the minimum.
     """
+    return _covering_rows(
+        cbf, target_row, search_space,
+        _vectorized_probe_matrix(cbf, search_space),
+    )
+
+
+def _covering_rows(
+    cbf: CountingBloomFilter, target_row: int, search_space: int, matrix
+) -> List[int]:
+    """:func:`find_covering_rows` over a precomputed probe matrix.
+
+    ``matrix`` is :func:`_vectorized_probe_matrix` of the same filter
+    and search space (None selects the scalar sweep), so one profiling
+    pass serves every target row of an attacker build.
+    """
     needed = list(dict.fromkeys(cbf._indices(target_row)))
-    matrix = _vectorized_probe_matrix(cbf, search_space)
     covers: List[int] = []
     if matrix is not None:
         import numpy as np
@@ -209,9 +226,10 @@ def blockhammer_adversarial_trace(
     that the *benign* accesses get throttled (Section VI-A).
     """
     probe = CountingBloomFilter(cbf_size, num_hashes=num_hashes, seed=seed)
+    matrix = _vectorized_probe_matrix(probe, PROFILE_SEARCH_SPACE)
     cover_groups: List[List[int]] = []
     for row in benign_rows:
-        covers = find_covering_rows(probe, row)
+        covers = _covering_rows(probe, row, PROFILE_SEARCH_SPACE, matrix)
         if covers:
             cover_groups.append(covers)
     if not cover_groups:

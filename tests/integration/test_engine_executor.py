@@ -134,6 +134,95 @@ class TestExecutor:
         assert run_jobs.last_stats.simulated == 1
 
 
+class TestWorkloadReuse:
+    """Each workload is built once per run of jobs that share it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count real builds; start with nothing held."""
+        from repro.engine import executor
+
+        calls = []
+
+        def counting_build(spec):
+            calls.append(spec)
+            return build_workload(spec)
+
+        monkeypatch.setattr(executor, "_held_workload", None)
+        monkeypatch.setattr(executor, "build_workload", counting_build)
+        return calls
+
+    def test_campaign_builds_each_distinct_spec_once(self, builds):
+        from repro.campaigns import (
+            CampaignSpec,
+            ExperimentSpec,
+            plan_campaign,
+            run_campaign,
+        )
+        from repro.engine import executor
+        from repro.engine.cache import ResultCache
+
+        spec = CampaignSpec(name="reuse", experiments=[ExperimentSpec(
+            name="f11", kind="fig11", params=dict(
+                scale=0.05, flip_thresholds=[6_250],
+                schemes=["mithril"], attack_seeds=[31],
+            ),
+        )])
+        jobs = list(plan_campaign(spec).jobs.values())
+        distinct = {job.workload for job in jobs}
+        # plan order interleaves specs, so reuse needs the grouping
+        assert 1 < len(distinct) < len(jobs)
+        run_campaign(spec, batch_size=5)
+        assert len(builds) == len(distinct)
+
+        cache = ResultCache()
+        for job in jobs:
+            executor._held_workload = None  # a fresh, unshared build
+            assert result_to_dict(cache.get(job)) == result_to_dict(
+                execute_job(job)
+            )
+
+    def test_returned_list_is_the_callers_own(self, builds):
+        from repro.engine.executor import materialize_job
+
+        job = _tiny_jobs()[0]
+        first, *_ = materialize_job(job)
+        expected = [trace.entries for trace in first]
+        first.pop()
+        first.append("not a trace")
+        again, *_ = materialize_job(job)
+        assert [trace.entries for trace in again] == expected
+        assert len(builds) == 1
+
+    def test_failed_build_leaves_nothing_held(self, builds, monkeypatch):
+        from repro.engine import catalog, executor
+        from repro.engine.supervisor import RetryPolicy
+
+        held_during_build = []
+
+        def flaky(seed: int = 0):
+            held_during_build.append(executor._held_workload)
+            if len(held_during_build) == 1:
+                raise RuntimeError("transient build failure")
+            return build_workload(WorkloadSpec.make(
+                "fft", scale=TINY, num_cores=2, seed=seed
+            ))
+
+        monkeypatch.setitem(catalog._WORKLOAD_BUILDERS, "flaky", flaky)
+        run_jobs([_tiny_jobs()[0]], use_cache=False)  # hold a workload
+        assert executor._held_workload is not None
+        results = run_jobs(
+            [SimJob(workload=WorkloadSpec.make("flaky", seed=21))],
+            use_cache=False,
+            retry_policy=RetryPolicy(max_retries=1, backoff_base_s=0.0),
+        )
+        assert run_jobs.last_stats.retried == 1
+        assert results[0] is not None
+        # dropped before each build; the failed one memoized nothing,
+        # so the retry built again
+        assert held_during_build == [None, None]
+
+
 class TestDriverDeterminism:
     """The ISSUE acceptance check, at CI-friendly scale."""
 

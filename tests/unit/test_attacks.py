@@ -115,11 +115,20 @@ class TestVectorizedProfiler:
 
     def test_find_covering_matches_scalar_sweep(self):
         pytest.importorskip("numpy")
+        from repro.workloads.attacks import (
+            _covering_rows,
+            _vectorized_probe_matrix,
+        )
+
         cbf = CountingBloomFilter(size=256, num_hashes=4, seed=0xB10F)
+        # One matrix shared across targets, as an attacker build does.
+        shared = _vectorized_probe_matrix(cbf, 8192)
         for target in (7, 123, 5000):
+            expected = self._scalar_covering(cbf, target, 8192)
             assert find_covering_rows(
                 cbf, target, search_space=8192
-            ) == self._scalar_covering(cbf, target, 8192)
+            ) == expected
+            assert _covering_rows(cbf, target, 8192, shared) == expected
 
     def test_probe_indices_many_matches_scalar(self):
         np = pytest.importorskip("numpy")

@@ -56,6 +56,20 @@ class TestRoundtrip:
         assert spool.recv("never-created") == []
         assert spool.pending_count("never-created") == 0
 
+    def test_inflight_temp_file_is_invisible(self, spool):
+        """A sender's half-written ``msg-*.tmp.<pid>`` (the window
+        before its rename) is neither delivered, quarantined, purged
+        nor counted — otherwise the sender's rename would fail."""
+        inbox = spool.inbox("m")
+        inbox.mkdir(parents=True)
+        partial = inbox / "msg-host-2-0000000001.tmp.4242"
+        partial.write_text('{"type": "res')
+        assert spool.recv("m") == []
+        assert not (inbox / "quarantine").exists()
+        assert spool.pending_count("m") == 0
+        assert spool.purge("m") == 0
+        assert partial.read_text() == '{"type": "res'
+
     def test_limit_leaves_remainder_spooled(self, spool):
         for n in range(5):
             spool.send("m", Message(type="t", sender="s", payload={"n": n}))
