@@ -6,4 +6,4 @@ lets `python setup.py develop` work offline as a fallback.
 
 from setuptools import setup
 
-setup()
+setup(install_requires=["numpy"])

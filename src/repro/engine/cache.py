@@ -32,6 +32,7 @@ cache directory doubles as a browsable record of completed sweeps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 from pathlib import Path
@@ -73,8 +74,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: machinery existed.
 CACHE_SCHEMA_SALT = "v3-turbo"
 
-_code_version: Dict[str, str] = {}
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get(CACHE_DIR_ENV)
@@ -83,38 +82,25 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "sim"
 
 
+@functools.lru_cache(maxsize=None)
 def code_version() -> str:
     """Hash of the installed ``repro`` sources (the cache salt).
 
-    The pure-RNG fallback marker is folded in: a numpy-less
-    environment writes to its own cache generation, so the one
-    workload path that is *not* vendored bit-exact (non-default
-    pagerank Zipf parameterizations, see
-    :func:`repro.workloads.nprng.zipf_weights`) can never poison a
-    numpy environment's cache, or vice versa.  The scalar/turbo
-    simulation *backend* is deliberately **not** folded in — backends
-    are byte-identical (golden-pinned) implementation details and
-    share cache entries.
+    The scalar/turbo simulation *backend* is deliberately **not**
+    folded in — backends are byte-identical (golden-pinned)
+    implementation details and share cache entries.
     """
-    from repro.workloads.nprng import using_pure_rng
+    import repro
 
-    marker = "purerng" if using_pure_rng() else ""
-    cached = _code_version.get(marker)
-    if cached is None:
-        import repro
-
-        package_root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        digest.update(CACHE_SCHEMA_SALT.encode())
+    package_root = Path(repro.__file__).resolve().parent
+    digest = hashlib.sha256()
+    digest.update(CACHE_SCHEMA_SALT.encode())
+    digest.update(b"\0")
+    for path in sorted(package_root.rglob("*.py")):
+        digest.update(path.relative_to(package_root).as_posix().encode())
         digest.update(b"\0")
-        digest.update(marker.encode())
-        digest.update(b"\0")
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(path.relative_to(package_root).as_posix().encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-        cached = _code_version[marker] = digest.hexdigest()[:16]
-    return cached
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:

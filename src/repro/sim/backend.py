@@ -7,16 +7,13 @@ the event loop executes:
 * ``scalar`` — the reference implementation in
   :class:`repro.sim.system.SimulatedSystem`; pure python, runs
   anywhere, the patch-friendly path every unit test exercises.
-* ``turbo`` — :class:`repro.sim.turbo.TurboSimulatedSystem`; requires
-  numpy (structure-of-arrays trace pre-decode) and fuses the
+* ``turbo`` — :class:`repro.sim.turbo.TurboSimulatedSystem`;
+  pre-decodes traces into numpy structure-of-arrays and fuses the
   per-event call chain into an epoch-batched drain loop.
 
 Selection: the ``backend=`` argument of
 :func:`repro.sim.system.simulate` wins, else the
-``REPRO_SIM_BACKEND`` environment variable, else ``scalar``.  Asking
-for ``turbo`` without numpy degrades to ``scalar`` with a one-line
-warning (once per process) — a numpy-less environment stays fully
-functional.
+``REPRO_SIM_BACKEND`` environment variable, else ``scalar``.
 
 The backend is an implementation detail, **not** a result dimension:
 job hashes and cache payloads are independent of it (asserted by
@@ -26,7 +23,6 @@ tests/unit/test_backend.py).
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Optional
 
 #: Environment variable consulted when no explicit backend is passed.
@@ -36,24 +32,12 @@ SCALAR = "scalar"
 TURBO = "turbo"
 BACKENDS = (SCALAR, TURBO)
 
-_warned_fallback = False
-
-
-def numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
 
 def resolve_backend(requested: Optional[str] = None) -> str:
     """The backend to run: explicit request > env var > scalar.
 
-    Unknown names raise; ``turbo`` without numpy falls back to
-    ``scalar`` with a single warning.
+    Unknown names raise.
     """
-    global _warned_fallback
     name = requested or os.environ.get(BACKEND_ENV) or SCALAR
     name = name.strip().lower()
     if name not in BACKENDS:
@@ -61,15 +45,4 @@ def resolve_backend(requested: Optional[str] = None) -> str:
             f"unknown simulation backend {name!r}; "
             f"use one of {', '.join(BACKENDS)}"
         )
-    if name == TURBO and not numpy_available():
-        if not _warned_fallback:
-            _warned_fallback = True
-            warnings.warn(
-                "turbo simulation backend requested but numpy is not "
-                "installed; falling back to the scalar backend "
-                "(results are identical, only slower)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return SCALAR
     return name

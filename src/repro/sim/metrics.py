@@ -2,8 +2,7 @@
 
 The histogram/percentile helpers at the bottom back the probe layer
 (:mod:`repro.sim.probes`) and its report renderer: they are exact,
-deterministic, and pure python, so the no-numpy lane gets identical
-values.
+deterministic, and pure python.
 """
 
 from __future__ import annotations

@@ -311,20 +311,6 @@ def append_entry(
     return record
 
 
-def _read_record(output: Path) -> Dict:
-    """Best-effort read of the trajectory file (missing/corrupt → empty)."""
-    if output.exists():
-        try:
-            loaded = json.loads(output.read_text())
-            if isinstance(loaded, dict) and isinstance(
-                loaded.get("entries"), list
-            ):
-                return loaded
-        except ValueError:
-            pass
-    return {"entries": []}
-
-
 def per_workload_speedups(
     baseline_entry: Dict, candidate_entry: Dict
 ) -> List[Dict[str, object]]:
@@ -357,23 +343,6 @@ def per_workload_speedups(
             }
         )
     return breakdown
-
-
-def speedup_vs_label(record: Dict, entry: Dict, label: str) -> Optional[float]:
-    """entry's aggregate events/sec over the latest ``label`` entry."""
-    baselines = [
-        e
-        for e in record["entries"]
-        if e is not entry
-        and e.get("label") == label
-        and e.get("preset") == entry.get("preset")
-    ]
-    if not baselines:
-        return None
-    base = baselines[-1].get("aggregate_events_per_sec") or 0.0
-    if not base:
-        return None
-    return entry["aggregate_events_per_sec"] / base
 
 
 def run_controlled_pairs(
@@ -479,49 +448,26 @@ def run_and_report(
     allow_uncontrolled: bool = False,
     backend: Optional[str] = None,
 ) -> Dict:
-    """Run a preset, print the table, record and report the speedup.
+    """Run a preset, print the table, and optionally record it.
 
     The single driver behind both the ``repro bench-speed`` CLI
     subcommand and ``benchmarks/bench_speed.py``.  ``output=None``
     skips recording (measure-only runs).  Controlled-pair hygiene is
-    enforced by :func:`append_entry`.
+    enforced by :func:`append_entry`.  No speedup is computed here: a
+    prior entry comes from a different machine phase, so only
+    :func:`run_controlled_pairs` (``--pairs``) reports speedups.
     """
     from repro.sim.backend import resolve_backend
 
     backend = resolve_backend(backend)  # annotate what actually ran
     rows = run_preset(preset, backend=backend)
     entry = make_entry(preset, label, rows, backend=backend)
-    baseline_label = (
-        "baseline-controlled"
-        if str(label).endswith("-controlled")
-        else "baseline"
-    )
-    if output is not None and baseline_label != label:
-        # Attach the per-workload breakdown against the latest
-        # recorded baseline of the same preset before appending, so
-        # the persisted entry carries its own attribution.
-        prior = [
-            e
-            for e in _read_record(Path(output))["entries"]
-            if e.get("label") == baseline_label
-            and e.get("preset") == preset
-        ]
-        if prior:
-            breakdown = per_workload_speedups(prior[-1], entry)
-            if breakdown:
-                entry["per_workload_speedup"] = breakdown
     print(format_entry(entry))
     if output is not None:
-        record = append_entry(
+        append_entry(
             entry, Path(output), allow_uncontrolled=allow_uncontrolled
         )
         print(f"\nappended entry to {output}")
-        speedup = speedup_vs_label(record, entry, baseline_label)
-        if speedup is not None:
-            print(
-                f"speedup vs latest {baseline_label!r} entry: "
-                f"{speedup:.2f}x"
-            )
     return entry
 
 

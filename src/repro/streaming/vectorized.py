@@ -15,10 +15,6 @@ multiplicities)*: scatters through unique indices are plain fancy
 assignments (no ``np.add.at`` needed), and aliasing probes (two hashes
 of one element landing on the same counter) still add their full
 weight, exactly like the scalar probe loop.
-
-This module imports only when numpy is present; the simulation
-backends guard the import (:mod:`repro.sim.backend`) and fall back to
-the scalar sketches otherwise.
 """
 
 from __future__ import annotations

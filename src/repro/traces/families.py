@@ -34,8 +34,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.params import DramOrganization
-from repro.workloads.nprng import default_rng
 from repro.workloads.synthetic import _gaps
 from repro.workloads.trace import CoreTrace, TraceEntry
 
@@ -78,7 +79,7 @@ def capacity_pressure(
     so the next access to the same bank sits one row further — a
     guaranteed row-buffer miss under any page policy.
     """
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     traces = []
     for core in range(num_cores):
         start = core * footprint_rows + int(rng.integers(0, num_banks))
@@ -129,7 +130,7 @@ def row_conflict_heavy(
             f"conflict_rows must be >= 2 to force row misses, "
             f"got {conflict_rows}"
         )
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     traces = []
     for core in range(num_cores):
         pair = core // 2
@@ -184,7 +185,7 @@ def multi_channel_imbalanced(
         )
     if accesses_per_row <= 0:
         raise ValueError("accesses_per_row must be positive")
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     traces = []
     for core in range(num_cores):
         gaps = _gaps(rng, num_requests, mean_gap)

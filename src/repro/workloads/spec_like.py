@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.workloads.nprng import default_rng
+import numpy as np
+
 from repro.workloads.synthetic import (
     random_access_trace,
     streaming_sweep_trace,
@@ -66,7 +67,7 @@ def mix_high(
     seed: int = 11,
 ) -> List[CoreTrace]:
     """mix-high: every core is memory intensive."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     return [
         _one_core(i, rng, num_requests, num_banks, intensive=True)
         for i in range(num_cores)
@@ -80,7 +81,7 @@ def mix_blend(
     seed: int = 12,
 ) -> List[CoreTrace]:
     """mix-blend: a random half-and-half blend of intensities."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     intensities = [v < 0.5 for v in rng.random(num_cores)]
     if not any(intensities):
         intensities[0] = True

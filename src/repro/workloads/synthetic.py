@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.workloads.nprng import default_rng
+import numpy as np
+
 from repro.workloads.trace import CoreTrace, TraceEntry
 
 
 def _gaps(rng, n: int, mean_gap: float) -> List[int]:
     """Integer inter-request gaps with an exponential distribution.
 
-    Identical under the numpy and pure generators: one sized
-    ``exponential`` draw, truncated toward zero per element (what
-    ``.astype(np.int64)`` did), clamped at zero.
+    One sized ``exponential`` draw, truncated toward zero per element
+    (what ``.astype(np.int64)`` did), clamped at zero.
     """
     if mean_gap <= 0:
         return [0] * n
@@ -51,7 +51,7 @@ def streaming_sweep_trace(
     """Sequential sweep: bursts of accesses per row, rows striped on banks."""
     if accesses_per_row <= 0:
         raise ValueError("accesses_per_row must be positive")
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     gaps = _gaps(rng, num_requests, mean_gap)
     writes = [v < write_fraction for v in rng.random(num_requests)]
     entries = []
@@ -84,7 +84,7 @@ def random_access_trace(
     seed: int = 2,
 ) -> CoreTrace:
     """Uniform random rows: near-zero locality, one ACT per access."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     gaps = _gaps(rng, num_requests, mean_gap)
     logical = rng.integers(0, footprint_rows, size=num_requests)
     columns = rng.integers(0, 128, size=num_requests)
@@ -116,7 +116,7 @@ def strided_trace(
     seed: int = 3,
 ) -> CoreTrace:
     """Strided phases: FFT butterflies / radix-sort scatter behaviour."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     gaps = _gaps(rng, num_requests, mean_gap)
     writes = [v < write_fraction for v in rng.random(num_requests)]
     entries = []

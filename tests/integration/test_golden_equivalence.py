@@ -23,7 +23,7 @@ import pytest
 from repro.engine.cache import result_to_dict
 from repro.engine.executor import execute_job
 from repro.engine.job import SimJob, WorkloadSpec
-from repro.sim.backend import BACKEND_ENV, numpy_available
+from repro.sim.backend import BACKEND_ENV
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "golden" / "simulation_results.json"
@@ -74,8 +74,6 @@ def _ids():
 
 @pytest.fixture(params=["scalar", "turbo"])
 def backend(request, monkeypatch):
-    if request.param == "turbo" and not numpy_available():
-        pytest.skip("turbo backend needs numpy")
     monkeypatch.setenv(BACKEND_ENV, request.param)
     return request.param
 

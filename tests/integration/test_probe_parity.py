@@ -74,7 +74,6 @@ class TestCrossBackendParity:
          "twice"],
     )
     def test_streams_byte_identical(self, scheme, tmp_path, monkeypatch):
-        pytest.importorskip("numpy", reason="turbo backend needs numpy")
         job = _job(scheme)
         results = {}
         texts = {}
@@ -92,7 +91,6 @@ class TestCrossBackendParity:
         assert texts["scalar"] == texts["turbo"]
 
     def test_parity_through_chunked_decode(self, tmp_path, monkeypatch):
-        pytest.importorskip("numpy", reason="turbo backend needs numpy")
         monkeypatch.setenv("REPRO_SOA_CHUNK", "64")
         job = _job("mithril")
         texts = {}
@@ -110,8 +108,6 @@ class TestNonPerturbation:
     @pytest.mark.parametrize("scheme", ["mithril", "blockhammer"])
     def test_results_match_probes_off(self, backend, scheme, tmp_path,
                                       monkeypatch):
-        if backend == "turbo":
-            pytest.importorskip("numpy", reason="turbo needs numpy")
         job = _job(scheme)
         plain = _run_plain(job, backend, monkeypatch)
         probed = _run_probed(job, backend, tmp_path / "p", monkeypatch)

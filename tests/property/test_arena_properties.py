@@ -14,8 +14,6 @@ scatter).
 
 import pytest
 
-pytest.importorskip("numpy", reason="arenas need numpy")
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,17 +1,13 @@
-"""Backend selection, fallback, and cache-invariance contracts."""
+"""Backend selection and cache-invariance contracts."""
 
 import json
-import warnings
 
 import pytest
 
-from repro.sim import backend as backend_mod
 from repro.sim.backend import (
     BACKEND_ENV,
-    BACKENDS,
     SCALAR,
     TURBO,
-    numpy_available,
     resolve_backend,
 )
 
@@ -23,7 +19,7 @@ class TestResolveBackend:
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "turbo")
-        assert resolve_backend() in BACKENDS
+        assert resolve_backend() == TURBO
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "turbo")
@@ -37,21 +33,7 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="unknown simulation backend"):
             resolve_backend("warp")
 
-    def test_turbo_without_numpy_falls_back_with_warning(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-        monkeypatch.setattr(backend_mod, "_warned_fallback", False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert resolve_backend(TURBO) == SCALAR
-        # second resolution is silent (warn once per process)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend(TURBO) == SCALAR
-
     def test_make_system_returns_backend_class(self, monkeypatch):
-        if not numpy_available():
-            pytest.skip("turbo backend needs numpy")
         from repro.sim.system import SimulatedSystem, make_system
         from repro.sim.turbo import TurboSimulatedSystem
         from repro.workloads.synthetic import random_access_trace
@@ -86,8 +68,6 @@ class TestBackendIsNotAResultDimension:
     def test_cached_payload_byte_identical_across_backends(
         self, monkeypatch, tmp_path
     ):
-        if not numpy_available():
-            pytest.skip("turbo backend needs numpy")
         from repro.engine.cache import ResultCache
         from repro.engine.executor import run_jobs
 

@@ -12,8 +12,6 @@ import gc
 
 import pytest
 
-pytest.importorskip("numpy", reason="SoA decode needs numpy")
-
 from repro.sim import soa as soa_module
 from repro.sim.soa import (
     CACHE_ENV,

@@ -1,8 +1,14 @@
 """Unit tests for trace format and benign workload generators."""
 
+import numpy as np
 import pytest
 
-from repro.workloads.multithreaded import fft_like, pagerank_like, radix_like
+from repro.workloads.multithreaded import (
+    _zipf_weights,
+    fft_like,
+    pagerank_like,
+    radix_like,
+)
 from repro.workloads.spec_like import mix_blend, mix_high
 from repro.workloads.synthetic import (
     random_access_trace,
@@ -133,3 +139,74 @@ class TestMultithreaded:
         rows_a = {e.row for e in traces[0].entries}
         rows_b = {e.row for e in traces[1].entries}
         assert rows_a & rows_b  # overlapping hot vertices
+
+    def test_zipf_weights_default(self):
+        """pagerank's default vertex-popularity weights."""
+        ranks = np.arange(1, 65537, dtype=np.float64)
+        expected = 1.0 / np.power(ranks, 0.75)
+        expected /= expected.sum()
+        got = _zipf_weights(65536, 0.75)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == expected.tolist()
+
+
+class TestNumpyRngPins:
+    """Known draws of numpy's seeded RNG, the source of every workload.
+
+    The cache salt (``code_version``) hashes the repro sources, not the
+    numpy version, so a numpy upgrade that changed ``SeedSequence``,
+    ``PCG64`` or ``Generator`` draws would silently change traces under
+    unchanged cache keys.  These pins fail loudly first.
+    """
+
+    def test_seed_sequence_pool_words(self):
+        state = np.random.SeedSequence(11).generate_state(4, np.uint64)
+        assert state.tolist() == [
+            3926704849073358691,
+            2926583794887213564,
+            215141457385765089,
+            15564452721439488421,
+        ]
+
+    def test_pcg64_raw_stream(self):
+        assert np.random.PCG64(21).random_raw(4).tolist() == [
+            14409076252388976754,
+            11175905102312791203,
+            13093520902678603757,
+            1643565659307885790,
+        ]
+
+    def test_first_doubles(self):
+        rng = np.random.default_rng(11)
+        draws = [rng.random() for _ in range(3)]
+        assert draws == [
+            0.12857020276919962,
+            0.49927786244011496,
+            0.6014983576233575,
+        ]
+
+    def test_first_exponential_draws(self):
+        rng = np.random.default_rng(23)
+        assert rng.exponential(24.0, size=3).tolist() == [
+            3.5419151169648635,
+            6.396839519556968,
+            2.634583315877207,
+        ]
+
+    def test_lemire_integers(self):
+        rng = np.random.default_rng(31)
+        assert rng.integers(0, 4, size=8).tolist() == [
+            2, 3, 1, 0, 2, 2, 0, 1,
+        ]
+
+    def test_determinism(self):
+        a = np.random.default_rng(7)
+        b = np.random.default_rng(7)
+        assert (
+            a.exponential(3.0, size=64).tolist()
+            == b.exponential(3.0, size=64).tolist()
+        )
+        assert (
+            a.integers(0, 1000, size=64).tolist()
+            == b.integers(0, 1000, size=64).tolist()
+        )
