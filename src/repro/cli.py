@@ -1293,7 +1293,7 @@ def main(argv=None) -> int:
     p_bench.add_argument("--backend", choices=["scalar", "turbo"],
                          default=None,
                          help="simulation backend to time (default: "
-                              "REPRO_SIM_BACKEND or scalar); with "
+                              "REPRO_SIM_BACKEND or turbo); with "
                               "--pairs this is the candidate backend")
     p_bench.add_argument("--pairs", type=int, default=0,
                          help="run N back-to-back scalar-vs-candidate "
@@ -1313,7 +1313,7 @@ def main(argv=None) -> int:
     p_prof.add_argument("--backend", choices=["scalar", "turbo"],
                         default=None,
                         help="simulation backend to profile (default: "
-                             "REPRO_SIM_BACKEND or scalar), so the "
+                             "REPRO_SIM_BACKEND or turbo), so the "
                              "per-phase split can be compared across "
                              "backends")
     p_prof.add_argument("--sort", default="cumulative",

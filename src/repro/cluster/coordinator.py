@@ -60,7 +60,7 @@ from repro.cluster.transport import (
     host_mailbox,
 )
 from repro.engine.cache import ResultCache
-from repro.engine.executor import DEFAULT_MAX_RETRIES
+from repro.engine.executor import DEFAULT_MAX_RETRIES, group_by_workload
 from repro.engine.supervisor import JobFailure
 
 #: Heartbeats a host may miss before its lease expires (times the
@@ -459,8 +459,16 @@ class Coordinator:
     # -- main loop -----------------------------------------------------
 
     def drive(self, pending: List[str], drain: _DrainGuard) -> None:
-        """Run the scheduler until the pool drains or the run must stop."""
-        self.pending = [h for h in pending if h not in self.completed]
+        """Run the scheduler until the pool drains or the run must stop.
+
+        The pool is workload-grouped, so points sharing a workload are
+        dealt together and their host builds it once (dealing order
+        changes, results do not).
+        """
+        self.pending = group_by_workload(
+            [h for h in pending if h not in self.completed],
+            lambda job_hash: self.plan.jobs[job_hash].workload,
+        )
         while not self._work_done():
             if drain.requested:
                 self.stats.drained = True

@@ -1,18 +1,18 @@
 """Cross-bank tracker arenas for the turbo backend.
 
 When every bank of a fused :class:`~repro.sim.turbo.TurboSimulatedSystem`
-runs the *same* stock mitigation scheme, the per-bank tracker state is
-adopted into one numpy arena per scheme type spanning all banks:
+runs the *same* stock mitigation scheme, the drain routes per-ACT
+tracker work through one arena per scheme type spanning all banks:
 
-* **BlockHammer** — both counting Bloom filters of every bank in a
-  single ``(banks, 2, size)`` int64 tensor with one merged probe-index
-  cache: the probe family depends only on ``(seed, row)``, and every
-  bank shares the factory's seeds, so one hash (vectorized up front
-  over the trace's distinct rows) serves all banks and both filters.
-  Per-ACT updates are *deferred* within a drain epoch and flushed as a
-  batch — small batches replay the exact scalar sequence through
-  memoryview scalar ops, larger ones scatter through ``np.add.at``
-  (bit-identical integer adds, at most one ACT per bank per batch).
+* **BlockHammer** — the arena adopts every bank's two counting Bloom
+  filters *in place*: it indexes each filter's own ``array('q')``
+  counters through a memoryview and zeroes them on rotation / reset
+  through a zero-copy numpy view, so the counters exist once.  Its
+  gain is one merged probe-index cache: the probe family depends only
+  on ``(seed, row)``, and every bank shares the factory's seeds, so
+  one hash (vectorized up front over the trace's distinct rows) serves
+  all banks and both filters.  Per-ACT updates are deferred within a
+  drain epoch and replayed in order at the epoch boundary.
 * **Mithril / Graphene** — the per-bank :class:`CounterSummary` tables
   stay the exact source of truth (Space-Saving eviction breaks minimum
   ties by bucket-set iteration order, which any rewrite must replay op
@@ -22,18 +22,17 @@ adopted into one numpy arena per scheme type spanning all banks:
   scans.
 * **RFM RAA counters** — one flat int64 vector indexed by the drain.
 
-Arena state is written back to the per-bank objects when the run
-finishes, so post-run inspection (``is_blacklisted``, filter counters,
-``raa.value``) sees exactly what the scalar backend would leave.
-Byte-identity of every drained result is pinned by the golden suite,
-the cross-backend battery, and the property tests in
-tests/property/test_arena_properties.py.
+The per-bank scalars an arena keeps in its own lists (BlockHammer
+filter totals and rotation phase, RAA values) are written back to the
+per-bank objects when the run finishes, so post-run inspection
+(``is_blacklisted``, filter counters, ``raa.value``) sees exactly what
+the scalar backend would leave.  Byte-identity of every drained result
+is pinned by the golden suite, the cross-backend battery, and the
+property tests in tests/property/test_arena_properties.py.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from heapq import heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -42,14 +41,6 @@ import numpy as np
 from repro.streaming.count_min import _MASK64, premix_seeds
 from repro.streaming.vectorized import _finalize
 
-#: Deferred-batch size at which BlockHammerArena.flush switches from
-#: the scalar replay loop to the numpy scatter path.  Epoch batches in
-#: the drain are nearly always size 1 (same-cycle bank events land on
-#: distinct banks and most epochs carry one ACT), so the scalar path
-#: is the common case and the scatter pays off only for real batches.
-VEC_MIN_ENV = "REPRO_ARENA_BATCH_MIN"
-DEFAULT_VEC_MIN = 4
-
 #: Merged probe-cache bound (row ids, shared by all banks and both
 #: filters — unlike the scalar per-filter caches, one entry covers
 #: every probe of every bank).
@@ -57,9 +48,9 @@ _PROBE_CACHE_LIMIT = 1 << 17
 
 
 class BlockHammerArena:
-    """All banks' dual-CBF state in one ``(banks, 2, size)`` tensor."""
+    """All banks' dual-CBF state, worked on in the filters' own arrays."""
 
-    def __init__(self, schemes: Sequence, vec_min: Optional[int] = None):
+    def __init__(self, schemes: Sequence):
         first_cbf = schemes[0].cbf
         f0 = first_cbf._filters[0]
         size = f0.size
@@ -83,44 +74,35 @@ class BlockHammerArena:
         self.size = size
         self.num_hashes = hashes
         self.half_epoch = half_epoch
-        banks = self.banks = len(self.schemes)
-        self._stride = 2 * size
-        self.tensor = np.zeros((banks, 2, size), dtype=np.int64)
-        self._flat = self.tensor.reshape(-1)
-        #: per-bank scalar view over both filters (2*size counters);
-        #: memoryview indexing beats ndarray scalar indexing ~10x.
+        self.banks = len(self.schemes)
+        filters = [scheme.cbf._filters for scheme in self.schemes]
+        #: per bank: (first, second) filter counters as memoryviews
+        #: (the drain's scalar reads and increments) and as int64 numpy
+        #: views (in-place zeroing and scans) — both over the filters'
+        #: own arrays, so nothing is copied in or out.
         self._mems = [
-            memoryview(self.tensor[b].reshape(-1)) for b in range(banks)
+            tuple(memoryview(f._counters) for f in pair) for pair in filters
         ]
-        self.totals = [[0, 0] for _ in range(banks)]
-        self.active = [0] * banks
-        self.since_swap = [0] * banks
-        for flat, scheme in enumerate(self.schemes):
-            cbf = scheme.cbf
-            for side, cbf_filter in enumerate(cbf._filters):
-                self.tensor[flat, side] = np.frombuffer(
-                    cbf_filter._counters, dtype=np.int64
-                )
-                self.totals[flat][side] = cbf_filter._total
-            self.active[flat] = cbf._active
-            self.since_swap[flat] = cbf._since_swap
+        self.views = [
+            tuple(np.frombuffer(f._counters, dtype=np.int64) for f in pair)
+            for pair in filters
+        ]
+        self.totals = [[f._total for f in pair] for pair in filters]
+        self.active = [scheme.cbf._active for scheme in self.schemes]
+        self.since_swap = [scheme.cbf._since_swap for scheme in self.schemes]
         #: premixed splitmix seed products, first filter then second.
         self._probe_seeds = np.array(
             premix_seeds(seeds[0], hashes) + premix_seeds(seeds[1], hashes),
             dtype=np.uint64,
         )
-        #: row -> (first-filter probes, second-filter probes): indices
-        #: into a bank's flat (2*size) block, second filter offset by
-        #: ``size``.  Identical for every bank (shared seeds).
+        #: row -> (first-filter probes, second-filter probes), each an
+        #: index into its own filter.  Identical for every bank (shared
+        #: seeds).
         self._probe_cache: Dict[
             int, Tuple[Tuple[int, ...], Tuple[int, ...]]
         ] = {}
-        if vec_min is None:
-            vec_min = int(os.environ.get(VEC_MIN_ENV, DEFAULT_VEC_MIN))
-        self._vec_min = vec_min
-        #: epoch-batch flushes applied (scalar and vectorized alike);
-        #: a plain increment, surfaced by the turbo backend's post-run
-        #: telemetry counters event.
+        #: epoch-batch flushes applied; a plain increment, surfaced by
+        #: the turbo backend's post-run telemetry counters event.
         self.flushes = 0
 
     # ------------------------------------------------------------------
@@ -149,7 +131,6 @@ class BlockHammerArena:
         )
         mixed = _finalize(bases[:, None] ^ self._probe_seeds[None, :])
         local = (mixed % np.uint64(self.size)).astype(np.int64)
-        local[:, self.num_hashes:] += self.size
         k = self.num_hashes
         for row, probes in zip(fresh, local.tolist()):
             cache[row] = (tuple(probes[:k]), tuple(probes[k:]))
@@ -164,19 +145,15 @@ class BlockHammerArena:
         if entry is None:
             base = hash(row) & _MASK64
             size = self.size
-            k = self.num_hashes
-            first: List[int] = []
-            second: List[int] = []
-            for i, premixed in enumerate(self._probe_seeds.tolist()):
+            probes: List[int] = []
+            for premixed in self._probe_seeds.tolist():
                 x = base ^ premixed
                 x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
                 x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
                 x ^= x >> 31
-                if i < k:
-                    first.append(x % size)
-                else:
-                    second.append(x % size + size)
-            entry = (tuple(first), tuple(second))
+                probes.append(x % size)
+            k = self.num_hashes
+            entry = (tuple(probes[:k]), tuple(probes[k:]))
             if len(cache) < _PROBE_CACHE_LIMIT:
                 cache[row] = entry
         return entry
@@ -190,24 +167,27 @@ class BlockHammerArena:
         scheme = self.schemes[flat]
         scheme.stats.acts_observed += 1
         first, second = self._probes_for(row)
-        mem = self._mems[flat]
+        mem_first, mem_second = self._mems[flat]
         for probe in first:
-            mem[probe] += 1
+            mem_first[probe] += 1
         for probe in second:
-            mem[probe] += 1
+            mem_second[probe] += 1
         totals = self.totals[flat]
         totals[0] += 1
         totals[1] += 1
         since = self.since_swap[flat] + 1
         if since >= self.half_epoch:
             older = self.active[flat]
-            self.tensor[flat, older] = 0
+            self.views[flat][older].fill(0)
             totals[older] = 0
             self.active[flat] = 1 - older
             self.since_swap[flat] = 0
         else:
             self.since_swap[flat] = since
-        probes = first if self.active[flat] == 0 else second
+        if self.active[flat] == 0:
+            mem, probes = mem_first, first
+        else:
+            mem, probes = mem_second, second
         estimate = mem[probes[0]]
         for probe in probes:
             value = mem[probe]
@@ -221,70 +201,13 @@ class BlockHammerArena:
             scheme.stats.throttle_events += 1
 
     def flush(self, batch: Sequence[Tuple[int, int, int]]) -> None:
-        """Apply one epoch's deferred ``(flat, row, start)`` ACT batch.
-
-        Contract: at most one item per bank per batch (the drain
-        flushes early when a second event lands on a pending bank), so
-        the scatter-all-then-settle-per-bank order below replays the
-        exact scalar per-bank sequence: increments first, then the
-        bank's rotation and post-rotation estimate.
-        """
+        """Apply one epoch's deferred ``(flat, row, start)`` ACTs in
+        order (epoch batches average ~1.02 ACTs, so there is nothing
+        to vectorize)."""
         self.flushes += 1
-        if len(batch) < self._vec_min:
-            observe_one = self.observe_one
-            for flat, row, start in batch:
-                observe_one(flat, row, start)
-            return
-        probes_for = self._probes_for
-        stride = self._stride
-        per_item = [
-            (flat, row, start) + probes_for(row)
-            for flat, row, start in batch
-        ]
-        idx = np.fromiter(
-            (
-                flat * stride + probe
-                for flat, _row, _start, first, second in per_item
-                for probe in first + second
-            ),
-            dtype=np.int64,
-            count=len(per_item) * 2 * self.num_hashes,
-        )
-        np.add.at(self._flat, idx, 1)
-        half = self.half_epoch
-        tensor = self.tensor
-        mems = self._mems
-        active = self.active
-        since_swap = self.since_swap
-        totals_list = self.totals
-        for flat, row, start, first, second in per_item:
-            scheme = self.schemes[flat]
-            scheme.stats.acts_observed += 1
-            totals = totals_list[flat]
-            totals[0] += 1
-            totals[1] += 1
-            since = since_swap[flat] + 1
-            if since >= half:
-                older = active[flat]
-                tensor[flat, older] = 0
-                totals[older] = 0
-                active[flat] = 1 - older
-                since_swap[flat] = 0
-            else:
-                since_swap[flat] = since
-            mem = mems[flat]
-            probes = first if active[flat] == 0 else second
-            estimate = mem[probes[0]]
-            for probe in probes:
-                value = mem[probe]
-                if value < estimate:
-                    estimate = value
-            if estimate >= scheme.n_bl:
-                release_map = scheme._release
-                if row not in release_map:
-                    scheme.blacklisted_rows_seen += 1
-                release_map[row] = start + scheme.delay_cycles
-                scheme.stats.throttle_events += 1
+        observe_one = self.observe_one
+        for flat, row, start in batch:
+            observe_one(flat, row, start)
 
     # ------------------------------------------------------------------
     # cross-bank queries and maintenance
@@ -292,37 +215,35 @@ class BlockHammerArena:
 
     def estimate(self, flat: int, row: int) -> int:
         """Active-filter estimate for one (bank, row)."""
-        first, second = self._probes_for(row)
-        probes = first if self.active[flat] == 0 else second
-        mem = self._mems[flat]
+        active = self.active[flat]
+        probes = self._probes_for(row)[active]
+        mem = self._mems[flat][active]
         return min(mem[probe] for probe in probes)
 
     def estimate_many(self, rows: Sequence[int]) -> np.ndarray:
         """(banks, len(rows)) matrix of active-filter estimates."""
         rows = list(rows)
+        result = np.zeros((self.banks, len(rows)), dtype=np.int64)
         if not rows:
-            return np.zeros((self.banks, 0), dtype=np.int64)
+            return result
         probe_rows = [self._probes_for(row) for row in rows]
-        first_idx = np.array(
-            [p[0] for p in probe_rows], dtype=np.int64
-        )
-        second_idx = (
-            np.array([p[1] for p in probe_rows], dtype=np.int64)
-            - self.size
-        )
-        est_first = self.tensor[:, 0, :][:, first_idx].min(axis=2)
-        est_second = self.tensor[:, 1, :][:, second_idx].min(axis=2)
-        active = np.array(self.active, dtype=np.int64)[:, None]
-        return np.where(active == 0, est_first, est_second)
+        side_idx = [
+            np.array([p[side] for p in probe_rows], dtype=np.int64)
+            for side in (0, 1)
+        ]
+        for flat, views in enumerate(self.views):
+            active = self.active[flat]
+            result[flat] = views[active][side_idx[active]].min(axis=1)
+        return result
 
     def decrement(self, flat: int, row: int, count: int = 1) -> None:
         """``CountingBloomFilter.decrement`` applied to both filters."""
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        first, second = self._probes_for(row)
-        mem = self._mems[flat]
         totals = self.totals[flat]
-        for side, probes in enumerate((first, second)):
+        for side, (mem, probes) in enumerate(
+            zip(self._mems[flat], self._probes_for(row))
+        ):
             for probe in probes:
                 value = mem[probe] - count
                 mem[probe] = value if value > 0 else 0
@@ -332,21 +253,20 @@ class BlockHammerArena:
 
     def reset(self, flat: int) -> None:
         """``DualCountingBloomFilter.reset`` for one bank."""
-        self.tensor[flat] = 0
+        for view in self.views[flat]:
+            view.fill(0)
         self.totals[flat] = [0, 0]
         self.active[flat] = 0
         self.since_swap[flat] = 0
 
     def write_back(self) -> None:
-        """Copy arena state back into the per-bank filter objects."""
+        """Restore the per-bank scalars (the counters are the filters'
+        own arrays and need no copy)."""
         for flat, scheme in enumerate(self.schemes):
             cbf = scheme.cbf
             cbf._active = self.active[flat]
             cbf._since_swap = self.since_swap[flat]
             for side, cbf_filter in enumerate(cbf._filters):
-                counters = array("q")
-                counters.frombytes(self.tensor[flat, side].tobytes())
-                cbf_filter._counters = counters
                 cbf_filter._total = self.totals[flat][side]
 
 

@@ -1,19 +1,23 @@
-"""Simulation backend selection: ``scalar`` (default) vs ``turbo``.
+"""Simulation backend selection: ``turbo`` (default) vs ``scalar``.
 
 The two backends are *byte-identical in results* — the golden suite
 runs every scheme × workload pair under both — and differ only in how
 the event loop executes:
 
+* ``turbo`` — :class:`repro.sim.turbo.TurboSimulatedSystem`, the one
+  that runs unless asked otherwise; pre-decodes traces into numpy
+  structure-of-arrays, fuses the per-event call chain into an
+  epoch-batched drain loop, and routes uniform stock trackers through
+  the cross-bank arenas of :mod:`repro.sim.arena`.
 * ``scalar`` — the reference implementation in
-  :class:`repro.sim.system.SimulatedSystem`; pure python, runs
-  anywhere, the patch-friendly path every unit test exercises.
-* ``turbo`` — :class:`repro.sim.turbo.TurboSimulatedSystem`;
-  pre-decodes traces into numpy structure-of-arrays and fuses the
-  per-event call chain into an epoch-batched drain loop.
+  :class:`repro.sim.system.SimulatedSystem`; the plain event loop the
+  golden and cross-backend tests compare turbo against, and the
+  patch-friendly path (it honors components monkeypatched after the
+  system is built).
 
 Selection: the ``backend=`` argument of
 :func:`repro.sim.system.simulate` wins, else the
-``REPRO_SIM_BACKEND`` environment variable, else ``scalar``.
+``REPRO_SIM_BACKEND`` environment variable, else ``turbo``.
 
 The backend is an implementation detail, **not** a result dimension:
 job hashes and cache payloads are independent of it (asserted by
@@ -34,11 +38,11 @@ BACKENDS = (SCALAR, TURBO)
 
 
 def resolve_backend(requested: Optional[str] = None) -> str:
-    """The backend to run: explicit request > env var > scalar.
+    """The backend to run: explicit request > env var > turbo.
 
     Unknown names raise.
     """
-    name = requested or os.environ.get(BACKEND_ENV) or SCALAR
+    name = requested or os.environ.get(BACKEND_ENV) or TURBO
     name = name.strip().lower()
     if name not in BACKENDS:
         raise ValueError(

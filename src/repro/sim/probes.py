@@ -389,10 +389,8 @@ def _blockhammer_block(banks, arenas, cycle: int) -> Dict[str, Any]:
             totals.append([int(v) for v in bh_arena.totals[flat]])
             active.append(int(bh_arena.active[flat]))
             since.append(int(bh_arena.since_swap[flat]))
-            tensor = bh_arena.tensor
             nonzero.append([
-                int(np.count_nonzero(tensor[flat, 0])),
-                int(np.count_nonzero(tensor[flat, 1])),
+                int(np.count_nonzero(view)) for view in bh_arena.views[flat]
             ])
         else:
             cbf = scheme.cbf

@@ -35,19 +35,21 @@ handlers inside the same epoch-batched drain, and a subclassed or
 instance-patched scheme merely drops its own inline specialization).
 Unlike the scalar backend, fusability is snapshotted at construction:
 monkeypatching a component *after* building the system is not honored
-— build the system after patching, or use the scalar backend (every
-unit test does; turbo correctness is owned by the golden-equivalence
-suite and the cross-backend property tests).
+— build the system after patching, or pass ``backend="scalar"``.
+Turbo is the default backend; its exactness against the scalar
+reference is owned by the golden-equivalence suite and the
+cross-backend property tests.
 
 Same-cycle bank events land on distinct banks (a bank schedules at
 most one serve per cycle), so per-sketch batches within an epoch stay
 tiny (~1.02 events measured); what *does* pay cross-bank is shared
 state, not shared batches.  When every bank runs the same stock
 scheme, the tracker arenas (:mod:`repro.sim.arena`) adopt all banks'
-tracker state at construction — one ``(banks, 2, size)`` dual-CBF
-tensor with a merged pre-hashed probe cache for BlockHammer (per-ACT
-updates defer to the epoch boundary and flush as a batch), the exact
-per-bank CbS summaries plus stacked count matrices for
+tracker state at construction — every bank's own dual-CBF counters,
+adopted in place, with a merged pre-hashed probe cache for
+BlockHammer (per-ACT updates defer to the epoch boundary and replay
+in order), the exact per-bank CbS summaries plus stacked count
+matrices for
 Mithril/Graphene, one flat RAA vector for RFM — and the drain
 dispatches per-ACT work through them.  Mixed or non-stock
 configurations keep the per-bank inline handlers above.  Arena state
@@ -1141,8 +1143,8 @@ class TurboSimulatedSystem(SimulatedSystem):
                         # cross-bank arena dispatch (uniform stock
                         # scheme; see repro.sim.arena for exactness)
                         if a_mode == _ACT_BLOCKHAMMER_ARENA:
-                            # defer to the epoch boundary; flushed as
-                            # a batch through the shared CBF tensor
+                            # defer to the epoch boundary; replayed
+                            # in order by the arena's flush
                             bh_append((flat, row, start))
                             bh_pending_flats.add(flat)
                         elif a_mode == _ACT_MITHRIL_ARENA:

@@ -27,6 +27,7 @@ import pytest
 
 from repro.campaigns import CampaignSpec, ExperimentSpec, plan_campaign
 from repro.engine.cache import ResultCache
+from repro.engine.executor import group_by_workload
 from repro.faults import CRASH_EXIT_CODE
 
 TINY = 0.05
@@ -209,9 +210,13 @@ class TestHeartbeatPartition:
         duplicate discarded by hash."""
         plan = plan_campaign(_tiny_spec())
         total = plan.total_points
-        # chunks are dealt in plan order: host 1 gets jobs [0:4],
-        # host 2 gets jobs [4:8] — hang host 2's first job only
-        victim = list(plan.jobs)[4]
+        # chunks are dealt in workload-grouped plan order: host 1
+        # gets jobs [0:4], host 2 gets jobs [4:8] — hang host 2's
+        # first job only
+        dealt = group_by_workload(
+            list(plan.jobs), lambda job_hash: plan.jobs[job_hash].workload
+        )
+        victim = dealt[4]
 
         proc = _run(harness, faults=[
             {"site": "host.heartbeat", "kind": "drop",

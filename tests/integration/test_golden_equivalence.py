@@ -7,8 +7,7 @@ sketches, the turbo backend's fused drain — must leave each shipped
 scheme's `SimulationResult` exactly identical on every workload here:
 the comparison happens on canonical JSON, so even a float that differs
 in its last bit fails.  Every record runs under **both** simulation
-backends (``turbo`` skips when numpy is absent — there it falls back
-to scalar anyway).
+backends: ``turbo``, the default, and ``scalar``, the reference loop.
 
 If a change is *meant* to alter results, regenerate via
 ``PYTHONPATH=src python tests/golden/generate_golden.py`` and say so in

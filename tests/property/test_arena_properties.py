@@ -8,8 +8,7 @@ drives randomized ACT streams (plus decrements, resets, and the RFM
 demotes that mutate CbS state behind the arena's back) through an
 arena and through untouched per-bank scheme objects, requiring
 identical state at every observable point, including rows on bank
-boundaries and both arena flush paths (scalar replay vs numpy
-scatter).
+boundaries and the drain's deferred epoch-batch flush.
 """
 
 import pytest
@@ -34,7 +33,7 @@ ROWS = st.integers(min_value=0, max_value=ROWS_PER_BANK - 1)
 
 
 # ----------------------------------------------------------------------
-# BlockHammer: dual-CBF tensor
+# BlockHammer: dual-CBF counters adopted in place
 # ----------------------------------------------------------------------
 
 
@@ -84,6 +83,13 @@ _BH_OPS = st.lists(
         st.tuples(st.just("decrement"), FLATS, ROWS),
         st.tuples(st.just("reset"), FLATS, ROWS),
         st.tuples(st.just("estimate"), FLATS, ROWS),
+        # one drain epoch: a set of distinct banks, one ACT each — the
+        # deferred-batch contract (at most one per bank per flush)
+        st.tuples(
+            st.just("flush"),
+            st.dictionaries(FLATS, ROWS, max_size=BANKS),
+            st.none(),
+        ),
     ),
     max_size=60,
 )
@@ -98,7 +104,15 @@ class TestBlockHammerArena:
         cycle = 0
         for name, flat, row in ops:
             cycle += 7
-            if name == "act":
+            if name == "flush":
+                batch = [
+                    (bank, bank_row, cycle)
+                    for bank, bank_row in sorted(flat.items())
+                ]
+                arena.flush(batch)
+                for bank, bank_row, start in batch:
+                    twins[bank].on_activate(bank_row, start)
+            elif name == "act":
                 arena.observe_one(flat, row, cycle)
                 twins[flat].on_activate(row, cycle)
             elif name == "decrement":
@@ -114,34 +128,19 @@ class TestBlockHammerArena:
                 ].cbf.estimate(row)
         _assert_bh_state_equal(arena, twins)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        epochs=st.lists(
-            # per epoch: a set of distinct banks, one ACT each — the
-            # drain's deferred-batch contract (at most one per bank)
-            st.dictionaries(FLATS, ROWS, max_size=BANKS),
-            max_size=25,
-        )
-    )
-    def test_flush_scalar_and_vectorized_paths_agree(self, epochs):
-        """vec_min=1 forces the np.add.at scatter on every batch;
-        a huge vec_min forces the scalar replay — same final state."""
-        scatter = BlockHammerArena(_bh_schemes(), vec_min=1)
-        replay = BlockHammerArena(_bh_schemes(), vec_min=10**9)
-        twins = _bh_schemes()
-        cycle = 0
-        for epoch in epochs:
-            cycle += 11
-            batch = [
-                (flat, row, cycle) for flat, row in sorted(epoch.items())
-            ]
-            scatter.flush(batch)
-            replay.flush(batch)
-            for flat, row, start in batch:
-                twins[flat].on_activate(row, start)
-        assert np.array_equal(scatter.tensor, replay.tensor)
-        _assert_bh_state_equal(scatter, twins)
-        _assert_bh_state_equal(replay, twins)
+    def test_counters_are_the_filters_own_arrays(self):
+        """The arena adopts each filter's counter array in place: an
+        ACT is visible in the filters without ``write_back`` and no
+        second copy of the counters exists."""
+        schemes = _bh_schemes()
+        arena = BlockHammerArena(schemes)
+        arena.observe_one(1, 5, 0)
+        for side, cbf_filter in enumerate(schemes[1].cbf._filters):
+            own = np.frombuffer(cbf_filter._counters, dtype=np.int64)
+            assert np.shares_memory(arena.views[1][side], own)
+            assert sum(cbf_filter._counters) == cbf_filter.num_hashes
+        untouched = schemes[0].cbf._filters[0]._counters
+        assert not any(untouched)
 
     @settings(max_examples=40, deadline=None)
     @given(

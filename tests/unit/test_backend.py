@@ -13,9 +13,9 @@ from repro.sim.backend import (
 
 
 class TestResolveBackend:
-    def test_default_is_scalar(self, monkeypatch):
+    def test_default_is_turbo(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == SCALAR
+        assert resolve_backend() == TURBO
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "turbo")
@@ -40,12 +40,12 @@ class TestResolveBackend:
 
         traces = [random_access_trace(num_requests=8)]
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert type(make_system(traces)) is SimulatedSystem
-        assert type(
-            make_system(traces, backend="turbo")
-        ) is TurboSimulatedSystem
-        monkeypatch.setenv(BACKEND_ENV, "turbo")
         assert type(make_system(traces)) is TurboSimulatedSystem
+        assert type(
+            make_system(traces, backend="scalar")
+        ) is SimulatedSystem
+        monkeypatch.setenv(BACKEND_ENV, "scalar")
+        assert type(make_system(traces)) is SimulatedSystem
 
 
 class TestBackendIsNotAResultDimension:
