@@ -60,7 +60,7 @@ def main() -> None:
                 "file": filename,
                 "format": format_name,
                 "name": trace.name,
-                "requests": len(trace.entries),
+                "requests": len(trace),
                 "sha256": _sha256_file(path),
             }
         )

@@ -237,20 +237,22 @@ def _build_attack(
             num_victims=32, bank_index=0, total_requests=8 * n
         )
     elif pattern == "bh-adversarial":
-        from collections import Counter
+        import numpy as np
 
         cbf_size, n_bl_sim, _flip_sim = scaled_blockhammer_params(
             flip_th, scale
         )
         # The attacker profiles the benign threads' hottest rows on the
-        # target bank and hammers their CBF-covering aliases.
-        hot = Counter(
-            e.row
-            for trace in benign
-            for e in trace.entries
-            if e.bank_index % num_banks == 0
+        # target bank and hammers their CBF-covering aliases: the four
+        # most frequent, ties broken by first appearance.
+        on_target = [t.row[t.bank_index % num_banks == 0] for t in benign]
+        rows, first, counts = np.unique(
+            np.concatenate(on_target or [np.empty(0, dtype=np.int64)]),
+            return_index=True,
+            return_counts=True,
         )
-        benign_rows = [row for row, _ in hot.most_common(4)] or [1000]
+        hottest = np.lexsort((first, -counts))[:4]
+        benign_rows = rows[hottest].tolist() or [1000]
         attacker = blockhammer_adversarial_trace(
             benign_rows=benign_rows,
             cbf_size=cbf_size,

@@ -38,9 +38,7 @@ def run(
         mean_gap=8.0,
         seed=8,
     )
-    accessed = [
-        (entry.bank_index, entry.row) for entry in trace.entries
-    ]
+    accessed = list(zip(trace.bank_index.tolist(), trace.row.tolist()))
     # Reconstruct the logical (pre-interleaving) row id for plotting,
     # matching the paper's y-axis of Figure 8(a).
     large_window = [row * 64 + bank for bank, row in accessed]

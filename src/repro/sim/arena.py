@@ -10,9 +10,8 @@ tracker work through one arena per scheme type spanning all banks:
   through a zero-copy numpy view, so the counters exist once.  Its
   gain is one merged probe-index cache: the probe family depends only
   on ``(seed, row)``, and every bank shares the factory's seeds, so
-  one hash (vectorized up front over the trace's distinct rows) serves
-  all banks and both filters.  Per-ACT updates are deferred within a
-  drain epoch and replayed in order at the epoch boundary.
+  one hash (vectorized up front over the traces' distinct rows) serves
+  all banks and both filters.  The drain applies each ACT at once.
 * **Mithril / Graphene** — the per-bank :class:`CounterSummary` tables
   stay the exact source of truth (Space-Saving eviction breaks minimum
   ties by bucket-set iteration order, which any rewrite must replay op
@@ -101,9 +100,6 @@ class BlockHammerArena:
         self._probe_cache: Dict[
             int, Tuple[Tuple[int, ...], Tuple[int, ...]]
         ] = {}
-        #: epoch-batch flushes applied; a plain increment, surfaced by
-        #: the turbo backend's post-run telemetry counters event.
-        self.flushes = 0
 
     # ------------------------------------------------------------------
     # probe hashing (one family for all banks)
@@ -112,14 +108,17 @@ class BlockHammerArena:
     def prefill(self, rows: Iterable[int]) -> int:
         """Hash every distinct row in one vectorized pass.
 
-        Called at construction with the trace decode's row column, so
+        Called at construction with each trace's whole row column, so
         the per-ACT path nearly always finds its probes with a single
         dict lookup — the scalar backend's per-filter ``_indices``
         hashing (20% of a BlockHammer pair's drain time) disappears.
         Returns how many rows were added.
         """
         cache = self._probe_cache
-        fresh = sorted({row for row in rows if row not in cache})
+        # return_index keeps np.unique off its masked-array check, which
+        # would import numpy.ma (~2 MB) into every simulating process.
+        distinct = np.unique(rows, return_index=True)[0].tolist()
+        fresh = [row for row in distinct if row not in cache]
         room = _PROBE_CACHE_LIMIT - len(cache)
         if room <= 0 or not fresh:
             return 0
@@ -199,15 +198,6 @@ class BlockHammerArena:
                 scheme.blacklisted_rows_seen += 1
             release_map[row] = start + scheme.delay_cycles
             scheme.stats.throttle_events += 1
-
-    def flush(self, batch: Sequence[Tuple[int, int, int]]) -> None:
-        """Apply one epoch's deferred ``(flat, row, start)`` ACTs in
-        order (epoch batches average ~1.02 ACTs, so there is nothing
-        to vectorize)."""
-        self.flushes += 1
-        observe_one = self.observe_one
-        for flat, row, start in batch:
-            observe_one(flat, row, start)
 
     # ------------------------------------------------------------------
     # cross-bank queries and maintenance
@@ -560,8 +550,6 @@ class TrackerArenas:
     def counters(self) -> Dict[str, int]:
         """Cheap always-on activity counts for the telemetry event."""
         out: Dict[str, int] = {}
-        if self.blockhammer is not None:
-            out["arena.bh_flushes"] = self.blockhammer.flushes
         if self.cbs is not None:
             out["arena.cbs_syncs"] = self.cbs.syncs
         return out

@@ -10,7 +10,8 @@ read completions, which stalls cores and lowers aggregate IPC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 from repro.workloads.trace import CoreTrace, TraceEntry
 
@@ -29,16 +30,26 @@ class TraceCore:
     stalled_on_mlp: bool = False
     reads_issued: int = 0
     writes_issued: int = 0
+    #: the trace as entry objects, built on first use: the scalar
+    #: reference loop's view (the turbo drain reads the columns).
+    entries: Optional[List[TraceEntry]] = field(default=None, repr=False)
+
+    def entry_list(self) -> List[TraceEntry]:
+        if self.entries is None:
+            self.entries = list(self.trace)
+        return self.entries
 
     def done_issuing(self) -> bool:
-        return self.index >= len(self.trace.entries)
+        return self.index >= len(self.trace)
 
     def peek(self) -> TraceEntry:
-        return self.trace.entries[self.index]
+        return self.entry_list()[self.index]
 
     def issue(self, cycle: int) -> TraceEntry:
         """Consume the next trace entry at ``cycle``."""
-        entries = self.trace.entries
+        entries = self.entries
+        if entries is None:
+            entries = self.entry_list()
         index = self.index
         entry = entries[index]
         index += 1

@@ -1,9 +1,8 @@
-"""Structure-of-arrays trace decode for the turbo backend.
+"""Windowed column decode for the turbo backend.
 
 The scalar issue path touches a :class:`~repro.workloads.trace.TraceEntry`
-object per request — four attribute loads plus the ``TraceCore.issue``
-call.  The turbo backend instead decodes each trace into flat per-field
-sequences:
+object per request.  The turbo backend instead reads a window of the
+trace's own columns, converted to plain python lists:
 
 * ``flats`` — normalized flat bank index (``bank_index % num_banks``);
 * ``rows`` / ``columns`` / ``writes`` — the request fields;
@@ -11,282 +10,79 @@ sequences:
   (``max(gap_cycles[i+1], 1)``, the ``TraceCore.issue`` recurrence),
   so the hot loop replaces the branch-and-peek with one list read.
 
-The decode arithmetic (modulo fold, gap clamp/shift) runs vectorized
-in numpy and the results are materialized as plain python lists — in
-CPython, ``list[i]`` on the resulting small ints beats ndarray scalar
-indexing by an order of magnitude, which is exactly the trade the
-event loop wants.
-
-Decodes come in two shapes behind one *window protocol*
-(``chunk_start`` / ``chunk_end`` / ``ensure``):
-
-* :class:`TraceSoA` — the whole trace as a single window.  Shared
-  across systems through a **bounded LRU cache** keyed on the trace
-  object (weak: a garbage-collected trace drops its decodes), so
-  re-simulating the same materialized workload decodes once while a
-  campaign over hundreds of workloads cannot grow the cache without
-  eviction.
-* :class:`StreamedTraceSoA` — only one chunk of columns is live at a
-  time; ``ensure(index)`` decodes the window containing ``index`` on
-  demand.  Hours-long traces larger than RAM feed the drain with
-  bounded decode memory.  Streamed windows are stateful, so they are
-  never shared through the cache — each consumer gets its own.
-
-Streaming engages automatically past :data:`STREAM_THRESHOLD` entries,
-or for every trace when :data:`CHUNK_ENV` forces a window size (CI
-forces a tiny one to drive the chunk-crossing paths under the golden
-equivalence gates).
+In CPython, ``list[i]`` on small ints beats ndarray scalar indexing by
+an order of magnitude, which is exactly the trade the event loop
+wants.  Only :data:`WINDOW` entries are converted at a time, so decode
+memory stays bounded however long the trace is; ``ensure(index)``
+slides the window forward when the drain walks past it.  Decoding a
+window is a handful of slices and ``tolist`` calls, cheap enough that
+every system decodes its own traces — there is no cache.
 """
 
 from __future__ import annotations
-
-import os
-import weakref
-from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.workloads.trace import CoreTrace
 
-#: Force streamed decode with this window size (entries) for every
-#: trace.  Unset / non-positive: stream only past STREAM_THRESHOLD.
-CHUNK_ENV = "REPRO_SOA_CHUNK"
-
-#: Bound (in decodes, not bytes) of the full-decode LRU cache.
-CACHE_ENV = "REPRO_SOA_CACHE"
-
-#: Traces at least this long stream by default: a full decode of five
-#: python lists costs ~200 B/entry, so the threshold caps the decode
-#: at a couple hundred MB before switching to windows.
-STREAM_THRESHOLD = 1 << 20
-
-#: Default streaming window (entries per chunk).
-DEFAULT_CHUNK = 1 << 18
-
-#: Default decode-cache capacity (sweeps reuse a handful of workloads
-#: at a time; a campaign over hundreds must not pin them all).
-DEFAULT_CACHE_SIZE = 32
+#: Entries per decode window (traces up to this long decode once).
+WINDOW = 1 << 18
 
 
-def _decode_span(
-    entries: Sequence, start: int, end: int, num_banks: int, length: int
-) -> Tuple[List[int], List[int], List[int], List[bool], List[int]]:
-    """Decode ``entries[start:end]`` into (flats, rows, columns, writes,
-    steps) lists.
+class TraceWindow:
+    """One trace's columns, decoded one window of entries at a time.
 
-    ``steps[i]`` needs the *next* entry's gap, so the last step of a
-    window that does not end the trace peeks one entry past ``end``
-    (the cross-chunk lookahead); the final entry of the trace steps 1.
+    ``chunk_start`` / ``chunk_end`` bound the live window; field lists
+    are indexed by ``index - chunk_start``.
     """
-    span = entries[start:end]
-    n = end - start
-    if not n:
-        return [], [], [], [], []
-    banks = np.fromiter(
-        (entry.bank_index for entry in span), dtype=np.int64, count=n
-    )
-    flats = (banks % num_banks).tolist()
-    rows = [entry.row for entry in span]
-    columns = [entry.column for entry in span]
-    writes = [entry.is_write for entry in span]
-    stop = end + 1 if end < length else length
-    gaps = np.fromiter(
-        (entries[i].gap_cycles for i in range(start + 1, stop)),
-        dtype=np.int64,
-        count=stop - start - 1,
-    )
-    steps = np.maximum(gaps, 1).tolist()
-    if end == length:
-        steps.append(1)
-    return flats, rows, columns, writes, steps
-
-
-class TraceSoA:
-    """One trace fully decoded: a single window covering everything."""
 
     __slots__ = (
-        "flats", "rows", "columns", "writes", "steps", "length",
+        "_trace", "_num_banks", "length", "loads",
+        "flats", "rows", "columns", "writes", "steps",
         "chunk_start", "chunk_end",
     )
 
     def __init__(self, trace: CoreTrace, num_banks: int):
-        entries = trace.entries
-        n = self.length = len(entries)
-        self.chunk_start = 0
-        self.chunk_end = n
-        (self.flats, self.rows, self.columns, self.writes,
-         self.steps) = _decode_span(entries, 0, n, num_banks, n)
-
-    def ensure(self, index: int) -> None:
-        """The window already covers the whole trace: nothing to do."""
-
-
-class StreamedTraceSoA:
-    """Chunked decode: one bounded window of columns live at a time."""
-
-    __slots__ = (
-        "_entries", "_num_banks", "chunk", "length",
-        "flats", "rows", "columns", "writes", "steps",
-        "chunk_start", "chunk_end", "loads",
-    )
-
-    def __init__(self, trace: CoreTrace, num_banks: int, chunk: int):
-        if chunk <= 0:
-            raise ValueError(f"chunk must be positive, got {chunk}")
-        self._entries = trace.entries
+        self._trace = trace
         self._num_banks = num_banks
-        self.chunk = chunk
-        self.length = len(self._entries)
+        self.length = len(trace)
         self.loads = 0
         self._load(0)
 
     def _load(self, start: int) -> None:
-        end = start + self.chunk
-        if end > self.length:
-            end = self.length
-        # One branch per *chunk* (not per event) when telemetry is off.
+        end = min(start + WINDOW, self.length)
+        trace = self._trace
+        # One branch per *window* (not per event) when telemetry is off.
         tel = telemetry.get()
         span = (
-            tel.span("soa.chunk_fetch", start=start, end=end)
+            tel.span("soa.window", start=start, end=end)
             if tel is not None else telemetry.NOOP_SPAN
         )
         with span:
-            (self.flats, self.rows, self.columns, self.writes,
-             self.steps) = _decode_span(
-                self._entries, start, end, self._num_banks, self.length
-            )
+            self.flats = (
+                trace.bank_index[start:end] % self._num_banks
+            ).tolist()
+            self.rows = trace.row[start:end].tolist()
+            self.columns = trace.column[start:end].tolist()
+            self.writes = trace.is_write[start:end].tolist()
+            # steps[i] needs the *next* entry's gap: the slice reaches
+            # one entry past the window, and the trace's last entry
+            # steps 1.
+            steps = np.maximum(trace.gap_cycles[start + 1:end + 1], 1)
+            self.steps = steps.tolist()
+            if end == self.length:
+                self.steps.append(1)
         self.chunk_start = start
         self.chunk_end = end
         self.loads += 1
-        if tel is not None:
-            tel.counter("soa.chunk_fetch")
 
     def ensure(self, index: int) -> None:
-        """Make the window cover ``index`` (chunk-aligned random access)."""
+        """Make the window cover ``index`` (window-aligned access)."""
         if self.chunk_start <= index < self.chunk_end:
             return
         if not 0 <= index < self.length:
             raise IndexError(
                 f"trace index {index} out of range [0, {self.length})"
             )
-        self._load(index - index % self.chunk)
-
-
-class TraceDecodeCache:
-    """Bounded LRU of full decodes, weakly tied to the trace objects.
-
-    Keys are ``(id(trace), num_banks)``; a ``weakref.finalize`` on the
-    trace evicts its decodes at collection time, so a recycled ``id``
-    can never resurrect a dead trace's decode.  The entry-count length
-    guard (traces are regenerated in place by some generators) stays
-    as a second staleness defense.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[int, int], TraceSoA]" = (
-            OrderedDict()
-        )
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(
-        self, trace: CoreTrace, num_banks: int
-    ) -> Optional[TraceSoA]:
-        key = (id(trace), num_banks)
-        soa = self._entries.get(key)
-        if soa is None:
-            return None
-        if soa.length != len(trace.entries):
-            del self._entries[key]
-            return None
-        self._entries.move_to_end(key)
-        return soa
-
-    def store(
-        self, trace: CoreTrace, num_banks: int, soa: TraceSoA
-    ) -> None:
-        if self.capacity <= 0:
-            return
-        key = (id(trace), num_banks)
-        self._entries[key] = soa
-        self._entries.move_to_end(key)
-        try:
-            weakref.finalize(trace, self._forget, id(trace))
-        except TypeError:  # weakref-less stand-ins stay LRU-bounded
-            pass
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def _forget(self, trace_id: int) -> None:
-        stale = [k for k in self._entries if k[0] == trace_id]
-        for key in stale:
-            del self._entries[key]
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-_cache: Optional[TraceDecodeCache] = None
-
-
-def decode_cache() -> TraceDecodeCache:
-    """The process-wide decode cache (rebuilt when CACHE_ENV changes)."""
-    global _cache
-    capacity = int(os.environ.get(CACHE_ENV, DEFAULT_CACHE_SIZE))
-    if _cache is None or _cache.capacity != capacity:
-        _cache = TraceDecodeCache(capacity)
-    return _cache
-
-
-def _chunk_size(length: int) -> Optional[int]:
-    """Streaming window for a trace of ``length``; None = full decode."""
-    env = os.environ.get(CHUNK_ENV)
-    if env:
-        try:
-            chunk = int(env)
-        except ValueError:
-            chunk = 0
-        if chunk > 0:
-            return chunk
-    if length >= STREAM_THRESHOLD:
-        return DEFAULT_CHUNK
-    return None
-
-
-AnyTraceSoA = Union[TraceSoA, StreamedTraceSoA]
-
-
-def decode_trace(trace: CoreTrace, num_banks: int) -> AnyTraceSoA:
-    """Decode (or fetch the cached decode of) one trace."""
-    length = len(trace.entries)
-    chunk = _chunk_size(length)
-    tel = telemetry.get()
-    if chunk is not None and chunk < length:
-        # Streamed windows are stateful (one live window per consumer):
-        # never shared through the cache.
-        return StreamedTraceSoA(trace, num_banks, chunk)
-    cache = decode_cache()
-    soa = cache.lookup(trace, num_banks)
-    if soa is None:
-        span = (
-            tel.span("soa.decode", entries=length)
-            if tel is not None else telemetry.NOOP_SPAN
-        )
-        with span:
-            soa = TraceSoA(trace, num_banks)
-        cache.store(trace, num_banks, soa)
-    elif tel is not None:
-        tel.counter("soa.decode.cache_hit")
-    return soa
-
-
-def decode_traces(
-    traces: Sequence[CoreTrace], num_banks: int
-) -> List[AnyTraceSoA]:
-    return [decode_trace(trace, num_banks) for trace in traces]
+        self._load(index - index % WINDOW)

@@ -143,7 +143,7 @@ class SimulatedSystem:
         # Per-trace normalized flat bank index, one entry per request:
         # `entry.bank_index % num_banks` is evaluated once per trace
         # entry here and never in the issue path.
-        self._core_flats = self._build_core_flats(traces, self.num_banks)
+        self._core_flats = self._build_core_flats()
         self._bank_scheduled = [False] * self.num_banks
         # Per-bank queue occupancy by core (the scheduler's "contended"
         # bit) plus the queue length it was built against; an external
@@ -166,14 +166,13 @@ class SimulatedSystem:
 
     # ------------------------------------------------------------------
 
-    def _build_core_flats(
-        self, traces: Sequence[CoreTrace], num_banks: int
-    ) -> List[List[int]]:
-        """Issue-table hook: the turbo backend substitutes its SoA
-        decode (possibly streamed in windows) for these full tables."""
+    def _build_core_flats(self) -> List[List[int]]:
+        """Issue-table hook over each core's entry objects; the turbo
+        backend reads windows of the trace columns instead."""
+        num_banks = self.num_banks
         return [
-            [entry.bank_index % num_banks for entry in trace.entries]
-            for trace in traces
+            [entry.bank_index % num_banks for entry in core.entry_list()]
+            for core in self.cores
         ]
 
     def _push(self, cycle: int, kind: int, ident: int) -> None:
@@ -214,7 +213,7 @@ class SimulatedSystem:
 
     def _try_issue(self, core: TraceCore, cycle: int) -> None:
         core_id = core.core_id
-        entries = core.trace.entries
+        entries = core.entries
         total = len(entries)
         flats = self._core_flats[core_id]
         banks = self.banks

@@ -1,12 +1,13 @@
-"""The turbo simulation backend: SoA decode + epoch-batched fused drain.
+"""The turbo simulation backend: windowed decode + epoch-batched fused drain.
 
 :class:`TurboSimulatedSystem` runs the exact same co-simulation as
 :class:`~repro.sim.system.SimulatedSystem` — the golden suite pins
 every scheme × workload result byte for byte across both backends —
 but restructures the event loop for CPython throughput:
 
-* the issue path reads the structure-of-arrays trace decode
-  (:mod:`repro.sim.soa`) instead of per-entry objects, folds the
+* the issue path reads windows of the trace's own columns
+  (:mod:`repro.sim.soa`) and never builds
+  :class:`~repro.workloads.trace.TraceEntry` objects; it folds the
   ``TraceCore.issue`` bookkeeping inline, and recycles served
   :class:`~repro.types.MemoryRequest` objects through a pool;
 * ``run`` drains all heap events sharing a cycle in one pass (an
@@ -47,15 +48,13 @@ state, not shared batches.  When every bank runs the same stock
 scheme, the tracker arenas (:mod:`repro.sim.arena`) adopt all banks'
 tracker state at construction — every bank's own dual-CBF counters,
 adopted in place, with a merged pre-hashed probe cache for
-BlockHammer (per-ACT updates defer to the epoch boundary and replay
-in order), the exact per-bank CbS summaries plus stacked count
-matrices for
-Mithril/Graphene, one flat RAA vector for RFM — and the drain
-dispatches per-ACT work through them.  Mixed or non-stock
-configurations keep the per-bank inline handlers above.  Arena state
-is written back to the per-bank objects when ``run`` returns, so
-post-run inspection is backend-invariant — measured honestly in
-docs/ENGINE.md.
+BlockHammer, the exact per-bank CbS summaries plus stacked count
+matrices for Mithril/Graphene, one flat RAA vector for RFM — and the
+drain dispatches each ACT's tracker update through them at the ACT.
+Mixed or non-stock configurations keep the per-bank inline handlers
+above.  Arena state is written back to the per-bank objects when
+``run`` returns, so post-run inspection is backend-invariant —
+measured honestly in docs/ENGINE.md.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ from repro.sim.arena import (
     TrackerArenas,
 )
 from repro.sim.metrics import SimulationResult
-from repro.sim.soa import decode_traces
+from repro.sim.soa import TraceWindow
 from repro.sim.system import (
     _BANK,
     _COMPLETE,
@@ -137,10 +136,11 @@ class TurboSimulatedSystem(SimulatedSystem):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        traces = [core.trace for core in self.cores]
-        #: per-core SoA decode; long traces come back as streamed
-        #: windows, which the issue paths page through via ``ensure``.
-        self._soa = decode_traces(traces, self.num_banks)
+        #: per-core windowed column decode; the issue paths page
+        #: through long traces via ``ensure``.
+        self._soa = [
+            TraceWindow(core.trace, self.num_banks) for core in self.cores
+        ]
         #: served requests are recycled into new issues (the fused
         #: drain owns every reference, so reuse is invisible).
         self._request_pool = []
@@ -162,11 +162,10 @@ class TurboSimulatedSystem(SimulatedSystem):
 
     # ------------------------------------------------------------------
 
-    def _build_core_flats(self, traces, num_banks):
-        # The SoA decode supplies (possibly windowed) flats to the
-        # overridden issue paths; materializing the scalar per-trace
-        # tables here would duplicate the whole column.
-        return [None] * len(traces)
+    def _build_core_flats(self):
+        # The windowed decode supplies flats to the overridden issue
+        # paths; the scalar tables would need every entry object.
+        return [None] * len(self.cores)
 
     def _snapshot_fusability(self) -> bool:
         """True when every component is stock (fused path is exact)."""
@@ -328,8 +327,8 @@ class TurboSimulatedSystem(SimulatedSystem):
                 remap = _ACT_MITHRIL_ARENA
             elif first == _ACT_BLOCKHAMMER:
                 blockhammer = BlockHammerArena(schemes)
-                for soa in self._soa:
-                    blockhammer.prefill(soa.rows)
+                for core in self.cores:
+                    blockhammer.prefill(core.trace.row)
                 arenas = TrackerArenas(blockhammer=blockhammer)
                 remap = _ACT_BLOCKHAMMER_ARENA
             elif first == _ACT_GRAPHENE:
@@ -351,7 +350,7 @@ class TurboSimulatedSystem(SimulatedSystem):
         return arenas
 
     # ------------------------------------------------------------------
-    # SoA issue path (overrides the scalar entry-object path)
+    # windowed column issue path (overrides the scalar entry path)
     # ------------------------------------------------------------------
 
     def _try_issue(self, core, cycle: int) -> None:
@@ -364,12 +363,11 @@ class TurboSimulatedSystem(SimulatedSystem):
         mlp = core.mlp
         index = core.index
         outstanding = core.outstanding_reads
-        # Window-relative field access: a full decode is one window
-        # covering the trace (base 0, bound total), so the fast path
-        # pays only the ``index - base`` subtraction; a streamed
-        # decode pages the next chunk in when ``index`` walks past
-        # ``bound`` (core.index never decreases, so windows only ever
-        # advance).
+        # Window-relative field access: a trace of at most one window
+        # is decoded once (base 0, bound total), so the fast path pays
+        # only the ``index - base`` subtraction; a longer trace pages
+        # the next window in when ``index`` walks past ``bound``
+        # (core.index never decreases, so windows only ever advance).
         base = soa.chunk_start
         bound = soa.chunk_end
         flats = soa.flats
@@ -527,7 +525,7 @@ class TurboSimulatedSystem(SimulatedSystem):
                 self._arenas.counters() if self._arenas is not None else {}
             )
             counts["soa.window_loads"] = sum(
-                getattr(soa, "loads", 0) for soa in self._soa
+                soa.loads for soa in self._soa
             )
             for name, value in counts.items():
                 tel.counter(name, value)
@@ -621,7 +619,7 @@ class TurboSimulatedSystem(SimulatedSystem):
         # of the observe hooks is bound when arenas are active, and
         # every bank shares it.
         arenas = self._arenas
-        mithril_observe = graphene_observe = bh_flush = None
+        mithril_observe = graphene_observe = bh_observe = None
         raa_mem = None
         if arenas is not None:
             if arenas.cbs is not None:
@@ -630,24 +628,15 @@ class TurboSimulatedSystem(SimulatedSystem):
                 else:
                     graphene_observe = arenas.cbs.graphene_observe
             if arenas.blockhammer is not None:
-                bh_flush = arenas.blockhammer.flush
+                bh_observe = arenas.blockhammer.observe_one
             if arenas.raa is not None:
                 raa_mem = arenas.raa.mem
-        #: BlockHammer per-ACT updates deferred within the current
-        #: epoch as (flat, row, start) triples — at most one per bank
-        #: (a bank serves at most once per cycle, and the conflict
-        #: guard below settles the batch before any second same-bank
-        #: event could read stale blacklist state).
-        bh_pending = []
-        bh_append = bh_pending.append
-        bh_pending_flats = set()
         row_hits = 0
         row_misses = 0
         #: probes off ⇒ one inf-compare per distinct event cycle and
         #: one None-check per ACT; probes on ⇒ sample at the top of the
-        #: epoch, where bh_pending is empty (settled at the previous
-        #: epoch boundary) — the same logical point as the scalar
-        #: backend's per-pop check, so streams match byte for byte.
+        #: epoch — the same logical point as the scalar backend's
+        #: per-pop check, so streams match byte for byte.
         probe = self._probe
         probe_next = probe.next_cycle if probe is not None else float("inf")
         probe_acts = None if probe is None else probe.act_counts
@@ -683,7 +672,7 @@ class TurboSimulatedSystem(SimulatedSystem):
                         if issuing:
                             core.stalled_on_mlp = False
                     if issuing:
-                        # ---- inline _try_issue (SoA issue loop) ------
+                        # ---- inline _try_issue (window issue loop) ---
                         soa = soas[core_id]
                         total = soa.length
                         base = soa.chunk_start
@@ -714,8 +703,8 @@ class TurboSimulatedSystem(SimulatedSystem):
                                 )
                                 break
                             if index >= bound:
-                                # streamed decode: page the next
-                                # window in (windows only advance)
+                                # page the next window in
+                                # (windows only advance)
                                 soa.ensure(index)
                                 base = soa.chunk_start
                                 bound = soa.chunk_end
@@ -792,12 +781,6 @@ class TurboSimulatedSystem(SimulatedSystem):
                     continue
                 # ---- fused bank event ---------------------------------
                 flat = key & _IDENT_MASK
-                if bh_pending and flat in bh_pending_flats:
-                    # A second event on a bank holding a deferred ACT
-                    # would read a stale blacklist: settle first.
-                    bh_flush(bh_pending)
-                    del bh_pending[:]
-                    bh_pending_flats.clear()
                 bank_scheduled[flat] = False
                 (controller, queue, bank, channel_state, energy,
                  refresh, scheme, hammer, t_mode, a_mode, f_hammer,
@@ -1143,10 +1126,7 @@ class TurboSimulatedSystem(SimulatedSystem):
                         # cross-bank arena dispatch (uniform stock
                         # scheme; see repro.sim.arena for exactness)
                         if a_mode == _ACT_BLOCKHAMMER_ARENA:
-                            # defer to the epoch boundary; replayed
-                            # in order by the arena's flush
-                            bh_append((flat, row, start))
-                            bh_pending_flats.add(flat)
+                            bh_observe(flat, row, start)
                         elif a_mode == _ACT_MITHRIL_ARENA:
                             mithril_observe(flat, row)
                         else:
@@ -1436,13 +1416,6 @@ class TurboSimulatedSystem(SimulatedSystem):
                         (((retry << _SEQ_BITS) | seq) << _LOW_BITS)
                         | (_BANK << _IDENT_BITS) | flat,
                     )
-            # ---- epoch boundary: settle deferred tracker updates ------
-            if bh_pending:
-                bh_flush(bh_pending)
-                del bh_pending[:]
-                bh_pending_flats.clear()
-        if bh_pending:  # max_cycles cutoff mid-epoch
-            bh_flush(bh_pending)
         self._seq = seq
         self.row_hits += row_hits
         self.row_misses += row_misses

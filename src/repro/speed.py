@@ -121,7 +121,7 @@ def run_preset(preset: str, backend: Optional[str] = None) -> List[SpeedRow]:
     ``backend`` selects the simulation backend (scalar / turbo; None
     follows ``REPRO_SIM_BACKEND``).  The timed region is the whole
     ``simulate()`` call — system construction included, so the turbo
-    backend's SoA decode pays its way inside the measurement.
+    backend's trace decode pays its way inside the measurement.
 
     The simulation *results* are intentionally discarded here — the
     equivalence suite (tests/integration/test_golden_equivalence.py)

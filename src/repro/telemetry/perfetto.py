@@ -152,7 +152,9 @@ def _sample_counters(record: Dict[str, Any]) -> Dict[str, int]:
     blockhammer = record.get("blockhammer")
     if blockhammer:
         counters["bh_backlog"] = sum(blockhammer.get("backlog") or [])
-        counters["bh_pending"] = sum(blockhammer.get("pending") or [])
+        counters["bh_release_pending"] = sum(
+            blockhammer.get("pending") or []
+        )
     top = record.get("top")
     if top:
         errors = [

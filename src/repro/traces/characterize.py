@@ -167,7 +167,7 @@ def characterize_trace(
 ) -> TraceCharacterization:
     """Characterize one core's stream in isolation."""
     return _characterize_entries(
-        trace.name, trace.entries, trace.total_instructions, organization
+        trace.name, list(trace), trace.total_instructions, organization
     )
 
 

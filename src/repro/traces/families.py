@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.params import DramOrganization
 from repro.workloads.synthetic import _gaps
-from repro.workloads.trace import CoreTrace, TraceEntry
+from repro.workloads.trace import CoreTrace
 
 #: The documented design targets (docs/WORKLOADS.md); the numbers the
 #: family tests assert via :func:`design_violations`.
@@ -84,25 +84,18 @@ def capacity_pressure(
     for core in range(num_cores):
         start = core * footprint_rows + int(rng.integers(0, num_banks))
         gaps = _gaps(rng, num_requests, mean_gap)
-        writes = [v < write_fraction for v in rng.random(num_requests)]
-        entries = []
-        for i in range(num_requests):
-            block = start + i
-            entries.append(
-                TraceEntry(
-                    gap_cycles=int(gaps[i]),
-                    bank_index=block % num_banks,
-                    row=(block // num_banks) % rows_per_bank,
-                    column=i % 128,
-                    is_write=bool(writes[i]),
-                    instructions=int(gaps[i]) + 1,
-                )
-            )
+        writes = rng.random(num_requests) < write_fraction
+        i = np.arange(num_requests)
+        block = start + i
         traces.append(
             CoreTrace(
-                name=f"core{core}-capacity-pressure",
-                entries=entries,
-                memory_intensive=True,
+                f"core{core}-capacity-pressure",
+                gap_cycles=gaps,
+                bank_index=block % num_banks,
+                row=(block // num_banks) % rows_per_bank,
+                column=i % 128,
+                is_write=writes,
+                instructions=gaps + 1,
             )
         )
     return traces
@@ -137,23 +130,17 @@ def row_conflict_heavy(
         bank = pair % num_banks
         base = (pair * 4096 + (core % 2) * 2048) % rows_per_bank
         gaps = _gaps(rng, num_requests, mean_gap)
-        writes = [v < write_fraction for v in rng.random(num_requests)]
-        entries = [
-            TraceEntry(
-                gap_cycles=int(gaps[i]),
-                bank_index=bank,
-                row=(base + (i % conflict_rows) * 2) % rows_per_bank,
-                column=i % 128,
-                is_write=bool(writes[i]),
-                instructions=int(gaps[i]) + 1,
-            )
-            for i in range(num_requests)
-        ]
+        writes = rng.random(num_requests) < write_fraction
+        i = np.arange(num_requests)
         traces.append(
             CoreTrace(
-                name=f"core{core}-row-conflict",
-                entries=entries,
-                memory_intensive=True,
+                f"core{core}-row-conflict",
+                gap_cycles=gaps,
+                bank_index=np.full(num_requests, bank, dtype=np.int64),
+                row=(base + (i % conflict_rows) * 2) % rows_per_bank,
+                column=i % 128,
+                is_write=writes,
+                instructions=gaps + 1,
             )
         )
     return traces
@@ -189,30 +176,27 @@ def multi_channel_imbalanced(
     traces = []
     for core in range(num_cores):
         gaps = _gaps(rng, num_requests, mean_gap)
-        writes = [v < write_fraction for v in rng.random(num_requests)]
-        entries = []
-        bank = row = 0
-        for i in range(num_requests):
-            if i % accesses_per_row == 0:
-                local = int(rng.integers(0, num_banks))
-                hot = bool(rng.random() < hot_share)
-                bank = local if hot else banks_per_channel + local
-                row = int(rng.integers(0, rows_per_bank))
-            entries.append(
-                TraceEntry(
-                    gap_cycles=int(gaps[i]),
-                    bank_index=bank,
-                    row=row,
-                    column=i % 128,
-                    is_write=bool(writes[i]),
-                    instructions=int(gaps[i]) + 1,
-                )
-            )
+        writes = rng.random(num_requests) < write_fraction
+        # One (bank, row) per burst; the three scalar draws per burst
+        # interleave, so they stay a loop.
+        bursts = -(-num_requests // accesses_per_row)
+        banks = np.empty(bursts, dtype=np.int64)
+        rows = np.empty(bursts, dtype=np.int64)
+        for burst in range(bursts):
+            local = int(rng.integers(0, num_banks))
+            hot = bool(rng.random() < hot_share)
+            banks[burst] = local if hot else banks_per_channel + local
+            rows[burst] = int(rng.integers(0, rows_per_bank))
+        i = np.arange(num_requests)
         traces.append(
             CoreTrace(
-                name=f"core{core}-channel-imbalanced",
-                entries=entries,
-                memory_intensive=True,
+                f"core{core}-channel-imbalanced",
+                gap_cycles=gaps,
+                bank_index=banks[i // accesses_per_row],
+                row=rows[i // accesses_per_row],
+                column=i % 128,
+                is_write=writes,
+                instructions=gaps + 1,
             )
         )
     return traces

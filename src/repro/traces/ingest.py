@@ -29,9 +29,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.params import DEFAULT_CONFIG, DramOrganization
 from repro.traces.readers import WRITERS, read_trace
-from repro.workloads.trace import CoreTrace, TraceEntry
+from repro.workloads.trace import CoreTrace
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "repro-traceset-v1"
@@ -67,53 +69,38 @@ def normalize_trace(
     banks, rows, cols = (
         org.total_banks, org.rows_per_bank, org.columns_per_row
     )
-    entries: List[TraceEntry] = []
-    changed = False
-    for index, entry in enumerate(trace.entries):
-        for value, what in (
-            (entry.bank_index, "bank_index"),
-            (entry.row, "row"),
-            (entry.column, "column"),
-            (entry.gap_cycles, "gap_cycles"),
-            (entry.instructions, "instructions"),
-        ):
-            if value < 0:
-                raise TraceGeometryError(
-                    f"trace {trace.name!r} entry {index}: negative "
-                    f"{what} ({value})"
-                )
-        fits = (
-            entry.bank_index < banks
-            and entry.row < rows
-            and entry.column < cols
-        )
-        if fits:
-            entries.append(entry)
-            continue
-        if mode == "strict":
+    checked = ("bank_index", "row", "column", "gap_cycles", "instructions")
+    negative = np.zeros(len(trace), dtype=bool)
+    for what in checked:
+        negative |= getattr(trace, what) < 0
+    outside = (
+        (trace.bank_index >= banks)
+        | (trace.row >= rows)
+        | (trace.column >= cols)
+    )
+    # The first offending entry decides the error, and within it a
+    # negative value wins over a geometry misfit.
+    bad = negative | outside if mode == "strict" else negative
+    if bad.any():
+        index = int(np.argmax(bad))
+        if negative[index]:
+            what = next(w for w in checked if getattr(trace, w)[index] < 0)
             raise TraceGeometryError(
-                f"trace {trace.name!r} entry {index}: "
-                f"(bank={entry.bank_index}, row={entry.row}, "
-                f"column={entry.column}) outside geometry "
-                f"(banks={banks}, rows={rows}, columns={cols})"
+                f"trace {trace.name!r} entry {index}: negative "
+                f"{what} ({getattr(trace, what)[index]})"
             )
-        changed = True
-        entries.append(
-            TraceEntry(
-                gap_cycles=entry.gap_cycles,
-                bank_index=entry.bank_index % banks,
-                row=entry.row % rows,
-                column=entry.column % cols,
-                is_write=entry.is_write,
-                instructions=entry.instructions,
-            )
+        raise TraceGeometryError(
+            f"trace {trace.name!r} entry {index}: "
+            f"(bank={trace.bank_index[index]}, row={trace.row[index]}, "
+            f"column={trace.column[index]}) outside geometry "
+            f"(banks={banks}, rows={rows}, columns={cols})"
         )
-    if not changed:
+    if not outside.any():
         return trace
-    return CoreTrace(
-        name=trace.name,
-        entries=entries,
-        memory_intensive=trace.memory_intensive,
+    return trace.with_columns(
+        bank_index=trace.bank_index % banks,
+        row=trace.row % rows,
+        column=trace.column % cols,
     )
 
 
@@ -175,7 +162,7 @@ class TraceSet:
             payload.update(trace.name.encode())
             payload.update(b"\0")
             payload.update(b"\1" if trace.memory_intensive else b"\0")
-            for e in trace.entries:
+            for e in trace:
                 payload.update(
                     (
                         f"{e.gap_cycles},{e.bank_index},{e.row},"
@@ -222,7 +209,7 @@ class TraceSet:
                     "file": filename,
                     "format": format,
                     "name": trace.name,
-                    "requests": len(trace.entries),
+                    "requests": len(trace),
                     "sha256": _sha256_file(path),
                 }
             )
@@ -345,31 +332,21 @@ def build_trace_workload(
     """
     traces = load_trace_workload(path)
     if max_requests is not None:
+        keep = max(1, int(max_requests))
         traces = [
-            CoreTrace(
-                name=t.name,
-                entries=t.entries[: max(1, int(max_requests))],
-                memory_intensive=t.memory_intensive,
+            t.with_columns(
+                **{name: column[:keep] for name, column in t.columns().items()}
             )
             for t in traces
         ]
     if num_banks is not None:
-        folded = []
-        for t in traces:
-            entries = [
-                e if e.bank_index < num_banks else TraceEntry(
-                    gap_cycles=e.gap_cycles,
-                    bank_index=e.bank_index % num_banks,
-                    row=e.row,
-                    column=e.column,
-                    is_write=e.is_write,
-                    instructions=e.instructions,
+        traces = [
+            t.with_columns(
+                bank_index=np.where(
+                    t.bank_index < num_banks, t.bank_index,
+                    t.bank_index % num_banks,
                 )
-                for e in t.entries
-            ]
-            folded.append(
-                CoreTrace(name=t.name, entries=entries,
-                          memory_intensive=t.memory_intensive)
             )
-        traces = folded
+            for t in traces
+        ]
     return traces

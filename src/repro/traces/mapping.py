@@ -16,7 +16,7 @@ one cacheline-aligned address at a time against a
 
 The flat bank index is the simulator's ``entry.bank_index`` space
 (``channel * ranks_per_channel * banks_per_rank + ...``), so decoded
-traces drop straight into :class:`~repro.workloads.trace.TraceEntry`.
+addresses drop straight into a trace's ``bank_index`` column.
 """
 
 from __future__ import annotations

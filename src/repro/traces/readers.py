@@ -10,10 +10,12 @@ external converters can add more without touching the ingestion CLI:
 
 ``binary``
     A compact columnar format (magic ``RPTRC1``): a JSON header line
-    followed by the six entry fields as contiguous little-endian
-    column blobs (int64, except ``is_write`` as uint8).  ~41 bytes per
-    request raw, but columns compress far better than JSON — the
-    expected on-disk form is ``.bin.gz``.
+    followed by the six trace columns as contiguous little-endian
+    blobs (int64, except ``is_write`` as uint8) — the on-disk image of
+    :class:`~repro.workloads.trace.CoreTrace`'s columns, read back with
+    one ``np.frombuffer`` per column.  ~41 bytes per request raw, but
+    columns compress far better than JSON — the expected on-disk form
+    is ``.bin.gz``.
 
 ``dramsim3-csv``
     A DRAMsim3-style ``addr,cycle,op`` request log (comma- or
@@ -32,27 +34,21 @@ accept a ``.gz`` suffix transparently (:func:`open_trace_file`).
 from __future__ import annotations
 
 import json
-import sys
-from array import array
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.params import DEFAULT_CONFIG, DramOrganization
 from repro.traces.mapping import DEFAULT_MAPPING, map_address
-from repro.workloads.trace import CoreTrace, TraceEntry, open_trace_file
+from repro.workloads.trace import COLUMN_NAMES, CoreTrace, open_trace_file
 
 #: Magic prefix of the binary columnar format (version 1).
 BINARY_MAGIC = b"RPTRC1\n"
 
-#: Column layout of the binary format, in file order.
-_COLUMNS = (
-    ("gap_cycles", "q"),
-    ("bank_index", "q"),
-    ("row", "q"),
-    ("column", "q"),
-    ("is_write", "B"),
-    ("instructions", "q"),
-)
+#: On-disk dtype of each column, in file order (the CoreTrace order).
+_FILE_DTYPES = {name: np.dtype("<i8") for name in COLUMN_NAMES}
+_FILE_DTYPES["is_write"] = np.dtype("u1")
 
 Reader = Callable[..., CoreTrace]
 
@@ -129,12 +125,6 @@ def write_jsonl(trace: CoreTrace, path) -> None:
 # ----------------------------------------------------------------------
 
 
-def _native(column: "array") -> "array":
-    if sys.byteorder == "big":
-        column.byteswap()
-    return column
-
-
 @register_reader("binary")
 def read_binary(path, organization=None, mapping=DEFAULT_MAPPING) -> CoreTrace:
     with open_trace_file(path, "rb") as handle:
@@ -146,53 +136,45 @@ def read_binary(path, organization=None, mapping=DEFAULT_MAPPING) -> CoreTrace:
             )
         header = json.loads(handle.readline())
         count = header["count"]
+        # Checked before any read: frombuffer(count=-1) would silently
+        # take the rest of the file as one column.
+        if type(count) is not int or count < 0:
+            raise ValueError(
+                f"{path}: header count must be a non-negative integer, "
+                f"got {count!r}"
+            )
         columns = {}
-        for name, typecode in _COLUMNS:
-            column = array(typecode)
-            column.frombytes(handle.read(column.itemsize * count))
-            if len(column) != count:
+        for name in COLUMN_NAMES:
+            dtype = _FILE_DTYPES[name]
+            blob = handle.read(dtype.itemsize * count)
+            got = len(blob) // dtype.itemsize
+            if got != count:
                 raise ValueError(
                     f"{path}: column {name!r} truncated "
-                    f"({len(column)} of {count} values)"
+                    f"({got} of {count} values)"
                 )
-            columns[name] = _native(column)
-    entries = [
-        TraceEntry(
-            gap_cycles=columns["gap_cycles"][i],
-            bank_index=columns["bank_index"][i],
-            row=columns["row"][i],
-            column=columns["column"][i],
-            is_write=bool(columns["is_write"][i]),
-            instructions=columns["instructions"][i],
-        )
-        for i in range(count)
-    ]
+            columns[name] = np.frombuffer(blob, dtype=dtype, count=count)
+    columns["is_write"] = columns["is_write"] != 0
     return CoreTrace(
-        name=header["name"],
-        entries=entries,
+        header["name"],
+        **columns,
         memory_intensive=header.get("memory_intensive", True),
     )
 
 
 def write_binary(trace: CoreTrace, path) -> None:
-    columns = {
-        "gap_cycles": array("q", (e.gap_cycles for e in trace.entries)),
-        "bank_index": array("q", (e.bank_index for e in trace.entries)),
-        "row": array("q", (e.row for e in trace.entries)),
-        "column": array("q", (e.column for e in trace.entries)),
-        "is_write": array("B", (int(e.is_write) for e in trace.entries)),
-        "instructions": array("q", (e.instructions for e in trace.entries)),
-    }
     header = {
         "name": trace.name,
         "memory_intensive": trace.memory_intensive,
-        "count": len(trace.entries),
+        "count": len(trace),
     }
     with open_trace_file(path, "wb") as handle:
         handle.write(BINARY_MAGIC)
         handle.write((json.dumps(header) + "\n").encode())
-        for name, _typecode in _COLUMNS:
-            handle.write(_native(columns[name]).tobytes())
+        for name, column in trace.columns().items():
+            handle.write(
+                column.astype(_FILE_DTYPES[name], copy=False).tobytes()
+            )
 
 
 #: Writers by format name (the ingestion CLI's ``--format`` choices).
@@ -219,7 +201,7 @@ def read_dramsim3_csv(
     mapping: str = DEFAULT_MAPPING,
 ) -> CoreTrace:
     org = organization or DEFAULT_CONFIG.organization
-    entries = []
+    columns: Dict[str, List[int]] = {name: [] for name in COLUMN_NAMES}
     previous_cycle = None
     with open_trace_file(path, "r") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -246,20 +228,16 @@ def read_dramsim3_csv(
             )
             previous_cycle = cycle
             bank, row, column = map_address(mapping, address, org)
-            entries.append(
-                TraceEntry(
-                    gap_cycles=gap,
-                    bank_index=bank,
-                    row=row,
-                    column=column,
-                    is_write=op.startswith("W"),
-                    # External logs carry no retire counts; the gap is
-                    # the same throughput proxy the generators use.
-                    instructions=gap + 1,
-                )
-            )
+            columns["gap_cycles"].append(gap)
+            columns["bank_index"].append(bank)
+            columns["row"].append(row)
+            columns["column"].append(column)
+            columns["is_write"].append(op.startswith("W"))
+            # External logs carry no retire counts; the gap is the same
+            # throughput proxy the generators use.
+            columns["instructions"].append(gap + 1)
     name = Path(path).name
     for suffix in (".gz", ".csv", ".trace", ".txt"):
         if name.endswith(suffix):
             name = name[: -len(suffix)]
-    return CoreTrace(name=name or "dramsim3", entries=entries)
+    return CoreTrace(name or "dramsim3", **columns)

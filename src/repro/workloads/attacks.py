@@ -22,33 +22,30 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.streaming.counting_bloom import CountingBloomFilter
-from repro.workloads.trace import CoreTrace, TraceEntry
+from repro.workloads.trace import CoreTrace
 
 #: Rows the attacker's offline CBF profiling sweep covers.
 PROFILE_SEARCH_SPACE = 65536
 
 
-def _act_entries(
+def _act_trace(
+    name: str,
     rows: Sequence[int],
     bank_index: int,
     total_requests: int,
-    gap_cycles: int = 0,
-) -> List[TraceEntry]:
+) -> CoreTrace:
     """Cycle over ``rows`` with row-miss accesses (every access ACTs)."""
-    entries = []
-    n = len(rows)
-    for i in range(total_requests):
-        entries.append(
-            TraceEntry(
-                gap_cycles=gap_cycles,
-                bank_index=bank_index,
-                row=rows[i % n],
-                column=i % 128,
-                is_write=False,
-                instructions=1,
-            )
-        )
-    return entries
+    i = np.arange(total_requests)
+    return CoreTrace(
+        name,
+        gap_cycles=np.zeros(total_requests, dtype=np.int64),
+        bank_index=np.full(total_requests, bank_index, dtype=np.int64),
+        row=np.asarray(rows, dtype=np.int64)[i % len(rows)],
+        column=i % 128,
+        is_write=np.zeros(total_requests, dtype=bool),
+        instructions=np.ones(total_requests, dtype=np.int64),
+        memory_intensive=True,
+    )
 
 
 def double_sided_trace(
@@ -59,11 +56,7 @@ def double_sided_trace(
 ) -> CoreTrace:
     """Alternate ACTs on victim_row-1 and victim_row+1."""
     rows = [victim_row - 1, victim_row + 1]
-    return CoreTrace(
-        name=name,
-        entries=_act_entries(rows, bank_index, total_requests),
-        memory_intensive=True,
-    )
+    return _act_trace(name, rows, bank_index, total_requests)
 
 
 def multi_sided_trace(
@@ -80,11 +73,7 @@ def multi_sided_trace(
     victim is double-sided.
     """
     aggressors = [base_row + 2 * i for i in range(num_victims + 1)]
-    return CoreTrace(
-        name=name,
-        entries=_act_entries(aggressors, bank_index, total_requests),
-        memory_intensive=True,
-    )
+    return _act_trace(name, aggressors, bank_index, total_requests)
 
 
 def rotation_attack_trace(
@@ -99,11 +88,7 @@ def rotation_attack_trace(
     if num_rows <= 0:
         raise ValueError(f"num_rows must be positive, got {num_rows}")
     rows = [base_row + row_stride * i for i in range(num_rows)]
-    return CoreTrace(
-        name=name,
-        entries=_act_entries(rows, bank_index, total_requests),
-        memory_intensive=True,
-    )
+    return _act_trace(name, rows, bank_index, total_requests)
 
 
 def _vectorized_probe_matrix(cbf: CountingBloomFilter, search_space: int):
@@ -233,9 +218,5 @@ def blockhammer_adversarial_trace(
                for i in range(len(covers))]
     while len(rows) < total_requests:
         rows.extend(recycle)
-    return CoreTrace(
-        name=name,
-        entries=_act_entries(rows[:total_requests], bank_index,
-                             total_requests),
-        memory_intensive=True,
-    )
+    return _act_trace(name, rows[:total_requests], bank_index,
+                      total_requests)

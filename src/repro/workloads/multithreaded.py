@@ -17,10 +17,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.workloads.trace import CoreTrace, TraceEntry
+from repro.workloads.trace import CoreTrace
 
 
-def _gaps(rng, n: int, mean_gap: float) -> List[int]:
+def _gaps(rng, n: int, mean_gap: float) -> np.ndarray:
     """Exponential integer gaps.
 
     Deliberately NOT ``synthetic._gaps``: that helper short-circuits
@@ -28,30 +28,28 @@ def _gaps(rng, n: int, mean_gap: float) -> List[int]:
     have always drawn ``n`` variates unconditionally — unifying would
     shift the draw stream and change historical traces bit-for-bit.
     """
-    return [
-        g if g > 0 else 0
-        for g in map(int, rng.exponential(mean_gap, size=n))
-    ]
+    return np.maximum(rng.exponential(mean_gap, size=n).astype(np.int64), 0)
 
 
-def _entries_from_logical(
+def _trace_from_logical(
+    name: str,
     logical_rows: Sequence[int],
-    gaps: Sequence[int],
-    writes: Sequence[bool],
+    gaps: np.ndarray,
+    writes: np.ndarray,
     num_banks: int,
     rows_per_bank: int = 65536,
-) -> List[TraceEntry]:
-    return [
-        TraceEntry(
-            gap_cycles=int(gaps[i]),
-            bank_index=int(logical_rows[i]) % num_banks,
-            row=(int(logical_rows[i]) // num_banks) % rows_per_bank,
-            column=i % 128,
-            is_write=bool(writes[i]),
-            instructions=int(gaps[i]) + 1,
-        )
-        for i in range(len(logical_rows))
-    ]
+) -> CoreTrace:
+    logical = np.asarray(logical_rows, dtype=np.int64)
+    return CoreTrace(
+        name,
+        gap_cycles=gaps,
+        bank_index=logical % num_banks,
+        row=(logical // num_banks) % rows_per_bank,
+        column=np.arange(len(logical)) % 128,
+        is_write=writes,
+        instructions=gaps + 1,
+        memory_intensive=True,
+    )
 
 
 def fft_like(
@@ -68,7 +66,7 @@ def fft_like(
     traces = []
     for core in range(num_cores):
         gaps = _gaps(rng, num_requests, mean_gap)
-        writes = [v < 0.5 for v in rng.random(num_requests)]
+        writes = rng.random(num_requests) < 0.5
         logical = [0] * num_requests
         base = core * partition
         stride = 1
@@ -84,10 +82,8 @@ def fft_like(
                 logical[i] = (logical[i] + stride) % footprint_rows
             position += 1 if stride == 1 else stride
         traces.append(
-            CoreTrace(
-                name=f"fft-t{core}",
-                entries=_entries_from_logical(logical, gaps, writes, num_banks),
-                memory_intensive=True,
+            _trace_from_logical(
+                f"fft-t{core}", logical, gaps, writes, num_banks
             )
         )
     return traces
@@ -107,18 +103,14 @@ def radix_like(
     traces = []
     for core in range(num_cores):
         gaps = _gaps(rng, num_requests, mean_gap)
-        writes = [v < 0.5 for v in rng.random(num_requests)]
+        writes = rng.random(num_requests) < 0.5
         half = num_requests // 2
-        local = [
-            core * partition + (i // 8) % partition for i in range(half)
-        ]
+        local = core * partition + (np.arange(half) // 8) % partition
         scatter = rng.integers(0, footprint_rows, size=num_requests - half)
-        logical = local + list(scatter)
         traces.append(
-            CoreTrace(
-                name=f"radix-t{core}",
-                entries=_entries_from_logical(logical, gaps, writes, num_banks),
-                memory_intensive=True,
+            _trace_from_logical(
+                f"radix-t{core}", np.concatenate([local, scatter]), gaps,
+                writes, num_banks,
             )
         )
     return traces
@@ -148,13 +140,11 @@ def pagerank_like(
     weights = _zipf_weights(footprint_rows, skew)
     for core in range(num_cores):
         gaps = _gaps(rng, num_requests, mean_gap)
-        writes = [v < 0.15 for v in rng.random(num_requests)]
+        writes = rng.random(num_requests) < 0.15
         logical = rng.choice(footprint_rows, size=num_requests, p=weights)
         traces.append(
-            CoreTrace(
-                name=f"pagerank-t{core}",
-                entries=_entries_from_logical(logical, gaps, writes, num_banks),
-                memory_intensive=True,
+            _trace_from_logical(
+                f"pagerank-t{core}", logical, gaps, writes, num_banks
             )
         )
     return traces

@@ -15,25 +15,20 @@ All generators are deterministic in their ``seed``.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.workloads.trace import CoreTrace, TraceEntry
+from repro.workloads.trace import CoreTrace
 
 
-def _gaps(rng, n: int, mean_gap: float) -> List[int]:
+def _gaps(rng, n: int, mean_gap: float) -> np.ndarray:
     """Integer inter-request gaps with an exponential distribution.
 
-    One sized ``exponential`` draw, truncated toward zero per element
-    (what ``.astype(np.int64)`` did), clamped at zero.
+    One sized ``exponential`` draw, truncated toward zero per element,
+    clamped at zero.  ``mean_gap <= 0`` draws nothing.
     """
     if mean_gap <= 0:
-        return [0] * n
-    return [
-        g if g > 0 else 0
-        for g in map(int, rng.exponential(mean_gap, size=n))
-    ]
+        return np.zeros(n, dtype=np.int64)
+    return np.maximum(rng.exponential(mean_gap, size=n).astype(np.int64), 0)
 
 
 def streaming_sweep_trace(
@@ -53,24 +48,19 @@ def streaming_sweep_trace(
         raise ValueError("accesses_per_row must be positive")
     rng = np.random.default_rng(seed)
     gaps = _gaps(rng, num_requests, mean_gap)
-    writes = [v < write_fraction for v in rng.random(num_requests)]
-    entries = []
-    for i in range(num_requests):
-        block = i // accesses_per_row
-        logical_row = start_row + block % footprint_rows
-        bank = logical_row % num_banks
-        row = (logical_row // num_banks) % rows_per_bank
-        entries.append(
-            TraceEntry(
-                gap_cycles=int(gaps[i]),
-                bank_index=bank,
-                row=row,
-                column=i % accesses_per_row,
-                is_write=bool(writes[i]),
-                instructions=int(gaps[i]) + 1,
-            )
-        )
-    return CoreTrace(name=name, entries=entries, memory_intensive=mean_gap < 64)
+    writes = rng.random(num_requests) < write_fraction
+    i = np.arange(num_requests)
+    logical_row = start_row + (i // accesses_per_row) % footprint_rows
+    return CoreTrace(
+        name,
+        gap_cycles=gaps,
+        bank_index=logical_row % num_banks,
+        row=(logical_row // num_banks) % rows_per_bank,
+        column=i % accesses_per_row,
+        is_write=writes,
+        instructions=gaps + 1,
+        memory_intensive=mean_gap < 64,
+    )
 
 
 def random_access_trace(
@@ -88,19 +78,17 @@ def random_access_trace(
     gaps = _gaps(rng, num_requests, mean_gap)
     logical = rng.integers(0, footprint_rows, size=num_requests)
     columns = rng.integers(0, 128, size=num_requests)
-    writes = [v < write_fraction for v in rng.random(num_requests)]
-    entries = [
-        TraceEntry(
-            gap_cycles=int(gaps[i]),
-            bank_index=int(logical[i]) % num_banks,
-            row=(int(logical[i]) // num_banks) % rows_per_bank,
-            column=int(columns[i]),
-            is_write=bool(writes[i]),
-            instructions=int(gaps[i]) + 1,
-        )
-        for i in range(num_requests)
-    ]
-    return CoreTrace(name=name, entries=entries, memory_intensive=mean_gap < 64)
+    writes = rng.random(num_requests) < write_fraction
+    return CoreTrace(
+        name,
+        gap_cycles=gaps,
+        bank_index=logical % num_banks,
+        row=(logical // num_banks) % rows_per_bank,
+        column=columns,
+        is_write=writes,
+        instructions=gaps + 1,
+        memory_intensive=mean_gap < 64,
+    )
 
 
 def strided_trace(
@@ -115,27 +103,31 @@ def strided_trace(
     write_fraction: float = 0.4,
     seed: int = 3,
 ) -> CoreTrace:
-    """Strided phases: FFT butterflies / radix-sort scatter behaviour."""
+    """Strided phases: FFT butterflies / radix-sort scatter behaviour.
+
+    Every phase after the first restarts the stride at a random
+    position, drawn with one scalar ``integers`` call per phase (a
+    sized draw would not reproduce that stream).
+    """
     rng = np.random.default_rng(seed)
     gaps = _gaps(rng, num_requests, mean_gap)
-    writes = [v < write_fraction for v in rng.random(num_requests)]
-    entries = []
-    position = 0
-    for i in range(num_requests):
-        if i % phase_length == 0 and i > 0:
-            position = int(rng.integers(0, footprint_rows))
-        logical = position % footprint_rows
-        position += stride_rows
-        bank = logical % num_banks
-        row = (logical // num_banks) % rows_per_bank
-        entries.append(
-            TraceEntry(
-                gap_cycles=int(gaps[i]),
-                bank_index=bank,
-                row=row,
-                column=i % 64,
-                is_write=bool(writes[i]),
-                instructions=int(gaps[i]) + 1,
-            )
-        )
-    return CoreTrace(name=name, entries=entries, memory_intensive=mean_gap < 64)
+    writes = rng.random(num_requests) < write_fraction
+    phases = -(-num_requests // phase_length)
+    starts = [0] + [
+        int(rng.integers(0, footprint_rows)) for _ in range(1, phases)
+    ]
+    i = np.arange(num_requests)
+    logical = (
+        np.array(starts, dtype=np.int64)[i // phase_length]
+        + (i % phase_length) * stride_rows
+    ) % footprint_rows
+    return CoreTrace(
+        name,
+        gap_cycles=gaps,
+        bank_index=logical % num_banks,
+        row=(logical // num_banks) % rows_per_bank,
+        column=i % 64,
+        is_write=writes,
+        instructions=gaps + 1,
+        memory_intensive=mean_gap < 64,
+    )

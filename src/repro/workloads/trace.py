@@ -1,10 +1,19 @@
 """Per-core memory trace format.
 
-A trace entry is one post-LLC memory request plus the amount of core
-work (instructions / cycles) separating it from the previous request.
-Traces are the substitute for the paper's SPEC CPU2017 SimPoint traces
-(see DESIGN.md): the mitigation overheads depend only on the resulting
-ACT stream statistics, which the generators control explicitly.
+A trace is one core's stream of post-LLC memory requests, each with the
+amount of core work (instructions / cycles) separating it from the
+previous request.  Traces are the substitute for the paper's SPEC
+CPU2017 SimPoint traces (see DESIGN.md): the mitigation overheads
+depend only on the resulting ACT stream statistics, which the
+generators control explicitly.
+
+Storage is columnar: a :class:`CoreTrace` holds six read-only numpy
+columns (:data:`COLUMNS`), one value per request.  That layout is this
+module's decision alone — generators, readers and the turbo drain work
+on the columns, while cold callers (characterization, the jsonl/csv
+writers, the scalar reference loop) iterate :class:`TraceEntry`
+objects built lazily from them.  The binary ``RPTRC1`` format
+(:mod:`repro.traces.readers`) is the columns' on-disk image.
 """
 
 from __future__ import annotations
@@ -12,9 +21,11 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence
+
+import numpy as np
 
 
 class _DeterministicGzip(gzip.GzipFile):
@@ -50,12 +61,11 @@ def open_trace_file(path, mode: str):
 
 @dataclass(frozen=True, slots=True)
 class TraceEntry:
-    """One memory request of a core trace.
+    """One memory request of a core trace (a row of the columns).
 
     ``gap_cycles`` — memory-clock cycles of core work since the
     previous request was *issued* (the throughput model of the core).
     ``instructions`` — instructions retired in that gap, used for IPC.
-    Slotted: workloads hold hundreds of thousands of these.
     """
 
     gap_cycles: int
@@ -66,42 +76,130 @@ class TraceEntry:
     instructions: int = 0
 
 
-@dataclass
-class CoreTrace:
-    """A whole core's request stream plus identification metadata."""
+#: The per-request columns, in :class:`TraceEntry` field order, with
+#: their dtypes.
+COLUMNS = (
+    ("gap_cycles", np.int64),
+    ("bank_index", np.int64),
+    ("row", np.int64),
+    ("column", np.int64),
+    ("is_write", np.bool_),
+    ("instructions", np.int64),
+)
+COLUMN_NAMES = tuple(name for name, _dtype in COLUMNS)
 
-    name: str
-    entries: List[TraceEntry] = field(default_factory=list)
-    memory_intensive: bool = True
-    #: (entry count, total) memo for :attr:`total_instructions` — the
-    #: sum is O(n) and the simulator reads it once per core per run.
-    _instruction_memo: Optional[Tuple[int, int]] = field(
-        default=None, repr=False, compare=False
-    )
+#: Entries converted per block by the lazy entry iterator.
+_ITER_BLOCK = 1 << 16
+
+
+class CoreTrace:
+    """A whole core's request stream plus identification metadata.
+
+    Each column is a read-only one-dimensional numpy array; the trace
+    takes ownership of the arrays it is given: contiguous arrays of the
+    right dtype are frozen in place, not copied.
+    """
+
+    __slots__ = ("name", "memory_intensive") + COLUMN_NAMES
+
+    def __init__(
+        self,
+        name: str,
+        gap_cycles: Sequence[int] = (),
+        bank_index: Sequence[int] = (),
+        row: Sequence[int] = (),
+        column: Sequence[int] = (),
+        is_write: Sequence[bool] = (),
+        instructions: Sequence[int] = (),
+        memory_intensive: bool = True,
+    ):
+        self.name = name
+        self.memory_intensive = memory_intensive
+        values = (gap_cycles, bank_index, row, column, is_write, instructions)
+        length = None
+        for (field, dtype), value in zip(COLUMNS, values):
+            array = np.ascontiguousarray(value, dtype=dtype)
+            if array.ndim != 1:
+                raise ValueError(f"column {field!r} must be one-dimensional")
+            if length is None:
+                length = len(array)
+            elif len(array) != length:
+                raise ValueError(
+                    f"column {field!r} has {len(array)} values, "
+                    f"expected {length}"
+                )
+            array.setflags(write=False)
+            setattr(self, field, array)
+
+    @classmethod
+    def from_entries(
+        cls,
+        name: str,
+        entries: Iterable[TraceEntry],
+        memory_intensive: bool = True,
+    ) -> "CoreTrace":
+        """Build the columns from entry objects (tests, small traces)."""
+        entries = list(entries)
+        return cls(
+            name,
+            *(
+                [getattr(entry, field) for entry in entries]
+                for field in COLUMN_NAMES
+            ),
+            memory_intensive=memory_intensive,
+        )
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The six columns by name, in :data:`COLUMNS` order."""
+        return {field: getattr(self, field) for field in COLUMN_NAMES}
+
+    def with_columns(self, **changes: Sequence) -> "CoreTrace":
+        """A new trace with some columns replaced (same name/intensity).
+
+        Passing every column sliced alike truncates the trace.
+        """
+        columns = self.columns()
+        columns.update(changes)
+        return CoreTrace(
+            self.name, **columns, memory_intensive=self.memory_intensive
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.row)
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self.entries)
+        """Lazy :class:`TraceEntry` view, converted block by block."""
+        columns = [getattr(self, field) for field in COLUMN_NAMES]
+        for start in range(0, len(self), _ITER_BLOCK):
+            block = slice(start, start + _ITER_BLOCK)
+            yield from map(
+                TraceEntry, *(column[block].tolist() for column in columns)
+            )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoreTrace):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.memory_intensive == other.memory_intensive
+            and all(
+                np.array_equal(getattr(self, field), getattr(other, field))
+                for field in COLUMN_NAMES
+            )
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CoreTrace(name={self.name!r}, requests={len(self)}, "
+            f"memory_intensive={self.memory_intensive})"
+        )
 
     @property
     def total_instructions(self) -> int:
-        """Sum of per-entry instruction counts, memoized by length.
+        return int(self.instructions.sum())
 
-        Generators build traces by appending entries, which the length
-        guard catches; in-place entry *replacement* (which no shipped
-        code does) would require dropping ``_instruction_memo``.
-        """
-        memo = self._instruction_memo
-        if memo is not None and memo[0] == len(self.entries):
-            return memo[1]
-        total = sum(entry.instructions for entry in self.entries)
-        self._instruction_memo = (len(self.entries), total)
-        return total
-
-    def banks_touched(self) -> Sequence[int]:
-        return sorted({entry.bank_index for entry in self.entries})
+    def banks_touched(self) -> List[int]:
+        return sorted(set(self.bank_index.tolist()))
 
     # ------------------------------------------------------------------
     # (de)serialization — line-delimited JSON for easy inspection
@@ -114,7 +212,7 @@ class CoreTrace:
                 "memory_intensive": self.memory_intensive,
             }
             handle.write(json.dumps(header) + "\n")
-            for entry in self.entries:
+            for entry in self:
                 record = [
                     entry.gap_cycles,
                     entry.bank_index,
@@ -129,22 +227,13 @@ class CoreTrace:
     def load(cls, path) -> "CoreTrace":
         with open_trace_file(path, "r") as handle:
             header = json.loads(handle.readline())
-            entries = []
-            for line in handle:
-                gap, bank, row, column, write, instructions = json.loads(line)
-                entries.append(
-                    TraceEntry(
-                        gap_cycles=gap,
-                        bank_index=bank,
-                        row=row,
-                        column=column,
-                        is_write=bool(write),
-                        instructions=instructions,
-                    )
-                )
+            records = [json.loads(line) for line in handle]
+        table = np.array(records, dtype=np.int64).reshape(-1, len(COLUMNS))
+        columns = list(table.T)
+        columns[4] = columns[4] != 0
         return cls(
-            name=header["name"],
-            entries=entries,
+            header["name"],
+            *columns,
             memory_intensive=header.get("memory_intensive", True),
         )
 
@@ -165,7 +254,7 @@ def interleave_round_robin(traces: Iterable[CoreTrace]) -> List[TraceEntry]:
     :mod:`repro.traces.characterize`) analyze: close to what the
     memory controller sees without simulating timing.
     """
-    iterators = [iter(t.entries) for t in traces]
+    iterators = [iter(t) for t in traces]
     merged: List[TraceEntry] = []
     while iterators:
         alive = []

@@ -50,7 +50,7 @@ class TestCatalog:
         spec = WorkloadSpec.make("fft", scale=TINY, num_cores=2, seed=21)
         a = build_workload(spec)
         b = build_workload(spec)
-        assert [t.entries for t in a] == [t.entries for t in b]
+        assert [list(t) for t in a] == [list(t) for t in b]
 
     def test_unknown_kind_raises(self):
         with pytest.raises(KeyError):
@@ -187,11 +187,11 @@ class TestWorkloadReuse:
 
         job = _tiny_jobs()[0]
         first, *_ = materialize_job(job)
-        expected = [trace.entries for trace in first]
+        expected = [list(trace) for trace in first]
         first.pop()
         first.append("not a trace")
         again, *_ = materialize_job(job)
-        assert [trace.entries for trace in again] == expected
+        assert [list(trace) for trace in again] == expected
         assert len(builds) == 1
 
     def test_failed_build_leaves_nothing_held(self, builds, monkeypatch):

@@ -7,7 +7,9 @@ sketches, the turbo backend's fused drain — must leave each shipped
 scheme's `SimulationResult` exactly identical on every workload here:
 the comparison happens on canonical JSON, so even a float that differs
 in its last bit fails.  Every record runs under **both** simulation
-backends: ``turbo``, the default, and ``scalar``, the reference loop.
+backends: ``turbo``, the default, and ``scalar``, the reference loop —
+and once more as ``turbo-window64``, turbo decoding its traces in
+64-entry windows, so every window crossing of the drain is exercised.
 
 If a change is *meant* to alter results, regenerate via
 ``PYTHONPATH=src python tests/golden/generate_golden.py`` and say so in
@@ -22,6 +24,7 @@ import pytest
 from repro.engine.cache import result_to_dict
 from repro.engine.executor import execute_job
 from repro.engine.job import SimJob, WorkloadSpec
+from repro.sim import soa
 from repro.sim.backend import BACKEND_ENV
 
 GOLDEN_PATH = (
@@ -71,9 +74,11 @@ def _ids():
     ]
 
 
-@pytest.fixture(params=["scalar", "turbo"])
+@pytest.fixture(params=["scalar", "turbo", "turbo-window64"])
 def backend(request, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, request.param)
+    if request.param == "turbo-window64":
+        monkeypatch.setattr(soa, "WINDOW", 64)
+    monkeypatch.setenv(BACKEND_ENV, request.param.split("-")[0])
     return request.param
 
 

@@ -6,7 +6,7 @@ at the same logical point in the event stream — is gated here: for
 every scheme family the scalar and turbo backends must emit probe
 streams whose file contents are *equal bytes*, while the
 ``SimulationResult`` stays identical to a probes-off run.  The battery
-also covers the chunked SoA decode path, seal verification, the
+also covers the windowed trace decode, seal verification, the
 probes-off zero-file guarantee, and the report/Perfetto renderers.
 """
 
@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
+from repro.sim import soa
 from repro.sim.probes import probe_files, read_probe_stream
 from repro.sim.system import make_system
 
@@ -91,7 +92,7 @@ class TestCrossBackendParity:
         assert texts["scalar"] == texts["turbo"]
 
     def test_parity_through_chunked_decode(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA_CHUNK", "64")
+        monkeypatch.setattr(soa, "WINDOW", 64)
         job = _job("mithril")
         texts = {}
         for backend in ("scalar", "turbo"):

@@ -51,8 +51,8 @@ class TestTraceSetRoundTrip:
         assert len(loaded.traces) == 2
         rebuilt = capacity_pressure(num_cores=2, num_requests=80,
                                     num_banks=8, seed=5)
-        assert [t.entries for t in loaded.traces] == [
-            t.entries for t in rebuilt
+        assert [list(t) for t in loaded.traces] == [
+            list(t) for t in rebuilt
         ]
 
     def test_digest_is_format_independent(self, tmp_path):
@@ -162,8 +162,8 @@ class TestTraceJobsThroughEngine:
         directory = _tiny_traceset(tmp_path)
         spec = traceset_spec(directory, max_requests=10, num_banks=2)
         traces = build_workload(spec)
-        assert all(len(t.entries) == 10 for t in traces)
-        assert all(e.bank_index < 2 for t in traces for e in t.entries)
+        assert all(len(t) == 10 for t in traces)
+        assert all(e.bank_index < 2 for t in traces for e in t)
 
     def test_single_file_trace_job(self, tmp_path):
         path = tmp_path / "solo.jsonl"

@@ -16,6 +16,7 @@ import pytest
 from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
 from repro.mc.scheduler import BlissScheduler
+from repro.sim import soa
 from repro.sim.system import SimulatedSystem, make_system
 from repro.sim.turbo import TurboSimulatedSystem
 
@@ -70,6 +71,9 @@ def _run_both(job, expect_fused=True, expect_arena="unchecked"):
             if expect_arena != "unchecked":
                 _assert_arena_shape(system, expect_arena)
         results[backend] = system.run(max_cycles=job.max_cycles)
+        if backend == "turbo":
+            # turbo reads the trace columns; it never builds entries
+            assert all(core.entries is None for core in system.cores)
     assert results["scalar"] == results["turbo"]
     return results["scalar"]
 
@@ -312,20 +316,18 @@ class TestArenas:
 
 
 class TestChunkedDecode:
-    """Streamed chunked SoA decode is byte-identical to the full
-    decode — against both the unchunked turbo run and the scalar
+    """Decoding in small windows is byte-identical to the one-window
+    decode — against both the one-window turbo run and the scalar
     backend — with the arenas active."""
 
     @pytest.mark.parametrize(
         "scheme", ["none", "mithril", "graphene", "blockhammer"]
     )
     def test_chunked_vs_scalar(self, scheme, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA_CHUNK", "64")
+        monkeypatch.setattr(soa, "WINDOW", 64)
         _run_both(_job(scheme), expect_arena=_ARENA_SHAPE[scheme])
 
     def test_chunked_equals_unchunked_turbo(self, monkeypatch):
-        from repro.sim.soa import StreamedTraceSoA
-
         job = _job("mithril")
         traces, factory, config, rfm_th = materialize_job(job)
 
@@ -336,15 +338,11 @@ class TestChunkedDecode:
             )
 
         full = build().run()
-        monkeypatch.setenv("REPRO_SOA_CHUNK", "64")
+        monkeypatch.setattr(soa, "WINDOW", 64)
         chunked_system = build()
-        assert all(
-            isinstance(soa, StreamedTraceSoA)
-            for soa in chunked_system._soa
-        )
         assert chunked_system.run() == full
         # The windows really streamed (several loads per trace).
-        assert all(soa.loads > 1 for soa in chunked_system._soa)
+        assert all(window.loads > 1 for window in chunked_system._soa)
 
 
 class TestScaleInvariants:

@@ -8,7 +8,7 @@ drives randomized ACT streams (plus decrements, resets, and the RFM
 demotes that mutate CbS state behind the arena's back) through an
 arena and through untouched per-bank scheme objects, requiring
 identical state at every observable point, including rows on bank
-boundaries and the drain's deferred epoch-batch flush.
+boundaries and one-ACT-per-bank drain epochs.
 """
 
 import pytest
@@ -83,10 +83,10 @@ _BH_OPS = st.lists(
         st.tuples(st.just("decrement"), FLATS, ROWS),
         st.tuples(st.just("reset"), FLATS, ROWS),
         st.tuples(st.just("estimate"), FLATS, ROWS),
-        # one drain epoch: a set of distinct banks, one ACT each — the
-        # deferred-batch contract (at most one per bank per flush)
+        # one drain epoch: a set of distinct banks, one ACT each,
+        # observed in order
         st.tuples(
-            st.just("flush"),
+            st.just("epoch"),
             st.dictionaries(FLATS, ROWS, max_size=BANKS),
             st.none(),
         ),
@@ -104,14 +104,10 @@ class TestBlockHammerArena:
         cycle = 0
         for name, flat, row in ops:
             cycle += 7
-            if name == "flush":
-                batch = [
-                    (bank, bank_row, cycle)
-                    for bank, bank_row in sorted(flat.items())
-                ]
-                arena.flush(batch)
-                for bank, bank_row, start in batch:
-                    twins[bank].on_activate(bank_row, start)
+            if name == "epoch":
+                for bank, bank_row in sorted(flat.items()):
+                    arena.observe_one(bank, bank_row, cycle)
+                    twins[bank].on_activate(bank_row, cycle)
             elif name == "act":
                 arena.observe_one(flat, row, cycle)
                 twins[flat].on_activate(row, cycle)

@@ -33,7 +33,7 @@ def workloads(draw):
                 max_size=40,
             )
         )
-        traces.append(CoreTrace(name=f"c{core}", entries=entries))
+        traces.append(CoreTrace.from_entries(f"c{core}", entries))
     return traces
 
 
@@ -50,10 +50,10 @@ def test_every_request_completes(traces):
 def test_energy_counts_consistent(traces):
     result = simulate(traces, config=_small_config())
     reads = sum(
-        sum(1 for e in t.entries if not e.is_write) for t in traces
+        sum(1 for e in t if not e.is_write) for t in traces
     )
     writes = sum(
-        sum(1 for e in t.entries if e.is_write) for t in traces
+        sum(1 for e in t if e.is_write) for t in traces
     )
     assert result.energy.reads == reads
     assert result.energy.writes == writes

@@ -16,31 +16,31 @@ from repro.streaming.counting_bloom import CountingBloomFilter
 class TestDoubleSided:
     def test_alternates_neighbors(self):
         trace = double_sided_trace(victim_row=100, total_requests=6)
-        rows = [e.row for e in trace.entries]
+        rows = [e.row for e in trace]
         assert rows == [99, 101, 99, 101, 99, 101]
 
     def test_every_access_misses(self):
         """Alternating rows defeats the row buffer: all ACTs."""
         trace = double_sided_trace(victim_row=100, total_requests=10)
-        rows = [e.row for e in trace.entries]
+        rows = [e.row for e in trace]
         assert all(a != b for a, b in zip(rows, rows[1:]))
 
 
 class TestMultiSided:
     def test_aggressor_spacing_leaves_victims(self):
         trace = multi_sided_trace(num_victims=4, base_row=10, total_requests=10)
-        rows = sorted({e.row for e in trace.entries})
+        rows = sorted({e.row for e in trace})
         assert rows == [10, 12, 14, 16, 18]
 
     def test_rotation_covers_all_aggressors(self):
         trace = multi_sided_trace(num_victims=32, total_requests=33)
-        assert len({e.row for e in trace.entries}) == 33
+        assert len({e.row for e in trace}) == 33
 
 
 class TestRotation:
     def test_row_count(self):
         trace = rotation_attack_trace(num_rows=7, total_requests=21)
-        assert len({e.row for e in trace.entries}) == 7
+        assert len({e.row for e in trace}) == 7
 
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ class TestBlockHammerAdversarial:
             benign_rows=[100], cbf_size=64, blacklist_threshold=16,
             total_requests=20,
         )
-        rows = [e.row for e in trace.entries]
+        rows = [e.row for e in trace]
         assert len(set(rows)) >= 2
         assert all(a != b for a, b in zip(rows, rows[1:]))
 
@@ -71,7 +71,7 @@ class TestBlockHammerAdversarial:
             benign_rows=[10, 20], cbf_size=128, blacklist_threshold=8,
             total_requests=12,
         )
-        assert all(not e.is_write for e in trace.entries)
+        assert all(not e.is_write for e in trace)
 
 
 class TestVectorizedProfiler:

@@ -7,7 +7,7 @@ from repro.workloads.trace import CoreTrace, TraceEntry
 
 
 def _trace(entries):
-    return CoreTrace(name="t", entries=entries)
+    return CoreTrace.from_entries(name="t", entries=entries)
 
 
 class TestTraceCore:

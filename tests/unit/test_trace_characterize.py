@@ -20,11 +20,15 @@ def _entries(locations, writes=None, instructions=10):
     ]
 
 
+def _core(name, entries):
+    return CoreTrace.from_entries(name, entries)
+
+
 class TestSingleTraceMetrics:
     def test_bursts_and_act_per_access(self):
         # two bursts of 2 on (0,1), then (0,2), then (1,5): bursts
         # [2, 1, 1]; open-row misses at indices 0, 2, 3.
-        trace = CoreTrace("t", _entries([(0, 1), (0, 1), (0, 2), (1, 5)]))
+        trace = _core("t", _entries([(0, 1), (0, 1), (0, 2), (1, 5)]))
         char = characterize_trace(trace)
         assert char.requests == 4
         assert char.act_per_access == pytest.approx(3 / 4)
@@ -35,7 +39,7 @@ class TestSingleTraceMetrics:
         assert char.row_locality_cdf[2] == pytest.approx(1.0)
 
     def test_hot_row_shares_and_footprint(self):
-        trace = CoreTrace(
+        trace = _core(
             "t", _entries([(0, 1)] * 6 + [(0, 2)] * 3 + [(1, 7)])
         )
         char = characterize_trace(trace)
@@ -46,14 +50,14 @@ class TestSingleTraceMetrics:
     def test_bank_imbalance_and_channel_share(self):
         # banks 0 and 32 sit in different channels of the default
         # organization (32 banks per channel).
-        trace = CoreTrace("t", _entries([(0, 1)] * 3 + [(32, 1)]))
+        trace = _core("t", _entries([(0, 1)] * 3 + [(32, 1)]))
         char = characterize_trace(trace)
         assert char.banks_touched == 2
         assert char.bank_imbalance == pytest.approx(3 / 2)
         assert char.channel_share_top == pytest.approx(0.75)
 
     def test_mpki_and_write_fraction(self):
-        trace = CoreTrace(
+        trace = _core(
             "t",
             _entries([(0, 1), (0, 2)], writes=[True, False],
                      instructions=500),
@@ -65,15 +69,15 @@ class TestSingleTraceMetrics:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="no requests"):
-            characterize_trace(CoreTrace("empty", []))
+            characterize_trace(CoreTrace("empty"))
 
 
 class TestWorkloadMerge:
     def test_round_robin_interleaving_breaks_bursts(self):
         # each core bursts on its own row; merged round-robin the
         # stream alternates between them, so merged bursts are 1.
-        a = CoreTrace("a", _entries([(0, 1)] * 4))
-        b = CoreTrace("b", _entries([(0, 2)] * 4))
+        a = _core("a", _entries([(0, 1)] * 4))
+        b = _core("b", _entries([(0, 2)] * 4))
         merged = characterize_workload([a, b])
         assert merged.requests == 8
         assert merged.mean_burst_length == pytest.approx(1.0)
@@ -82,8 +86,8 @@ class TestWorkloadMerge:
     def test_traceset_characterization(self):
         traceset = TraceSet(
             name="ts",
-            traces=[CoreTrace("a", _entries([(0, 1), (0, 2)])),
-                    CoreTrace("b", _entries([(1, 1)]))],
+            traces=[_core("a", _entries([(0, 1), (0, 2)])),
+                    _core("b", _entries([(1, 1)]))],
         )
         aggregate, per_core = characterize_traceset(traceset)
         assert aggregate.name == "ts"
@@ -91,7 +95,7 @@ class TestWorkloadMerge:
         assert [c.name for c in per_core] == ["a", "b"]
 
     def test_summary_is_json_scalars(self):
-        char = characterize_trace(CoreTrace("t", _entries([(0, 1)])))
+        char = characterize_trace(_core("t", _entries([(0, 1)])))
         summary = char.summary()
         assert summary["requests"] == 1
         import json
@@ -100,6 +104,6 @@ class TestWorkloadMerge:
 
     def test_hottest_row_share_alias(self):
         char = characterize_trace(
-            CoreTrace("t", _entries([(0, 1), (0, 1), (0, 2)]))
+            _core("t", _entries([(0, 1), (0, 1), (0, 2)]))
         )
         assert char.hottest_row_share == char.hot_row_top1_share

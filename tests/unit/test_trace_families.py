@@ -44,7 +44,7 @@ class TestCatalogRegistration:
     def test_deterministic(self, kind):
         a = build_workload(WorkloadSpec.make(kind, scale=0.1, num_cores=2))
         b = build_workload(WorkloadSpec.make(kind, scale=0.1, num_cores=2))
-        assert [t.entries for t in a] == [t.entries for t in b]
+        assert [list(t) for t in a] == [list(t) for t in b]
 
     def test_smoke_specs_cover_every_registered_kind(self):
         specs = smoke_workload_specs(0.05)
@@ -89,8 +89,8 @@ class TestFamilyBehaviour:
         assert banks[0] == banks[1]          # the pair shares its bank
         assert banks[2] == banks[3]
         assert banks[0] != banks[2]          # pairs get distinct banks
-        rows_a = {e.row for e in traces[0].entries}
-        rows_b = {e.row for e in traces[1].entries}
+        rows_a = {e.row for e in traces[0]}
+        rows_b = {e.row for e in traces[1]}
         assert not rows_a & rows_b           # antagonistic row sets
 
     def test_row_conflict_rejects_degenerate_rows(self):

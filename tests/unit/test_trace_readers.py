@@ -39,7 +39,7 @@ class TestCoreTraceRoundTrip:
         trace.save(path)
         assert path.read_bytes()[:2] == b"\x1f\x8b"  # really gzipped
         loaded = CoreTrace.load(path)
-        assert loaded.entries == trace.entries
+        assert list(loaded) == list(trace)
         assert loaded.name == trace.name
 
     def test_gzip_resave_is_byte_identical(self, tmp_path):
@@ -69,7 +69,7 @@ class TestReaderRegistry:
         loaded = read_binary(path)
         assert loaded.name == trace.name
         assert loaded.memory_intensive == trace.memory_intensive
-        assert loaded.entries == trace.entries
+        assert list(loaded) == list(trace)
 
     def test_binary_rewrite_is_byte_identical(self, tmp_path):
         trace = _trace()
@@ -89,6 +89,30 @@ class TestReaderRegistry:
         write_binary(_trace(), path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            read_binary(path)
+
+    @staticmethod
+    def _with_count(path, count):
+        """Rewrite a binary trace's header ``count`` field."""
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["count"] = count
+        path.write_bytes(
+            magic + b"\n" + json.dumps(fields).encode() + b"\n" + body
+        )
+
+    def test_binary_rejects_negative_count(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_binary(_trace(), path)
+        self._with_count(path, -1)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            read_binary(path)
+
+    def test_binary_rejects_non_integer_count(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_binary(_trace(), path)
+        self._with_count(path, 40.0)
+        with pytest.raises(ValueError, match="non-negative integer"):
             read_binary(path)
 
     def test_detect_format(self, tmp_path):
@@ -111,7 +135,7 @@ class TestReaderRegistry:
     def test_read_trace_auto_detects(self, tmp_path):
         path = tmp_path / "t.bin"
         write_binary(_trace(), path)
-        assert read_trace(path).entries == _trace().entries
+        assert read_trace(path) == _trace()
 
 
 class TestDramsim3Csv:
@@ -125,9 +149,9 @@ class TestDramsim3Csv:
             "0x80,130,WRITE\n"   # out-of-order stamp clamps to gap 0
         )
         trace = read_dramsim3_csv(path)
-        assert [e.gap_cycles for e in trace.entries] == [0, 40, 0]
-        assert [e.is_write for e in trace.entries] == [False, True, True]
-        assert trace.entries[0].instructions == 1
+        assert [e.gap_cycles for e in trace] == [0, 40, 0]
+        assert [e.is_write for e in trace] == [False, True, True]
+        assert trace.instructions.tolist() == [1, 41, 1]
 
     def test_uses_mapping_policy(self, tmp_path):
         org = DEFAULT_CONFIG.organization
@@ -135,8 +159,8 @@ class TestDramsim3Csv:
         path = tmp_path / "log.csv"
         path.write_text(f"{address},0,READ\n")
         trace = read_dramsim3_csv(path, mapping="row-bank-col")
-        assert (trace.entries[0].bank_index, trace.entries[0].row,
-                trace.entries[0].column) == (0, 0, 5)
+        (first,) = trace
+        assert (first.bank_index, first.row, first.column) == (0, 0, 5)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -152,8 +176,8 @@ class TestDramsim3Csv:
         with gzip.open(path, "wt") as handle:
             handle.write("0x40,10,READ\n0x80,25,WRITE\n")
         trace = read_dramsim3_csv(path)
-        assert len(trace.entries) == 2
-        assert trace.entries[1].gap_cycles == 15
+        assert len(trace) == 2
+        assert trace.gap_cycles.tolist() == [0, 15]
 
 
 class TestMappingPolicies:
@@ -202,21 +226,23 @@ class TestGeometryNormalization:
 
     def test_in_range_trace_is_returned_unchanged(self):
         org = self._tiny_org()
-        trace = CoreTrace("t", [TraceEntry(0, bank_index=3, row=15,
-                                           column=7)])
+        trace = CoreTrace.from_entries(
+            "t", [TraceEntry(0, bank_index=3, row=15, column=7)]
+        )
         assert normalize_trace(trace, org) is trace
 
     def test_clamp_wraps_out_of_range(self):
         org = self._tiny_org()
-        trace = CoreTrace("t", [TraceEntry(0, bank_index=6, row=21,
-                                           column=9)])
+        trace = CoreTrace.from_entries(
+            "t", [TraceEntry(0, bank_index=6, row=21, column=9)]
+        )
         clamped = normalize_trace(trace, org, mode="clamp")
-        entry = clamped.entries[0]
+        (entry,) = clamped
         assert (entry.bank_index, entry.row, entry.column) == (2, 5, 1)
 
     def test_strict_raises_naming_the_offender(self):
         org = self._tiny_org()
-        trace = CoreTrace("bad", [
+        trace = CoreTrace.from_entries("bad", [
             TraceEntry(0, bank_index=0, row=0),
             TraceEntry(0, bank_index=0, row=99),
         ])
@@ -225,11 +251,12 @@ class TestGeometryNormalization:
 
     def test_negative_values_error_even_when_clamping(self):
         org = self._tiny_org()
-        trace = CoreTrace("bad", [TraceEntry(0, bank_index=-1, row=0)])
+        trace = CoreTrace.from_entries(
+            "bad", [TraceEntry(0, bank_index=-1, row=0)]
+        )
         with pytest.raises(TraceGeometryError, match="negative"):
             normalize_trace(trace, org, mode="clamp")
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="clamp"):
-            normalize_trace(CoreTrace("t", []), self._tiny_org(),
-                            mode="fold")
+            normalize_trace(CoreTrace("t"), self._tiny_org(), mode="fold")

@@ -25,7 +25,7 @@ def _trace(locations, writes=None):
         )
         for i, (bank, row) in enumerate(locations)
     ]
-    return CoreTrace(name="t", entries=entries)
+    return CoreTrace.from_entries(name="t", entries=entries)
 
 
 class TestProfileTraces:

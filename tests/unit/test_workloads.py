@@ -20,7 +20,7 @@ from repro.workloads.trace import CoreTrace, TraceEntry, merge_as_workload
 
 class TestTraceFormat:
     def test_total_instructions(self):
-        trace = CoreTrace(
+        trace = CoreTrace.from_entries(
             name="t",
             entries=[
                 TraceEntry(gap_cycles=1, bank_index=0, row=0, instructions=5),
@@ -30,7 +30,7 @@ class TestTraceFormat:
         assert trace.total_instructions == 12
 
     def test_banks_touched(self):
-        trace = CoreTrace(
+        trace = CoreTrace.from_entries(
             name="t",
             entries=[
                 TraceEntry(0, bank_index=3, row=0),
@@ -47,7 +47,7 @@ class TestTraceFormat:
         loaded = CoreTrace.load(path)
         assert loaded.name == trace.name
         assert loaded.memory_intensive == trace.memory_intensive
-        assert loaded.entries == trace.entries
+        assert list(loaded) == list(trace)
 
     def test_merge_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -58,33 +58,35 @@ class TestSyntheticGenerators:
     def test_deterministic_with_seed(self):
         a = streaming_sweep_trace(num_requests=100, seed=5)
         b = streaming_sweep_trace(num_requests=100, seed=5)
-        assert a.entries == b.entries
+        assert list(a) == list(b)
 
     def test_different_seeds_differ(self):
         a = random_access_trace(num_requests=100, seed=1)
         b = random_access_trace(num_requests=100, seed=2)
-        assert a.entries != b.entries
+        assert list(a) != list(b)
 
     def test_sweep_has_row_locality(self):
         trace = streaming_sweep_trace(
             num_requests=320, accesses_per_row=16, mean_gap=0
         )
+        entries = list(trace)
         # consecutive entries mostly share (bank, row)
         same = sum(
             1
-            for a, b in zip(trace.entries, trace.entries[1:])
+            for a, b in zip(entries, entries[1:])
             if (a.bank_index, a.row) == (b.bank_index, b.row)
         )
-        assert same / len(trace.entries) > 0.8
+        assert same / len(trace) > 0.8
 
     def test_random_access_low_locality(self):
         trace = random_access_trace(num_requests=500, footprint_rows=65536)
+        entries = list(trace)
         same = sum(
             1
-            for a, b in zip(trace.entries, trace.entries[1:])
+            for a, b in zip(entries, entries[1:])
             if (a.bank_index, a.row) == (b.bank_index, b.row)
         )
-        assert same / len(trace.entries) < 0.05
+        assert same / len(trace) < 0.05
 
     def test_requests_within_bounds(self):
         for trace in (
@@ -92,7 +94,7 @@ class TestSyntheticGenerators:
             random_access_trace(num_requests=200, num_banks=8),
             strided_trace(num_requests=200, num_banks=8),
         ):
-            for entry in trace.entries:
+            for entry in trace:
                 assert 0 <= entry.bank_index < 8
                 assert 0 <= entry.row < 65536
                 assert entry.gap_cycles >= 0
@@ -117,7 +119,7 @@ class TestMixes:
     def test_mix_reproducible(self):
         a = mix_high(num_cores=4, num_requests=30, seed=3)
         b = mix_high(num_cores=4, num_requests=30, seed=3)
-        assert [t.entries for t in a] == [t.entries for t in b]
+        assert [list(t) for t in a] == [list(t) for t in b]
 
 
 class TestMultithreaded:
@@ -130,14 +132,14 @@ class TestMultithreaded:
     def test_fft_partitions_disjoint_early(self):
         traces = fft_like(num_cores=4, num_requests=40,
                           footprint_rows=4096, num_banks=1)
-        first_rows = {t.entries[0].row for t in traces}
+        first_rows = {int(t.row[0]) for t in traces}
         assert len(first_rows) == 4  # each thread starts in its partition
 
     def test_pagerank_shares_footprint(self):
         traces = pagerank_like(num_cores=2, num_requests=400,
                                footprint_rows=256, num_banks=1)
-        rows_a = {e.row for e in traces[0].entries}
-        rows_b = {e.row for e in traces[1].entries}
+        rows_a = {e.row for e in traces[0]}
+        rows_b = {e.row for e in traces[1]}
         assert rows_a & rows_b  # overlapping hot vertices
 
     def test_zipf_weights_default(self):
