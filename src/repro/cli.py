@@ -24,13 +24,6 @@ campaign <cmd>      Declarative multi-experiment campaigns: list,
                     verify (exactly-once store audit; exits 0 clean /
                     1 findings / 2 unreadable), report
                     (docs/CAMPAIGNS.md, docs/FAULTS.md).
-bench-speed         Time simulate() on a preset; append to the
-                    BENCH_SIM_SPEED.json speed trajectory
-                    (``*-controlled`` labels are policed; see
-                    --allow-uncontrolled).  ``--backend`` times the
-                    scalar or turbo backend; ``--pairs N`` runs N
-                    back-to-back scalar-vs-candidate pairs and
-                    records the median pair (docs/ENGINE.md).
 profile             cProfile one workload x scheme simulation
                     (``--backend {scalar,turbo}`` to compare the
                     per-phase split across backends).
@@ -314,38 +307,6 @@ def _cmd_cache(args) -> int:
               "--gc stale):")
         for version, count in dead.items():
             print(f"  {version}  {count} entr{'y' if count == 1 else 'ies'}")
-    return 0
-
-
-def _cmd_bench_speed(args) -> int:
-    from repro.speed import (
-        UncontrolledSpeedClaim,
-        run_and_report,
-        run_controlled_pairs,
-    )
-
-    output = None if args.output == "-" else args.output
-    try:
-        if args.pairs:
-            run_controlled_pairs(
-                args.preset,
-                args.pairs,
-                args.label,
-                output=output,
-                candidate_backend=args.backend or "turbo",
-                allow_uncontrolled=args.allow_uncontrolled,
-            )
-        else:
-            run_and_report(
-                args.preset,
-                args.label,
-                output=output,
-                allow_uncontrolled=args.allow_uncontrolled,
-                backend=args.backend,
-            )
-    except ValueError as error:  # incl. UncontrolledSpeedClaim
-        print(f"refusing to record: {error}")
-        return 1
     return 0
 
 
@@ -1274,34 +1235,6 @@ def main(argv=None) -> int:
                           help="summarize probe streams under this "
                                "directory (default: REPRO_PROBES)")
     c_report.set_defaults(func=_cmd_campaign_report)
-
-    from repro.speed import preset_names
-
-    p_bench = sub.add_parser(
-        "bench-speed", help="time simulate() and record the trajectory"
-    )
-    p_bench.add_argument("--preset", choices=preset_names(),
-                         default="tiny")
-    p_bench.add_argument("--label", default="dev",
-                         help="entry label (e.g. baseline / optimized)")
-    p_bench.add_argument("--output", default="BENCH_SIM_SPEED.json",
-                         help="trajectory file to append to ('-' = none)")
-    p_bench.add_argument("--allow-uncontrolled", action="store_true",
-                         help="record a *-controlled entry even without "
-                              "its back-to-back baseline-controlled "
-                              "partner (warns instead of refusing)")
-    p_bench.add_argument("--backend", choices=["scalar", "turbo"],
-                         default=None,
-                         help="simulation backend to time (default: "
-                              "REPRO_SIM_BACKEND or turbo); with "
-                              "--pairs this is the candidate backend")
-    p_bench.add_argument("--pairs", type=int, default=0,
-                         help="run N back-to-back scalar-vs-candidate "
-                              "pairs and record the median pair "
-                              "(label must end in -controlled); this "
-                              "machine's CPU phase swings >2x, so one "
-                              "pair is not a measurement")
-    p_bench.set_defaults(func=_cmd_bench_speed)
 
     p_prof = sub.add_parser(
         "profile", help="cProfile one workload x scheme simulation"

@@ -31,7 +31,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.faults import maybe_fail
 
@@ -174,20 +174,30 @@ def quarantine_file(
     return target
 
 
-def quarantine_log(root: Path) -> list:
-    """Parsed quarantine log records under ``root`` (may be empty)."""
-    path = Path(root) / QUARANTINE_DIR / QUARANTINE_LOG
-    records = []
+def read_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
+    """Yield the JSON objects of a newline-JSON file, skipping the rest.
+
+    Blank lines, lines that do not parse (a writer killed mid-append
+    tears at most its trailing line) and valid JSON that is not an
+    object are all skipped; a missing or unreadable file reads as
+    empty.
+    """
     try:
-        with path.open() as handle:
+        with Path(path).open() as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    records.append(json.loads(line))
+                    record = json.loads(line)
                 except ValueError:
                     continue
+                if isinstance(record, dict):
+                    yield record
     except OSError:
-        pass
-    return records
+        return
+
+
+def quarantine_log(root: Path) -> list:
+    """Parsed quarantine log records under ``root`` (may be empty)."""
+    return list(read_jsonl(Path(root) / QUARANTINE_DIR / QUARANTINE_LOG))

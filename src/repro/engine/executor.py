@@ -89,8 +89,8 @@ class RunStats:
     failed: int = 0       #: unique jobs that exhausted their retries
     failures: List[JobFailure] = field(default_factory=list)
     #: Wall seconds by phase (``cache_lookup`` / ``execute`` /
-    #: ``cache_put``); where this run's time actually went, so
-    #: bench-speed entries can attribute a speedup to a phase.
+    #: ``cache_put``); where this run's time actually went, published
+    #: on the ``run_jobs.done`` telemetry event.
     timing_breakdown: Dict[str, float] = field(default_factory=dict)
 
 
@@ -133,12 +133,12 @@ def _workload_traces(spec: WorkloadSpec):
 def materialize_job(job: SimJob):
     """(traces, scheme factory, config, rfm_th) for one job.
 
-    The single build path shared by the executor, the speed bench
-    (:mod:`repro.speed`) and ``repro profile`` — callers that time or
-    profile ``simulate()`` separately from workload construction must
-    still build exactly what :func:`run_jobs` executes.  Consecutive
-    jobs on the same workload share its traces (built once); callers
-    must treat them as read-only.
+    The single build path shared by the executor and ``repro
+    profile`` — a caller that profiles ``simulate()`` separately from
+    workload construction must still build exactly what
+    :func:`run_jobs` executes.  Consecutive jobs on the same workload
+    share its traces (built once); callers must treat them as
+    read-only.
     """
     traces = _workload_traces(job.workload)
     factory, rfm_th = scheme_factory_for(job)

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
+from repro.engine.durable import read_jsonl
+
 #: Hex characters of the job hash used as the shard directory name.
 SHARD_WIDTH = 2
 
@@ -244,27 +246,16 @@ class CacheIndex:
         if self._merged is not None:
             return self._merged
         merged: Dict[str, Dict[str, Any]] = {}
-        try:
-            with self.path.open() as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    job_hash = record.get("hash")
-                    if not job_hash:
-                        continue
-                    known = merged.setdefault(job_hash, {})
-                    experiments = set(known.get("experiments") or [])
-                    experiments.update(record.pop("experiments", []) or [])
-                    known.update(record)
-                    if experiments:
-                        known["experiments"] = sorted(experiments)
-        except OSError:
-            pass
+        for record in read_jsonl(self.path):
+            job_hash = record.get("hash")
+            if not job_hash:
+                continue
+            known = merged.setdefault(job_hash, {})
+            experiments = set(known.get("experiments") or [])
+            experiments.update(record.pop("experiments", []) or [])
+            known.update(record)
+            if experiments:
+                known["experiments"] = sorted(experiments)
         self._merged = merged
         return merged
 

@@ -20,7 +20,6 @@ streams from two hosts distinct end to end.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -53,22 +52,12 @@ def read_events(
     per-host subdirectory name) is folded into each record that does
     not already carry one.
     """
-    try:
-        with Path(path).open("r") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    if host and "host" not in record:
-                        record["host"] = host
-                    yield record
-    except OSError:
-        return
+    from repro.engine.durable import read_jsonl
+
+    for record in read_jsonl(path):
+        if host and "host" not in record:
+            record["host"] = host
+        yield record
 
 
 def _merge_key(record: Dict[str, Any]) -> Tuple[float, str, int, int]:

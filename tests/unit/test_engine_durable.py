@@ -22,9 +22,12 @@ from repro.engine.durable import (
     quarantine_file,
     quarantine_log,
     read_json_verified,
+    read_jsonl,
     seal,
 )
+from repro.engine.store import CacheIndex
 from repro.faults import FAULT_PLAN_ENV
+from repro.telemetry import read_events
 
 
 class TestSeal:
@@ -157,3 +160,38 @@ class TestQuarantine:
 
     def test_missing_file_returns_none(self, tmp_path):
         assert quarantine_file(tmp_path / "absent.json", "?") is None
+
+
+#: Lines every newline-JSON reader must skip: valid JSON that is not an
+#: object, a blank line, and a torn record.
+_NOT_OBJECTS = '[1, 2]\n7\n"text"\nnull\n\n{"torn": \n'
+
+
+class TestReadJsonl:
+    def test_missing_file_reads_as_empty(self, tmp_path):
+        assert list(read_jsonl(tmp_path / "absent.jsonl")) == []
+
+    def test_every_reader_skips_non_object_lines(self, tmp_path):
+        index = CacheIndex(tmp_path)
+        index.path.write_text(
+            '{"hash": "aa", "scheme": "none"}\n' + _NOT_OBJECTS
+            + '{"hash": "bb", "scheme": "mithril"}\n'
+        )
+        assert sorted(
+            (r["hash"], r["scheme"]) for r in index.records()
+        ) == [("aa", "none"), ("bb", "mithril")]
+
+        log = tmp_path / QUARANTINE_DIR / QUARANTINE_LOG
+        log.parent.mkdir()
+        log.write_text(
+            '{"file": "x.json"}\n' + _NOT_OBJECTS + '{"file": "y.json"}\n'
+        )
+        assert quarantine_log(tmp_path) == [
+            {"file": "x.json"}, {"file": "y.json"}
+        ]
+
+        stream = tmp_path / "events-1.jsonl"
+        stream.write_text(
+            '{"kind": "a"}\n' + _NOT_OBJECTS + '{"kind": "b"}\n'
+        )
+        assert list(read_events(stream)) == [{"kind": "a"}, {"kind": "b"}]
