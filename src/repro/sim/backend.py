@@ -7,8 +7,8 @@ the event loop executes:
 * ``turbo`` — :class:`repro.sim.turbo.TurboSimulatedSystem`, the one
   that runs unless asked otherwise; reads windows of the trace
   columns instead of entry objects, fuses the per-event call chain
-  into an epoch-batched drain loop, and routes uniform stock trackers
-  through the cross-bank arenas of :mod:`repro.sim.arena`.
+  into an epoch-batched drain loop, and inlines the stock trackers'
+  per-ACT updates on each bank's own objects.
 * ``scalar`` — the reference implementation in
   :class:`repro.sim.system.SimulatedSystem`; the plain event loop the
   golden and cross-backend tests compare turbo against, and the

@@ -176,7 +176,6 @@ class ProbeRun:
 
     def _sample_record(self, system, cycle: int) -> Dict[str, Any]:
         banks = system.banks
-        arenas = getattr(system, "_arenas", None)
         record: Dict[str, Any] = {
             "k": "sample",
             "i": self.samples,
@@ -187,15 +186,15 @@ class ProbeRun:
             "rfm_stall": [c.rfm_stall_cycles for c in banks],
         }
         if banks and banks[0].rfm_logic is not None:
-            record.update(_rfm_block(banks, arenas))
+            record.update(_rfm_block(banks))
         scheme = banks[0].scheme if banks else None
         if isinstance(scheme, MithrilScheme):
             record["mithril"] = _mithril_block(banks)
         elif isinstance(scheme, GrapheneScheme):
             record["graphene"] = _graphene_block(banks)
         elif isinstance(scheme, BlockHammerScheme):
-            record["blockhammer"] = _blockhammer_block(banks, arenas, cycle)
-        record["top"] = _truth_block(banks, arenas, self.act_counts)
+            record["blockhammer"] = _blockhammer_block(banks, cycle)
+        record["top"] = _truth_block(banks, self.act_counts)
         return record
 
     # ------------------------------------------------------------------
@@ -252,17 +251,16 @@ class ProbeRun:
 
 
 # ----------------------------------------------------------------------
-# per-scheme state readers (arena-aware; values identical either path)
+# per-scheme state readers
 # ----------------------------------------------------------------------
 
 
-def _rfm_block(banks, arenas) -> Dict[str, List[int]]:
-    raa_arena = arenas.raa if arenas is not None else None
+def _rfm_block(banks) -> Dict[str, List[int]]:
     raa: List[int] = []
     issued: List[int] = []
     elided: List[int] = []
     mrr: List[int] = []
-    for flat, controller in enumerate(banks):
+    for controller in banks:
         logic = controller.rfm_logic
         if logic is None:
             raa.append(0)
@@ -270,10 +268,7 @@ def _rfm_block(banks, arenas) -> Dict[str, List[int]]:
             elided.append(0)
             mrr.append(0)
             continue
-        if raa_arena is not None:
-            raa.append(int(raa_arena.mem[flat]))
-        else:
-            raa.append(logic.raa.value)
+        raa.append(logic.raa.value)
         issued.append(logic.rfm_issued)
         elided.append(logic.rfm_elided)
         mrr.append(logic.mrr_reads)
@@ -348,11 +343,7 @@ def _graphene_block(banks) -> Dict[str, List[int]]:
     }
 
 
-def _blockhammer_block(banks, arenas, cycle: int) -> Dict[str, Any]:
-    bh_arena = arenas.blockhammer if arenas is not None else None
-    np = None
-    if bh_arena is not None:
-        import numpy as np  # arena present implies numpy present
+def _blockhammer_block(banks, cycle: int) -> Dict[str, Any]:
     pending: List[int] = []
     backlog: List[int] = []
     throttles: List[int] = []
@@ -362,7 +353,7 @@ def _blockhammer_block(banks, arenas, cycle: int) -> Dict[str, Any]:
     since: List[int] = []
     nonzero: List[List[int]] = []
     lat_hist = [0] * POW2_BUCKETS
-    for flat, controller in enumerate(banks):
+    for controller in banks:
         scheme = controller.scheme
         if not isinstance(scheme, BlockHammerScheme):
             pending.append(0)
@@ -385,19 +376,11 @@ def _blockhammer_block(banks, arenas, cycle: int) -> Dict[str, Any]:
         backlog.append(waiting)
         throttles.append(scheme.stats.throttle_events)
         blacklisted.append(scheme.blacklisted_rows_seen)
-        if bh_arena is not None:
-            totals.append([int(v) for v in bh_arena.totals[flat]])
-            active.append(int(bh_arena.active[flat]))
-            since.append(int(bh_arena.since_swap[flat]))
-            nonzero.append([
-                int(np.count_nonzero(view)) for view in bh_arena.views[flat]
-            ])
-        else:
-            cbf = scheme.cbf
-            totals.append([f.total_observed for f in cbf._filters])
-            active.append(cbf._active)
-            since.append(cbf._since_swap)
-            nonzero.append(cbf.nonzero_counters())
+        cbf = scheme.cbf
+        totals.append([f.total_observed for f in cbf._filters])
+        active.append(cbf._active)
+        since.append(cbf._since_swap)
+        nonzero.append(cbf.nonzero_counters())
     return {
         "pending": pending,
         "backlog": backlog,
@@ -411,9 +394,8 @@ def _blockhammer_block(banks, arenas, cycle: int) -> Dict[str, Any]:
     }
 
 
-def _truth_block(banks, arenas, act_counts) -> Dict[str, List[int]]:
+def _truth_block(banks, act_counts) -> Dict[str, List[int]]:
     """Hottest true row per bank vs the tracker's estimate for it."""
-    bh_arena = arenas.blockhammer if arenas is not None else None
     rows: List[int] = []
     trues: List[int] = []
     ests: List[int] = []
@@ -431,10 +413,7 @@ def _truth_block(banks, arenas, act_counts) -> Dict[str, List[int]]:
         if isinstance(scheme, (MithrilScheme, GrapheneScheme)):
             ests.append(int(scheme.table.estimate(row)))
         elif isinstance(scheme, BlockHammerScheme):
-            if bh_arena is not None:
-                ests.append(int(bh_arena.estimate(flat, row)))
-            else:
-                ests.append(int(scheme.cbf.estimate(row)))
+            ests.append(int(scheme.cbf.estimate(row)))
         else:
             ests.append(0)
     return {"row": rows, "true": trues, "est": ests}

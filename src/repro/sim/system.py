@@ -493,8 +493,8 @@ class SimulatedSystem:
             throttle_events=throttle_events,
         )
         if self._probe is not None:
-            # Turbo calls _collect after the arena write-back, so the
-            # final record reads authoritative state on every backend.
+            # Turbo works on the per-bank objects throughout, so the
+            # final record reads the same state on every backend.
             self._probe.finalize(self, result)
         return result
 

@@ -19,10 +19,11 @@ but restructures the event loop for CPython throughput:
   tuples and a cached refresh-tick horizon in place of repeated
   attribute/property loads;
 * the per-ACT tracker updates of the *stock* schemes are specialized:
-  ``NoProtection``, Mithril/Mithril+ (CbS update + spread check) and
-  BlockHammer (dual-CBF observe-and-estimate + blacklist + throttle
-  probes) run inline, eliminating four to seven call frames per ACT
-  while leaving the underlying data-structure operations
+  ``NoProtection``, Mithril/Mithril+ (CbS update + spread check),
+  Graphene (table update + ARR trigger) and BlockHammer (dual-CBF
+  observe-and-estimate + blacklist + throttle probes) run inline,
+  eliminating four to seven call frames per ACT while leaving the
+  underlying data-structure operations
   (``CounterSummary._observe_one``, ``CountingBloomFilter._indices``,
   rotation) as the single source of truth.  Any other scheme — and
   ARR/RFM application, auto-refresh, FR-FCFS scheduling — stays a
@@ -38,23 +39,17 @@ Unlike the scalar backend, fusability is snapshotted at construction:
 monkeypatching a component *after* building the system is not honored
 — build the system after patching, or pass ``backend="scalar"``.
 Turbo is the default backend; its exactness against the scalar
-reference is owned by the golden-equivalence suite and the
-cross-backend property tests.
+reference is owned by the golden-equivalence suite, the cross-backend
+battery and the probe-parity tests.
 
 Same-cycle bank events land on distinct banks (a bank schedules at
 most one serve per cycle), so per-sketch batches within an epoch stay
-tiny (~1.02 events measured); what *does* pay cross-bank is shared
-state, not shared batches.  When every bank runs the same stock
-scheme, the tracker arenas (:mod:`repro.sim.arena`) adopt all banks'
-tracker state at construction — every bank's own dual-CBF counters,
-adopted in place, with a merged pre-hashed probe cache for
-BlockHammer, the exact per-bank CbS summaries plus stacked count
-matrices for Mithril/Graphene, one flat RAA vector for RFM — and the
-drain dispatches each ACT's tracker update through them at the ACT.
-Mixed or non-stock configurations keep the per-bank inline handlers
-above.  Arena state is written back to the per-bank objects when
-``run`` returns, so post-run inspection is backend-invariant —
-measured honestly in docs/ENGINE.md.
+tiny (~1.02 events measured).  Each bank's tracker update therefore
+runs at its ACT on that bank's own objects, uniform or mixed schemes
+alike.  The one cross-bank saving is BlockHammer's probe hashing:
+every trace row is hashed up front in one vectorized pass into the
+filters' shared index caches (see
+:func:`~repro.streaming.counting_bloom.prefill_index_caches`).
 """
 
 from __future__ import annotations
@@ -77,12 +72,6 @@ from repro.mc.scheduler import BlissScheduler, FrFcfsScheduler
 from repro.mitigations.blockhammer import BlockHammerScheme
 from repro.mitigations.graphene import GrapheneScheme
 from repro.protection import NoProtection
-from repro.sim.arena import (
-    BlockHammerArena,
-    CbsArena,
-    RaaArena,
-    TrackerArenas,
-)
 from repro.sim.metrics import SimulationResult
 from repro.sim.soa import TraceWindow
 from repro.sim.system import (
@@ -101,6 +90,7 @@ from repro.streaming.cbs import CounterSummary
 from repro.streaming.counting_bloom import (
     CountingBloomFilter,
     DualCountingBloomFilter,
+    prefill_index_caches,
 )
 from repro.types import MemoryRequest, RowAddress
 
@@ -111,11 +101,6 @@ _POLICY_OPEN, _POLICY_CLOSED, _POLICY_MINIMALIST = 0, 1, 2
 _ACT_GENERIC, _ACT_NONE, _ACT_MITHRIL, _ACT_BLOCKHAMMER, _ACT_GRAPHENE = (
     0, 1, 2, 3, 4
 )
-
-#: Arena dispatch codes (see _install_arenas): every bank runs the
-#: same stock scheme and the per-ACT path goes through the cross-bank
-#: arena instead of the per-bank inline block.
-_ACT_MITHRIL_ARENA, _ACT_BLOCKHAMMER_ARENA, _ACT_GRAPHENE_ARENA = 5, 6, 7
 
 #: Throttle-release specializations.
 _THROTTLE_NEVER, _THROTTLE_BLOCKHAMMER, _THROTTLE_GENERIC = 0, 1, 2
@@ -156,9 +141,18 @@ class TurboSimulatedSystem(SimulatedSystem):
             self._request_pool,
         )
         self._fused = self._snapshot_fusability()
-        #: cross-bank tracker arenas; installed only when every bank
-        #: runs the same stock scheme (see _install_arenas).
-        self._arenas = self._install_arenas() if self._fused else None
+        if self._fused:
+            # Stock BlockHammer banks find nearly every row's probes
+            # pre-hashed: one vectorized pass over the traces' rows.
+            prefill_index_caches(
+                [
+                    cbf_filter
+                    for ctx, mode in zip(self._bank_ctx, self._act_mode)
+                    if mode == _ACT_BLOCKHAMMER
+                    for cbf_filter in ctx[6].cbf._filters
+                ],
+                [core.trace.row for core in self.cores],
+            )
 
     # ------------------------------------------------------------------
 
@@ -169,9 +163,6 @@ class TurboSimulatedSystem(SimulatedSystem):
 
     def _snapshot_fusability(self) -> bool:
         """True when every component is stock (fused path is exact)."""
-        # Any re-snapshot invalidates previously installed arenas:
-        # their dispatch codes are rebuilt from scratch below.
-        self._arenas = None
         self._bliss_channel = []
         for scheduler in self._schedulers:
             if type(scheduler) not in (BlissScheduler, FrFcfsScheduler):
@@ -304,50 +295,6 @@ class TurboSimulatedSystem(SimulatedSystem):
             ])
         self._bank_ctx = [tuple(ctx) for ctx in contexts]
         return True
-
-    def _install_arenas(self) -> Optional[TrackerArenas]:
-        """Adopt per-bank tracker state into cross-bank arenas.
-
-        Engages only when *every* bank carries the same single
-        ``_ACT_*`` specialization — i.e. all banks run the same stock
-        scheme; mixed or non-stock configurations return None and the
-        fused drain keeps the exact per-bank inline handlers.  On
-        success ``_act_mode`` and the per-flat contexts are remapped
-        to the ``*_ARENA`` dispatch codes, and an RAA vector is added
-        when every bank also carries fused RFM logic.
-        """
-        act_modes = self._act_mode
-        first = act_modes[0]
-        if any(mode != first for mode in act_modes):
-            return None
-        schemes = [ctx[6] for ctx in self._bank_ctx]
-        try:
-            if first == _ACT_MITHRIL:
-                arenas = TrackerArenas(cbs=CbsArena.for_mithril(schemes))
-                remap = _ACT_MITHRIL_ARENA
-            elif first == _ACT_BLOCKHAMMER:
-                blockhammer = BlockHammerArena(schemes)
-                for core in self.cores:
-                    blockhammer.prefill(core.trace.row)
-                arenas = TrackerArenas(blockhammer=blockhammer)
-                remap = _ACT_BLOCKHAMMER_ARENA
-            elif first == _ACT_GRAPHENE:
-                arenas = TrackerArenas(cbs=CbsArena.for_graphene(schemes))
-                remap = _ACT_GRAPHENE_ARENA
-            else:  # NoProtection / generic: nothing to share
-                return None
-        except ValueError:  # non-uniform tracker geometry
-            return None
-        if self._fast_rfm and all(self._fast_rfm):
-            # fast_rfm implies rfm_logic is present and stock
-            arenas.raa = RaaArena(
-                [ctx[0].rfm_logic for ctx in self._bank_ctx]
-            )
-        self._act_mode = [remap] * len(act_modes)
-        self._bank_ctx = [
-            ctx[:9] + (remap,) + ctx[10:] for ctx in self._bank_ctx
-        ]
-        return arenas
 
     # ------------------------------------------------------------------
     # windowed column issue path (overrides the scalar entry path)
@@ -508,11 +455,6 @@ class TurboSimulatedSystem(SimulatedSystem):
             finally:
                 if was_enabled:
                     gc.enable()
-                if self._arenas is not None:
-                    # Post-run inspection (blacklists, filter state,
-                    # RAA counts) must see what the scalar backend
-                    # leaves on the per-bank objects.
-                    self._arenas.write_back()
         else:
             span = (
                 tel.span("sim.drain", backend="turbo", fused=False)
@@ -521,12 +463,9 @@ class TurboSimulatedSystem(SimulatedSystem):
             with span:
                 self._drain_generic(max_cycles)
         if tel is not None:
-            counts = dict(
-                self._arenas.counters() if self._arenas is not None else {}
-            )
-            counts["soa.window_loads"] = sum(
-                soa.loads for soa in self._soa
-            )
+            counts = {
+                "soa.window_loads": sum(soa.loads for soa in self._soa)
+            }
             for name, value in counts.items():
                 tel.counter(name, value)
             tel.event("sim.run.done", backend="turbo", **counts)
@@ -615,22 +554,6 @@ class TurboSimulatedSystem(SimulatedSystem):
         # inline issue loop below skips the increment its generic twin
         # (_try_issue) performs.  Anything consulting _queue_len after
         # a fused run sees stale zeros.
-        # Cross-bank arena dispatch (see _install_arenas): exactly one
-        # of the observe hooks is bound when arenas are active, and
-        # every bank shares it.
-        arenas = self._arenas
-        mithril_observe = graphene_observe = bh_observe = None
-        raa_mem = None
-        if arenas is not None:
-            if arenas.cbs is not None:
-                if arenas.cbs.kind == "mithril":
-                    mithril_observe = arenas.cbs.mithril_observe
-                else:
-                    graphene_observe = arenas.cbs.graphene_observe
-            if arenas.blockhammer is not None:
-                bh_observe = arenas.blockhammer.observe_one
-            if arenas.raa is not None:
-                raa_mem = arenas.raa.mem
         row_hits = 0
         row_misses = 0
         #: probes off ⇒ one inf-compare per distinct event cycle and
@@ -1122,22 +1045,7 @@ class TurboSimulatedSystem(SimulatedSystem):
                         else:
                             hammer.on_activate(row, start)
                     # ---- per-ACT tracker update (specialized) ---------
-                    if a_mode >= _ACT_MITHRIL_ARENA:
-                        # cross-bank arena dispatch (uniform stock
-                        # scheme; see repro.sim.arena for exactness)
-                        if a_mode == _ACT_BLOCKHAMMER_ARENA:
-                            bh_observe(flat, row, start)
-                        elif a_mode == _ACT_MITHRIL_ARENA:
-                            mithril_observe(flat, row)
-                        else:
-                            arr_victims = graphene_observe(
-                                flat, row, start
-                            )
-                            if arr_victims:
-                                controller._apply_arr(
-                                    arr_victims, start
-                                )
-                    elif a_mode == _ACT_MITHRIL:
+                    if a_mode == _ACT_MITHRIL:
                         # inline MithrilScheme.on_activate +
                         # MithrilTable.record_activation (+ spread),
                         # with the CbS on-table hit (_observe_one +
@@ -1175,10 +1083,10 @@ class TurboSimulatedSystem(SimulatedSystem):
                                 # new > current: advance upward
                                 # (inline _advance_min; buckets is
                                 # non-empty, we just added to it)
-                                probe = summary._min_count
-                                while probe not in buckets:
-                                    probe += 1
-                                summary._min_count = probe
+                                floor = summary._min_count
+                                while floor not in buckets:
+                                    floor += 1
+                                summary._min_count = floor
                         max_heap = summary._max_heap
                         if max_heap:
                             neg_count, element = max_heap[0]
@@ -1221,25 +1129,25 @@ class TurboSimulatedSystem(SimulatedSystem):
                         if indices_second is None:
                             indices_second = second._indices(row)
                         counters = first._counters
-                        for probe in indices_first:
-                            counters[probe] += 1
+                        for cell in indices_first:
+                            counters[cell] += 1
                         first._total += 1
                         counters = second._counters
-                        for probe in indices_second:
-                            counters[probe] += 1
+                        for cell in indices_second:
+                            counters[cell] += 1
                         second._total += 1
                         cbf._since_swap += 1
                         if cbf._since_swap >= cbf.half_epoch:
                             cbf._rotate()
                         if cbf._active == 0:
                             counters = first._counters
-                            probes = indices_first
+                            cells = indices_first
                         else:
                             counters = second._counters
-                            probes = indices_second
-                        estimate = counters[probes[0]]
-                        for probe in probes:
-                            value = counters[probe]
+                            cells = indices_second
+                        estimate = counters[cells[0]]
+                        for cell in cells:
+                            value = counters[cell]
                             if value < estimate:
                                 estimate = value
                         if estimate >= scheme.n_bl:
@@ -1297,10 +1205,10 @@ class TurboSimulatedSystem(SimulatedSystem):
                                 old_emptied
                                 and current == table._min_count
                             ):
-                                probe = table._min_count
-                                while probe not in buckets:
-                                    probe += 1
-                                table._min_count = probe
+                                floor = table._min_count
+                                while floor not in buckets:
+                                    floor += 1
+                                table._min_count = floor
                         trigger = scheme._next_trigger.get(
                             row, scheme.threshold
                         )
@@ -1329,28 +1237,13 @@ class TurboSimulatedSystem(SimulatedSystem):
                     if rfm_logic is not None:
                         if f_rfm:
                             # inline RfmIssueLogic.on_activate /
-                            # RaaCounter fast path (below threshold);
-                            # the live count sits in the arena RAA
-                            # vector when one is installed
+                            # RaaCounter fast path (below threshold)
                             raa = rfm_logic.raa
                             raa_th = raa.rfm_th
                             if raa_th > 0:
-                                if raa_mem is not None:
-                                    value = raa_mem[flat] + 1
-                                    if value >= raa_th:
-                                        raa_mem[flat] = 0
-                                        fire = True
-                                    else:
-                                        raa_mem[flat] = value
-                                        fire = False
-                                else:
-                                    raa.value += 1
-                                    if raa.value >= raa_th:
-                                        raa.value = 0
-                                        fire = True
-                                    else:
-                                        fire = False
-                                if fire:
+                                raa.value += 1
+                                if raa.value >= raa_th:
+                                    raa.value = 0
                                     issue = True
                                     if rfm_logic.mrr_gated:
                                         rfm_logic.mrr_reads += 1

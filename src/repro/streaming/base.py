@@ -28,10 +28,7 @@ class FrequencyEstimator(abc.ABC):
     def observe_many(self, elements, count: int = 1) -> None:
         """Record ``count`` occurrences of each element of an iterable.
 
-        Semantically ``for e in elements: observe(e, count)``; batch
-        engines (:mod:`repro.streaming.vectorized`) override this with
-        one vectorized scatter — results are identical by contract
-        (pinned by tests/property/test_vectorized_sketches.py).
+        Semantically ``for e in elements: observe(e, count)``.
         """
         for element in elements:
             self.observe(element, count)
@@ -39,7 +36,6 @@ class FrequencyEstimator(abc.ABC):
     def estimate_many(self, elements) -> List[int]:
         """Estimates for each element, as a list.
 
-        Semantically ``[estimate(e) for e in elements]``; batch
-        engines override this with one vectorized gather.
+        Semantically ``[estimate(e) for e in elements]``.
         """
         return [self.estimate(element) for element in elements]

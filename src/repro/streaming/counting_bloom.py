@@ -14,21 +14,95 @@ splitmix finalizer is inlined into the observe/estimate loops.  The
 dual filter additionally hashes each element once and reuses the probe
 indices across both filters and the estimate
 (:meth:`DualCountingBloomFilter.observe_and_estimate`).
+
+Probe indices depend only on ``(seed, size, num_hashes, element)``,
+so :func:`probe_index_matrix` hashes a whole batch in one numpy pass
+and :func:`prefill_index_caches` writes such a batch into filters'
+index caches up front (the turbo simulator does this for every trace
+row of its BlockHammer banks).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Hashable, List
+from typing import Dict, Hashable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.streaming.base import FrequencyEstimator
 from repro.streaming.count_min import _MASK64, premix_seeds
 
-#: Probe-index cache bound per filter.  Hot rows (the ones BlockHammer
-#: exists to catch) are re-probed constantly and win the cache; a
-#: scan-heavy workload past the bound just computes indices inline,
-#: capping worst-case memory at a few hundred KB per filter.
+#: Probe-index cache bound per filter for lazy growth.  Hot rows (the
+#: ones BlockHammer exists to catch) are re-probed constantly and win
+#: the cache; a scan-heavy workload past the bound just computes
+#: indices inline, capping worst-case memory at a few hundred KB per
+#: filter.
 _INDEX_CACHE_LIMIT = 8192
+
+#: Row bound of one :func:`prefill_index_caches` group cache.
+_PREFILL_LIMIT = 1 << 17
+
+_C1 = np.uint64(0xBF58476D1CE4E5B9)
+_C2 = np.uint64(0x94D049BB133111EB)
+
+
+def _finalize(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer (same bits as ``count_min._mix``)."""
+    x = (x ^ (x >> np.uint64(30))) * _C1
+    x = (x ^ (x >> np.uint64(27))) * _C2
+    return x ^ (x >> np.uint64(31))
+
+
+def probe_index_matrix(
+    seed: int, size: int, num_hashes: int, elements: Sequence[Hashable]
+) -> np.ndarray:
+    """(n, num_hashes) int64 probe indices, one vectorized hash pass.
+
+    Row ``i`` equals ``CountingBloomFilter(size, num_hashes, seed)
+    ._indices(elements[i])``.
+    """
+    bases = np.fromiter(
+        (hash(element) & _MASK64 for element in elements),
+        dtype=np.uint64,
+        count=len(elements),
+    )
+    seeds = np.array(premix_seeds(seed, num_hashes), dtype=np.uint64)
+    mixed = _finalize(bases[:, None] ^ seeds[None, :])
+    return (mixed % np.uint64(size)).astype(np.int64)
+
+
+def prefill_index_caches(
+    filters: Sequence["CountingBloomFilter"], rows: Sequence[np.ndarray]
+) -> None:
+    """Pre-hash every distinct row of ``rows`` into the filters' caches.
+
+    ``rows`` is a list of integer row columns.  Filters with equal
+    ``(seed, size, num_hashes)`` hash every element identically, so
+    each such group shares its first member's cache dict, filled up to
+    :data:`_PREFILL_LIMIT` entries.  Sharing is invisible: indices
+    never depend on counter state.
+    """
+    groups: Dict[Tuple[int, int, int], List[CountingBloomFilter]] = {}
+    for cbf in filters:
+        groups.setdefault(
+            (cbf._seed, cbf.size, cbf.num_hashes), []
+        ).append(cbf)
+    if not groups:
+        return
+    # return_index keeps np.unique off its masked-array check, which
+    # would import numpy.ma (~2 MB) into every simulating process.
+    distinct = np.unique(
+        np.concatenate(rows), return_index=True
+    )[0].tolist()
+    for (seed, size, num_hashes), members in groups.items():
+        shared = members[0]._index_cache
+        fresh = [row for row in distinct if row not in shared]
+        fresh = fresh[:max(0, _PREFILL_LIMIT - len(shared))]
+        if fresh:
+            matrix = probe_index_matrix(seed, size, num_hashes, fresh)
+            shared.update(zip(fresh, matrix.tolist()))
+        for cbf in members:
+            cbf._index_cache = shared
 
 
 class CountingBloomFilter(FrequencyEstimator):
@@ -50,8 +124,10 @@ class CountingBloomFilter(FrequencyEstimator):
         self._counters = array("q", bytes(8 * size))
         self._probe_seeds = premix_seeds(seed, num_hashes)
         #: element -> probe indices.  Indices depend only on (element,
-        #: seed), never on counter state, so entries survive resets;
-        #: growth is capped at :data:`_INDEX_CACHE_LIMIT` entries.
+        #: seed, size, num_hashes), never on counter state, so entries
+        #: survive resets and :func:`prefill_index_caches` may share
+        #: one dict between filters; lazy growth stops at
+        #: :data:`_INDEX_CACHE_LIMIT` entries.
         self._index_cache: dict = {}
         self._total = 0
 
@@ -72,15 +148,6 @@ class CountingBloomFilter(FrequencyEstimator):
                 cache[element] = indices
         return indices
 
-    def probe_indices_many(self, elements) -> List[List[int]]:
-        """Probe indices per element (the batch-probe profiling API).
-
-        The vectorized twin
-        (:class:`repro.streaming.vectorized.NumpyCountingBloomFilter`)
-        computes the same matrix with one vectorized hash pass.
-        """
-        return [self._indices(element) for element in elements]
-
     def observe(self, element: Hashable, count: int = 1) -> None:
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
@@ -92,26 +159,6 @@ class CountingBloomFilter(FrequencyEstimator):
     def estimate(self, element: Hashable) -> int:
         counters = self._counters
         return min(counters[index] for index in self._indices(element))
-
-    def decrement(self, element: Hashable, count: int = 1) -> None:
-        """Remove ``count`` occurrences (counting-Bloom deletion).
-
-        Each probe counter is reduced and clamped at zero, so deleting
-        an element that aliased with heavier ones cannot drive a
-        counter negative — but deleting occurrences that were never
-        observed *does* forfeit the ``actual <= estimate`` bound for
-        other elements sharing those counters; callers own that
-        invariant (mirrored exactly by the vectorized engine).
-        """
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        counters = self._counters
-        for index in self._indices(element):
-            value = counters[index] - count
-            counters[index] = value if value > 0 else 0
-        self._total -= count
-        if self._total < 0:
-            self._total = 0
 
     @property
     def total_observed(self) -> int:

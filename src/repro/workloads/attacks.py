@@ -21,7 +21,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.streaming.counting_bloom import CountingBloomFilter
+from repro.streaming.counting_bloom import (
+    CountingBloomFilter,
+    probe_index_matrix,
+)
 from repro.workloads.trace import CoreTrace
 
 #: Rows the attacker's offline CBF profiling sweep covers.
@@ -96,14 +99,13 @@ def _vectorized_probe_matrix(cbf: CountingBloomFilter, search_space: int):
 
     The attacker's profiling sweep batch-probes the whole search space
     in one vectorized hash pass
-    (:meth:`~repro.streaming.vectorized.NumpyCountingBloomFilter.probe_indices_many`);
-    the rows match the scalar filter's per-row probes (same hash
-    family and seed), asserted by tests/unit/test_attacks.py.
+    (:func:`~repro.streaming.counting_bloom.probe_index_matrix`); row
+    ``r`` equals ``cbf._indices(r)``, asserted by
+    tests/unit/test_attacks.py.
     """
-    from repro.streaming.vectorized import NumpyCountingBloomFilter
-
-    twin = NumpyCountingBloomFilter(cbf.size, cbf.num_hashes, cbf._seed)
-    return twin.probe_indices_many(range(search_space))
+    return probe_index_matrix(
+        cbf._seed, cbf.size, cbf.num_hashes, range(search_space)
+    )
 
 
 def find_aliasing_rows(

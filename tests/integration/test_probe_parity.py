@@ -91,6 +91,54 @@ class TestCrossBackendParity:
         assert results["scalar"] == results["turbo"]
         assert texts["scalar"] == texts["turbo"]
 
+    def test_mixed_blockhammer_mithril_banks(self, tmp_path, monkeypatch):
+        """Banks alternating BlockHammer and Mithril each run their own
+        inline tracker block in the fused drain; sampling between those
+        blocks must still reach the probe sampler."""
+        from repro.core.mithril import MithrilScheme
+        from repro.sim.system import SimulatedSystem
+        from repro.sim.turbo import TurboSimulatedSystem
+
+        spec = WorkloadSpec.make(
+            "attack", scale=0.2, pattern="multi-sided", seed=31
+        )
+        job = SimJob(workload=spec, scheme="blockhammer", flip_th=2500,
+                     scale=0.2)
+        traces, bh_factory, config, rfm_th = materialize_job(job)
+
+        def alternating_factory():
+            state = {"count": 0}
+
+            def factory():
+                state["count"] += 1
+                if state["count"] % 2:
+                    return bh_factory()
+                return MithrilScheme()
+
+            return factory
+
+        monkeypatch.setenv("REPRO_PROBE_INTERVAL", "2000")
+        results = {}
+        texts = {}
+        for name, cls in (("scalar", SimulatedSystem),
+                          ("turbo", TurboSimulatedSystem)):
+            directory = tmp_path / name
+            monkeypatch.setenv("REPRO_PROBES", str(directory))
+            system = cls(
+                traces, scheme_factory=alternating_factory(),
+                config=config, rfm_th=rfm_th, flip_th=job.flip_th,
+            )
+            if cls is TurboSimulatedSystem:
+                assert system._fused is True
+            results[name] = system.run()
+            path = _single_stream(directory)
+            texts[name] = path.read_text()
+            records, sealed = read_probe_stream(path)
+            assert sealed
+            assert sum(r["k"] == "sample" for r in records) >= 2
+        assert results["scalar"] == results["turbo"]
+        assert texts["scalar"] == texts["turbo"]
+
     def test_parity_through_chunked_decode(self, tmp_path, monkeypatch):
         monkeypatch.setattr(soa, "WINDOW", 64)
         job = _job("mithril")

@@ -21,37 +21,7 @@ from repro.sim.system import SimulatedSystem, make_system
 from repro.sim.turbo import TurboSimulatedSystem
 
 
-#: scheme name -> expected arena shape on the turbo system (None =
-#: no arena; the fused drain keeps the per-bank inline handlers).
-_ARENA_SHAPE = {
-    "none": None,
-    "mithril": "mithril",
-    "mithril+": "mithril",
-    "graphene": "graphene",
-    "blockhammer": "blockhammer",
-    "twice": None,
-    "para": None,
-    "cbt": None,
-}
-
-
-def _assert_arena_shape(system, shape):
-    arenas = system._arenas
-    if shape is None:
-        assert arenas is None
-        return
-    assert arenas is not None
-    if shape == "blockhammer":
-        assert arenas.blockhammer is not None
-        assert arenas.cbs is None and arenas.raa is None
-    else:
-        assert arenas.cbs is not None and arenas.cbs.kind == shape
-        assert arenas.blockhammer is None
-        # Mithril banks carry fused RFM logic -> shared RAA vector.
-        assert (arenas.raa is not None) == (shape == "mithril")
-
-
-def _run_both(job, expect_fused=True, expect_arena="unchecked"):
+def _run_both(job, expect_fused=True):
     traces, factory, config, rfm_th = materialize_job(job)
     results = {}
     for backend in ("scalar", "turbo"):
@@ -68,14 +38,24 @@ def _run_both(job, expect_fused=True, expect_arena="unchecked"):
         if backend == "turbo":
             assert isinstance(system, TurboSimulatedSystem)
             assert system._fused is expect_fused
-            if expect_arena != "unchecked":
-                _assert_arena_shape(system, expect_arena)
         results[backend] = system.run(max_cycles=job.max_cycles)
         if backend == "turbo":
             # turbo reads the trace columns; it never builds entries
             assert all(core.entries is None for core in system.cores)
     assert results["scalar"] == results["turbo"]
     return results["scalar"]
+
+
+def _assert_prefilled_caches(system, traces):
+    """Every bank's first filters share one cache dict, its second
+    filters another, and both already hold every trace row."""
+    rows = {int(row) for trace in traces for row in trace.row}
+    pairs = [controller.scheme.cbf._filters for controller in system.banks]
+    for side in (0, 1):
+        cache = pairs[0][side]._index_cache
+        assert all(pair[side]._index_cache is cache for pair in pairs)
+        assert rows <= cache.keys()
+    assert pairs[0][0]._index_cache is not pairs[0][1]._index_cache
 
 
 def _job(scheme, workload="mix-high", seed=11, **kwargs):
@@ -217,21 +197,20 @@ class TestFusabilityFallback:
 
 
 class TestArenas:
-    """Cross-bank arenas engage for uniform stock schemes and stay
-    byte-identical to the scalar backend; anything mixed or non-stock
-    drops to the exact per-bank inline handlers."""
+    """Every stock scheme runs its per-bank inline tracker block,
+    uniform or mixed, byte-identical to the scalar backend, and leaves
+    the same post-run state on the per-bank objects."""
 
     @pytest.mark.parametrize(
         "scheme", ["none", "mithril", "mithril+", "graphene",
                    "blockhammer", "twice"]
     )
     def test_arena_engagement_and_equality(self, scheme):
-        _run_both(_job(scheme), expect_arena=_ARENA_SHAPE[scheme])
+        _run_both(_job(scheme))
 
     def test_mixed_schemes_fused_without_arena(self):
         """Alternating stock schemes: each bank still gets its inline
-        specialization (fused), but no arena can span them — and the
-        scalar fallback stays exact."""
+        specialization (fused), and the drain stays exact."""
         from repro.core.mithril import MithrilScheme
         from repro.mitigations.graphene import GrapheneScheme
 
@@ -258,12 +237,11 @@ class TestArenas:
             rfm_th=rfm_th, flip_th=job.flip_th,
         )
         assert turbo._fused is True
-        assert turbo._arenas is None
         assert scalar.run() == turbo.run()
 
     def test_raa_write_back_matches_scalar(self):
-        """The shared RAA vector must land back in each bank's
-        RfmIssueLogic after the run."""
+        """Post-run RAA counts on each bank's RfmIssueLogic equal the
+        scalar backend's."""
         job = _job("mithril+")
         traces, factory, config, rfm_th = materialize_job(job)
         systems = {}
@@ -275,7 +253,6 @@ class TestArenas:
             system.run()
             systems[cls] = system
         scalar, turbo = systems[SimulatedSystem], systems[TurboSimulatedSystem]
-        assert turbo._arenas is not None and turbo._arenas.raa is not None
         assert [
             controller.rfm_logic.raa.value for controller in turbo.banks
         ] == [
@@ -284,8 +261,8 @@ class TestArenas:
 
     def test_blockhammer_write_back_matches_scalar(self):
         """Post-run CBF counters, rotation phase, and blacklists on the
-        scheme objects equal the scalar backend's (the arena owns the
-        state during the run; write_back restores it)."""
+        scheme objects equal the scalar backend's; at construction each
+        turbo bank's two filters hold the shared, prefilled caches."""
         spec = WorkloadSpec.make(
             "attack", scale=0.2, pattern="multi-sided", seed=31
         )
@@ -298,6 +275,8 @@ class TestArenas:
                 traces, scheme_factory=factory, config=config,
                 rfm_th=rfm_th, flip_th=job.flip_th,
             )
+            if cls is TurboSimulatedSystem:
+                _assert_prefilled_caches(system, traces)
             system.run()
             schemes[cls] = [controller.scheme for controller in system.banks]
         for scalar, turbo in zip(
@@ -318,14 +297,14 @@ class TestArenas:
 class TestChunkedDecode:
     """Decoding in small windows is byte-identical to the one-window
     decode — against both the one-window turbo run and the scalar
-    backend — with the arenas active."""
+    backend."""
 
     @pytest.mark.parametrize(
         "scheme", ["none", "mithril", "graphene", "blockhammer"]
     )
     def test_chunked_vs_scalar(self, scheme, monkeypatch):
         monkeypatch.setattr(soa, "WINDOW", 64)
-        _run_both(_job(scheme), expect_arena=_ARENA_SHAPE[scheme])
+        _run_both(_job(scheme))
 
     def test_chunked_equals_unchunked_turbo(self, monkeypatch):
         job = _job("mithril")
