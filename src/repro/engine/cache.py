@@ -84,7 +84,8 @@ def default_cache_dir() -> Path:
 
 @functools.lru_cache(maxsize=None)
 def code_version() -> str:
-    """Hash of the installed ``repro`` sources (the cache salt).
+    """Hash of the installed ``repro`` sources (the cache salt): every
+    python module and the native drain kernel's C source.
 
     The scalar/turbo simulation *backend* is deliberately **not**
     folded in — backends are byte-identical (golden-pinned)
@@ -96,7 +97,8 @@ def code_version() -> str:
     digest = hashlib.sha256()
     digest.update(CACHE_SCHEMA_SALT.encode())
     digest.update(b"\0")
-    for path in sorted(package_root.rglob("*.py")):
+    sources = [*package_root.rglob("*.py"), *package_root.rglob("*.c")]
+    for path in sorted(sources):
         digest.update(path.relative_to(package_root).as_posix().encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

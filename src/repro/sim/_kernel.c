@@ -1,0 +1,1776 @@
+/*
+ * Native event drain for the turbo backend (see repro/sim/kernel.py).
+ *
+ * One function, drain(), runs a *covered* system from its pristine
+ * state to an empty event heap: core issue and MLP stalls, the
+ * BLISS / FR-FCFS pick, bank timing with tFAW and the shared data bus,
+ * auto-refresh, the single-distance RowHammer model, RAA counting and
+ * RFM issue with the Mithril+ MRR gate, and the per-bank schemes
+ * `none` and Mithril (CbS update, greedy RFM, adaptive skip).
+ *
+ * It is a line-for-line port of TurboSimulatedSystem._drain_fused on
+ * those paths, and every ordering the python objects expose is kept:
+ * events pop in (cycle, seq) order, CbS buckets are FIFO, the CbS
+ * maximum breaks ties toward the smallest row, and every dict the
+ * write-back rebuilds (CbS counts and buckets, hammer disturbance,
+ * BLISS blacklist) is returned in python's insertion order.
+ *
+ * The kernel knows no python classes.  It reads the trace columns
+ * through the buffer protocol and plain int tuples for configuration,
+ * and returns plain ints, tuples and lists; kernel.py alone maps them
+ * onto the simulator objects.  Per-row state lives in hash maps sized
+ * by the rows actually touched, never in dense per-row arrays.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <setjmp.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* Heap-key layout of repro/sim/system.py: seq above kind + ident. */
+#define SEQ_BITS 40
+#define SEQ_LIMIT ((int64_t)1 << SEQ_BITS)
+#define LOW_BITS 22
+#define IDENT_BITS 20
+#define IDENT_MASK (((int64_t)1 << IDENT_BITS) - 1)
+
+enum { EV_ISSUE = 0, EV_BANK = 1, EV_COMPLETE = 2 };
+enum { POLICY_OPEN = 0, POLICY_CLOSED = 1, POLICY_MINIMALIST = 2 };
+enum { SCHEME_NONE = 0, SCHEME_MITHRIL = 1 };
+
+/* Per-run scalars, in the order kernel.pack builds them. */
+enum {
+    CF_NUM_BANKS, CF_SEQ, CF_TRP, CF_TRCD, CF_TCL, CF_TBL, CF_TRC,
+    CF_TRAS, CF_POLICY, CF_BURST, CF_COUNT
+};
+
+/* Per-bank configuration, in the order kernel._bank_fields builds it. */
+enum {
+    BF_CHANNEL, BF_FAW, BF_SCHEDULER, BF_TRP, BF_TRAS, BF_TRFC, BF_TRFM,
+    BF_NEXT_TICK, BF_TREFI, BF_ROWS_PER_GROUP, BF_NUM_GROUPS,
+    BF_HAMMER, BF_FLIP_TH, BF_HAMMER_ROWS,
+    BF_SCHEME, BF_CAPACITY, BF_WRAP_WINDOW, BF_COUNTER_BITS,
+    BF_ADAPTIVE_TH, BF_PLUS, BF_BLAST_RADIUS, BF_SCHEME_ROWS,
+    BF_RFM, BF_RAA_TH, BF_MRR_GATED, BF_COUNT
+};
+
+/* EnergyCounts fields, in dataclass order. */
+enum {
+    EN_ACTS, EN_PRES, EN_READS, EN_WRITES, EN_AUTO_REFRESHES,
+    EN_RFM_COMMANDS, EN_PREVENTIVE_ROWS, EN_MRR_COMMANDS, EN_COUNT
+};
+
+/* SchemeStats fields, in dataclass order (ARR and throttle stay 0). */
+enum {
+    ST_ACTS_OBSERVED, ST_RFMS_RECEIVED, ST_RFMS_SKIPPED, ST_ARR_REQUESTS,
+    ST_PREVENTIVE_ROWS, ST_MRR_READS, ST_THROTTLE_EVENTS, ST_COUNT
+};
+
+/* Failure exit: every allocation hangs off the context, so a failure
+ * anywhere sets the python error and jumps back to drain(), which
+ * frees the context and returns NULL. */
+typedef struct Ctx Ctx;
+static void fail_nomem(Ctx *ctx);
+
+/* ------------------------------------------------------------------ */
+/* int64 -> (value, order) hash map: linear probing, backward-shift     */
+/* deletion, grown by doubling.  `order` records first insertion, so   */
+/* the write-back can replay python's dict order.                      */
+/* ------------------------------------------------------------------ */
+
+#define EMPTY_KEY INT64_MIN
+
+typedef struct {
+    int64_t key;
+    int64_t value;
+    uint64_t order;
+} Slot;
+
+typedef struct {
+    Slot *slots;
+    size_t mask;
+    size_t size;
+} Map;
+
+static size_t map_home(const Map *map, int64_t key)
+{
+    uint64_t h = (uint64_t)key;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    return (size_t)h & map->mask;
+}
+
+static void map_alloc(Ctx *ctx, Map *map, size_t capacity)
+{
+    Slot *slots = malloc(capacity * sizeof(Slot));
+    if (slots == NULL) {
+        fail_nomem(ctx);
+    }
+    for (size_t i = 0; i < capacity; i++) {
+        slots[i].key = EMPTY_KEY;
+    }
+    map->slots = slots;
+    map->mask = capacity - 1;
+    map->size = 0;
+}
+
+static Slot *map_find(const Map *map, int64_t key)
+{
+    size_t i = map_home(map, key);
+    for (;;) {
+        Slot *slot = &map->slots[i];
+        if (slot->key == key) {
+            return slot;
+        }
+        if (slot->key == EMPTY_KEY) {
+            return NULL;
+        }
+        i = (i + 1) & map->mask;
+    }
+}
+
+static void map_grow(Ctx *ctx, Map *map)
+{
+    Slot *old = map->slots;
+    size_t old_capacity = map->mask + 1;
+    map->slots = NULL;
+    map_alloc(ctx, map, old_capacity * 2);
+    for (size_t i = 0; i < old_capacity; i++) {
+        if (old[i].key == EMPTY_KEY) {
+            continue;
+        }
+        size_t j = map_home(map, old[i].key);
+        while (map->slots[j].key != EMPTY_KEY) {
+            j = (j + 1) & map->mask;
+        }
+        map->slots[j] = old[i];
+        map->size++;
+    }
+    free(old);
+}
+
+/* Insert an absent key; the caller fills value and order. */
+static Slot *map_insert(Ctx *ctx, Map *map, int64_t key)
+{
+    if ((map->size + 1) * 4 > (map->mask + 1) * 3) {
+        map_grow(ctx, map);
+    }
+    size_t i = map_home(map, key);
+    while (map->slots[i].key != EMPTY_KEY) {
+        i = (i + 1) & map->mask;
+    }
+    map->slots[i].key = key;
+    map->size++;
+    return &map->slots[i];
+}
+
+static void map_delete(Map *map, Slot *slot)
+{
+    size_t hole = (size_t)(slot - map->slots);
+    size_t j = hole;
+    for (;;) {
+        j = (j + 1) & map->mask;
+        if (map->slots[j].key == EMPTY_KEY) {
+            break;
+        }
+        size_t home = map_home(map, map->slots[j].key);
+        /* Move j into the hole unless its home lies cyclically in
+         * (hole, j]: then probing from home still reaches it. */
+        int stays = (hole <= j) ? (hole < home && home <= j)
+                                : (hole < home || home <= j);
+        if (!stays) {
+            map->slots[hole] = map->slots[j];
+            hole = j;
+        }
+    }
+    map->slots[hole].key = EMPTY_KEY;
+    map->size--;
+}
+
+/* The live slots sorted by insertion order (caller frees). */
+static int order_cmp(const void *a, const void *b)
+{
+    uint64_t x = (*(const Slot *const *)a)->order;
+    uint64_t y = (*(const Slot *const *)b)->order;
+    return (x > y) - (x < y);
+}
+
+static Slot **map_ordered(const Map *map)
+{
+    Slot **out = malloc((map->size + 1) * sizeof(Slot *));
+    if (out == NULL) {
+        return NULL;
+    }
+    size_t n = 0;
+    for (size_t i = 0; i <= map->mask; i++) {
+        if (map->slots[i].key != EMPTY_KEY) {
+            out[n++] = &map->slots[i];
+        }
+    }
+    qsort(out, n, sizeof(Slot *), order_cmp);
+    return out;
+}
+
+/* ------------------------------------------------------------------ */
+/* RowHammer model (HammerModel, single-distance weight 1.0).  Levels   */
+/* are whole numbers of ACTs, exact as python's float sums.            */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    int64_t cycle, row, level, aggressor;
+} Flip;
+
+typedef struct {
+    int64_t flip_th, rows;
+    Map levels;              /* victim row -> disturbance */
+    uint64_t next_order;
+    Flip *flips;
+    size_t num_flips, flip_capacity;
+    int64_t max_level;
+    int has_max_row;
+    int64_t max_row;
+} Hammer;
+
+static void hammer_flip(Ctx *ctx, Hammer *h, int64_t cycle, int64_t row,
+                        int64_t level, int64_t aggressor)
+{
+    if (h->num_flips == h->flip_capacity) {
+        size_t capacity = h->flip_capacity ? h->flip_capacity * 2 : 16;
+        Flip *grown = realloc(h->flips, capacity * sizeof(Flip));
+        if (grown == NULL) {
+            fail_nomem(ctx);
+        }
+        h->flips = grown;
+        h->flip_capacity = capacity;
+    }
+    Flip *flip = &h->flips[h->num_flips++];
+    flip->cycle = cycle;
+    flip->row = row;
+    flip->level = level;
+    flip->aggressor = aggressor;
+}
+
+static void hammer_activate(Ctx *ctx, Hammer *h, int64_t row, int64_t cycle)
+{
+    for (int side = 0; side < 2; side++) {
+        int64_t victim = side ? row + 1 : row - 1;
+        if (victim < 0 || victim >= h->rows) {
+            continue;
+        }
+        Slot *slot = map_find(&h->levels, victim);
+        if (slot == NULL) {
+            slot = map_insert(ctx, &h->levels, victim);
+            slot->value = 0;
+            slot->order = h->next_order++;
+        }
+        int64_t level = slot->value + 1;
+        slot->value = level;
+        if (level > h->max_level) {
+            h->max_level = level;
+            h->has_max_row = 1;
+            h->max_row = victim;
+        }
+        if (level >= h->flip_th) {
+            hammer_flip(ctx, h, cycle, victim, level, row);
+            slot->value = 0;   /* reset, not deleted: keeps dict order */
+        }
+    }
+}
+
+static void hammer_refresh_row(Hammer *h, int64_t row)
+{
+    Slot *slot = map_find(&h->levels, row);
+    if (slot != NULL) {
+        map_delete(&h->levels, slot);
+    }
+}
+
+static void hammer_refresh_range(Ctx *ctx, Hammer *h, int64_t first,
+                                 int64_t last)
+{
+    if (last < first) {
+        return;
+    }
+    if ((uint64_t)(last - first) <= h->levels.mask) {
+        for (int64_t row = first; row <= last; row++) {
+            hammer_refresh_row(h, row);
+        }
+        return;
+    }
+    /* Wider than the table: collect the doomed keys, then delete (a
+     * backward shift during the scan could skip a slot). */
+    size_t n = 0;
+    int64_t *doomed = malloc((h->levels.size + 1) * sizeof(int64_t));
+    if (doomed == NULL) {
+        fail_nomem(ctx);
+    }
+    for (size_t i = 0; i <= h->levels.mask; i++) {
+        int64_t key = h->levels.slots[i].key;
+        if (key != EMPTY_KEY && first <= key && key <= last) {
+            doomed[n++] = key;
+        }
+    }
+    for (size_t i = 0; i < n; i++) {
+        hammer_refresh_row(h, doomed[i]);
+    }
+    free(doomed);
+}
+
+/* ------------------------------------------------------------------ */
+/* Counter-based Summary (streaming/cbs.py CounterSummary): entries in  */
+/* count buckets, each bucket a FIFO list (head = oldest).              */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    int64_t row, count;
+    int32_t prev, next;      /* bucket list links; -1 ends */
+} Entry;
+
+typedef struct {
+    int32_t head, tail;
+} Bucket;
+
+typedef struct {
+    int64_t capacity;
+    Entry *entries;
+    int32_t num_entries, entry_capacity, free_entry;
+    Bucket *buckets;
+    int32_t num_buckets, bucket_capacity, free_bucket;
+    Map rows;                /* row -> entry index (order: dict order) */
+    Map counts;              /* count -> bucket index (order: dict order) */
+    uint64_t row_order, count_order;
+    int64_t size, min_count, max_count;
+    int64_t total_observed, evictions;
+} Cbs;
+
+static int32_t cbs_new_entry(Ctx *ctx, Cbs *s)
+{
+    if (s->free_entry >= 0) {
+        int32_t e = s->free_entry;
+        s->free_entry = s->entries[e].next;
+        return e;
+    }
+    if (s->num_entries == s->entry_capacity) {
+        int32_t capacity = s->entry_capacity ? s->entry_capacity * 2 : 16;
+        Entry *grown = realloc(s->entries, capacity * sizeof(Entry));
+        if (grown == NULL) {
+            fail_nomem(ctx);
+        }
+        s->entries = grown;
+        s->entry_capacity = capacity;
+    }
+    return s->num_entries++;
+}
+
+static int32_t cbs_new_bucket(Ctx *ctx, Cbs *s)
+{
+    if (s->free_bucket >= 0) {
+        int32_t b = s->free_bucket;
+        s->free_bucket = s->buckets[b].head;
+        return b;
+    }
+    if (s->num_buckets == s->bucket_capacity) {
+        int32_t capacity = s->bucket_capacity ? s->bucket_capacity * 2 : 16;
+        Bucket *grown = realloc(s->buckets, capacity * sizeof(Bucket));
+        if (grown == NULL) {
+            fail_nomem(ctx);
+        }
+        s->buckets = grown;
+        s->bucket_capacity = capacity;
+    }
+    return s->num_buckets++;
+}
+
+/* Append entry e at the tail of bucket `count`, creating it. */
+static void cbs_link(Ctx *ctx, Cbs *s, int32_t e, int64_t count)
+{
+    Slot *slot = map_find(&s->counts, count);
+    int32_t b;
+    if (slot == NULL) {
+        b = cbs_new_bucket(ctx, s);
+        slot = map_insert(ctx, &s->counts, count);
+        slot->value = b;
+        slot->order = s->count_order++;
+        s->buckets[b].head = -1;
+        s->buckets[b].tail = -1;
+    } else {
+        b = (int32_t)slot->value;
+    }
+    Bucket *bucket = &s->buckets[b];
+    Entry *entry = &s->entries[e];
+    entry->count = count;
+    entry->next = -1;
+    entry->prev = bucket->tail;
+    if (bucket->tail >= 0) {
+        s->entries[bucket->tail].next = e;
+    } else {
+        bucket->head = e;
+    }
+    bucket->tail = e;
+}
+
+/* Unlink entry e from bucket `count`; 1 when the bucket emptied (and
+ * was deleted). */
+static int cbs_unlink(Cbs *s, int32_t e, int64_t count)
+{
+    Slot *slot = map_find(&s->counts, count);
+    int32_t b = (int32_t)slot->value;
+    Bucket *bucket = &s->buckets[b];
+    Entry *entry = &s->entries[e];
+    if (entry->prev >= 0) {
+        s->entries[entry->prev].next = entry->next;
+    } else {
+        bucket->head = entry->next;
+    }
+    if (entry->next >= 0) {
+        s->entries[entry->next].prev = entry->prev;
+    } else {
+        bucket->tail = entry->prev;
+    }
+    if (bucket->head >= 0) {
+        return 0;
+    }
+    map_delete(&s->counts, slot);
+    bucket->head = s->free_bucket;
+    s->free_bucket = b;
+    return 1;
+}
+
+static int cbs_has_bucket(const Cbs *s, int64_t count)
+{
+    return map_find(&s->counts, count) != NULL;
+}
+
+static void cbs_advance_min(Cbs *s)
+{
+    if (s->counts.size == 0) {
+        s->min_count = 0;
+        return;
+    }
+    int64_t probe = s->min_count;
+    while (!cbs_has_bucket(s, probe)) {
+        probe++;
+    }
+    s->min_count = probe;
+}
+
+static void cbs_insert(Ctx *ctx, Cbs *s, int64_t row, int64_t count)
+{
+    int32_t e = cbs_new_entry(ctx, s);
+    s->entries[e].row = row;
+    Slot *slot = map_insert(ctx, &s->rows, row);
+    slot->value = e;
+    slot->order = s->row_order++;
+    cbs_link(ctx, s, e, count);
+    s->size++;
+    if (count > s->max_count || s->size == 1) {
+        s->max_count = count;
+    }
+}
+
+/* Evict entry e (always followed by an insert above its count, which
+ * restores max_count). */
+static void cbs_remove(Cbs *s, int32_t e, int64_t count)
+{
+    map_delete(&s->rows, map_find(&s->rows, s->entries[e].row));
+    cbs_unlink(s, e, count);
+    s->entries[e].next = s->free_entry;
+    s->free_entry = e;
+    s->size--;
+}
+
+static void cbs_move(Ctx *ctx, Cbs *s, int32_t e, int64_t old, int64_t new)
+{
+    int old_emptied = cbs_unlink(s, e, old);
+    cbs_link(ctx, s, e, new);
+    if (new > s->max_count) {
+        s->max_count = new;
+    } else if (old_emptied && old == s->max_count) {
+        /* the maximum was demoted: the next bucket down holds it (the
+         * target bucket exists, so the scan stops by `new`) */
+        int64_t probe = old - 1;
+        while (!cbs_has_bucket(s, probe)) {
+            probe--;
+        }
+        s->max_count = probe;
+    }
+    if (old_emptied && old == s->min_count) {
+        if (new < old) {
+            s->min_count = new;
+        } else {
+            cbs_advance_min(s);
+        }
+    } else if (new < s->min_count) {
+        s->min_count = new;
+    }
+}
+
+/* CounterSummary._observe_one */
+static void cbs_observe(Ctx *ctx, Cbs *s, int64_t row)
+{
+    s->total_observed++;
+    Slot *slot = map_find(&s->rows, row);
+    if (slot != NULL) {
+        int32_t e = (int32_t)slot->value;
+        int64_t count = s->entries[e].count;
+        cbs_move(ctx, s, e, count, count + 1);
+        return;
+    }
+    if (s->size < s->capacity) {
+        cbs_insert(ctx, s, row, 1);
+        if (s->size == s->capacity) {
+            /* min(self._buckets) */
+            int first = 1;
+            for (size_t i = 0; i <= s->counts.mask; i++) {
+                int64_t key = s->counts.slots[i].key;
+                if (key != EMPTY_KEY && (first || key < s->min_count)) {
+                    s->min_count = key;
+                    first = 0;
+                }
+            }
+        }
+        return;
+    }
+    s->evictions++;
+    Slot *low = map_find(&s->counts, s->min_count);
+    int32_t victim = s->buckets[low->value].head;
+    cbs_remove(s, victim, s->min_count);
+    cbs_insert(ctx, s, row, s->min_count + 1);
+    if (!cbs_has_bucket(s, s->min_count)) {
+        cbs_advance_min(s);
+    }
+}
+
+/* The min_count property: 0 while the table is not full. */
+static int64_t cbs_min(const Cbs *s)
+{
+    return s->size < s->capacity ? 0 : s->min_count;
+}
+
+static int64_t cbs_spread(const Cbs *s)
+{
+    return (s->size ? s->max_count : 0) - cbs_min(s);
+}
+
+/* max_entry(): the largest count, smallest row on ties; -1 if empty. */
+static int32_t cbs_max_entry(const Cbs *s)
+{
+    if (s->size == 0) {
+        return -1;
+    }
+    const Slot *slot = map_find(&s->counts, s->max_count);
+    int32_t best = -1;
+    for (int32_t e = s->buckets[slot->value].head; e >= 0;
+         e = s->entries[e].next) {
+        if (best < 0 || s->entries[e].row < s->entries[best].row) {
+            best = e;
+        }
+    }
+    return best;
+}
+
+/* ------------------------------------------------------------------ */
+/* simulator state                                                      */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    int64_t arrival, row;
+    int32_t core;
+    int32_t is_write;
+} Request;
+
+typedef struct {
+    /* wiring */
+    int64_t channel, faw, scheduler;
+    /* BankTimingModel + controller */
+    int has_open;
+    int64_t open_row, ready, last_act;
+    int64_t act_count, pre_count, access_count, refresh_blocks;
+    int64_t consecutive_hits, rfm_stall, refresh_stall;
+    int64_t trp, tras, trfc, trfm;
+    /* AutoRefreshEngine */
+    int64_t next_tick, trefi, rows_per_group, num_groups, cursor, ticks;
+    /* queue + per-core occupancy */
+    Request *queue;
+    size_t qlen, qcap;
+    int64_t *occupancy;
+    int scheduled;
+    int64_t energy[EN_COUNT];
+    /* scheme */
+    int scheme;
+    int64_t stats[ST_COUNT];
+    Cbs cbs;
+    int64_t wrap_window, counter_bits, adaptive_th, plus;
+    int64_t blast_radius, scheme_rows, max_spread_seen;
+    /* RfmIssueLogic */
+    int has_rfm, mrr_gated;
+    int64_t raa_th, raa, rfm_issued, rfm_elided, mrr_reads;
+    /* HammerModel */
+    int has_hammer;
+    Hammer hammer;
+} Bank;
+
+typedef struct {
+    const int64_t *gap, *bank, *row;
+    const uint8_t *write;
+    Py_buffer views[4];
+    int num_views;
+    int64_t total, mlp;
+    int64_t index, outstanding, next_issue, reads, writes;
+    int64_t last_completion, served;
+    int stalled;
+} Core;
+
+typedef struct {
+    int64_t window, tfaw;
+    int64_t *recent;         /* ring buffer, oldest at head */
+    int64_t head, count;
+} Faw;
+
+typedef struct {
+    int is_bliss;
+    int64_t threshold, cycles;
+    int has_last;
+    int64_t last_core, streak;
+    int64_t *until;          /* per core; -1 = absent */
+    uint8_t *listed;         /* per core: has a blacklist entry */
+    int64_t *order;          /* cores in blacklist insertion order */
+    int64_t num_listed;
+} Scheduler;
+
+typedef struct {
+    int64_t cycle, low;      /* low = seq << LOW_BITS | kind | ident */
+} Event;
+
+struct Ctx {
+    jmp_buf fail;
+    int64_t num_banks, num_cores, num_channels, num_faws, num_schedulers;
+    int64_t cfg[CF_COUNT];
+    int64_t seq, row_hits, row_misses;
+    Bank *banks;
+    Core *cores;
+    int64_t *bus_free;
+    Faw *faws;
+    Scheduler *schedulers;
+    Event *heap;
+    size_t heap_len, heap_cap;
+};
+
+static void fail_nomem(Ctx *ctx)
+{
+    PyErr_NoMemory();
+    longjmp(ctx->fail, 1);
+}
+
+static void *ctx_calloc(Ctx *ctx, size_t n, size_t size)
+{
+    void *block = calloc(n ? n : 1, size);
+    if (block == NULL) {
+        fail_nomem(ctx);
+    }
+    return block;
+}
+
+static void ctx_free(Ctx *ctx)
+{
+    if (ctx->banks != NULL) {
+        for (int64_t i = 0; i < ctx->num_banks; i++) {
+            Bank *b = &ctx->banks[i];
+            free(b->queue);
+            free(b->occupancy);
+            free(b->cbs.entries);
+            free(b->cbs.buckets);
+            free(b->cbs.rows.slots);
+            free(b->cbs.counts.slots);
+            free(b->hammer.levels.slots);
+            free(b->hammer.flips);
+        }
+    }
+    if (ctx->cores != NULL) {
+        for (int64_t i = 0; i < ctx->num_cores; i++) {
+            for (int v = 0; v < ctx->cores[i].num_views; v++) {
+                PyBuffer_Release(&ctx->cores[i].views[v]);
+            }
+        }
+    }
+    if (ctx->faws != NULL) {
+        for (int64_t i = 0; i < ctx->num_faws; i++) {
+            free(ctx->faws[i].recent);
+        }
+    }
+    if (ctx->schedulers != NULL) {
+        for (int64_t i = 0; i < ctx->num_schedulers; i++) {
+            free(ctx->schedulers[i].until);
+            free(ctx->schedulers[i].listed);
+            free(ctx->schedulers[i].order);
+        }
+    }
+    free(ctx->banks);
+    free(ctx->cores);
+    free(ctx->bus_free);
+    free(ctx->faws);
+    free(ctx->schedulers);
+    free(ctx->heap);
+    free(ctx);
+}
+
+/* ------------------------------------------------------------------ */
+/* event heap: binary min-heap on (cycle, low)                          */
+/* ------------------------------------------------------------------ */
+
+static int event_less(const Event *a, const Event *b)
+{
+    return a->cycle < b->cycle || (a->cycle == b->cycle && a->low < b->low);
+}
+
+static void push(Ctx *ctx, int64_t cycle, int kind, int64_t ident)
+{
+    int64_t seq = ++ctx->seq;
+    if (seq >= SEQ_LIMIT) {
+        PyErr_Format(PyExc_OverflowError,
+                     "event sequence exceeded %lld (heap-key seq field)",
+                     (long long)SEQ_LIMIT);
+        longjmp(ctx->fail, 1);
+    }
+    if (ctx->heap_len == ctx->heap_cap) {
+        size_t capacity = ctx->heap_cap ? ctx->heap_cap * 2 : 256;
+        Event *grown = realloc(ctx->heap, capacity * sizeof(Event));
+        if (grown == NULL) {
+            fail_nomem(ctx);
+        }
+        ctx->heap = grown;
+        ctx->heap_cap = capacity;
+    }
+    Event event;
+    event.cycle = cycle;
+    event.low = (seq << LOW_BITS) | ((int64_t)kind << IDENT_BITS) | ident;
+    size_t i = ctx->heap_len++;
+    while (i > 0) {
+        size_t parent = (i - 1) / 2;
+        if (!event_less(&event, &ctx->heap[parent])) {
+            break;
+        }
+        ctx->heap[i] = ctx->heap[parent];
+        i = parent;
+    }
+    ctx->heap[i] = event;
+}
+
+static Event pop(Ctx *ctx)
+{
+    Event top = ctx->heap[0];
+    Event last = ctx->heap[--ctx->heap_len];
+    size_t n = ctx->heap_len;
+    size_t i = 0;
+    for (;;) {
+        size_t child = 2 * i + 1;
+        if (child >= n) {
+            break;
+        }
+        if (child + 1 < n && event_less(&ctx->heap[child + 1],
+                                        &ctx->heap[child])) {
+            child++;
+        }
+        if (!event_less(&ctx->heap[child], &last)) {
+            break;
+        }
+        ctx->heap[i] = ctx->heap[child];
+        i = child;
+    }
+    if (n) {
+        ctx->heap[i] = last;
+    }
+    return top;
+}
+
+/* ------------------------------------------------------------------ */
+/* controller pieces                                                    */
+/* ------------------------------------------------------------------ */
+
+/* BankTimingModel.block_for */
+static void block_for(Bank *b, int64_t cycle, int64_t duration)
+{
+    int64_t start = cycle > b->ready ? cycle : b->ready;
+    if (b->has_open) {
+        int64_t earliest = b->last_act + b->tras;
+        start = (start > earliest ? start : earliest) + b->trp;
+        b->has_open = 0;
+        b->pre_count++;
+    }
+    b->ready = start + duration;
+    b->refresh_blocks++;
+}
+
+/* BankController.advance_refresh (caller checked a tick is due) */
+static void advance_refresh(Ctx *ctx, Bank *b, int64_t cycle)
+{
+    while (cycle >= b->next_tick) {
+        int64_t tick = b->next_tick;
+        int64_t first = b->cursor * b->rows_per_group;
+        int64_t last = first + b->rows_per_group - 1;
+        b->cursor = (b->cursor + 1) % b->num_groups;
+        b->next_tick += b->trefi;
+        b->ticks++;
+        int64_t before = b->ready;
+        block_for(b, tick, b->trfc);
+        b->refresh_stall += b->ready - (before > tick ? before : tick);
+        if (b->has_hammer) {
+            hammer_refresh_range(ctx, &b->hammer, first, last);
+        }
+        b->energy[EN_AUTO_REFRESHES]++;
+    }
+}
+
+/* MithrilScheme.on_activate (+ MithrilTable.record_activation) */
+static void mithril_activate(Ctx *ctx, Bank *b, int64_t row)
+{
+    b->stats[ST_ACTS_OBSERVED]++;
+    cbs_observe(ctx, &b->cbs, row);
+    int64_t spread = cbs_spread(&b->cbs);
+    if (spread > b->max_spread_seen) {
+        b->max_spread_seen = spread;
+    }
+    if (b->wrap_window >= 0 && spread >= b->wrap_window) {
+        PyErr_Format(PyExc_OverflowError,
+                     "counter spread %lld exceeds wrapping window %lld; "
+                     "counter_bits=%lld too small",
+                     (long long)spread, (long long)b->wrap_window,
+                     (long long)b->counter_bits);
+        longjmp(ctx->fail, 1);
+    }
+}
+
+/* scheme.rfm_needed_flag(): the Mithril+ MRR flag */
+static int rfm_needed_flag(Bank *b)
+{
+    if (b->scheme != SCHEME_MITHRIL) {
+        return 1;
+    }
+    b->stats[ST_MRR_READS]++;
+    if (!b->plus) {
+        return 1;
+    }
+    return cbs_spread(&b->cbs) > b->adaptive_th;
+}
+
+/* BankController._apply_rfm with MithrilScheme.on_rfm inline */
+static void apply_rfm(Ctx *ctx, Bank *b)
+{
+    b->energy[EN_RFM_COMMANDS]++;
+    int64_t victims[2 * 64];
+    int64_t num_victims = 0;
+    if (b->scheme == SCHEME_MITHRIL) {
+        Cbs *s = &b->cbs;
+        b->stats[ST_RFMS_RECEIVED]++;
+        if (b->adaptive_th && cbs_spread(s) <= b->adaptive_th) {
+            b->stats[ST_RFMS_SKIPPED]++;
+        } else {
+            int32_t top = cbs_max_entry(s);
+            if (top >= 0) {
+                int64_t aggressor = s->entries[top].row;
+                int64_t current = s->entries[top].count;
+                int64_t target = cbs_min(s);
+                if (target < current) {   /* demote_to_min */
+                    cbs_move(ctx, s, top, current, target);
+                }
+                for (int64_t offset = 1; offset <= b->blast_radius;
+                     offset++) {
+                    for (int sign = -1; sign <= 1; sign += 2) {
+                        int64_t victim = aggressor + sign * offset;
+                        if (0 <= victim && victim < b->scheme_rows) {
+                            victims[num_victims++] = victim;
+                        }
+                    }
+                }
+                b->stats[ST_PREVENTIVE_ROWS] += num_victims;
+            }
+        }
+    }
+    int64_t before = b->ready;
+    block_for(b, b->ready, b->trfm);
+    b->rfm_stall += b->ready - before;
+    b->energy[EN_PREVENTIVE_ROWS] += num_victims;
+    if (b->has_hammer) {
+        for (int64_t i = 0; i < num_victims; i++) {
+            hammer_refresh_row(&b->hammer, victims[i]);
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* event handlers                                                       */
+/* ------------------------------------------------------------------ */
+
+static void try_issue(Ctx *ctx, int64_t core_id, int64_t cycle)
+{
+    Core *core = &ctx->cores[core_id];
+    int64_t num_banks = ctx->cfg[CF_NUM_BANKS];
+    while (core->index < core->total) {
+        if (cycle < core->next_issue) {
+            push(ctx, core->next_issue, EV_ISSUE, core_id);
+            break;
+        }
+        int64_t index = core->index;
+        int is_write = core->write[index] != 0;
+        if (!is_write && core->outstanding >= core->mlp) {
+            core->stalled = 1;
+            break;
+        }
+        int64_t flat = core->bank[index] % num_banks;
+        if (flat < 0) {
+            flat += num_banks;   /* python floor-mod */
+        }
+        if (is_write) {
+            core->writes++;
+        } else {
+            core->reads++;
+            core->outstanding++;
+        }
+        int64_t step = 1;
+        if (index + 1 < core->total && core->gap[index + 1] > 1) {
+            step = core->gap[index + 1];
+        }
+        core->next_issue = cycle + step;
+        core->index = index + 1;
+        Bank *b = &ctx->banks[flat];
+        if (b->qlen == b->qcap) {
+            size_t capacity = b->qcap ? b->qcap * 2 : 16;
+            Request *grown = realloc(b->queue, capacity * sizeof(Request));
+            if (grown == NULL) {
+                fail_nomem(ctx);
+            }
+            b->queue = grown;
+            b->qcap = capacity;
+        }
+        Request *request = &b->queue[b->qlen++];
+        request->arrival = cycle;
+        request->row = core->row[index];
+        request->core = (int32_t)core_id;
+        request->is_write = is_write;
+        b->occupancy[core_id]++;
+        if (!b->scheduled) {
+            b->scheduled = 1;
+            push(ctx, b->ready > cycle ? b->ready : cycle, EV_BANK, flat);
+        }
+    }
+}
+
+static void complete(Ctx *ctx, int64_t core_id, int64_t cycle)
+{
+    Core *core = &ctx->cores[core_id];
+    if (--core->outstanding < 0) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "core %lld: read completion without outstanding read",
+                     (long long)core_id);
+        longjmp(ctx->fail, 1);
+    }
+    if (core->stalled) {
+        core->stalled = 0;
+        try_issue(ctx, core_id, cycle);
+    }
+}
+
+static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
+{
+    const int64_t *cfg = ctx->cfg;
+    Bank *b = &ctx->banks[flat];
+    b->scheduled = 0;
+    size_t qlen = b->qlen;
+    if (qlen == 0) {
+        return;
+    }
+    Scheduler *sched = &ctx->schedulers[b->scheduler];
+    size_t index = 0;
+    int contended = 0;
+    if (qlen > 1) {
+        if (sched->is_bliss) {
+            /* BlissScheduler.pick: (blacklisted, row miss) tiers, then
+             * oldest, first index on ties */
+            int best_tier = 4;
+            int64_t best_arrival = 0;
+            for (size_t i = 0; i < qlen; i++) {
+                const Request *queued = &b->queue[i];
+                int tier = sched->until[queued->core] > cycle ? 2 : 0;
+                if (!(b->has_open && queued->row == b->open_row)) {
+                    tier++;
+                }
+                if (tier < best_tier
+                    || (tier == best_tier && queued->arrival < best_arrival)) {
+                    index = i;
+                    best_tier = tier;
+                    best_arrival = queued->arrival;
+                }
+            }
+        } else {
+            /* FrFcfsScheduler.pick: oldest row hit, else oldest miss */
+            int64_t best_hit = -1, best_miss = -1;
+            int64_t hit_arrival = 0, miss_arrival = 0;
+            for (size_t i = 0; i < qlen; i++) {
+                const Request *queued = &b->queue[i];
+                if (b->has_open && queued->row == b->open_row) {
+                    if (best_hit < 0 || queued->arrival < hit_arrival) {
+                        best_hit = (int64_t)i;
+                        hit_arrival = queued->arrival;
+                    }
+                } else if (best_miss < 0 || queued->arrival < miss_arrival) {
+                    best_miss = (int64_t)i;
+                    miss_arrival = queued->arrival;
+                }
+            }
+            index = (size_t)(best_hit >= 0 ? best_hit : best_miss);
+        }
+        contended = (int64_t)qlen > b->occupancy[b->queue[index].core];
+    }
+    Request request = b->queue[index];
+    memmove(&b->queue[index], &b->queue[index + 1],
+            (qlen - index - 1) * sizeof(Request));
+    b->qlen = qlen - 1;
+    int64_t core_id = request.core;
+    b->occupancy[core_id]--;
+
+    /* ---- BankController.serve ---- */
+    if (cycle >= b->next_tick) {
+        advance_refresh(ctx, b, cycle);
+    }
+    int64_t row = request.row;
+    int close_after;
+    if (cfg[CF_POLICY] == POLICY_OPEN) {
+        close_after = 0;
+    } else if (cfg[CF_POLICY] == POLICY_CLOSED) {
+        close_after = 1;
+    } else {
+        int64_t hits = (b->has_open && b->open_row == row)
+                       ? b->consecutive_hits : 0;
+        close_after = 1;
+        if (hits < cfg[CF_BURST]) {
+            for (size_t i = 0; i < b->qlen; i++) {
+                if (b->queue[i].row == row) {
+                    close_after = 0;
+                    break;
+                }
+            }
+        }
+    }
+    /* ---- BankTimingModel.serve_access ---- */
+    int64_t start = cycle > b->ready ? cycle : b->ready;
+    int activated = 0, precharged = 0, row_hit;
+    int64_t column_issue;
+    if (b->has_open && b->open_row == row) {
+        row_hit = 1;
+        column_issue = start;
+    } else {
+        row_hit = 0;
+        if (b->has_open) {
+            int64_t earliest_pre = b->last_act + cfg[CF_TRAS];
+            if (earliest_pre > start) {
+                start = earliest_pre;
+            }
+            start += cfg[CF_TRP];
+            precharged = 1;
+            b->pre_count++;
+        }
+        int64_t act_cycle = start;   /* never throttled */
+        if (b->last_act + cfg[CF_TRC] > act_cycle) {
+            act_cycle = b->last_act + cfg[CF_TRC];
+        }
+        if (b->faw >= 0) {
+            Faw *faw = &ctx->faws[b->faw];
+            if (faw->count >= faw->window) {
+                int64_t faw_ready = faw->recent[faw->head] + faw->tfaw;
+                if (faw_ready > act_cycle) {
+                    act_cycle = faw_ready;
+                }
+                faw->recent[faw->head] = act_cycle;
+                faw->head = (faw->head + 1) % faw->window;
+            } else {
+                faw->recent[(faw->head + faw->count) % faw->window] =
+                    act_cycle;
+                faw->count++;
+            }
+        }
+        b->last_act = act_cycle;
+        b->act_count++;
+        activated = 1;
+        b->has_open = 1;
+        b->open_row = row;
+        column_issue = act_cycle + cfg[CF_TRCD];
+    }
+    int64_t data_start = column_issue + cfg[CF_TCL];
+    int64_t *bus_free = &ctx->bus_free[b->channel];
+    if (*bus_free > data_start) {
+        data_start = *bus_free;
+    }
+    int64_t data_cycle = data_start + cfg[CF_TBL];
+    b->access_count++;
+    if (close_after) {
+        int64_t pre_at = b->last_act + cfg[CF_TRAS];
+        if (column_issue > pre_at) {
+            pre_at = column_issue;
+        }
+        b->ready = pre_at + cfg[CF_TRP];
+        b->has_open = 0;
+        b->pre_count++;
+        precharged = 1;
+    } else {
+        b->ready = column_issue + cfg[CF_TBL];
+    }
+    *bus_free = data_cycle;
+    if (row_hit) {
+        b->consecutive_hits++;
+        ctx->row_hits++;
+    } else {
+        b->consecutive_hits = 1;
+        ctx->row_misses++;
+    }
+    b->energy[request.is_write ? EN_WRITES : EN_READS]++;
+    if (activated) {
+        /* ---- BankController._on_activated ---- */
+        b->energy[EN_ACTS]++;
+        if (precharged) {
+            b->energy[EN_PRES]++;
+        }
+        if (b->has_hammer) {
+            hammer_activate(ctx, &b->hammer, row, start);
+        }
+        if (b->scheme == SCHEME_MITHRIL) {
+            mithril_activate(ctx, b, row);
+        } else {
+            b->stats[ST_ACTS_OBSERVED]++;
+        }
+        if (b->has_rfm) {
+            if (b->raa_th > 0 && ++b->raa >= b->raa_th) {
+                b->raa = 0;
+                int issue = 1;
+                if (b->mrr_gated) {
+                    b->mrr_reads++;
+                    if (!rfm_needed_flag(b)) {
+                        b->rfm_elided++;
+                        issue = 0;
+                    }
+                }
+                if (issue) {
+                    b->rfm_issued++;
+                    apply_rfm(ctx, b);
+                }
+            }
+            if (b->mrr_reads && b->mrr_reads > b->energy[EN_MRR_COMMANDS]) {
+                b->energy[EN_MRR_COMMANDS] = b->mrr_reads;
+            }
+        }
+    }
+    /* ---- BlissScheduler.on_served ---- */
+    if (contended && sched->is_bliss) {
+        if (sched->has_last && core_id == sched->last_core) {
+            sched->streak++;
+        } else {
+            sched->has_last = 1;
+            sched->last_core = core_id;
+            sched->streak = 1;
+        }
+        if (sched->streak >= sched->threshold) {
+            if (!sched->listed[core_id]) {
+                sched->listed[core_id] = 1;
+                sched->order[sched->num_listed++] = core_id;
+            }
+            sched->until[core_id] = cycle + sched->cycles;
+            sched->streak = 0;
+        }
+    }
+    /* ---- completion + rescheduling ---- */
+    if (!request.is_write) {
+        push(ctx, data_cycle, EV_COMPLETE, core_id);
+    }
+    Core *core = &ctx->cores[core_id];
+    core->served++;
+    if (data_cycle > core->last_completion) {
+        core->last_completion = data_cycle;
+    }
+    if (qlen > 1) {
+        b->scheduled = 1;
+        push(ctx, b->ready > cycle + 1 ? b->ready : cycle + 1, EV_BANK, flat);
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* input                                                                */
+/* ------------------------------------------------------------------ */
+
+static int read_ints(PyObject *seq, int64_t *out, Py_ssize_t n,
+                     const char *what)
+{
+    PyObject *fast = PySequence_Fast(seq, what);
+    if (fast == NULL) {
+        return -1;
+    }
+    if (PySequence_Fast_GET_SIZE(fast) != n) {
+        PyErr_Format(PyExc_ValueError, "%s: expected %zd ints", what, n);
+        Py_DECREF(fast);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
+        if (out[i] == -1 && PyErr_Occurred()) {
+            Py_DECREF(fast);
+            return -1;
+        }
+    }
+    Py_DECREF(fast);
+    return 0;
+}
+
+/* One C-contiguous column of `itemsize`-byte items and `length`. */
+static const void *column(Core *core, PyObject *array, Py_ssize_t itemsize,
+                          Py_ssize_t length)
+{
+    Py_buffer *view = &core->views[core->num_views];
+    if (PyObject_GetBuffer(array, view, PyBUF_C_CONTIGUOUS) < 0) {
+        return NULL;
+    }
+    core->num_views++;
+    if (view->itemsize != itemsize || view->len != itemsize * length) {
+        PyErr_SetString(PyExc_ValueError, "trace column has the wrong "
+                        "item size or length");
+        return NULL;
+    }
+    return view->buf;
+}
+
+/* cores: [(gap_cycles, bank_index, row, is_write, length, mlp), ...] */
+static int read_cores(Ctx *ctx, PyObject *cores)
+{
+    for (int64_t i = 0; i < ctx->num_cores; i++) {
+        Core *core = &ctx->cores[i];
+        PyObject *gap, *bank, *row, *write;
+        long long length, mlp;
+        if (!PyArg_ParseTuple(PyList_GET_ITEM(cores, i), "OOOOLL", &gap,
+                              &bank, &row, &write, &length, &mlp)) {
+            return -1;
+        }
+        core->total = length;
+        core->mlp = mlp;
+        if ((core->gap = column(core, gap, 8, length)) == NULL
+            || (core->bank = column(core, bank, 8, length)) == NULL
+            || (core->row = column(core, row, 8, length)) == NULL
+            || (core->write = column(core, write, 1, length)) == NULL) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static int read_banks(Ctx *ctx, PyObject *banks)
+{
+    int64_t field[BF_COUNT];
+    for (int64_t i = 0; i < ctx->num_banks; i++) {
+        Bank *b = &ctx->banks[i];
+        if (read_ints(PyList_GET_ITEM(banks, i), field, BF_COUNT,
+                      "bank fields") < 0) {
+            return -1;
+        }
+        if (field[BF_CHANNEL] < 0 || field[BF_CHANNEL] >= ctx->num_channels
+            || field[BF_FAW] >= ctx->num_faws
+            || field[BF_SCHEDULER] < 0
+            || field[BF_SCHEDULER] >= ctx->num_schedulers
+            || field[BF_NUM_GROUPS] <= 0 || field[BF_TREFI] <= 0
+            || field[BF_BLAST_RADIUS] > 64) {
+            PyErr_SetString(PyExc_ValueError, "bank fields out of range");
+            return -1;
+        }
+        b->channel = field[BF_CHANNEL];
+        b->faw = field[BF_FAW];
+        b->scheduler = field[BF_SCHEDULER];
+        b->trp = field[BF_TRP];
+        b->tras = field[BF_TRAS];
+        b->trfc = field[BF_TRFC];
+        b->trfm = field[BF_TRFM];
+        b->next_tick = field[BF_NEXT_TICK];
+        b->trefi = field[BF_TREFI];
+        b->rows_per_group = field[BF_ROWS_PER_GROUP];
+        b->num_groups = field[BF_NUM_GROUPS];
+        b->last_act = -((int64_t)1 << 30);
+        b->occupancy = ctx_calloc(ctx, ctx->num_cores, sizeof(int64_t));
+        b->has_hammer = field[BF_HAMMER] != 0;
+        if (b->has_hammer) {
+            b->hammer.flip_th = field[BF_FLIP_TH];
+            b->hammer.rows = field[BF_HAMMER_ROWS];
+            map_alloc(ctx, &b->hammer.levels, 64);
+        }
+        b->scheme = (int)field[BF_SCHEME];
+        if (b->scheme == SCHEME_MITHRIL) {
+            Cbs *s = &b->cbs;
+            s->capacity = field[BF_CAPACITY];
+            s->free_entry = -1;
+            s->free_bucket = -1;
+            map_alloc(ctx, &s->rows, 64);
+            map_alloc(ctx, &s->counts, 16);
+            b->wrap_window = field[BF_WRAP_WINDOW];
+            b->counter_bits = field[BF_COUNTER_BITS];
+            b->adaptive_th = field[BF_ADAPTIVE_TH];
+            b->plus = field[BF_PLUS];
+            b->blast_radius = field[BF_BLAST_RADIUS];
+            b->scheme_rows = field[BF_SCHEME_ROWS];
+        }
+        b->has_rfm = field[BF_RFM] != 0;
+        b->raa_th = field[BF_RAA_TH];
+        b->mrr_gated = field[BF_MRR_GATED] != 0;
+    }
+    return 0;
+}
+
+/* faws: [(window, tfaw_cycles), ...]; schedulers: [(is_bliss,
+ * blacklist_threshold, blacklist_cycles), ...] */
+static int read_shared(Ctx *ctx, PyObject *faws, PyObject *schedulers)
+{
+    int64_t field[3];
+    for (int64_t i = 0; i < ctx->num_faws; i++) {
+        Faw *faw = &ctx->faws[i];
+        if (read_ints(PyList_GET_ITEM(faws, i), field, 2, "faw") < 0) {
+            return -1;
+        }
+        if (field[0] <= 0) {
+            PyErr_SetString(PyExc_ValueError, "faw window must be >= 1");
+            return -1;
+        }
+        faw->window = field[0];
+        faw->tfaw = field[1];
+        faw->recent = ctx_calloc(ctx, (size_t)faw->window, sizeof(int64_t));
+    }
+    for (int64_t i = 0; i < ctx->num_schedulers; i++) {
+        Scheduler *sched = &ctx->schedulers[i];
+        if (read_ints(PyList_GET_ITEM(schedulers, i), field, 3,
+                      "scheduler") < 0) {
+            return -1;
+        }
+        sched->is_bliss = field[0] != 0;
+        sched->threshold = field[1];
+        sched->cycles = field[2];
+        sched->until = ctx_calloc(ctx, ctx->num_cores, sizeof(int64_t));
+        sched->listed = ctx_calloc(ctx, ctx->num_cores, sizeof(uint8_t));
+        sched->order = ctx_calloc(ctx, ctx->num_cores, sizeof(int64_t));
+        for (int64_t c = 0; c < ctx->num_cores; c++) {
+            sched->until[c] = -1;
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* output                                                               */
+/* ------------------------------------------------------------------ */
+
+static PyObject *ints_tuple(const int64_t *values, Py_ssize_t n)
+{
+    PyObject *tuple = PyTuple_New(n);
+    if (tuple == NULL) {
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PyLong_FromLongLong(values[i]);
+        if (item == NULL) {
+            Py_DECREF(tuple);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(tuple, i, item);
+    }
+    return tuple;
+}
+
+static PyObject *optional_int(int present, int64_t value)
+{
+    if (!present) {
+        Py_RETURN_NONE;
+    }
+    return PyLong_FromLongLong(value);
+}
+
+/* A python list of n ints (or floats) from values[0..n). */
+static PyObject *number_list(const int64_t *values, size_t n, int as_float)
+{
+    PyObject *list = PyList_New((Py_ssize_t)n);
+    if (list == NULL) {
+        return NULL;
+    }
+    for (size_t i = 0; i < n; i++) {
+        PyObject *item = as_float ? PyFloat_FromDouble((double)values[i])
+                                  : PyLong_FromLongLong(values[i]);
+        if (item == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, item);
+    }
+    return list;
+}
+
+/* Keys and values of `map` in dict order, as two C arrays; with
+ * `entries`, values are the entries' counts (caller frees both). */
+static int ordered_items(const Map *map, const Entry *entries,
+                         int64_t **keys, int64_t **values)
+{
+    Slot **ordered = map_ordered(map);
+    *keys = malloc((map->size + 1) * sizeof(int64_t));
+    *values = malloc((map->size + 1) * sizeof(int64_t));
+    if (ordered == NULL || *keys == NULL || *values == NULL) {
+        free(ordered);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (size_t i = 0; i < map->size; i++) {
+        (*keys)[i] = ordered[i]->key;
+        (*values)[i] = entries ? entries[ordered[i]->value].count
+                               : ordered[i]->value;
+    }
+    free(ordered);
+    return 0;
+}
+
+/* (rows, levels, flips [(cycle, row, level, aggressor)], max_level,
+ *  max_row | None); rows/levels are the disturbance dict in order */
+static PyObject *hammer_out(const Hammer *h)
+{
+    int64_t *rows = NULL, *levels = NULL;
+    PyObject *out = NULL;
+    PyObject *flips = PyList_New((Py_ssize_t)h->num_flips);
+    if (flips == NULL || ordered_items(&h->levels, NULL, &rows, &levels)) {
+        goto done;
+    }
+    for (size_t i = 0; i < h->num_flips; i++) {
+        const Flip *f = &h->flips[i];
+        PyObject *item = Py_BuildValue("(LLdL)", (long long)f->cycle,
+                                       (long long)f->row, (double)f->level,
+                                       (long long)f->aggressor);
+        if (item == NULL) {
+            goto done;
+        }
+        PyList_SET_ITEM(flips, i, item);
+    }
+    out = Py_BuildValue(
+        "(NNOdN)", number_list(rows, h->levels.size, 0),
+        number_list(levels, h->levels.size, 1), flips,
+        (double)h->max_level, optional_int(h->has_max_row, h->max_row));
+done:
+    free(rows);
+    free(levels);
+    Py_XDECREF(flips);
+    return out;
+}
+
+/* Heap order of the lazy max-heap: largest count, then smallest row. */
+static int heap_cmp(const void *a, const void *b)
+{
+    const Entry *x = *(const Entry *const *)a;
+    const Entry *y = *(const Entry *const *)b;
+    if (x->count != y->count) {
+        return x->count > y->count ? -1 : 1;
+    }
+    return (x->row > y->row) - (x->row < y->row);
+}
+
+/* [(-count, row)] for every entry, sorted: a valid heapq heap. */
+static PyObject *cbs_heap(const Cbs *s)
+{
+    const Entry **sorted = malloc((s->size + 1) * sizeof(Entry *));
+    if (sorted == NULL) {
+        return PyErr_NoMemory();
+    }
+    size_t n = 0;
+    for (size_t i = 0; i <= s->rows.mask; i++) {
+        if (s->rows.slots[i].key != EMPTY_KEY) {
+            sorted[n++] = &s->entries[s->rows.slots[i].value];
+        }
+    }
+    qsort(sorted, n, sizeof(Entry *), heap_cmp);
+    PyObject *heap = PyList_New((Py_ssize_t)n);
+    for (size_t i = 0; heap != NULL && i < n; i++) {
+        PyObject *item = Py_BuildValue("(LL)", -(long long)sorted[i]->count,
+                                       (long long)sorted[i]->row);
+        if (item == NULL) {
+            Py_CLEAR(heap);
+            break;
+        }
+        PyList_SET_ITEM(heap, i, item);
+    }
+    free(sorted);
+    return heap;
+}
+
+/* (rows, counts, buckets [(count, [rows oldest first])], heap,
+ *  min_count, total_observed, evictions); rows/counts and buckets in
+ *  dict order */
+static PyObject *cbs_out(const Cbs *s)
+{
+    int64_t *rows = NULL, *counts = NULL, *bucket_keys = NULL;
+    int64_t *bucket_index = NULL, *members = NULL;
+    PyObject *out = NULL;
+    PyObject *buckets = PyList_New((Py_ssize_t)s->counts.size);
+    if (buckets == NULL
+        || ordered_items(&s->rows, s->entries, &rows, &counts)
+        || ordered_items(&s->counts, NULL, &bucket_keys, &bucket_index)) {
+        goto done;
+    }
+    members = malloc((s->size + 1) * sizeof(int64_t));
+    if (members == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (size_t i = 0; i < s->counts.size; i++) {
+        size_t n = 0;
+        for (int32_t e = s->buckets[bucket_index[i]].head; e >= 0;
+             e = s->entries[e].next) {
+            members[n++] = s->entries[e].row;
+        }
+        PyObject *item = Py_BuildValue("(LN)", (long long)bucket_keys[i],
+                                       number_list(members, n, 0));
+        if (item == NULL) {
+            goto done;
+        }
+        PyList_SET_ITEM(buckets, i, item);
+    }
+    out = Py_BuildValue(
+        "(NNONLLL)", number_list(rows, s->rows.size, 0),
+        number_list(counts, s->rows.size, 0), buckets, cbs_heap(s),
+        (long long)s->min_count, (long long)s->total_observed,
+        (long long)s->evictions);
+done:
+    free(rows);
+    free(counts);
+    free(bucket_keys);
+    free(bucket_index);
+    free(members);
+    Py_XDECREF(buckets);
+    return out;
+}
+
+/* One bank: (timing, refresh, energy, stats, rfm, hammer | None,
+ * cbs | None, max_spread_seen); see kernel.py's write-back. */
+static PyObject *bank_out(const Bank *b)
+{
+    int64_t timing[] = {
+        b->ready, b->last_act, b->act_count, b->pre_count,
+        b->access_count, b->refresh_blocks, b->consecutive_hits,
+        b->rfm_stall, b->refresh_stall,
+    };
+    int64_t refresh[] = {b->next_tick, b->cursor, b->ticks};
+    int64_t rfm[] = {b->raa, b->rfm_issued, b->rfm_elided, b->mrr_reads};
+    PyObject *hammer;
+    PyObject *cbs;
+    if (b->has_hammer) {
+        hammer = hammer_out(&b->hammer);
+    } else {
+        Py_INCREF(Py_None);
+        hammer = Py_None;
+    }
+    if (b->scheme == SCHEME_MITHRIL) {
+        cbs = cbs_out(&b->cbs);
+    } else {
+        Py_INCREF(Py_None);
+        cbs = Py_None;
+    }
+    if (hammer == NULL || cbs == NULL) {
+        Py_XDECREF(hammer);
+        Py_XDECREF(cbs);
+        return NULL;
+    }
+    return Py_BuildValue(
+        "(NNNNNNNNL)",
+        optional_int(b->has_open, b->open_row),
+        ints_tuple(timing, sizeof timing / sizeof *timing),
+        ints_tuple(refresh, 3),
+        ints_tuple(b->energy, EN_COUNT),
+        ints_tuple(b->stats, ST_COUNT),
+        ints_tuple(rfm, 4),
+        hammer,
+        cbs,
+        (long long)b->max_spread_seen);
+}
+
+static PyObject *faw_out(const Faw *faw)
+{
+    PyObject *recent = PyTuple_New(faw->count);
+    if (recent == NULL) {
+        return NULL;
+    }
+    for (int64_t k = 0; k < faw->count; k++) {
+        PyObject *item = PyLong_FromLongLong(
+            faw->recent[(faw->head + k) % faw->window]);
+        if (item == NULL) {
+            Py_DECREF(recent);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(recent, k, item);
+    }
+    return recent;
+}
+
+/* (last_core | None, streak, [(core, until)] in dict order) */
+static PyObject *scheduler_out(const Scheduler *s)
+{
+    PyObject *listed = PyList_New(s->num_listed);
+    if (listed == NULL) {
+        return NULL;
+    }
+    for (int64_t k = 0; k < s->num_listed; k++) {
+        int64_t core = s->order[k];
+        PyObject *pair = Py_BuildValue("(LL)", (long long)core,
+                                       (long long)s->until[core]);
+        if (pair == NULL) {
+            Py_DECREF(listed);
+            return NULL;
+        }
+        PyList_SET_ITEM(listed, k, pair);
+    }
+    return Py_BuildValue("(NLN)", optional_int(s->has_last, s->last_core),
+                         (long long)s->streak, listed);
+}
+
+/* (seq, row_hits, row_misses, cores, banks, bus_free, faws, schedulers) */
+static PyObject *build_output(Ctx *ctx)
+{
+    PyObject *cores = PyList_New(ctx->num_cores);
+    PyObject *banks = PyList_New(ctx->num_banks);
+    PyObject *faws = PyList_New(ctx->num_faws);
+    PyObject *schedulers = PyList_New(ctx->num_schedulers);
+    PyObject *out = NULL;
+    if (!cores || !banks || !faws || !schedulers) {
+        goto done;
+    }
+    for (int64_t i = 0; i < ctx->num_cores; i++) {
+        const Core *c = &ctx->cores[i];
+        int64_t state[] = {
+            c->index, c->outstanding, c->next_issue, c->stalled,
+            c->reads, c->writes, c->last_completion, c->served,
+        };
+        PyObject *item = ints_tuple(state, 8);
+        if (item == NULL) {
+            goto done;
+        }
+        PyList_SET_ITEM(cores, i, item);
+    }
+    for (int64_t i = 0; i < ctx->num_banks; i++) {
+        PyObject *item = bank_out(&ctx->banks[i]);
+        if (item == NULL) {
+            goto done;
+        }
+        PyList_SET_ITEM(banks, i, item);
+    }
+    for (int64_t i = 0; i < ctx->num_faws; i++) {
+        PyObject *item = faw_out(&ctx->faws[i]);
+        if (item == NULL) {
+            goto done;
+        }
+        PyList_SET_ITEM(faws, i, item);
+    }
+    for (int64_t i = 0; i < ctx->num_schedulers; i++) {
+        PyObject *item = scheduler_out(&ctx->schedulers[i]);
+        if (item == NULL) {
+            goto done;
+        }
+        PyList_SET_ITEM(schedulers, i, item);
+    }
+    out = Py_BuildValue(
+        "(LLLOONOO)", (long long)ctx->seq, (long long)ctx->row_hits,
+        (long long)ctx->row_misses, cores, banks,
+        ints_tuple(ctx->bus_free, ctx->num_channels), faws, schedulers);
+done:
+    Py_XDECREF(cores);
+    Py_XDECREF(banks);
+    Py_XDECREF(faws);
+    Py_XDECREF(schedulers);
+    return out;
+}
+
+/* ------------------------------------------------------------------ */
+/* entry point                                                          */
+/* ------------------------------------------------------------------ */
+
+PyDoc_STRVAR(drain_doc,
+"drain(config, cores, banks, num_channels, faws, schedulers)\n"
+"\n"
+"Run a pristine covered system until its event heap is empty and\n"
+"return its final state as plain ints, tuples and lists.");
+
+static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *config, *cores, *banks, *faws, *schedulers;
+    Py_ssize_t num_channels;
+    if (!PyArg_ParseTuple(args, "OO!O!nO!O!", &config, &PyList_Type, &cores,
+                          &PyList_Type, &banks, &num_channels, &PyList_Type,
+                          &faws, &PyList_Type, &schedulers)) {
+        return NULL;
+    }
+    Ctx *ctx = calloc(1, sizeof(Ctx));
+    if (ctx == NULL) {
+        return PyErr_NoMemory();
+    }
+    if (setjmp(ctx->fail)) {
+        ctx_free(ctx);
+        return NULL;
+    }
+    if (read_ints(config, ctx->cfg, CF_COUNT, "config") < 0) {
+        ctx_free(ctx);
+        return NULL;
+    }
+    ctx->num_banks = ctx->cfg[CF_NUM_BANKS];
+    ctx->num_cores = PyList_GET_SIZE(cores);
+    ctx->num_channels = num_channels;
+    ctx->num_faws = PyList_GET_SIZE(faws);
+    ctx->num_schedulers = PyList_GET_SIZE(schedulers);
+    ctx->seq = ctx->cfg[CF_SEQ];
+    if (ctx->num_banks != PyList_GET_SIZE(banks) || ctx->num_banks <= 0
+        || ctx->num_banks > IDENT_MASK || ctx->num_cores > IDENT_MASK) {
+        PyErr_SetString(PyExc_ValueError, "bad bank or core count");
+        ctx_free(ctx);
+        return NULL;
+    }
+    ctx->banks = ctx_calloc(ctx, ctx->num_banks, sizeof(Bank));
+    ctx->cores = ctx_calloc(ctx, ctx->num_cores, sizeof(Core));
+    ctx->bus_free = ctx_calloc(ctx, num_channels, sizeof(int64_t));
+    ctx->faws = ctx_calloc(ctx, ctx->num_faws, sizeof(Faw));
+    ctx->schedulers = ctx_calloc(ctx, ctx->num_schedulers, sizeof(Scheduler));
+    if (read_cores(ctx, cores) < 0 || read_banks(ctx, banks) < 0
+        || read_shared(ctx, faws, schedulers) < 0) {
+        ctx_free(ctx);
+        return NULL;
+    }
+    /* run(): one issue event per core at cycle 0 */
+    for (int64_t i = 0; i < ctx->num_cores; i++) {
+        push(ctx, 0, EV_ISSUE, i);
+    }
+    while (ctx->heap_len) {
+        Event event = pop(ctx);
+        int kind = (int)((event.low >> IDENT_BITS) & 3);
+        int64_t ident = event.low & IDENT_MASK;
+        if (kind == EV_BANK) {
+            bank_event(ctx, ident, event.cycle);
+        } else if (kind == EV_ISSUE) {
+            try_issue(ctx, ident, event.cycle);
+        } else {
+            complete(ctx, ident, event.cycle);
+        }
+    }
+    PyObject *out = build_output(ctx);
+    ctx_free(ctx);
+    return out;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"drain", drain, METH_VARARGS, drain_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_doc = "Native event drain for covered turbo systems.",
+    .m_size = -1,
+    .m_methods = kernel_methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModule_Create(&kernel_module);
+}

@@ -8,7 +8,11 @@ the event loop executes:
   that runs unless asked otherwise; reads windows of the trace
   columns instead of entry objects, fuses the per-event call chain
   into an epoch-batched drain loop, and inlines the stock trackers'
-  per-ACT updates on each bank's own objects.
+  per-ACT updates on each bank's own objects.  Systems whose banks
+  all run ``none`` or Mithril / Mithril+ on stock components drain in
+  the native C kernel (:mod:`repro.sim.kernel`) instead; the python
+  drains run everything else, and every system when the kernel cannot
+  be built.
 * ``scalar`` — the reference implementation in
   :class:`repro.sim.system.SimulatedSystem`; the plain event loop the
   golden and cross-backend tests compare turbo against, and the

@@ -42,6 +42,17 @@ Turbo is the default backend; its exactness against the scalar
 reference is owned by the golden-equivalence suite, the cross-backend
 battery and the probe-parity tests.
 
+Native kernel: a run the kernel covers — every bank ``none`` or
+Mithril / Mithril+ with no throttling, hammer and RFM logic on their
+fast paths, no probe, no cycle limit, a pristine system (see
+:meth:`TurboSimulatedSystem._kernel_args`) — is handed whole to the C
+drain in :mod:`repro.sim.kernel`, which ports ``_drain_fused`` on
+exactly those paths and writes the final state back onto the same
+objects.  Every other run, and every run on a host where the kernel
+cannot be built, goes through ``_drain_fused`` / ``_drain_generic``
+below; ``drain_path`` and the ``sim.drain`` telemetry span record
+which of the three ran.
+
 Same-cycle bank events land on distinct banks (a bank schedules at
 most one serve per cycle), so per-sketch batches within an epoch stay
 tiny (~1.02 events measured).  Each bank's tracker update therefore
@@ -72,6 +83,7 @@ from repro.mc.scheduler import BlissScheduler, FrFcfsScheduler
 from repro.mitigations.blockhammer import BlockHammerScheme
 from repro.mitigations.graphene import GrapheneScheme
 from repro.protection import NoProtection
+from repro.sim import kernel
 from repro.sim.metrics import SimulationResult
 from repro.sim.soa import TraceWindow
 from repro.sim.system import (
@@ -141,6 +153,9 @@ class TurboSimulatedSystem(SimulatedSystem):
             self._request_pool,
         )
         self._fused = self._snapshot_fusability()
+        #: which drain the run took: "kernel" (native), "fused" or
+        #: "generic" (python); None before run()
+        self.drain_path: Optional[str] = None
         if self._fused:
             # Stock BlockHammer banks find nearly every row's probes
             # pre-hashed: one vectorized pass over the traces' rows.
@@ -422,54 +437,90 @@ class TurboSimulatedSystem(SimulatedSystem):
     # epoch-batched drain
     # ------------------------------------------------------------------
 
+    def _kernel_args(self, max_cycles: Optional[int]) -> Optional[tuple]:
+        """The native kernel's inputs when it covers this run, else None.
+
+        Covered: the fused snapshot holds, every bank runs ``none`` or
+        Mithril / Mithril+ with no throttling, each hammer and RFM
+        logic (if any) is on its fast path, no probe is attached, there
+        is no cycle limit, the kernel loaded (built on the first such
+        run) and the system is pristine (:func:`kernel.pack`).
+        Anything else drains in python.
+        """
+        if (
+            max_cycles is not None or not self._fused
+            or self._probe is not None
+        ):
+            return None
+        for flat, controller in enumerate(self.banks):
+            if (
+                self._throttle_mode[flat] != _THROTTLE_NEVER
+                or self._act_mode[flat] not in (_ACT_NONE, _ACT_MITHRIL)
+                or (controller.hammer is not None
+                    and not self._fast_hammer[flat])
+                or (controller.rfm_logic is not None
+                    and not self._fast_rfm[flat])
+            ):
+                return None
+        if kernel.load() is None:
+            return None
+        return kernel.pack(self)
+
     def run(self, max_cycles: Optional[int] = None) -> SimulationResult:
         if self._ran:
             raise RuntimeError("a SimulatedSystem can only run once")
         self._ran = True
-        heap = self._heap
-        for core in self.cores:
-            self._seq += 1
-            heap.append((self._seq << _LOW_BITS) | core.core_id)
-        heapq.heapify(heap)
         # One telemetry branch per run — the drain loops stay untouched.
         from repro import telemetry
 
         tel = telemetry.get()
-        if self._fused:
-            # Pause cyclic GC for the drain: the pool removes nearly
-            # all per-event allocation, so generational collections
-            # only scan long-lived simulator state over and over.
-            # Results are GC-invariant; the flag is restored on exit.
-            import gc
-
-            was_enabled = gc.isenabled()
-            if was_enabled:
-                gc.disable()
-            span = (
-                tel.span("sim.drain", backend="turbo", fused=True)
-                if tel is not None else telemetry.NOOP_SPAN
-            )
-            try:
-                with span:
-                    self._drain_fused(max_cycles)
-            finally:
-                if was_enabled:
-                    gc.enable()
+        packed = self._kernel_args(max_cycles)
+        if packed is not None:
+            self.drain_path = "kernel"
         else:
-            span = (
-                tel.span("sim.drain", backend="turbo", fused=False)
-                if tel is not None else telemetry.NOOP_SPAN
-            )
-            with span:
-                self._drain_generic(max_cycles)
+            self.drain_path = "fused" if self._fused else "generic"
+        span = (
+            tel.span("sim.drain", backend="turbo", path=self.drain_path)
+            if tel is not None else telemetry.NOOP_SPAN
+        )
+        with span:
+            if packed is not None:
+                kernel.drain(self, packed)
+            else:
+                self._drain_python(max_cycles)
         if tel is not None:
             counts = {
                 "soa.window_loads": sum(soa.loads for soa in self._soa)
             }
             for name, value in counts.items():
                 tel.counter(name, value)
-            tel.event("sim.run.done", backend="turbo", **counts)
+            tel.event("sim.run.done", backend="turbo",
+                      path=self.drain_path, **counts)
         return self._collect()
+
+    def _drain_python(self, max_cycles: Optional[int]) -> None:
+        heap = self._heap
+        for core in self.cores:
+            self._seq += 1
+            heap.append((self._seq << _LOW_BITS) | core.core_id)
+        heapq.heapify(heap)
+        if not self._fused:
+            self._drain_generic(max_cycles)
+            return
+        # Pause cyclic GC for the drain: the pool removes nearly all
+        # per-event allocation, so generational collections only scan
+        # long-lived simulator state over and over.  Results are
+        # GC-invariant; the flag is restored on exit.
+        import gc
+
+        was_enabled = gc.isenabled()
+        if was_enabled:
+            gc.disable()
+        try:
+            self._drain_fused(max_cycles)
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def _drain_generic(self, max_cycles: Optional[int]) -> None:
         """Epoch drain through the scalar handlers (fallback path)."""
@@ -1063,16 +1114,16 @@ class TurboSimulatedSystem(SimulatedSystem):
                             new = current + 1
                             buckets = summary._buckets
                             bucket = buckets[current]
-                            bucket.discard(row)
+                            del bucket[row]
                             old_emptied = not bucket
                             if old_emptied:
                                 del buckets[current]
                             counts[row] = new
                             bucket = buckets.get(new)
                             if bucket is None:
-                                buckets[new] = {row}
+                                buckets[new] = {row: None}
                             else:
-                                bucket.add(row)
+                                bucket[row] = None
                             heappush(
                                 summary._max_heap, (-new, row)
                             )
@@ -1087,6 +1138,10 @@ class TurboSimulatedSystem(SimulatedSystem):
                                 while floor not in buckets:
                                     floor += 1
                                 summary._min_count = floor
+                            elif new < summary._min_count:
+                                # a not-yet-full table's stale floor
+                                # (exactly _move's branch)
+                                summary._min_count = new
                         max_heap = summary._max_heap
                         if max_heap:
                             neg_count, element = max_heap[0]
@@ -1188,16 +1243,16 @@ class TurboSimulatedSystem(SimulatedSystem):
                             found = current + 1
                             buckets = table._buckets
                             bucket = buckets[current]
-                            bucket.discard(row)
+                            del bucket[row]
                             old_emptied = not bucket
                             if old_emptied:
                                 del buckets[current]
                             counts[row] = found
                             bucket = buckets.get(found)
                             if bucket is None:
-                                buckets[found] = {row}
+                                buckets[found] = {row: None}
                             else:
-                                bucket.add(row)
+                                bucket[row] = None
                             heappush(
                                 table._max_heap, (-found, row)
                             )
@@ -1209,6 +1264,8 @@ class TurboSimulatedSystem(SimulatedSystem):
                                 while floor not in buckets:
                                     floor += 1
                                 table._min_count = floor
+                            elif found < table._min_count:
+                                table._min_count = found
                         trigger = scheme._next_trigger.get(
                             row, scheme.threshold
                         )

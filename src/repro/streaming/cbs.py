@@ -18,12 +18,19 @@ The implementation keeps counters in count-indexed buckets so that every
 operation — including minimum lookup — is amortized O(1), and the
 maximum lookup (needed by Mithril's greedy selection) is amortized
 O(log n) through a lazy max-heap.
+
+Victim order is specified, not left to the container: each bucket is an
+insertion-ordered dict used as an ordered set, so an eviction replaces
+the entry that has sat longest at the minimum count (FIFO within the
+minimum bucket, the Space-Saving stream-summary order), and ties for the
+maximum go to the smallest address (the lazy heap's ``(-count, addr)``
+order).  The native drain kernel reproduces both orders exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.streaming.base import FrequencyEstimator
 
@@ -36,8 +43,9 @@ class CounterSummary(FrequencyEstimator):
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._counts: Dict[Hashable, int] = {}
-        #: bucket structure: counter value -> set of addresses at that value
-        self._buckets: Dict[int, Set[Hashable]] = {}
+        #: bucket structure: counter value -> addresses at that value, an
+        #: insertion-ordered dict used as an ordered set (values None)
+        self._buckets: Dict[int, Dict[Hashable, None]] = {}
         self._min_count = 0
         #: lazy max-heap of (-count, addr); stale entries skipped on pop
         self._max_heap: List[Tuple[int, Hashable]] = []
@@ -70,7 +78,7 @@ class CounterSummary(FrequencyEstimator):
             if len(counts) == self.capacity:
                 self._min_count = min(self._buckets)
             return
-        # Off-table replacement: evict one minimum-counter entry.
+        # Off-table replacement: evict the oldest minimum-counter entry.
         self.evictions += 1
         victim = next(iter(self._buckets[self._min_count]))
         self._remove(victim, self._min_count)
@@ -116,7 +124,7 @@ class CounterSummary(FrequencyEstimator):
         return None
 
     def min_entry(self) -> Optional[Tuple[Hashable, int]]:
-        """An (address, counter) entry with the smallest counter, if any."""
+        """The oldest (address, counter) entry at the smallest counter."""
         if not self._counts:
             return None
         low = min(self._buckets) if len(self._counts) < self.capacity else self._min_count
@@ -165,31 +173,31 @@ class CounterSummary(FrequencyEstimator):
         buckets = self._buckets
         bucket = buckets.get(count)
         if bucket is None:
-            buckets[count] = {element}
+            buckets[count] = {element: None}
         else:
-            bucket.add(element)
+            bucket[element] = None
         heapq.heappush(self._max_heap, (-count, element))
 
     def _remove(self, element: Hashable, count: int) -> None:
         del self._counts[element]
         bucket = self._buckets[count]
-        bucket.discard(element)
+        del bucket[element]
         if not bucket:
             del self._buckets[count]
 
     def _move(self, element: Hashable, old: int, new: int) -> None:
         buckets = self._buckets
         bucket = buckets[old]
-        bucket.discard(element)
+        del bucket[element]
         old_emptied = not bucket
         if old_emptied:
             del buckets[old]
         self._counts[element] = new
         bucket = buckets.get(new)
         if bucket is None:
-            buckets[new] = {element}
+            buckets[new] = {element: None}
         else:
-            bucket.add(element)
+            bucket[element] = None
         heapq.heappush(self._max_heap, (-new, element))
         if old_emptied and old == self._min_count:
             if new < old:

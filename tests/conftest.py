@@ -48,6 +48,15 @@ def _isolated_sim_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def python_drain(monkeypatch):
+    """Run covered turbo systems on turbo's python drains: the native
+    kernel reports itself unavailable (without a warning)."""
+    from repro.sim import kernel
+
+    monkeypatch.setattr(kernel, "load", lambda: None)
+
+
+@pytest.fixture
 def timings() -> DramTimings:
     return DramTimings()
 

@@ -8,8 +8,12 @@ scheme's `SimulationResult` exactly identical on every workload here:
 the comparison happens on canonical JSON, so even a float that differs
 in its last bit fails.  Every record runs under **both** simulation
 backends: ``turbo``, the default, and ``scalar``, the reference loop —
-and once more as ``turbo-window64``, turbo decoding its traces in
-64-entry windows, so every window crossing of the drain is exercised.
+and twice more with turbo's native kernel switched off:
+``turbo-python``, the python fused drain on every record, and
+``turbo-window64``, turbo decoding its traces in 64-entry windows, so
+every window crossing of the python drain is exercised.  Under plain
+``turbo`` the ``none``, Mithril and Mithril+ records run on the native
+kernel (tests/integration/test_native_kernel.py asserts that they do).
 
 If a change is *meant* to alter results, regenerate via
 ``PYTHONPATH=src python tests/golden/generate_golden.py`` and say so in
@@ -74,8 +78,12 @@ def _ids():
     ]
 
 
-@pytest.fixture(params=["scalar", "turbo", "turbo-window64"])
+@pytest.fixture(
+    params=["scalar", "turbo", "turbo-python", "turbo-window64"]
+)
 def backend(request, monkeypatch):
+    if request.param in ("turbo-python", "turbo-window64"):
+        request.getfixturevalue("python_drain")
     if request.param == "turbo-window64":
         monkeypatch.setattr(soa, "WINDOW", 64)
     monkeypatch.setenv(BACKEND_ENV, request.param.split("-")[0])

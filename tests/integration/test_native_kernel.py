@@ -1,0 +1,482 @@
+"""The native drain kernel against turbo's python fused drain.
+
+The kernel (``repro/sim/_kernel.c``, loaded by :mod:`repro.sim.kernel`)
+runs every covered system: each bank ``none`` or Mithril / Mithril+,
+stock components, pristine, no probe, no cycle limit.  This battery
+pins it to the python fused drain it replaces there:
+
+* the nine covered golden records run on the kernel, byte-identical to
+  the golden file and to the python drain;
+* hypothesis-drawn covered configurations (scheme mix, workload, seed,
+  FlipTH, table size, RFM threshold, AdTH, scheduler, page policy,
+  hammer tracking) give equal results *and* equal post-run state on
+  every simulator object, including each CbS bucket's FIFO order;
+* everything outside the coverage predicate, and a host whose kernel
+  cannot be built, takes the python drain with identical results.
+
+When a C compiler is on PATH the kernel must load: the battery fails
+instead of skipping, so a compile error cannot hide behind the
+fallback.
+"""
+
+import dataclasses
+import json
+import shutil
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import telemetry
+from repro.core.config import paper_default_config
+from repro.core.mithril import MithrilScheme
+from repro.engine.cache import result_to_dict
+from repro.engine.catalog import build_config
+from repro.engine.executor import materialize_job
+from repro.engine.job import SimJob, WorkloadSpec
+from repro.mc.scheduler import BlissScheduler
+from repro.protection import NoProtection
+from repro.sim import kernel
+from repro.sim.system import make_system
+from repro.types import MemoryRequest, RowAddress
+
+GOLDEN_PATH = (
+    Path(__file__).resolve().parent.parent / "golden" / "simulation_results.json"
+)
+COVERED_SCHEMES = ("none", "mithril", "mithril+")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def native():
+    """The loaded kernel; a host with a compiler must produce one."""
+    module = kernel.load()
+    if module is None:
+        if shutil.which(kernel._compiler()[0]):
+            pytest.fail(
+                "a C compiler is on PATH but the native kernel did not load"
+            )
+        pytest.skip("no C compiler: every run takes the python drain")
+    return module
+
+
+def _build(job, factory=None, backend="turbo", **overrides):
+    traces, job_factory, config, rfm_th = materialize_job(job)
+    return make_system(
+        traces,
+        scheme_factory=factory or job_factory,
+        config=config,
+        rfm_th=overrides.pop("rfm_th", rfm_th),
+        flip_th=job.flip_th,
+        mlp=job.mlp,
+        track_hammer=job.track_hammer,
+        backend=backend,
+        **overrides,
+    )
+
+
+def _python_run(system, monkeypatch, max_cycles=None):
+    """Run ``system`` with the kernel reported unavailable."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "load", lambda: None)
+        return system.run(max_cycles=max_cycles)
+
+
+def _state(system):
+    """Every piece of post-run state the drains write."""
+    banks = []
+    for controller in system.banks:
+        bank = controller.bank
+        record = {
+            "open_row": bank.open_row,
+            "timing": (
+                bank.ready_cycle, bank._last_act_cycle, bank.act_count,
+                bank.pre_count, bank.access_count, bank.refresh_blocks,
+            ),
+            "controller": (
+                controller._consecutive_hits, controller.arr_stall_cycles,
+                controller.rfm_stall_cycles, controller.refresh_stall_cycles,
+                len(controller.queue),
+            ),
+            "refresh": (
+                controller.refresh._next_tick,
+                controller.refresh._group_cursor,
+                controller.refresh.ticks_processed,
+            ),
+            "energy": dataclasses.astuple(controller.energy),
+            "stats": dataclasses.astuple(controller.scheme.stats),
+            "bus": controller.channel_state.bus_free_cycle,
+            "faw": list(bank.faw._recent),
+        }
+        hammer = controller.hammer
+        if hammer is not None:
+            record["hammer"] = (
+                list(hammer._disturbance.items()), list(hammer.flips),
+                hammer.max_disturbance, hammer.max_disturbance_row,
+            )
+        rfm = controller.rfm_logic
+        if rfm is not None:
+            record["rfm"] = (
+                rfm.raa.value, rfm.rfm_issued, rfm.rfm_elided, rfm.mrr_reads,
+            )
+        scheme = controller.scheme
+        if isinstance(scheme, MithrilScheme):
+            summary = scheme.table._summary
+            record["cbs"] = (
+                list(summary._counts.items()),
+                [(count, list(rows))
+                 for count, rows in summary._buckets.items()],
+                summary._min_count, summary.evictions,
+                summary._total_observed, scheme.table._max_spread_seen,
+                summary.max_entry(), summary.min_entry(),
+            )
+        banks.append(record)
+    schedulers = [
+        (s._last_core, s._streak, list(s._blacklist_until.items()))
+        for s in system._schedulers if isinstance(s, BlissScheduler)
+    ]
+    cores = [
+        (core.index, core.outstanding_reads, core.next_issue_cycle,
+         core.stalled_on_mlp, core.reads_issued, core.writes_issued)
+        for core in system.cores
+    ]
+    return {
+        "banks": banks,
+        "schedulers": schedulers,
+        "cores": cores,
+        "served": list(system._core_served),
+        "last": list(system._core_last_completion),
+        "hits": (system.row_hits, system.row_misses),
+        "seq": system._seq,
+    }
+
+
+def _assert_same_run(make, monkeypatch):
+    """Kernel and python fused drain agree on results and state."""
+    native_system = make()
+    python_system = make()
+    native_result = native_system.run()
+    assert native_system.drain_path == "kernel"
+    python_result = _python_run(python_system, monkeypatch)
+    assert python_system.drain_path == "fused"
+    assert native_result == python_result
+    assert _state(native_system) == _state(python_system)
+    return native_result
+
+
+# ----------------------------------------------------------------------
+# goldens
+# ----------------------------------------------------------------------
+
+
+def _covered_records():
+    records = json.loads(GOLDEN_PATH.read_text())
+    return [r for r in records if r["job"]["scheme"] in COVERED_SCHEMES]
+
+
+def _job_from_canonical(data) -> SimJob:
+    return SimJob(
+        workload=WorkloadSpec(
+            kind=data["workload"]["kind"],
+            params=tuple(tuple(p) for p in data["workload"]["params"]),
+        ),
+        scheme=data["scheme"],
+        scheme_params=tuple(tuple(p) for p in data["scheme_params"]),
+        flip_th=data["flip_th"],
+        rfm_th=data["rfm_th"],
+        scale=data["scale"],
+        mlp=data["mlp"],
+        max_cycles=data["max_cycles"],
+        track_hammer=data["track_hammer"],
+        config_overrides=tuple(tuple(p) for p in data["config_overrides"]),
+    )
+
+
+COVERED = _covered_records()
+
+
+def test_nine_covered_goldens():
+    assert len(COVERED) == 9
+
+
+@pytest.mark.parametrize(
+    "record", COVERED,
+    ids=[f"{r['job']['workload']['kind']}-{r['job']['scheme']}"
+         for r in COVERED],
+)
+def test_covered_golden_runs_on_kernel(record, monkeypatch):
+    job = _job_from_canonical(record["job"])
+    result = _assert_same_run(lambda: _build(job), monkeypatch)
+    canonical = json.dumps(result_to_dict(result), sort_keys=True)
+    assert canonical == json.dumps(record["result"], sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# hypothesis-drawn covered configurations
+# ----------------------------------------------------------------------
+
+WORKLOADS = [
+    ("mix-high", {}),
+    ("mix-blend", {}),
+    ("fft", {}),
+    ("radix", {}),
+    ("attack", {"pattern": "multi-sided"}),
+    ("attack", {"pattern": "bh-adversarial"}),
+    ("pagerank", {}),
+]
+
+
+@st.composite
+def covered_configs(draw):
+    kind, params = draw(st.sampled_from(WORKLOADS))
+    return {
+        "kind": kind,
+        "params": params,
+        "seed": draw(st.integers(0, 50)),
+        "scale": draw(st.sampled_from([0.05, 0.1, 0.2])),
+        "flip_th": draw(st.sampled_from([40, 300, 1500, 6250])),
+        # per bank: "none", "mithril" or "mithril+"; a pattern cycled
+        # over the banks covers uniform and mixed systems alike
+        "banks": draw(st.lists(
+            st.sampled_from(COVERED_SCHEMES), min_size=1, max_size=3
+        )),
+        "n_entries": draw(st.sampled_from([None, 1, 3, 16])),
+        "rfm_th": draw(st.sampled_from([None, 2, 8, 40])),
+        "adaptive_th": draw(st.sampled_from([0, 1, 4, 200])),
+        "blast_radius": draw(st.integers(1, 3)),
+        "scheduler": draw(st.sampled_from(["bliss", "frfcfs"])),
+        "page_policy": draw(
+            st.sampled_from(["open", "closed", "minimalist-open"])
+        ),
+        "track_hammer": draw(st.booleans()),
+    }
+
+
+def _factory(draw_config):
+    paper = paper_default_config(1500)
+    n_entries = draw_config["n_entries"] or paper.n_entries
+    rfm_th = draw_config["rfm_th"] or paper.rfm_th
+    pattern = draw_config["banks"]
+    built = []
+
+    def factory():
+        name = pattern[len(built) % len(pattern)]
+        if name == "none":
+            scheme = NoProtection()
+        else:
+            scheme = MithrilScheme(
+                n_entries=n_entries,
+                rfm_th=rfm_th,
+                adaptive_th=draw_config["adaptive_th"],
+                plus=name == "mithril+",
+                blast_radius=draw_config["blast_radius"],
+                counter_bits=62,
+            )
+        built.append(scheme)
+        return scheme
+
+    return factory, rfm_th
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(config=covered_configs())
+def test_drawn_covered_configs_match_python_drain(config, monkeypatch):
+    spec = WorkloadSpec.make(
+        config["kind"], scale=config["scale"], seed=config["seed"],
+        **config["params"],
+    )
+    job = SimJob(
+        workload=spec,
+        flip_th=config["flip_th"],
+        scale=config["scale"],
+        track_hammer=config["track_hammer"],
+        config_overrides=(
+            ("page_policy", config["page_policy"]),
+            ("scheduler", config["scheduler"]),
+        ),
+    )
+
+    def make():
+        factory, rfm_th = _factory(config)
+        return _build(job, factory=factory, rfm_th=rfm_th)
+
+    _assert_same_run(make, monkeypatch)
+
+
+def test_two_channel_organization(monkeypatch):
+    """Several channels: per-channel bus, tFAW window and BLISS state."""
+    spec = WorkloadSpec.make("mix-high", scale=0.1, seed=3)
+    job = SimJob(workload=spec, scheme="mithril+", flip_th=1500,
+                 scale=0.1)
+    traces, factory, _config, rfm_th = materialize_job(job)
+    config = build_config((("organization.channels", 2),
+                           ("organization.banks_per_rank", 4)))
+
+    def make():
+        return make_system(traces, scheme_factory=factory, config=config,
+                           rfm_th=rfm_th, flip_th=job.flip_th)
+
+    _assert_same_run(make, monkeypatch)
+
+
+def test_wrap_window_overflow_message_matches(monkeypatch):
+    """A counter window too small for the spread raises the same
+    OverflowError on both drains."""
+    spec = WorkloadSpec.make("attack", scale=0.1, pattern="multi-sided",
+                             seed=31)
+    job = SimJob(workload=spec, flip_th=1500, scale=0.1)
+
+    def make():
+        return _build(
+            job, factory=lambda: MithrilScheme(
+                n_entries=4, rfm_th=1000, counter_bits=3
+            ), rfm_th=1000,
+        )
+
+    with pytest.raises(OverflowError) as native_error:
+        make().run()
+    with pytest.raises(OverflowError) as python_error:
+        _python_run(make(), monkeypatch)
+    assert "wrapping window" in str(native_error.value)
+    assert str(native_error.value) == str(python_error.value)
+
+
+def test_drain_path_reaches_telemetry(tmp_path, monkeypatch):
+    """The sim.drain span and sim.run.done event say which drain ran."""
+    monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "telemetry"))
+    telemetry.reset()
+    job = SimJob(workload=WorkloadSpec.make("fft", scale=0.05, seed=2),
+                 scheme="mithril", flip_th=6250, scale=0.05)
+    _build(job).run()
+    _python_run(_build(job), monkeypatch)
+    _build(SimJob(workload=job.workload, scheme="graphene",
+                  flip_th=6250, scale=0.05)).run()
+    ring = list(telemetry.get().ring)
+    spans = [r["attrs"]["path"] for r in ring
+             if r["kind"] == "span" and r["name"] == "sim.drain"]
+    done = [r["path"] for r in ring if r["kind"] == "sim.run.done"]
+    assert spans == done == ["kernel", "fused", "fused"]
+
+
+# ----------------------------------------------------------------------
+# everything else takes the python drain
+# ----------------------------------------------------------------------
+
+
+def _job(scheme="mithril", **knobs):
+    spec = WorkloadSpec.make("mix-high", scale=0.1, seed=11)
+    return SimJob(workload=spec, scheme=scheme, flip_th=1500, scale=0.1,
+                  **knobs)
+
+
+def _assert_python_path(make, monkeypatch, max_cycles=None, path="fused"):
+    system = make()
+    result = system.run(max_cycles=max_cycles)
+    assert system.drain_path == path
+    reference = make()
+    assert _python_run(reference, monkeypatch, max_cycles) == result
+    assert _state(system) == _state(reference)
+
+
+class TestFallback:
+    @pytest.mark.parametrize(
+        "scheme", ["parfm", "blockhammer", "graphene", "para"]
+    )
+    def test_uncovered_schemes(self, scheme, monkeypatch):
+        _assert_python_path(lambda: _build(_job(scheme)), monkeypatch)
+
+    def test_probes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_PROBES", str(tmp_path / "probes"))
+        _assert_python_path(lambda: _build(_job()), monkeypatch)
+
+    def test_max_cycles(self, monkeypatch):
+        _assert_python_path(
+            lambda: _build(_job()), monkeypatch, max_cycles=20_000
+        )
+
+    def test_queue_injected_before_run(self, monkeypatch):
+        def make():
+            system = _build(_job())
+            controller = system.banks[3]
+            controller.queue.append(MemoryRequest(
+                core=0, arrival_cycle=0,
+                address=RowAddress(system._bank_address[3], 77),
+                is_write=True,
+            ))
+            return system
+
+        _assert_python_path(make, monkeypatch)
+
+    def test_subclassed_scheduler(self, monkeypatch):
+        class PatchedBliss(BlissScheduler):
+            pass
+
+        def make():
+            system = _build(_job())
+            system._schedulers = [
+                PatchedBliss() for _ in system._schedulers
+            ]
+            system._fused = system._snapshot_fusability()
+            return system
+
+        _assert_python_path(make, monkeypatch, path="generic")
+
+    def test_instance_patched_rfm_hook(self, monkeypatch):
+        def make():
+            system = _build(_job())
+            scheme = system.banks[0].scheme
+            scheme.on_rfm = lambda cycle, _orig=scheme.on_rfm: _orig(cycle)
+            return system
+
+        _assert_python_path(make, monkeypatch)
+
+
+class TestLoader:
+    @pytest.fixture
+    def fresh_loader(self, tmp_path, monkeypatch):
+        """A loader with no module yet and its own build directory."""
+        monkeypatch.setattr(kernel, "BUILD_DIR", tmp_path / "build")
+        monkeypatch.setattr(kernel, "_module", None)
+        monkeypatch.setattr(kernel, "_failed", False)
+        return tmp_path
+
+    def test_missing_compiler_warns_once_and_falls_back(
+        self, fresh_loader, monkeypatch
+    ):
+        reference = _build(_job(), backend="scalar").run()
+        monkeypatch.setattr(
+            kernel, "_compiler", lambda: [str(fresh_loader / "no-cc")]
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert kernel.load() is None
+            assert kernel.load() is None
+            system = _build(_job())
+            assert system.run() == reference
+        assert system.drain_path == "fused"
+        messages = [
+            str(w.message) for w in caught
+            if "native drain kernel" in str(w.message)
+        ]
+        assert len(messages) == 1
+
+    def test_truncated_artifact_is_rebuilt(self, fresh_loader):
+        path = kernel.artifact_path()
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\x7fELF truncated")
+        module = kernel.load()
+        assert module is not None
+        assert path.stat().st_size > 1000
+        assert not list(path.parent.glob("*.tmp"))
+
+    def test_artifact_name_is_keyed_by_source(self):
+        path = kernel.artifact_path()
+        assert path.parent == kernel.BUILD_DIR
+        assert path.name.startswith("_kernel-")
+        digest = path.name[len("_kernel-"):].split(".")[0]
+        assert len(digest) == 16

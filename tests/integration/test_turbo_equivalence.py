@@ -294,10 +294,12 @@ class TestArenas:
                 )
 
 
+@pytest.mark.usefixtures("python_drain")
 class TestChunkedDecode:
     """Decoding in small windows is byte-identical to the one-window
     decode — against both the one-window turbo run and the scalar
-    backend."""
+    backend.  The windows feed turbo's python drains, so the native
+    kernel (which reads whole columns) is switched off here."""
 
     @pytest.mark.parametrize(
         "scheme", ["none", "mithril", "graphene", "blockhammer"]

@@ -109,6 +109,46 @@ class TestMinMaxTracking:
         assert summary.min_count == 3
 
 
+class TestVictimOrder:
+    """Evictions take the oldest entry of the minimum bucket (FIFO),
+    the specified Space-Saving order the native kernel reproduces."""
+
+    @staticmethod
+    def _evicted_by(summary, stream):
+        evicted = []
+        for element in stream:
+            before = set(dict(summary.items()))
+            summary.observe(element)
+            evicted.extend(sorted(before - set(dict(summary.items()))))
+        return evicted
+
+    def test_capacity_three_evicts_in_arrival_order(self):
+        summary = CounterSummary(capacity=3)
+        assert self._evicted_by(summary, "abcdefg") == ["a", "b", "c", "d"]
+        assert summary.evictions == 4
+        # d, e, f were inserted at 2 (d since replaced by g at 3): the
+        # oldest survivor at the minimum is e
+        assert summary.min_entry() == ("e", 2)
+
+    def test_a_hit_requeues_at_the_back_of_its_new_bucket(self):
+        summary = CounterSummary(capacity=2)
+        for element in "abba":
+            summary.observe(element)
+        # both at 2; b reached 2 first, so b is the oldest minimum
+        assert summary.min_entry() == ("b", 2)
+        assert self._evicted_by(summary, "c") == ["b"]
+
+    def test_demoted_entry_joins_the_minimum_bucket_last(self):
+        summary = CounterSummary(capacity=3)
+        for element in "aabbbc":
+            summary.observe(element)
+        summary.observe("c")  # a=2, b=3, c=2: bucket 2 is [a, c]
+        summary.demote_to_min("b")
+        assert [row for row, _ in summary.items()] == ["a", "b", "c"]
+        assert summary.min_entry() == ("a", 2)
+        assert self._evicted_by(summary, "xyz") == ["a", "c", "b"]
+
+
 class TestDemoteToMin:
     def test_demote_sets_to_min(self):
         summary = CounterSummary(capacity=2)
