@@ -53,12 +53,12 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.campaigns.planner import CampaignPlan, plan_campaign
-from repro.campaigns.spec import CampaignSpec, campaign_dir
+from repro.campaigns.spec import CampaignError, CampaignSpec, campaign_dir
 from repro.engine.cache import ResultCache, code_version
 from repro.engine.durable import atomic_write_json, quarantine_file
 from repro.engine.executor import (
@@ -83,6 +83,12 @@ DEFAULT_BATCH_SIZE = 16
 #: persistently failing disk must not loop forever).
 MAX_AUDIT_ROUNDS = 3
 
+#: Host-lease defaults of a ``hosts > 0`` run: seconds without a
+#: heartbeat before a host is declared dead, and the agents' heartbeat
+#: interval (the lease must be a comfortable multiple of it).
+DEFAULT_LEASE_TIMEOUT_S = 5.0
+DEFAULT_HEARTBEAT_S = 0.5
+
 
 @dataclass
 class CampaignRunStats:
@@ -100,18 +106,7 @@ class CampaignRunStats:
     drained: bool = False          #: stopped early by SIGTERM/SIGINT
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "total_points": self.total_points,
-            "previously_complete": self.previously_complete,
-            "submitted": self.submitted,
-            "simulated": self.simulated,
-            "cache_hits": self.cache_hits,
-            "batches": self.batches,
-            "retried": self.retried,
-            "quarantined": self.quarantined,
-            "audited_bad": self.audited_bad,
-            "drained": self.drained,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -404,6 +399,61 @@ class _DrainGuard:
         self._signal_name = signal.Signals(signum).name
 
 
+def _run_batches(plan, manifest, pending, stats, drain, batch_size,
+                 progress, tel, **run_kwargs) -> None:
+    """Execute ``pending`` in-process, one checkpointed
+    :func:`run_jobs` batch at a time, stopping early on a drain."""
+    from repro import telemetry
+
+    name = plan.spec.name
+    for start in range(0, len(pending), batch_size):
+        batch = pending[start:start + batch_size]
+        span = (
+            tel.span("campaign.batch", campaign=name,
+                     batch=stats.batches + 1, points=len(batch))
+            if tel is not None else telemetry.NOOP_SPAN
+        )
+        with span:
+            run_jobs([plan.jobs[job_hash] for job_hash in batch],
+                     on_failure="skip", **run_kwargs)
+        batch_stats = run_jobs.last_stats
+        failed = {f.job_hash for f in batch_stats.failures}
+        stats.batches += 1
+        stats.submitted += len(batch)
+        stats.simulated += batch_stats.simulated
+        stats.cache_hits += batch_stats.cache_hits
+        stats.retried += batch_stats.retried
+        stats.quarantined += len(failed)
+        manifest.mark_completed([h for h in batch if h not in failed])
+        manifest.mark_quarantined(batch_stats.failures)
+        manifest.save()
+        log.debug(
+            "campaign %s batch %d: %d simulated, %d cached, "
+            "%d quarantined", name, stats.batches,
+            batch_stats.simulated, batch_stats.cache_hits, len(failed),
+        )
+        if tel is not None:
+            tel.event(
+                "campaign.batch.done", campaign=name, batch=stats.batches,
+                done=len(manifest.completed), total=plan.total_points,
+                simulated=batch_stats.simulated,
+                cache_hits=batch_stats.cache_hits,
+                retried=batch_stats.retried, quarantined=len(failed),
+            )
+        if progress is not None:
+            line = (
+                f"[{name}] {len(manifest.completed)}/"
+                f"{plan.total_points} points "
+                f"({batch_stats.simulated} simulated, "
+                f"{batch_stats.cache_hits} cached this batch)"
+            )
+            if failed:
+                line += f", {len(failed)} quarantined"
+            progress(line)
+        if drain.requested:
+            return
+
+
 def run_campaign(
     spec: CampaignSpec,
     directory=None,
@@ -416,6 +466,9 @@ def run_campaign(
     max_retries: int = DEFAULT_MAX_RETRIES,
     job_timeout: Optional[float] = None,
     retry_quarantined: bool = False,
+    hosts: int = 0,
+    lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S,
+    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
 ) -> CampaignRunResult:
     """Run (or resume) a campaign to completion.
 
@@ -430,25 +483,45 @@ def run_campaign(
     manifest (with diagnostics) rather than aborting the campaign, and
     stay skipped on resume until ``retry_quarantined=True`` clears
     them for another try.
+
+    ``hosts > 0`` executes through a :mod:`repro.cluster` coordinator
+    and that many host agent processes instead of in-process batches:
+    ``batch_size`` is then the assignment chunk, ``n_jobs`` the
+    per-host worker count, and ``lease_timeout``/``heartbeat_s`` the
+    host-lease timing.  The store is the cluster's data plane, so
+    ``hosts > 0`` needs ``use_cache=True``.  Agents spawn only once
+    there is work: a resume with nothing pending starts no process and
+    reports ``stats.hosts == 0``.
     """
     from repro import telemetry
 
+    if hosts > 0 and not use_cache:
+        raise CampaignError(
+            "campaign run --hosts requires the result store (it is the "
+            "cluster's data plane); drop --no-cache"
+        )
     plan = plan_campaign(spec, scale=scale)
     manifest = CampaignManifest.for_plan(
         manifest_path(spec.name, directory), plan
     )
-    stats = CampaignRunStats(total_points=plan.total_points)
     cache = ResultCache(cache_dir) if use_cache else None
+    batch_size = max(1, int(batch_size))
+    if hosts > 0:
+        from repro.cluster.coordinator import ClusterRunStats, Coordinator
+
+        stats = ClusterRunStats(total_points=plan.total_points)
+    else:
+        stats = CampaignRunStats(total_points=plan.total_points)
     tel = telemetry.get()
     if tel is not None:
-        tel.set_role("campaign")
+        tel.set_role("coordinator" if hosts > 0 else "campaign")
         tel.event(
             "campaign.start", campaign=spec.name,
-            total_points=plan.total_points, n_jobs=n_jobs,
+            total_points=plan.total_points, n_jobs=n_jobs, hosts=hosts,
         )
     log.info(
-        "campaign %s: %d point(s), n_jobs=%d, batch_size=%d",
-        spec.name, plan.total_points, n_jobs, batch_size,
+        "campaign %s: %d point(s), n_jobs=%d, batch_size=%d, hosts=%d",
+        spec.name, plan.total_points, n_jobs, batch_size, hosts,
     )
 
     if retry_quarantined:
@@ -459,94 +532,57 @@ def run_campaign(
                 "quarantined point(s)"
             )
 
+    coordinator = None
+    if hosts > 0:
+        coordinator = Coordinator.local(
+            plan, manifest, cache, stats, lease_timeout=lease_timeout,
+            chunk_size=batch_size, progress=progress, n_jobs=n_jobs,
+            max_retries=max_retries, job_timeout=job_timeout,
+            heartbeat_s=heartbeat_s, cache_dir=cache_dir,
+        )
+        # A previous coordinator may have died with agent results
+        # still spooled: adopt them before sizing the remaining work,
+        # so they count as previously complete instead of re-dealt.
+        coordinator.scavenge()
+
     completed = set(manifest.completed)
     skip = completed | set(manifest.quarantined)
-    # Workload-grouped, so each batch reuses one materialized workload
-    # across its points (completion order changes, results do not).
-    pending = group_by_workload(
-        [h for h in plan.jobs if h not in skip],
-        lambda job_hash: plan.jobs[job_hash].workload,
-    )
+    pending = [h for h in plan.jobs if h not in skip]
     stats.previously_complete = len(completed & set(plan.jobs))
 
-    batch_size = max(1, int(batch_size))
     audit_rounds = 0
     try:
         with _DrainGuard() as drain:
             while True:
-                for start in range(0, len(pending), batch_size):
-                    batch = pending[start:start + batch_size]
-                    span = (
-                        tel.span(
-                            "campaign.batch", campaign=spec.name,
-                            batch=stats.batches + 1, points=len(batch),
-                        )
-                        if tel is not None else telemetry.NOOP_SPAN
+                # Workload-grouped, so each batch (or chunk) reuses one
+                # materialized workload across its points (completion
+                # order changes, results do not).
+                pending = group_by_workload(
+                    pending, lambda job_hash: plan.jobs[job_hash].workload,
+                )
+                settled = True
+                if coordinator is None:
+                    _run_batches(
+                        plan, manifest, pending, stats, drain, batch_size,
+                        progress, tel, n_jobs=n_jobs, use_cache=use_cache,
+                        cache_dir=cache_dir, max_retries=max_retries,
+                        job_timeout=job_timeout,
                     )
-                    with span:
-                        run_jobs(
-                            [plan.jobs[job_hash] for job_hash in batch],
-                            n_jobs=n_jobs,
-                            use_cache=use_cache,
-                            cache_dir=cache_dir,
-                            max_retries=max_retries,
-                            job_timeout=job_timeout,
-                            on_failure="skip",
-                        )
-                    batch_stats = run_jobs.last_stats
-                    failed = {f.job_hash for f in batch_stats.failures}
-                    stats.batches += 1
-                    stats.submitted += len(batch)
-                    stats.simulated += batch_stats.simulated
-                    stats.cache_hits += batch_stats.cache_hits
-                    stats.retried += batch_stats.retried
-                    stats.quarantined += len(failed)
-                    manifest.mark_completed(
-                        [h for h in batch if h not in failed]
-                    )
-                    manifest.mark_quarantined(batch_stats.failures)
-                    manifest.save()
-                    log.debug(
-                        "campaign %s batch %d: %d simulated, %d cached, "
-                        "%d quarantined", spec.name, stats.batches,
-                        batch_stats.simulated, batch_stats.cache_hits,
-                        len(failed),
-                    )
-                    if tel is not None:
-                        tel.event(
-                            "campaign.batch.done", campaign=spec.name,
-                            batch=stats.batches,
-                            done=len(manifest.completed),
-                            total=plan.total_points,
-                            simulated=batch_stats.simulated,
-                            cache_hits=batch_stats.cache_hits,
-                            retried=batch_stats.retried,
-                            quarantined=len(failed),
-                        )
-                    if progress is not None:
-                        done = len(manifest.completed)
-                        line = (
-                            f"[{plan.spec.name}] {done}/"
-                            f"{plan.total_points} points "
-                            f"({batch_stats.simulated} simulated, "
-                            f"{batch_stats.cache_hits} cached this batch)"
-                        )
-                        if failed:
-                            line += f", {len(failed)} quarantined"
-                        progress(line)
-                    if drain.requested:
-                        break
+                else:
+                    if pending and not coordinator.hosts:
+                        coordinator.spawn(hosts)
+                    settled = coordinator.drive(pending, drain)
                 if drain.requested:
                     stats.drained = True
                     manifest.data.setdefault("notes", []).append(
                         f"graceful drain ({drain._signal_name}) at "
-                        f"{_utc_now()}: in-flight batch checkpointed, "
+                        f"{_utc_now()}: in-flight work checkpointed, "
                         "resume with the same command"
                     )
                     break
                 # -- store audit: completed points must really be on
                 # disk and readable; demote + re-simulate what is not.
-                if cache is None:
+                if cache is None or not settled:
                     break
                 bad = [
                     job_hash
@@ -583,6 +619,8 @@ def run_campaign(
                     break
                 pending = bad
     finally:
+        if coordinator is not None:
+            coordinator.shutdown()
         manifest.record_run(stats)
         manifest.refresh_status()
         manifest.save()
@@ -592,12 +630,8 @@ def run_campaign(
             stats.cache_hits, stats.quarantined,
         )
         if tel is not None:
-            tel.event(
-                "campaign.done", campaign=spec.name,
-                status=manifest.status, simulated=stats.simulated,
-                cache_hits=stats.cache_hits, retried=stats.retried,
-                quarantined=stats.quarantined, drained=stats.drained,
-            )
+            tel.event("campaign.done", campaign=spec.name,
+                      status=manifest.status, **stats.as_dict())
 
     # Annotate only when this run did work: a zero-submission resume
     # (status checks, the CI resume-noop step) must not append another

@@ -390,40 +390,21 @@ def _cmd_campaign_run(args) -> int:
               f"point(s) ({done} already complete)")
         return 0
     try:
-        if args.hosts > 0:
-            if args.no_cache:
-                print("campaign run --hosts requires the result store "
-                      "(it is the cluster's data plane); drop --no-cache")
-                return 1
-            from repro.cluster import run_campaign_distributed
-
-            result = run_campaign_distributed(
-                spec,
-                directory=args.dir,
-                scale=args.scale,
-                hosts=args.hosts,
-                n_jobs=args.jobs,
-                chunk_size=args.batch_size,
-                progress=print,
-                max_retries=args.max_retries,
-                job_timeout=args.job_timeout,
-                retry_quarantined=args.retry_quarantined,
-                lease_timeout=args.lease_timeout,
-                heartbeat_s=args.heartbeat,
-            )
-        else:
-            result = run_campaign(
-                spec,
-                directory=args.dir,
-                scale=args.scale,
-                n_jobs=args.jobs,
-                use_cache=not args.no_cache,
-                batch_size=args.batch_size,
-                progress=print,
-                max_retries=args.max_retries,
-                job_timeout=args.job_timeout,
-                retry_quarantined=args.retry_quarantined,
-            )
+        result = run_campaign(
+            spec,
+            directory=args.dir,
+            scale=args.scale,
+            n_jobs=args.jobs,
+            use_cache=not args.no_cache,
+            batch_size=args.batch_size,
+            progress=print,
+            max_retries=args.max_retries,
+            job_timeout=args.job_timeout,
+            retry_quarantined=args.retry_quarantined,
+            hosts=args.hosts,
+            lease_timeout=args.lease_timeout,
+            heartbeat_s=args.heartbeat,
+        )
     except CampaignError as error:
         print(error)
         return 1
@@ -1013,6 +994,8 @@ def _cmd_safety(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.campaigns import executor as campaign_executor
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Mithril (HPCA 2022) reproduction toolkit",
@@ -1154,13 +1137,15 @@ def main(argv=None) -> int:
                             "executor).  --jobs becomes the per-host "
                             "worker count, --batch-size the assignment "
                             "chunk size")
-    c_run.add_argument("--lease-timeout", type=float, default=5.0,
+    c_run.add_argument("--lease-timeout", type=float,
+                       default=campaign_executor.DEFAULT_LEASE_TIMEOUT_S,
                        help="seconds without a heartbeat before a "
                             "host's lease expires and its outstanding "
-                            "jobs reassign (default 5)")
-    c_run.add_argument("--heartbeat", type=float, default=0.5,
+                            "jobs reassign (default %(default)s)")
+    c_run.add_argument("--heartbeat", type=float,
+                       default=campaign_executor.DEFAULT_HEARTBEAT_S,
                        help="host agent heartbeat interval in seconds "
-                            "(default 0.5)")
+                            "(default %(default)s)")
     c_run.set_defaults(func=_cmd_campaign_run)
 
     c_agent = csub.add_parser(
@@ -1177,8 +1162,10 @@ def main(argv=None) -> int:
                          help="worker processes on this host")
     c_agent.add_argument("--max-retries", type=int, default=2)
     c_agent.add_argument("--job-timeout", type=float, default=None)
-    c_agent.add_argument("--heartbeat", type=float, default=0.5,
-                         help="heartbeat interval in seconds")
+    c_agent.add_argument("--heartbeat", type=float,
+                         default=campaign_executor.DEFAULT_HEARTBEAT_S,
+                         help="heartbeat interval in seconds "
+                              "(default %(default)s)")
     c_agent.add_argument("--parent-pid", type=int, default=None,
                          help="exit when this pid disappears "
                               "(orphan cleanup for local launches)")

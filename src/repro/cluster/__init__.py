@@ -10,9 +10,12 @@ late duplicate results are discarded by hash, and the atomic
 truth — kill any process at any instant and a resume re-simulates
 zero completed points.
 
-    from repro.cluster import run_campaign_distributed
+    from repro.campaigns import get_campaign, run_campaign
 
-    result = run_campaign_distributed(spec, hosts=2, n_jobs=1)
+    result = run_campaign(get_campaign("smoke"), hosts=2, n_jobs=1)
+
+``run_campaign`` drives the coordinator whenever ``hosts > 0``; this
+package holds the coordinator, the agents and the transport.
 """
 
 from repro.cluster.agent import HostAgent, agent_main
@@ -21,7 +24,6 @@ from repro.cluster.coordinator import (
     Coordinator,
     HostState,
     LocalAgentLauncher,
-    run_campaign_distributed,
 )
 from repro.cluster.transport import (
     COORDINATOR_MAILBOX,
@@ -45,5 +47,4 @@ __all__ = [
     "agent_main",
     "heartbeat_gate",
     "host_mailbox",
-    "run_campaign_distributed",
 ]

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
+from repro.campaigns.executor import DEFAULT_HEARTBEAT_S
 from repro.cluster.transport import (
     COORDINATOR_MAILBOX,
     Message,
@@ -40,13 +41,10 @@ from repro.cluster.transport import (
 )
 from repro.engine.executor import run_jobs
 from repro.engine.job import SimJob
+from repro.engine.supervisor import JobFailure
 
 #: How often an idle agent polls its inbox.
 DEFAULT_POLL_S = 0.05
-
-#: Default heartbeat cadence; the coordinator's host-lease timeout
-#: must be a comfortable multiple of this.
-DEFAULT_HEARTBEAT_S = 0.5
 
 
 class HostAgent:
@@ -101,6 +99,10 @@ class HostAgent:
 
     # -- execution -----------------------------------------------------
 
+    def _send_failure(self, failure: JobFailure) -> None:
+        self._send("result", host=self.host_id, hash=failure.job_hash,
+                   status="failed", failure=failure.as_dict())
+
     def _execute_chunk(self, payload: Dict[str, Any]) -> None:
         jobs: List[Tuple[str, SimJob]] = []
         for entry in payload.get("jobs", ()):
@@ -110,16 +112,12 @@ class HostAgent:
             if want and want != got:
                 # A job that does not hash to its label would poison
                 # the store under the wrong key; refuse it loudly.
-                self._send(
-                    "result", host=self.host_id, hash=want, status="failed",
-                    failure={
-                        "job_hash": want, "scheme": job.scheme,
-                        "workload": job.workload.kind, "attempts": 0,
-                        "reason": "hash-mismatch",
-                        "message": f"assignment hash {want} != {got}",
-                        "traceback": "", "events": [],
-                    },
-                )
+                self._send_failure(JobFailure(
+                    job_hash=want, scheme=job.scheme,
+                    workload=job.workload.kind, attempts=0,
+                    reason="hash-mismatch",
+                    message=f"assignment hash {want} != {got}",
+                ))
                 continue
             jobs.append((got, job))
         if not jobs:
@@ -134,18 +132,15 @@ class HostAgent:
             on_failure="skip",
         )
         stats = run_jobs.last_stats
-        failures = {f.job_hash: f.as_dict() for f in stats.failures}
-        for (job_hash, _job), result in zip(jobs, results):
+        failures = {f.job_hash: f for f in stats.failures}
+        for (job_hash, job), result in zip(jobs, results):
             if result is None:
-                self._send(
-                    "result", host=self.host_id, hash=job_hash,
-                    status="failed",
-                    failure=failures.get(job_hash, {
-                        "job_hash": job_hash, "reason": "unknown",
-                        "message": "no result and no failure record",
-                        "attempts": 0, "events": [],
-                    }),
-                )
+                self._send_failure(failures.get(job_hash) or JobFailure(
+                    job_hash=job_hash, scheme=job.scheme,
+                    workload=job.workload.kind, attempts=0,
+                    reason="unknown",
+                    message="no result and no failure record",
+                ))
             else:
                 self._send("result", host=self.host_id, hash=job_hash,
                            status="ok")

@@ -1,9 +1,9 @@
 """The campaign coordinator: shards the job pool across host agents.
 
-:func:`run_campaign_distributed` is the multi-host sibling of
-:func:`repro.campaigns.executor.run_campaign` — same manifest, same
-sealed store, same stats/result contract — with the batch loop
-replaced by a lease-driven scheduler:
+:func:`repro.campaigns.executor.run_campaign` with ``hosts > 0``
+replaces its in-process batch loop with a :class:`Coordinator` — same
+manifest, same sealed store, same stats/result contract — a
+lease-driven scheduler:
 
 * the hash-deduplicated pending pool is dealt out in **chunks** to
   live host agents over the transport;
@@ -14,7 +14,7 @@ replaced by a lease-driven scheduler:
   reassignment, not a stuck campaign;
 * result ingestion is **idempotent**: a result only marks a point
   complete after the sealed store verifies it
-  (``cache.verify == "ok"``), and a result for an already-completed
+  (``cache.verify == "ok"``), and a result for an already-settled
   hash — the late duplicate a healed partition delivers — is counted
   and discarded, never double-ingested;
 * the atomic ``manifest.json`` checkpoint remains the cluster's
@@ -42,17 +42,13 @@ from typing import Any, Dict, List, Optional, Set
 from repro import telemetry
 from repro.campaigns.executor import (
     DEFAULT_BATCH_SIZE,
-    MAX_AUDIT_ROUNDS,
+    DEFAULT_HEARTBEAT_S,
+    DEFAULT_LEASE_TIMEOUT_S,
     CampaignManifest,
-    CampaignRunResult,
     CampaignRunStats,
     _DrainGuard,
-    _annotate_provenance,
     _utc_now,
-    manifest_path,
 )
-from repro.campaigns.planner import plan_campaign
-from repro.campaigns.spec import CampaignSpec
 from repro.cluster.transport import (
     COORDINATOR_MAILBOX,
     Message,
@@ -60,26 +56,19 @@ from repro.cluster.transport import (
     host_mailbox,
 )
 from repro.engine.cache import ResultCache
-from repro.engine.executor import DEFAULT_MAX_RETRIES, group_by_workload
+from repro.engine.executor import DEFAULT_MAX_RETRIES
 from repro.engine.supervisor import JobFailure
-
-#: Heartbeats a host may miss before its lease expires (times the
-#: agent's heartbeat interval).
-DEFAULT_LEASE_TIMEOUT_S = 5.0
-
-#: Jobs per assignment chunk (mirrors the single-host batch size).
-DEFAULT_CHUNK_SIZE = DEFAULT_BATCH_SIZE
 
 #: Deadline for one assigned chunk: if its results have not all
 #: arrived by then (lost messages, silently wedged host), the
 #: remainder is requeued.  Requeues are safe — the store makes
 #: re-execution a cache hit — so this only needs to beat a genuinely
 #: stuck chunk, not a slow one.
-DEFAULT_CHUNK_TIMEOUT_S = 300.0
+CHUNK_TIMEOUT_S = 300.0
 
 #: Times a crashed agent process is relaunched before the coordinator
 #: stops betting on that host.
-DEFAULT_MAX_HOST_RESTARTS = 2
+MAX_HOST_RESTARTS = 2
 
 #: Coordinator scheduling quantum.
 POLL_S = 0.05
@@ -97,17 +86,7 @@ class ClusterRunStats(CampaignRunStats):
     hosts_restarted: int = 0    #: crashed agent processes relaunched
 
     def as_dict(self) -> Dict[str, Any]:
-        data = super().as_dict()
-        data.update({
-            "distributed": True,
-            "hosts": self.hosts,
-            "chunks": self.chunks,
-            "reassigned": self.reassigned,
-            "duplicate_results": self.duplicate_results,
-            "hosts_lost": self.hosts_lost,
-            "hosts_restarted": self.hosts_restarted,
-        })
-        return data
+        return {**super().as_dict(), "distributed": True}
 
 
 @dataclass
@@ -140,7 +119,7 @@ class LocalAgentLauncher:
         n_jobs: int = 1,
         max_retries: int = DEFAULT_MAX_RETRIES,
         job_timeout: Optional[float] = None,
-        heartbeat_s: float = 0.5,
+        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         cache_dir: Optional[Path] = None,
     ):
         self.cluster_root = Path(cluster_root)
@@ -187,19 +166,6 @@ class LocalAgentLauncher:
             log.close()
 
 
-def _failure_from_payload(job_hash: str, data: Dict[str, Any]) -> JobFailure:
-    return JobFailure(
-        job_hash=str(data.get("job_hash") or job_hash),
-        scheme=str(data.get("scheme", "?")),
-        workload=str(data.get("workload", "?")),
-        attempts=int(data.get("attempts", 0)),
-        reason=str(data.get("reason", "unknown")),
-        message=str(data.get("message", "")),
-        traceback=str(data.get("traceback", "")),
-        events=list(data.get("events") or []),
-    )
-
-
 class Coordinator:
     """Lease-based scheduler over one campaign plan."""
 
@@ -212,10 +178,7 @@ class Coordinator:
         stats: ClusterRunStats,
         launcher: Optional[LocalAgentLauncher] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        chunk_timeout: float = DEFAULT_CHUNK_TIMEOUT_S,
-        max_host_restarts: int = DEFAULT_MAX_HOST_RESTARTS,
-        checkpoint_every: Optional[int] = None,
+        chunk_size: int = DEFAULT_BATCH_SIZE,
         progress=None,
     ):
         self.plan = plan
@@ -226,9 +189,7 @@ class Coordinator:
         self.launcher = launcher
         self.lease_timeout = lease_timeout
         self.chunk_size = max(1, int(chunk_size))
-        self.chunk_timeout = chunk_timeout
-        self.max_host_restarts = max_host_restarts
-        self.checkpoint_every = checkpoint_every or self.chunk_size
+        self.chunk_timeout = CHUNK_TIMEOUT_S
         self.progress = progress
         self.hosts: Dict[str, HostState] = {}
         self.completed: Set[str] = set(manifest.completed)
@@ -237,6 +198,21 @@ class Coordinator:
         self._dirty = 0
         self._stopping = False
         self._tel = telemetry.get()
+
+    @classmethod
+    def local(cls, plan, manifest, cache, stats, lease_timeout,
+              chunk_size, progress=None, **agent_options) -> "Coordinator":
+        """A coordinator over local agent subprocesses, spooling through
+        ``<campaign dir>/<name>/cluster/``; ``agent_options`` go to the
+        :class:`LocalAgentLauncher`."""
+        root = manifest.path.parent / "cluster"
+        return cls(
+            plan, manifest, cache,
+            SpoolTransport(root, sender=COORDINATOR_MAILBOX), stats,
+            launcher=LocalAgentLauncher(root, **agent_options),
+            lease_timeout=lease_timeout, chunk_size=chunk_size,
+            progress=progress,
+        )
 
     # -- host lifecycle ------------------------------------------------
 
@@ -250,6 +226,15 @@ class Coordinator:
             host.alive = True
             self._event("host.spawn", host=host_id, pid=host.pid)
         return host
+
+    def spawn(self, n_hosts: int) -> None:
+        """Launch ``n_hosts`` agents, each on a freshly purged inbox so
+        no old incarnation's assignments or shutdown order replay."""
+        self.stats.hosts = n_hosts
+        for index in range(n_hosts):
+            host_id = f"{index + 1}"
+            self.transport.purge(host_mailbox(host_id))
+            self.add_host(host_id)
 
     def _lose_host(self, host: HostState, reason: str) -> None:
         if not host.alive and not host.assigned:
@@ -274,7 +259,7 @@ class Coordinator:
                 host.handle = None
                 self._lose_host(host, f"process exited ({exited})")
                 if (self.launcher is not None
-                        and host.restarts < self.max_host_restarts
+                        and host.restarts < MAX_HOST_RESTARTS
                         and not self._work_done()):
                     host.restarts += 1
                     self.stats.hosts_restarted += 1
@@ -340,14 +325,18 @@ class Coordinator:
             return
         if host is not None:
             host.assigned.discard(job_hash)
-        if job_hash in self.completed:
+        ok = payload.get("status") == "ok"
+        if job_hash in self.completed or (
+            not ok and job_hash in self.quarantined
+        ):
             # The late duplicate a healed partition delivers: the
-            # point is already verified in the store, discard.
+            # point is already verified in the store (or already
+            # quarantined, and this is one more failure), discard.
             self.stats.duplicate_results += 1
             self._event("cluster.duplicate", job=job_hash,
                         host=payload.get("host"))
             return
-        if payload.get("status") == "ok":
+        if ok:
             if self.cache.verify(self.plan.jobs[job_hash]) == "ok":
                 self.completed.add(job_hash)
                 self.quarantined.discard(job_hash)
@@ -360,8 +349,9 @@ class Coordinator:
                 self.stats.reassigned += 1
                 self._event("cluster.unverified", job=job_hash)
         else:
-            failure = _failure_from_payload(
-                job_hash, dict(payload.get("failure") or {})
+            # the checked message hash wins over the record's own
+            failure = JobFailure.from_dict(
+                {**(payload.get("failure") or {}), "job_hash": job_hash}
             )
             self.quarantined.add(job_hash)
             self.stats.quarantined += 1
@@ -391,7 +381,7 @@ class Coordinator:
     def _checkpoint(self, force: bool = False) -> None:
         if self._dirty == 0 and not force:
             return
-        if not force and self._dirty < self.checkpoint_every:
+        if not force and self._dirty < self.chunk_size:
             return
         self.manifest.save()
         self.stats.batches += 1
@@ -448,7 +438,7 @@ class Coordinator:
             if host.handle is not None and host.handle.poll() is None:
                 return False
             if (self.launcher is not None
-                    and host.restarts < self.max_host_restarts):
+                    and host.restarts < MAX_HOST_RESTARTS):
                 return False
         return True
 
@@ -458,20 +448,19 @@ class Coordinator:
 
     # -- main loop -----------------------------------------------------
 
-    def drive(self, pending: List[str], drain: _DrainGuard) -> None:
+    def drive(self, pending: List[str], drain: _DrainGuard) -> bool:
         """Run the scheduler until the pool drains or the run must stop.
 
-        The pool is workload-grouped, so points sharing a workload are
-        dealt together and their host builds it once (dealing order
-        changes, results do not).
+        Deals ``pending`` in the given order (the caller groups it by
+        workload, so a host builds each workload once).  True when
+        every planned point is completed or quarantined.
         """
-        self.pending = group_by_workload(
-            [h for h in pending if h not in self.completed],
-            lambda job_hash: self.plan.jobs[job_hash].workload,
-        )
+        # The manifest is the source of truth: a store audit may have
+        # demoted completed points since the last drive.
+        self.completed = set(self.manifest.completed)
+        self.pending = list(pending)
         while not self._work_done():
             if drain.requested:
-                self.stats.drained = True
                 break
             now = time.time()
             for message in self.transport.recv(COORDINATOR_MAILBOX):
@@ -488,6 +477,7 @@ class Coordinator:
                 break
             time.sleep(POLL_S)
         self._checkpoint(force=True)
+        return self._work_done()
 
     def shutdown(self, timeout: float = 8.0) -> None:
         """Stop the agents, ingesting stragglers while they wind down.
@@ -527,165 +517,3 @@ class Coordinator:
                 pass
         if self._dirty:
             self._checkpoint(force=True)
-
-
-def run_campaign_distributed(
-    spec: CampaignSpec,
-    directory=None,
-    scale: Optional[float] = None,
-    hosts: int = 2,
-    n_jobs: int = 1,
-    cache_dir=None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    progress=None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    job_timeout: Optional[float] = None,
-    retry_quarantined: bool = False,
-    lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S,
-    heartbeat_s: float = 0.5,
-    chunk_timeout: float = DEFAULT_CHUNK_TIMEOUT_S,
-    max_host_restarts: int = DEFAULT_MAX_HOST_RESTARTS,
-    launcher: Optional[LocalAgentLauncher] = None,
-) -> CampaignRunResult:
-    """Run (or resume) a campaign across ``hosts`` agent processes.
-
-    Same contract as :func:`repro.campaigns.executor.run_campaign`
-    (manifest checkpoints, quarantine, store audit, graceful drain on
-    SIGTERM/SIGINT), executed by a coordinator + agents instead of an
-    in-process batch loop.  ``n_jobs`` is the per-host worker count.
-    The distributed path requires the result store — it *is* the data
-    plane — so there is no ``use_cache=False`` variant.
-    """
-    plan = plan_campaign(spec, scale=scale)
-    manifest = CampaignManifest.for_plan(
-        manifest_path(spec.name, directory), plan
-    )
-    n_hosts = max(1, int(hosts))
-    # stats.hosts stays 0 until agents actually spawn: a zero-work
-    # resume reports (and costs) no cluster at all.
-    stats = ClusterRunStats(total_points=plan.total_points)
-    cache = ResultCache(cache_dir)
-    cluster_root = manifest.path.parent / "cluster"
-    transport = SpoolTransport(cluster_root, sender=COORDINATOR_MAILBOX)
-    tel = telemetry.get()
-    if tel is not None:
-        tel.set_role("coordinator")
-        tel.event(
-            "cluster.start", campaign=spec.name,
-            total_points=plan.total_points, hosts=n_hosts,
-            n_jobs=n_jobs,
-        )
-    if launcher is None:
-        launcher = LocalAgentLauncher(
-            cluster_root, n_jobs=n_jobs, max_retries=max_retries,
-            job_timeout=job_timeout, heartbeat_s=heartbeat_s,
-            cache_dir=cache_dir,
-        )
-
-    if retry_quarantined:
-        cleared = manifest.clear_quarantine()
-        if cleared and progress is not None:
-            progress(
-                f"[{plan.spec.name}] retrying {len(cleared)} "
-                "quarantined point(s)"
-            )
-
-    coordinator = Coordinator(
-        plan, manifest, cache, transport, stats,
-        launcher=launcher,
-        lease_timeout=lease_timeout,
-        chunk_size=chunk_size,
-        chunk_timeout=chunk_timeout,
-        max_host_restarts=max_host_restarts,
-        progress=progress,
-    )
-    # A previous coordinator may have died with agent results still
-    # spooled: adopt them before sizing the remaining work, so they
-    # count as previously complete instead of being re-dealt.
-    coordinator.scavenge()
-    stats.previously_complete = len(
-        coordinator.completed & set(plan.jobs)
-    )
-    pending = [
-        h for h in plan.jobs
-        if h not in coordinator.completed and h not in coordinator.quarantined
-    ]
-    audit_rounds = 0
-    try:
-        with _DrainGuard() as drain:
-            spawned = False
-            while True:
-                if pending and not spawned:
-                    # A zero-work resume never spawns an agent: the
-                    # no-op invariant costs no processes at all.
-                    stats.hosts = n_hosts
-                    for index in range(n_hosts):
-                        host_id = f"{index + 1}"
-                        # fresh epoch: never replay an old
-                        # incarnation's assignments or shutdown order
-                        transport.purge(host_mailbox(host_id))
-                        coordinator.add_host(host_id)
-                    spawned = True
-                coordinator.drive(pending, drain)
-                if drain.requested or not coordinator._work_done():
-                    break
-                bad = [
-                    job_hash
-                    for job_hash in manifest.completed
-                    if job_hash in plan.jobs
-                    and cache.verify(plan.jobs[job_hash]) != "ok"
-                ]
-                if not bad:
-                    break
-                audit_rounds += 1
-                stats.audited_bad += len(bad)
-                coordinator.completed.difference_update(bad)
-                manifest.unmark_completed(bad)
-                manifest.save()
-                if tel is not None:
-                    tel.event("campaign.audit", campaign=spec.name,
-                              round=audit_rounds, bad=len(bad))
-                if progress is not None:
-                    progress(
-                        f"[{plan.spec.name}] store audit: {len(bad)} "
-                        "completed entr(ies) missing or corrupt — "
-                        "re-simulating"
-                    )
-                if audit_rounds >= MAX_AUDIT_ROUNDS:
-                    manifest.data.setdefault("notes", []).append(
-                        f"store audit gave up after {audit_rounds} "
-                        f"rounds with {len(bad)} bad entr(ies)"
-                    )
-                    break
-                pending = bad
-            if drain.requested:
-                stats.drained = True
-                manifest.data.setdefault("notes", []).append(
-                    f"graceful drain at {_utc_now()}: cluster "
-                    "checkpointed, resume with the same command"
-                )
-    finally:
-        coordinator.shutdown()
-        manifest.record_run(stats)
-        manifest.refresh_status()
-        manifest.save()
-        if tel is not None:
-            tel.event(
-                "cluster.done", campaign=spec.name,
-                status=manifest.status, simulated=stats.simulated,
-                cache_hits=stats.cache_hits,
-                duplicates=stats.duplicate_results,
-                reassigned=stats.reassigned,
-                hosts_lost=stats.hosts_lost,
-            )
-
-    if stats.submitted:
-        _annotate_provenance(plan, cache_dir)
-    return CampaignRunResult(
-        plan=plan,
-        manifest_path=manifest.path,
-        stats=stats,
-        complete=manifest.status == "complete",
-        drained=stats.drained,
-        quarantined=manifest.quarantined,
-    )

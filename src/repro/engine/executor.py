@@ -47,6 +47,7 @@ from repro.engine.catalog import build_config, build_workload, scheme_factory_fo
 from repro.engine.job import SimJob, WorkloadSpec
 from repro.engine.supervisor import (
     JobFailure,
+    RetryLedger,
     RetryPolicy,
     SupervisedPool,
 )
@@ -177,67 +178,36 @@ def _execute_serial(
     from repro.faults import maybe_fail
 
     tel = telemetry.get()
+    ledger = RetryLedger(dict(missing), policy)
     results: Dict[str, SimulationResult] = {}
     for job_hash, job in missing:
-        events = []
-        attempts = 0
         while True:
-            attempts += 1
+            attempt = ledger.begin(job_hash)
             try:
                 maybe_fail("worker.execute", job_hash)
                 span = (
                     tel.span("job.execute", job=job_hash,
-                             scheme=job.scheme, attempt=attempts)
+                             scheme=job.scheme, attempt=attempt)
                     if tel is not None else telemetry.NOOP_SPAN
                 )
                 with span:
                     results[job_hash] = execute_job(job)
-                if tel is not None:
-                    tel.event("job.ok", job=job_hash, attempts=attempts)
-                break
             except Exception as error:  # noqa: BLE001 — recorded below
                 message = f"{type(error).__name__}: {error}"
-                events.append({
-                    "attempt": attempts,
-                    "reason": "exception",
-                    "message": message,
-                })
                 if tel is not None:
-                    tel.event(
-                        "job.error", job=job_hash,
-                        attempt=attempts, message=message,
-                    )
-                if attempts > policy.max_retries:
-                    stats.failures.append(JobFailure(
-                        job_hash=job_hash,
-                        scheme=job.scheme,
-                        workload=job.workload.kind,
-                        attempts=attempts,
-                        reason="exception",
-                        message=message,
-                        traceback=traceback.format_exc(),
-                        events=events,
-                    ))
-                    if tel is not None:
-                        tel.event(
-                            "job.quarantine", job=job_hash,
-                            attempts=attempts, reason="exception",
-                        )
+                    tel.event("job.error", job=job_hash,
+                              attempt=attempt, message=message)
+                delay = ledger.failed(job_hash, "exception", message,
+                                      traceback.format_exc())
+                if delay is None:
                     break
-                stats.retried += 1
-                delay = policy.delay(job_hash, attempts)
+                time.sleep(delay)
+            else:
                 if tel is not None:
-                    tel.event(
-                        "job.retry", job=job_hash,
-                        attempt=attempts, delay=round(delay, 6),
-                    )
-                if delay > 0.0:
-                    if tel is not None:
-                        tel.synthetic_span(
-                            "retry.backoff", time.time(), delay,
-                            job=job_hash, attempt=attempts,
-                        )
-                    time.sleep(delay)
+                    tel.event("job.ok", job=job_hash, attempts=attempt)
+                break
+    stats.retried += ledger.retried
+    stats.failures.extend(ledger.failures.values())
     return results
 
 

@@ -22,6 +22,10 @@ death as an expected event:
   aborting the batch.  Poison jobs that repeatedly kill their worker
   are the canonical case.
 
+The retry-or-quarantine decision lives in one place, the
+:class:`RetryLedger`; the pool here and the executor's in-process
+serial path both feed it their failed attempts.
+
 Workers run :func:`repro.engine.executor.execute_job` behind the
 ``worker.execute`` fault-injection site (:mod:`repro.faults`), which
 is how the tests provoke every path above deterministically.
@@ -35,7 +39,7 @@ import multiprocessing
 import queue as queue_mod
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.job import SimJob
@@ -92,16 +96,22 @@ class JobFailure:
     events: List[Dict[str, Any]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "job_hash": self.job_hash,
-            "scheme": self.scheme,
-            "workload": self.workload,
-            "attempts": self.attempts,
-            "reason": self.reason,
-            "message": self.message,
-            "traceback": self.traceback,
-            "events": list(self.events),
-        }
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "JobFailure":
+        """Inverse of :meth:`as_dict`, lenient about missing fields (a
+        record that crossed the wire from another host)."""
+        return cls(
+            job_hash=str(data.get("job_hash", "")),
+            scheme=str(data.get("scheme", "?")),
+            workload=str(data.get("workload", "?")),
+            attempts=int(data.get("attempts", 0)),
+            reason=str(data.get("reason", "unknown")),
+            message=str(data.get("message", "")),
+            traceback=data.get("traceback"),
+            events=list(data.get("events") or []),
+        )
 
     def describe(self) -> str:
         return (
@@ -109,6 +119,78 @@ class JobFailure:
             f"{self.reason} after {self.attempts} attempt(s) — "
             f"{self.message}"
         )
+
+
+class RetryLedger:
+    """Per-job attempt bookkeeping for one batch of unique jobs.
+
+    The executor calls :meth:`begin` as each attempt starts and
+    :meth:`failed` when it fails; the ledger records the attempt's
+    event, then either schedules a retry (returning its backoff) or
+    quarantines the job as a :class:`JobFailure` on :attr:`failures`.
+    The ``job.retry`` / ``retry.backoff`` / ``job.quarantine``
+    telemetry records come from here, so serial and pooled execution
+    emit the same ones.
+    """
+
+    def __init__(self, jobs: Dict[str, SimJob], policy: RetryPolicy):
+        from repro import telemetry
+
+        self.jobs = jobs
+        self.policy = policy
+        self.attempts: Dict[str, int] = dict.fromkeys(jobs, 0)
+        self.events: Dict[str, List[Dict[str, Any]]] = {h: [] for h in jobs}
+        self.failures: Dict[str, JobFailure] = {}
+        self.retried = 0
+        self._tel = telemetry.get()
+
+    def begin(self, job_hash: str) -> int:
+        """Count a new attempt; returns its 1-based number."""
+        self.attempts[job_hash] += 1
+        return self.attempts[job_hash]
+
+    def failed(self, job_hash: str, reason: str, message: str,
+               trace: Optional[str] = None) -> Optional[float]:
+        """Record a failed attempt: the backoff (seconds) before the
+        retry, or None when the job exhausted its budget and is now
+        quarantined."""
+        attempt = self.attempts[job_hash]
+        self.events[job_hash].append(
+            {"attempt": attempt, "reason": reason, "message": message}
+        )
+        tel = self._tel
+        if attempt > self.policy.max_retries:
+            log.info("quarantine %s after %d attempt(s): %s",
+                     job_hash[:12], attempt, reason)
+            if tel is not None:
+                tel.event("job.quarantine", job=job_hash,
+                          attempts=attempt, reason=reason)
+            job = self.jobs[job_hash]
+            self.failures[job_hash] = JobFailure(
+                job_hash=job_hash,
+                scheme=job.scheme,
+                workload=job.workload.kind,
+                attempts=attempt,
+                reason=reason,
+                message=message,
+                traceback=trace,
+                events=self.events[job_hash],
+            )
+            return None
+        self.retried += 1
+        delay = self.policy.delay(job_hash, attempt)
+        log.debug("retry %s attempt=%d reason=%s backoff=%.3fs",
+                  job_hash[:12], attempt, reason, delay)
+        if tel is not None:
+            tel.event("job.retry", job=job_hash, attempt=attempt,
+                      reason=reason, delay=round(delay, 6))
+            if delay > 0.0:
+                # The backoff window as a span: visible dead-time
+                # between the failed attempt and the next one.
+                tel.synthetic_span("retry.backoff", time.time(), delay,
+                                   job=job_hash, attempt=attempt,
+                                   reason=reason)
+        return delay
 
 
 def _worker_main(task_queue, result_queue) -> None:
@@ -256,8 +338,7 @@ class SupervisedPool:
         if tel is not None:
             for worker in workers:
                 tel.event("worker.spawn", worker=worker.proc.pid)
-        attempts: Dict[str, int] = {h: 0 for h in jobs}
-        events: Dict[str, List[Dict[str, Any]]] = {h: [] for h in jobs}
+        ledger = RetryLedger(jobs, self.policy)
         start_mono = time.monotonic()
         # Monotonic instant each job (re-)became eligible, for the
         # queue-wait accounting (eligible-but-unassigned time).
@@ -288,56 +369,12 @@ class SupervisedPool:
         def attempt_failed(job_hash: str, reason: str, message: str,
                            trace: Optional[str] = None) -> None:
             nonlocal seq_counter
-            if job_hash in outcome.results or job_hash not in remaining:
+            if job_hash not in remaining:
                 return
-            events[job_hash].append({
-                "attempt": attempts[job_hash],
-                "reason": reason,
-                "message": message,
-            })
-            job = jobs[job_hash]
-            if attempts[job_hash] > self.policy.max_retries:
-                log.info(
-                    "quarantine %s after %d attempt(s): %s",
-                    job_hash[:12], attempts[job_hash], reason,
-                )
-                if tel is not None:
-                    tel.event(
-                        "job.quarantine", job=job_hash,
-                        attempts=attempts[job_hash], reason=reason,
-                    )
-                outcome.failures[job_hash] = JobFailure(
-                    job_hash=job_hash,
-                    scheme=job.scheme,
-                    workload=job.workload.kind,
-                    attempts=attempts[job_hash],
-                    reason=reason,
-                    message=message,
-                    traceback=trace,
-                    events=events[job_hash],
-                )
+            delay = ledger.failed(job_hash, reason, message, trace)
+            if delay is None:
                 remaining.discard(job_hash)
                 return
-            outcome.retried += 1
-            delay = self.policy.delay(job_hash, attempts[job_hash])
-            log.debug(
-                "retry %s attempt=%d reason=%s backoff=%.3fs",
-                job_hash[:12], attempts[job_hash], reason, delay,
-            )
-            if tel is not None:
-                tel.event(
-                    "job.retry", job=job_hash,
-                    attempt=attempts[job_hash], reason=reason,
-                    delay=round(delay, 6),
-                )
-                if delay > 0.0:
-                    # The backoff window as a span: visible dead-time
-                    # between the failed attempt and the re-lease.
-                    tel.synthetic_span(
-                        "retry.backoff", time.time(), delay,
-                        job=job_hash, attempt=attempts[job_hash],
-                        reason=reason,
-                    )
             eligible = time.monotonic() + delay
             queued_at[job_hash] = eligible
             seq_counter += 1
@@ -352,14 +389,10 @@ class SupervisedPool:
                         continue
                     while ready and ready[0][0] <= now:
                         _, _, job_hash = heapq.heappop(ready)
-                        if (
-                            job_hash in remaining
-                            and job_hash not in outcome.results
-                            and not any(
-                                w.current == job_hash for w in workers
-                            )
+                        if job_hash in remaining and not any(
+                            w.current == job_hash for w in workers
                         ):
-                            attempts[job_hash] += 1
+                            attempt = ledger.begin(job_hash)
                             outcome.queue_wait_s += max(
                                 0.0, now - queued_at.get(job_hash, now)
                             )
@@ -370,7 +403,7 @@ class SupervisedPool:
                                 tel.event(
                                     "lease.assign", job=job_hash,
                                     tid=worker.proc.pid,
-                                    attempt=attempts[job_hash],
+                                    attempt=attempt,
                                 )
                             break
                     if worker.current is None and not ready:
@@ -400,7 +433,6 @@ class SupervisedPool:
                         if job_hash in remaining:
                             outcome.results[job_hash] = payload
                             remaining.discard(job_hash)
-                            outcome.failures.pop(job_hash, None)
                     else:
                         attempt_failed(
                             job_hash, "exception", payload, trace
@@ -485,4 +517,6 @@ class SupervisedPool:
                 result_queue.join_thread()
             except (OSError, AttributeError):
                 pass
+        outcome.failures = ledger.failures
+        outcome.retried = ledger.retried
         return outcome

@@ -512,9 +512,8 @@ def make_system(
     """Build one system on the resolved backend (see repro.sim.backend).
 
     ``backend=None`` consults ``REPRO_SIM_BACKEND`` and defaults to
-    ``scalar``; ``turbo`` silently degrades to ``scalar`` (with a
-    one-line warning) when numpy is unavailable.  Results are
-    byte-identical across backends — the golden suite runs both.
+    ``turbo``.  Results are byte-identical across backends — the
+    golden suite runs both.
     """
     from repro.sim.backend import TURBO, resolve_backend
 

@@ -164,6 +164,32 @@ class TestResumability:
         run_campaign(spec)  # zero-submission resume
         assert index_path.stat().st_size == size
 
+    def test_distributed_noop_resume_starts_no_agent(self, monkeypatch):
+        """``hosts > 0`` over a completed manifest drives the
+        coordinator branch of run_campaign without launching a single
+        agent: the run is recorded, nothing is submitted, and
+        ``stats.hosts`` stays 0."""
+        from repro.cluster.coordinator import LocalAgentLauncher
+
+        spec = _tiny_spec()
+        assert run_campaign(spec).complete
+
+        def no_launch(self, host_id):
+            raise AssertionError(f"agent {host_id} launched")
+
+        monkeypatch.setattr(LocalAgentLauncher, "launch", no_launch)
+        path = manifest_path(spec.name)
+        runs_before = len(json.loads(path.read_text())["runs"])
+        result = run_campaign(spec, hosts=2)
+        assert result.complete
+        assert result.stats.hosts == 0
+        assert result.stats.submitted == 0
+        assert result.stats.simulated == 0
+        runs = json.loads(path.read_text())["runs"]
+        assert len(runs) == runs_before + 1
+        assert runs[-1]["distributed"] is True
+        assert runs[-1]["hosts"] == 0
+
     def test_cli_verify_audits_exactly_once(self, capsys):
         """`campaign verify` signs off a completed campaign and flags
         a store entry that goes missing behind the manifest's back."""

@@ -112,6 +112,46 @@ class TestIngestIdempotency:
         assert record["reason"] == "exception"
         assert record["attempts"] == 3
 
+    def test_late_failure_for_quarantined_point_is_a_duplicate(self, rig):
+        # A partitioned host's late failure for a point its reassigned
+        # twin already failed must not count a second quarantine or
+        # overwrite the first record.
+        job_hash = sorted(rig.plan.jobs)[0]
+        first = {"scheme": "mithril", "workload": "f11", "attempts": 3,
+                 "reason": "exception", "message": "first"}
+        rig._ingest(_result(job_hash, host="1", status="failed",
+                            failure=first))
+        rig._ingest(_result(job_hash, host="2", status="failed",
+                            failure={**first, "message": "late"}))
+        assert rig.stats.quarantined == 1
+        assert rig.stats.duplicate_results == 1
+        assert rig._dirty == 1
+        assert rig.manifest.quarantined[job_hash]["message"] == "first"
+
+    def test_failure_record_is_filed_under_the_checked_hash(self, rig):
+        # The message hash was checked against the plan; a record whose
+        # own job_hash is null, empty or foreign must not override it.
+        hashes = sorted(rig.plan.jobs)[:3]
+        for job_hash, bogus in zip(hashes, (None, "", "feedface")):
+            rig._ingest(_result(job_hash, status="failed", failure={
+                "job_hash": bogus, "reason": "exception", "attempts": 3,
+            }))
+        assert sorted(rig.manifest.quarantined) == hashes
+        for job_hash in hashes:
+            assert rig.manifest.quarantined[job_hash]["job_hash"] == job_hash
+
+    def test_ok_result_heals_a_quarantined_point(self, rig):
+        job_hash = sorted(rig.plan.jobs)[0]
+        rig._ingest(_result(job_hash, status="failed", failure={
+            "reason": "exception", "message": "boom", "attempts": 3,
+        }))
+        rig.cache.verdicts[job_hash] = "ok"
+        rig._ingest(_result(job_hash, host="2"))
+        assert job_hash in rig.completed
+        assert job_hash not in rig.quarantined
+        assert job_hash not in rig.manifest.quarantined
+        assert rig.stats.duplicate_results == 0
+
     def test_unknown_hash_is_ignored(self, rig):
         rig._ingest(_result("feedfacefeedfacefeedface"))
         assert rig.stats.duplicate_results == 0
