@@ -17,6 +17,10 @@ lease-driven scheduler:
   (``cache.verify == "ok"``), and a result for an already-settled
   hash — the late duplicate a healed partition delivers — is counted
   and discarded, never double-ingested;
+* an "ok" result the store cannot verify (an agent filing under
+  another ``code_version``, say) is re-dealt at most ``max_retries``
+  times, the retry budget of the executors; the next one quarantines
+  the point with reason ``unverified`` instead of re-dealing forever;
 * the atomic ``manifest.json`` checkpoint remains the cluster's
   single source of truth: it is rewritten after every ingest batch,
   so killing the coordinator (or any agent) at any instant costs at
@@ -180,6 +184,7 @@ class Coordinator:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT_S,
         chunk_size: int = DEFAULT_BATCH_SIZE,
         progress=None,
+        max_retries: int = DEFAULT_MAX_RETRIES,
     ):
         self.plan = plan
         self.manifest = manifest
@@ -195,6 +200,11 @@ class Coordinator:
         self.completed: Set[str] = set(manifest.completed)
         self.quarantined: Set[str] = set(manifest.quarantined)
         self.pending: List[str] = []
+        self.max_retries = max_retries
+        #: per hash: "ok" results the store could not verify
+        self._unverified: Dict[str, int] = {}
+        #: hashes dealt in this drive(); ``submitted`` counts each once
+        self._dealt: Set[str] = set()
         self._dirty = 0
         self._stopping = False
         self._tel = telemetry.get()
@@ -212,6 +222,7 @@ class Coordinator:
             launcher=LocalAgentLauncher(root, **agent_options),
             lease_timeout=lease_timeout, chunk_size=chunk_size,
             progress=progress,
+            max_retries=agent_options.get("max_retries", DEFAULT_MAX_RETRIES),
         )
 
     # -- host lifecycle ------------------------------------------------
@@ -336,27 +347,43 @@ class Coordinator:
             self._event("cluster.duplicate", job=job_hash,
                         host=payload.get("host"))
             return
+        job = self.plan.jobs[job_hash]
+        if ok and self.cache.verify(job) == "ok":
+            self.completed.add(job_hash)
+            self.quarantined.discard(job_hash)
+            self.manifest.mark_completed([job_hash])
+            self._dirty += 1
+            return
         if ok:
-            if self.cache.verify(self.plan.jobs[job_hash]) == "ok":
-                self.completed.add(job_hash)
-                self.quarantined.discard(job_hash)
-                self.manifest.mark_completed([job_hash])
-                self._dirty += 1
-            else:
-                # Claimed done but the sealed store disagrees —
-                # whatever happened on that host, re-simulate.
+            # Claimed done but the sealed store disagrees — whatever
+            # happened on that host, re-simulate, within the budget.
+            self._event("cluster.unverified", job=job_hash)
+            if job_hash in self.quarantined:
+                # settled already; an unverified claim heals nothing
+                self.stats.duplicate_results += 1
+                return
+            unverified = self._unverified.get(job_hash, 0) + 1
+            self._unverified[job_hash] = unverified
+            if unverified <= self.max_retries:
                 self.pending.append(job_hash)
                 self.stats.reassigned += 1
-                self._event("cluster.unverified", job=job_hash)
+                return
+            failure = JobFailure(
+                job_hash=job_hash, scheme=job.scheme,
+                workload=job.workload.kind, attempts=unverified,
+                reason="unverified",
+                message=f"{unverified} ok results, none verified by "
+                        "this coordinator's store",
+            )
         else:
             # the checked message hash wins over the record's own
             failure = JobFailure.from_dict(
                 {**(payload.get("failure") or {}), "job_hash": job_hash}
             )
-            self.quarantined.add(job_hash)
-            self.stats.quarantined += 1
-            self.manifest.mark_quarantined([failure])
-            self._dirty += 1
+        self.quarantined.add(job_hash)
+        self.stats.quarantined += 1
+        self.manifest.mark_quarantined([failure])
+        self._dirty += 1
 
     def scavenge(self) -> None:
         """Adopt results a dead coordinator incarnation left spooled.
@@ -420,7 +447,9 @@ class Coordinator:
             host.assigned.update(chunk)
             host.assigned_at = now
             self.stats.chunks += 1
-            self.stats.submitted += len(chunk)
+            # a re-dealt job counts in ``reassigned``, not again here
+            self.stats.submitted += len(set(chunk) - self._dealt)
+            self._dealt.update(chunk)
             self._event("cluster.assign", host=host.host_id,
                         jobs=len(chunk))
 
@@ -459,6 +488,7 @@ class Coordinator:
         # demoted completed points since the last drive.
         self.completed = set(self.manifest.completed)
         self.pending = list(pending)
+        self._dealt = set()
         while not self._work_done():
             if drain.requested:
                 break

@@ -6,20 +6,27 @@
  * BLISS / FR-FCFS pick, bank timing with tFAW and the shared data bus,
  * auto-refresh, the single-distance RowHammer model, RAA counting and
  * RFM issue with the Mithril+ MRR gate, and the per-bank schemes
- * `none` and Mithril (CbS update, greedy RFM, adaptive skip).
+ * `none`, Mithril (CbS update, greedy RFM, adaptive skip), BlockHammer
+ * (dual counting Bloom filter, blacklist, ACT throttling in the pick,
+ * retry and serve paths) and Graphene (CbS with periodic reset,
+ * threshold-triggered ARR).
  *
  * It is a line-for-line port of TurboSimulatedSystem._drain_fused on
  * those paths, and every ordering the python objects expose is kept:
  * events pop in (cycle, seq) order, CbS buckets are FIFO, the CbS
  * maximum breaks ties toward the smallest row, and every dict the
  * write-back rebuilds (CbS counts and buckets, hammer disturbance,
- * BLISS blacklist) is returned in python's insertion order.
+ * BLISS blacklist, BlockHammer releases, Graphene triggers) is
+ * returned in python's insertion order.
  *
  * The kernel knows no python classes.  It reads the trace columns
  * through the buffer protocol and plain int tuples for configuration,
  * and returns plain ints, tuples and lists; kernel.py alone maps them
  * onto the simulator objects.  Per-row state lives in hash maps sized
- * by the rows actually touched, never in dense per-row arrays.
+ * by the rows actually touched, never in dense per-row arrays.  The
+ * one exception is BlockHammer's counters: the kernel writes straight
+ * into each filter's own array('q') through a writable buffer, so the
+ * filters end the run in place with no copy in either direction.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -39,7 +46,10 @@
 
 enum { EV_ISSUE = 0, EV_BANK = 1, EV_COMPLETE = 2 };
 enum { POLICY_OPEN = 0, POLICY_CLOSED = 1, POLICY_MINIMALIST = 2 };
-enum { SCHEME_NONE = 0, SCHEME_MITHRIL = 1 };
+enum {
+    SCHEME_NONE = 0, SCHEME_MITHRIL = 1, SCHEME_BLOCKHAMMER = 2,
+    SCHEME_GRAPHENE = 3
+};
 
 /* Per-run scalars, in the order kernel.pack builds them. */
 enum {
@@ -54,7 +64,10 @@ enum {
     BF_HAMMER, BF_FLIP_TH, BF_HAMMER_ROWS,
     BF_SCHEME, BF_CAPACITY, BF_WRAP_WINDOW, BF_COUNTER_BITS,
     BF_ADAPTIVE_TH, BF_PLUS, BF_BLAST_RADIUS, BF_SCHEME_ROWS,
-    BF_RFM, BF_RAA_TH, BF_MRR_GATED, BF_COUNT
+    BF_RFM, BF_RAA_TH, BF_MRR_GATED, BF_TRC_ARR,
+    BF_BH_HALF_EPOCH, BF_BH_N_BL, BF_BH_DELAY,
+    BF_GR_THRESHOLD, BF_GR_INTERVAL, BF_GR_NEXT_RESET,
+    BF_COUNT
 };
 
 /* EnergyCounts fields, in dataclass order. */
@@ -63,7 +76,7 @@ enum {
     EN_RFM_COMMANDS, EN_PREVENTIVE_ROWS, EN_MRR_COMMANDS, EN_COUNT
 };
 
-/* SchemeStats fields, in dataclass order (ARR and throttle stay 0). */
+/* SchemeStats fields, in dataclass order. */
 enum {
     ST_ACTS_OBSERVED, ST_RFMS_RECEIVED, ST_RFMS_SKIPPED, ST_ARR_REQUESTS,
     ST_PREVENTIVE_ROWS, ST_MRR_READS, ST_THROTTLE_EVENTS, ST_COUNT
@@ -189,6 +202,15 @@ static void map_delete(Map *map, Slot *slot)
     }
     map->slots[hole].key = EMPTY_KEY;
     map->size--;
+}
+
+/* dict.clear(): drop every key, keep the table's capacity. */
+static void map_clear(Map *map)
+{
+    for (size_t i = 0; i <= map->mask; i++) {
+        map->slots[i].key = EMPTY_KEY;
+    }
+    map->size = 0;
 }
 
 /* The live slots sorted by insertion order (caller frees). */
@@ -458,7 +480,7 @@ static void cbs_advance_min(Cbs *s)
     s->min_count = probe;
 }
 
-static void cbs_insert(Ctx *ctx, Cbs *s, int64_t row, int64_t count)
+static int32_t cbs_insert(Ctx *ctx, Cbs *s, int64_t row, int64_t count)
 {
     int32_t e = cbs_new_entry(ctx, s);
     s->entries[e].row = row;
@@ -470,6 +492,7 @@ static void cbs_insert(Ctx *ctx, Cbs *s, int64_t row, int64_t count)
     if (count > s->max_count || s->size == 1) {
         s->max_count = count;
     }
+    return e;
 }
 
 /* Evict entry e (always followed by an insert above its count, which
@@ -509,8 +532,8 @@ static void cbs_move(Ctx *ctx, Cbs *s, int32_t e, int64_t old, int64_t new)
     }
 }
 
-/* CounterSummary._observe_one */
-static void cbs_observe(Ctx *ctx, Cbs *s, int64_t row)
+/* CounterSummary._observe_one; returns the row's entry */
+static int32_t cbs_observe(Ctx *ctx, Cbs *s, int64_t row)
 {
     s->total_observed++;
     Slot *slot = map_find(&s->rows, row);
@@ -518,10 +541,10 @@ static void cbs_observe(Ctx *ctx, Cbs *s, int64_t row)
         int32_t e = (int32_t)slot->value;
         int64_t count = s->entries[e].count;
         cbs_move(ctx, s, e, count, count + 1);
-        return;
+        return e;
     }
     if (s->size < s->capacity) {
-        cbs_insert(ctx, s, row, 1);
+        int32_t e = cbs_insert(ctx, s, row, 1);
         if (s->size == s->capacity) {
             /* min(self._buckets) */
             int first = 1;
@@ -533,16 +556,32 @@ static void cbs_observe(Ctx *ctx, Cbs *s, int64_t row)
                 }
             }
         }
-        return;
+        return e;
     }
     s->evictions++;
     Slot *low = map_find(&s->counts, s->min_count);
     int32_t victim = s->buckets[low->value].head;
     cbs_remove(s, victim, s->min_count);
-    cbs_insert(ctx, s, row, s->min_count + 1);
+    int32_t e = cbs_insert(ctx, s, row, s->min_count + 1);
     if (!cbs_has_bucket(s, s->min_count)) {
         cbs_advance_min(s);
     }
+    return e;
+}
+
+/* CounterSummary.reset: an empty table; total_observed and evictions
+ * count the whole run and survive. */
+static void cbs_reset(Cbs *s)
+{
+    map_clear(&s->rows);
+    map_clear(&s->counts);
+    s->num_entries = 0;
+    s->free_entry = -1;
+    s->num_buckets = 0;
+    s->free_bucket = -1;
+    s->size = 0;
+    s->min_count = 0;
+    s->max_count = 0;
 }
 
 /* The min_count property: 0 while the table is not full. */
@@ -583,6 +622,15 @@ typedef struct {
     int32_t is_write;
 } Request;
 
+/* One CountingBloomFilter of BlockHammer's pair. */
+typedef struct {
+    int64_t *counters;       /* the filter's own array('q'), in place */
+    int64_t size, total;
+    uint64_t *seeds;         /* premixed probe seeds (_probe_seeds) */
+    int64_t num_seeds;
+    int64_t *cells;          /* this ACT's probe indices */
+} Cbf;
+
 typedef struct {
     /* wiring */
     int64_t channel, faw, scheduler;
@@ -606,6 +654,20 @@ typedef struct {
     Cbs cbs;
     int64_t wrap_window, counter_bits, adaptive_th, plus;
     int64_t blast_radius, scheme_rows, max_spread_seen;
+    /* BlockHammer: the filter pair, its rotation and the blacklist */
+    Cbf cbf[2];
+    Py_buffer cbf_views[2];
+    int num_cbf_views;
+    int64_t active, since_swap, half_epoch, n_bl, delay;
+    Map release;             /* row -> release cycle (dict order) */
+    uint64_t release_order;
+    int64_t blacklisted_seen;
+    /* Graphene: reset schedule and ARR triggers */
+    int64_t threshold, next_reset, reset_interval, resets;
+    Map trigger;             /* row -> next trigger (dict order) */
+    uint64_t trigger_order;
+    /* BankController._apply_arr */
+    int64_t trc_arr, arr_stall;
     /* RfmIssueLogic */
     int has_rfm, mrr_gated;
     int64_t raa_th, raa, rfm_issued, rfm_elided, mrr_reads;
@@ -688,6 +750,15 @@ static void ctx_free(Ctx *ctx)
             free(b->cbs.counts.slots);
             free(b->hammer.levels.slots);
             free(b->hammer.flips);
+            for (int f = 0; f < 2; f++) {
+                free(b->cbf[f].seeds);
+                free(b->cbf[f].cells);
+            }
+            for (int v = 0; v < b->num_cbf_views; v++) {
+                PyBuffer_Release(&b->cbf_views[v]);
+            }
+            free(b->release.slots);
+            free(b->trigger.slots);
         }
     }
     if (ctx->cores != NULL) {
@@ -901,6 +972,155 @@ static void apply_rfm(Ctx *ctx, Bank *b)
     }
 }
 
+/* BankController._apply_arr */
+static void apply_arr(Bank *b, const int64_t *victims, int64_t n)
+{
+    b->stats[ST_ARR_REQUESTS]++;
+    int64_t before = b->ready;
+    block_for(b, b->ready, b->trc_arr * n);
+    b->arr_stall += b->ready - before;
+    b->energy[EN_PREVENTIVE_ROWS] += n;
+    if (b->has_hammer) {
+        for (int64_t i = 0; i < n; i++) {
+            hammer_refresh_row(&b->hammer, victims[i]);
+        }
+    }
+}
+
+/* GrapheneScheme.on_activate (+ _maybe_reset), its ARR applied */
+static void graphene_activate(Ctx *ctx, Bank *b, int64_t row, int64_t cycle)
+{
+    b->stats[ST_ACTS_OBSERVED]++;
+    if (cycle >= b->next_reset) {
+        cbs_reset(&b->cbs);
+        map_clear(&b->trigger);
+        b->resets++;
+        /* while next_reset <= cycle: next_reset += interval */
+        b->next_reset += ((cycle - b->next_reset) / b->reset_interval + 1)
+                         * b->reset_interval;
+    }
+    int32_t e = cbs_observe(ctx, &b->cbs, row);
+    int64_t estimate = b->cbs.entries[e].count;
+    Slot *slot = map_find(&b->trigger, row);
+    int64_t trigger = slot != NULL ? slot->value : b->threshold;
+    if (estimate < trigger) {
+        return;
+    }
+    if (slot == NULL) {
+        slot = map_insert(ctx, &b->trigger, row);
+        slot->order = b->trigger_order++;
+    }
+    slot->value = trigger + b->threshold;
+    int64_t victims[2];
+    int64_t n = 0;
+    if (row - 1 >= 0 && row - 1 < b->scheme_rows) {
+        victims[n++] = row - 1;
+    }
+    if (row + 1 >= 0 && row + 1 < b->scheme_rows) {
+        victims[n++] = row + 1;
+    }
+    b->stats[ST_PREVENTIVE_ROWS] += n;
+    if (n) {
+        apply_arr(b, victims, n);
+    }
+}
+
+/* CountingBloomFilter._indices: splitmix64 probes of hash(row), which
+ * is row itself for the rows kernel.pack admits. */
+static void cbf_probe(Cbf *f, int64_t row)
+{
+    for (int64_t i = 0; i < f->num_seeds; i++) {
+        uint64_t x = (uint64_t)row ^ f->seeds[i];
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+        x ^= x >> 31;
+        f->cells[i] = (int64_t)(x % (uint64_t)f->size);
+    }
+}
+
+/* BlockHammerScheme.on_activate with
+ * DualCountingBloomFilter.observe_and_estimate (+ _rotate) inline */
+static void blockhammer_activate(Ctx *ctx, Bank *b, int64_t row,
+                                 int64_t cycle)
+{
+    b->stats[ST_ACTS_OBSERVED]++;
+    for (int f = 0; f < 2; f++) {
+        Cbf *filter = &b->cbf[f];
+        cbf_probe(filter, row);
+        for (int64_t i = 0; i < filter->num_seeds; i++) {
+            filter->counters[filter->cells[i]]++;
+        }
+        filter->total++;
+    }
+    if (++b->since_swap >= b->half_epoch) {
+        /* _rotate: the retired filter restarts empty, in place */
+        Cbf *retired = &b->cbf[b->active];
+        b->since_swap = 0;
+        memset(retired->counters, 0, (size_t)retired->size * sizeof(int64_t));
+        retired->total = 0;
+        b->active = 1 - b->active;
+    }
+    const Cbf *filter = &b->cbf[b->active];
+    int64_t estimate = filter->counters[filter->cells[0]];
+    for (int64_t i = 1; i < filter->num_seeds; i++) {
+        int64_t value = filter->counters[filter->cells[i]];
+        if (value < estimate) {
+            estimate = value;
+        }
+    }
+    if (estimate >= b->n_bl) {
+        Slot *slot = map_find(&b->release, row);
+        if (slot == NULL) {
+            slot = map_insert(ctx, &b->release, row);
+            slot->order = b->release_order++;
+            b->blacklisted_seen++;
+        }
+        slot->value = cycle + b->delay;
+        b->stats[ST_THROTTLE_EVENTS]++;
+    }
+}
+
+/* BlockHammerScheme.throttle_release: the earliest ACT cycle for row */
+static int64_t blacklist_release(const Bank *b, int64_t row, int64_t cycle)
+{
+    const Slot *slot = map_find(&b->release, row);
+    return (slot == NULL || slot->value <= cycle) ? cycle : slot->value;
+}
+
+/* BankController.throttle_release: row hits involve no ACT */
+static int64_t request_release(const Bank *b, const Request *request,
+                               int64_t cycle)
+{
+    if (b->has_open && request->row == b->open_row) {
+        return cycle;
+    }
+    return blacklist_release(b, request->row, cycle);
+}
+
+/* A candidate not yet released: schedulers skip it, and `earliest`
+ * keeps the soonest release seen. */
+static int throttled(const Bank *b, const Request *request, int64_t cycle,
+                     int64_t *earliest)
+{
+    int64_t release = request_release(b, request, cycle);
+    if (release <= cycle) {
+        return 0;
+    }
+    if (release < *earliest) {
+        *earliest = release;
+    }
+    return 1;
+}
+
+/* Schedule the bank's next serve at `at`, but no earlier than the
+ * next cycle. */
+static void wake_bank(Ctx *ctx, Bank *b, int64_t flat, int64_t at,
+                      int64_t cycle)
+{
+    b->scheduled = 1;
+    push(ctx, at > cycle + 1 ? at : cycle + 1, EV_BANK, flat);
+}
+
 /* ------------------------------------------------------------------ */
 /* event handlers                                                       */
 /* ------------------------------------------------------------------ */
@@ -984,9 +1204,23 @@ static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
         return;
     }
     Scheduler *sched = &ctx->schedulers[b->scheduler];
+    int throttles = b->scheme == SCHEME_BLOCKHAMMER;
     size_t index = 0;
     int contended = 0;
-    if (qlen > 1) {
+    if (qlen == 1) {
+        if (throttles) {
+            int64_t release = request_release(b, &b->queue[0], cycle);
+            if (release > cycle) {
+                wake_bank(ctx, b, flat, release, cycle);
+                return;
+            }
+        }
+    } else {
+        /* Throttled candidates never beat a released one; with none
+         * released, both schedulers abstain and the bank retries at
+         * the earliest release (the scalar min((release, arrival))). */
+        int found = 0;
+        int64_t earliest = INT64_MAX;
         if (sched->is_bliss) {
             /* BlissScheduler.pick: (blacklisted, row miss) tiers, then
              * oldest, first index on ties */
@@ -994,6 +1228,9 @@ static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
             int64_t best_arrival = 0;
             for (size_t i = 0; i < qlen; i++) {
                 const Request *queued = &b->queue[i];
+                if (throttles && throttled(b, queued, cycle, &earliest)) {
+                    continue;
+                }
                 int tier = sched->until[queued->core] > cycle ? 2 : 0;
                 if (!(b->has_open && queued->row == b->open_row)) {
                     tier++;
@@ -1005,12 +1242,16 @@ static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
                     best_arrival = queued->arrival;
                 }
             }
+            found = best_tier < 4;
         } else {
             /* FrFcfsScheduler.pick: oldest row hit, else oldest miss */
             int64_t best_hit = -1, best_miss = -1;
             int64_t hit_arrival = 0, miss_arrival = 0;
             for (size_t i = 0; i < qlen; i++) {
                 const Request *queued = &b->queue[i];
+                if (throttles && throttled(b, queued, cycle, &earliest)) {
+                    continue;
+                }
                 if (b->has_open && queued->row == b->open_row) {
                     if (best_hit < 0 || queued->arrival < hit_arrival) {
                         best_hit = (int64_t)i;
@@ -1021,7 +1262,12 @@ static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
                     miss_arrival = queued->arrival;
                 }
             }
+            found = best_hit >= 0 || best_miss >= 0;
             index = (size_t)(best_hit >= 0 ? best_hit : best_miss);
+        }
+        if (!found) {
+            wake_bank(ctx, b, flat, earliest, cycle);
+            return;
         }
         contended = (int64_t)qlen > b->occupancy[b->queue[index].core];
     }
@@ -1073,7 +1319,14 @@ static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
             precharged = 1;
             b->pre_count++;
         }
-        int64_t act_cycle = start;   /* never throttled */
+        int64_t act_cycle = start;
+        if (throttles) {
+            /* serve's act_not_before: no row-hit exemption here */
+            int64_t act_not_before = blacklist_release(b, row, cycle);
+            if (act_not_before > act_cycle) {
+                act_cycle = act_not_before;
+            }
+        }
         if (b->last_act + cfg[CF_TRC] > act_cycle) {
             act_cycle = b->last_act + cfg[CF_TRC];
         }
@@ -1138,6 +1391,10 @@ static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
         }
         if (b->scheme == SCHEME_MITHRIL) {
             mithril_activate(ctx, b, row);
+        } else if (b->scheme == SCHEME_BLOCKHAMMER) {
+            blockhammer_activate(ctx, b, row, start);
+        } else if (b->scheme == SCHEME_GRAPHENE) {
+            graphene_activate(ctx, b, row, start);
         } else {
             b->stats[ST_ACTS_OBSERVED]++;
         }
@@ -1190,8 +1447,7 @@ static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
         core->last_completion = data_cycle;
     }
     if (qlen > 1) {
-        b->scheduled = 1;
-        push(ctx, b->ready > cycle + 1 ? b->ready : cycle + 1, EV_BANK, flat);
+        wake_bank(ctx, b, flat, b->ready, cycle);
     }
 }
 
@@ -1262,7 +1518,57 @@ static int read_cores(Ctx *ctx, PyObject *cores)
     return 0;
 }
 
-static int read_banks(Ctx *ctx, PyObject *banks)
+/* filter: (counters array('q'), premixed seeds); the counters are
+ * borrowed writable for the run, never copied. */
+static int read_cbf(Ctx *ctx, Bank *b, int f, PyObject *spec)
+{
+    Cbf *filter = &b->cbf[f];
+    PyObject *counters, *seeds;
+    if (!PyArg_ParseTuple(spec, "OO", &counters, &seeds)) {
+        return -1;
+    }
+    Py_buffer *view = &b->cbf_views[b->num_cbf_views];
+    if (PyObject_GetBuffer(counters, view,
+                           PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0) {
+        return -1;
+    }
+    b->num_cbf_views++;
+    if (view->itemsize != 8 || view->len < 8) {
+        PyErr_SetString(PyExc_ValueError, "filter counters must be a "
+                        "non-empty int64 buffer");
+        return -1;
+    }
+    filter->counters = view->buf;
+    filter->size = view->len / 8;
+    PyObject *fast = PySequence_Fast(seeds, "filter seeds");
+    if (fast == NULL) {
+        return -1;
+    }
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    filter->num_seeds = n;
+    filter->seeds = calloc(n ? n : 1, sizeof(uint64_t));
+    filter->cells = calloc(n ? n : 1, sizeof(int64_t));
+    if (filter->seeds == NULL || filter->cells == NULL) {
+        Py_DECREF(fast);
+        fail_nomem(ctx);
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        filter->seeds[i] = PyLong_AsUnsignedLongLong(
+            PySequence_Fast_GET_ITEM(fast, i));
+        if (filter->seeds[i] == (uint64_t)-1 && PyErr_Occurred()) {
+            Py_DECREF(fast);
+            return -1;
+        }
+    }
+    Py_DECREF(fast);
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "a filter needs probe seeds");
+        return -1;
+    }
+    return 0;
+}
+
+static int read_banks(Ctx *ctx, PyObject *banks, PyObject *filters)
 {
     int64_t field[BF_COUNT];
     for (int64_t i = 0; i < ctx->num_banks; i++) {
@@ -1276,7 +1582,9 @@ static int read_banks(Ctx *ctx, PyObject *banks)
             || field[BF_SCHEDULER] < 0
             || field[BF_SCHEDULER] >= ctx->num_schedulers
             || field[BF_NUM_GROUPS] <= 0 || field[BF_TREFI] <= 0
-            || field[BF_BLAST_RADIUS] > 64) {
+            || field[BF_BLAST_RADIUS] > 64
+            || (field[BF_SCHEME] == SCHEME_GRAPHENE
+                && field[BF_GR_INTERVAL] <= 0)) {
             PyErr_SetString(PyExc_ValueError, "bank fields out of range");
             return -1;
         }
@@ -1300,19 +1608,39 @@ static int read_banks(Ctx *ctx, PyObject *banks)
             map_alloc(ctx, &b->hammer.levels, 64);
         }
         b->scheme = (int)field[BF_SCHEME];
-        if (b->scheme == SCHEME_MITHRIL) {
+        if (b->scheme == SCHEME_MITHRIL || b->scheme == SCHEME_GRAPHENE) {
             Cbs *s = &b->cbs;
             s->capacity = field[BF_CAPACITY];
             s->free_entry = -1;
             s->free_bucket = -1;
             map_alloc(ctx, &s->rows, 64);
             map_alloc(ctx, &s->counts, 16);
+            b->scheme_rows = field[BF_SCHEME_ROWS];
+        }
+        if (b->scheme == SCHEME_MITHRIL) {
             b->wrap_window = field[BF_WRAP_WINDOW];
             b->counter_bits = field[BF_COUNTER_BITS];
             b->adaptive_th = field[BF_ADAPTIVE_TH];
             b->plus = field[BF_PLUS];
             b->blast_radius = field[BF_BLAST_RADIUS];
-            b->scheme_rows = field[BF_SCHEME_ROWS];
+        } else if (b->scheme == SCHEME_GRAPHENE) {
+            b->threshold = field[BF_GR_THRESHOLD];
+            b->reset_interval = field[BF_GR_INTERVAL];
+            b->next_reset = field[BF_GR_NEXT_RESET];
+            b->trc_arr = field[BF_TRC_ARR];
+            map_alloc(ctx, &b->trigger, 16);
+        } else if (b->scheme == SCHEME_BLOCKHAMMER) {
+            PyObject *pair = PyList_GET_ITEM(filters, i);
+            PyObject *first, *second;
+            if (!PyArg_ParseTuple(pair, "OO", &first, &second)
+                || read_cbf(ctx, b, 0, first) < 0
+                || read_cbf(ctx, b, 1, second) < 0) {
+                return -1;
+            }
+            b->half_epoch = field[BF_BH_HALF_EPOCH];
+            b->n_bl = field[BF_BH_N_BL];
+            b->delay = field[BF_BH_DELAY];
+            map_alloc(ctx, &b->release, 16);
         }
         b->has_rfm = field[BF_RFM] != 0;
         b->raa_th = field[BF_RAA_TH];
@@ -1545,38 +1873,67 @@ done:
     return out;
 }
 
-/* One bank: (timing, refresh, energy, stats, rfm, hammer | None,
- * cbs | None, max_spread_seen); see kernel.py's write-back. */
+/* (keys, values) of `map` in dict order */
+static PyObject *map_out(const Map *map)
+{
+    int64_t *keys = NULL, *values = NULL;
+    PyObject *out = NULL;
+    if (ordered_items(map, NULL, &keys, &values) == 0) {
+        out = Py_BuildValue("(NN)", number_list(keys, map->size, 0),
+                            number_list(values, map->size, 0));
+    }
+    free(keys);
+    free(values);
+    return out;
+}
+
+/* The scheme's tracker state, by scheme (None for `none`):
+ *   Mithril      (cbs, max_spread_seen)
+ *   BlockHammer  ((total, total), active, since_swap, release,
+ *                 blacklisted_rows_seen); counters are already in place
+ *   Graphene     (cbs, trigger, next_reset, resets) */
+static PyObject *tracker_out(const Bank *b)
+{
+    switch (b->scheme) {
+    case SCHEME_MITHRIL:
+        return Py_BuildValue("(NL)", cbs_out(&b->cbs),
+                             (long long)b->max_spread_seen);
+    case SCHEME_BLOCKHAMMER:
+        return Py_BuildValue(
+            "((LL)LLNL)", (long long)b->cbf[0].total,
+            (long long)b->cbf[1].total, (long long)b->active,
+            (long long)b->since_swap, map_out(&b->release),
+            (long long)b->blacklisted_seen);
+    case SCHEME_GRAPHENE:
+        return Py_BuildValue("(NNLL)", cbs_out(&b->cbs),
+                             map_out(&b->trigger),
+                             (long long)b->next_reset,
+                             (long long)b->resets);
+    default:
+        Py_RETURN_NONE;
+    }
+}
+
+/* One bank: (open_row | None, timing, refresh, energy, stats, rfm,
+ * hammer | None, tracker | None); see kernel.py's write-back. */
 static PyObject *bank_out(const Bank *b)
 {
     int64_t timing[] = {
         b->ready, b->last_act, b->act_count, b->pre_count,
         b->access_count, b->refresh_blocks, b->consecutive_hits,
-        b->rfm_stall, b->refresh_stall,
+        b->rfm_stall, b->refresh_stall, b->arr_stall,
     };
     int64_t refresh[] = {b->next_tick, b->cursor, b->ticks};
     int64_t rfm[] = {b->raa, b->rfm_issued, b->rfm_elided, b->mrr_reads};
     PyObject *hammer;
-    PyObject *cbs;
     if (b->has_hammer) {
         hammer = hammer_out(&b->hammer);
     } else {
         Py_INCREF(Py_None);
         hammer = Py_None;
     }
-    if (b->scheme == SCHEME_MITHRIL) {
-        cbs = cbs_out(&b->cbs);
-    } else {
-        Py_INCREF(Py_None);
-        cbs = Py_None;
-    }
-    if (hammer == NULL || cbs == NULL) {
-        Py_XDECREF(hammer);
-        Py_XDECREF(cbs);
-        return NULL;
-    }
     return Py_BuildValue(
-        "(NNNNNNNNL)",
+        "(NNNNNNNN)",
         optional_int(b->has_open, b->open_row),
         ints_tuple(timing, sizeof timing / sizeof *timing),
         ints_tuple(refresh, 3),
@@ -1584,8 +1941,7 @@ static PyObject *bank_out(const Bank *b)
         ints_tuple(b->stats, ST_COUNT),
         ints_tuple(rfm, 4),
         hammer,
-        cbs,
-        (long long)b->max_spread_seen);
+        tracker_out(b));
 }
 
 static PyObject *faw_out(const Faw *faw)
@@ -1688,18 +2044,19 @@ done:
 /* ------------------------------------------------------------------ */
 
 PyDoc_STRVAR(drain_doc,
-"drain(config, cores, banks, num_channels, faws, schedulers)\n"
+"drain(config, cores, banks, num_channels, faws, schedulers, filters)\n"
 "\n"
 "Run a pristine covered system until its event heap is empty and\n"
 "return its final state as plain ints, tuples and lists.");
 
 static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *config, *cores, *banks, *faws, *schedulers;
+    PyObject *config, *cores, *banks, *faws, *schedulers, *filters;
     Py_ssize_t num_channels;
-    if (!PyArg_ParseTuple(args, "OO!O!nO!O!", &config, &PyList_Type, &cores,
-                          &PyList_Type, &banks, &num_channels, &PyList_Type,
-                          &faws, &PyList_Type, &schedulers)) {
+    if (!PyArg_ParseTuple(args, "OO!O!nO!O!O!", &config, &PyList_Type,
+                          &cores, &PyList_Type, &banks, &num_channels,
+                          &PyList_Type, &faws, &PyList_Type, &schedulers,
+                          &PyList_Type, &filters)) {
         return NULL;
     }
     Ctx *ctx = calloc(1, sizeof(Ctx));
@@ -1720,7 +2077,8 @@ static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
     ctx->num_faws = PyList_GET_SIZE(faws);
     ctx->num_schedulers = PyList_GET_SIZE(schedulers);
     ctx->seq = ctx->cfg[CF_SEQ];
-    if (ctx->num_banks != PyList_GET_SIZE(banks) || ctx->num_banks <= 0
+    if (ctx->num_banks != PyList_GET_SIZE(banks)
+        || ctx->num_banks != PyList_GET_SIZE(filters) || ctx->num_banks <= 0
         || ctx->num_banks > IDENT_MASK || ctx->num_cores > IDENT_MASK) {
         PyErr_SetString(PyExc_ValueError, "bad bank or core count");
         ctx_free(ctx);
@@ -1731,7 +2089,7 @@ static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
     ctx->bus_free = ctx_calloc(ctx, num_channels, sizeof(int64_t));
     ctx->faws = ctx_calloc(ctx, ctx->num_faws, sizeof(Faw));
     ctx->schedulers = ctx_calloc(ctx, ctx->num_schedulers, sizeof(Scheduler));
-    if (read_cores(ctx, cores) < 0 || read_banks(ctx, banks) < 0
+    if (read_cores(ctx, cores) < 0 || read_banks(ctx, banks, filters) < 0
         || read_shared(ctx, faws, schedulers) < 0) {
         ctx_free(ctx);
         return NULL;

@@ -3,9 +3,10 @@
 ``_kernel.c`` beside this file is a plain-C port of the turbo fused
 drain for the systems it *covers* (see
 :meth:`~repro.sim.turbo.TurboSimulatedSystem._kernel_args`): every bank
-runs ``none`` or Mithril / Mithril+ without throttling, on stock
-components, from a pristine state, with no probe and no cycle limit.
-Everything else keeps running through turbo's python drains.
+runs ``none``, Mithril / Mithril+, BlockHammer (with its throttle) or
+Graphene, uniform or mixed, on stock components, from a pristine state,
+with no probe and no cycle limit.  Everything else keeps running
+through turbo's python drains.
 
 * **Build.**  The first covered run compiles the source with the
   interpreter's own ``sysconfig`` compiler, include directory and
@@ -21,13 +22,17 @@ Everything else keeps running through turbo's python drains.
   columns (buffer protocol) and int tuples; :func:`drain` runs the
   kernel and writes its plain-int result back onto the simulator
   objects that ``_collect`` and the tests read.  The C side knows no
-  python class.
+  python class.  BlockHammer's filter counters are the one exception
+  to "flat out": the kernel increments and clears each filter's own
+  ``array('q')`` in place through a writable buffer, so no copy of
+  the 2 x 8192 counters per bank is ever made.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from array import array
 from pathlib import Path
 from typing import Optional
 
@@ -36,6 +41,8 @@ import numpy as np
 from repro.core.mithril import MithrilScheme
 from repro.dram.hammer import FlipEvent
 from repro.mc.scheduler import BlissScheduler
+from repro.mitigations.blockhammer import BlockHammerScheme
+from repro.mitigations.graphene import GrapheneScheme
 from repro.protection import SchemeStats
 from repro.types import EnergyCounts
 
@@ -45,30 +52,45 @@ BUILD_DIR = Path(__file__).with_name("__pycache__")
 #: Seconds one compile may take before it counts as failed.
 BUILD_TIMEOUT_S = 300
 
-_SCHEME_NONE, _SCHEME_MITHRIL = 0, 1
+#: ``_kernel.c``'s SCHEME_* codes; any other covered scheme is ``none``.
+_SCHEME_NONE = 0
+_SCHEME_CODES = {MithrilScheme: 1, BlockHammerScheme: 2, GrapheneScheme: 3}
 #: ``BankTimingModel._last_act_cycle`` before any ACT.
 _FRESH_LAST_ACT = -1 << 30
 #: The kernel keeps ints in int64 and refreshes at most this many
 #: victims per side of an aggressor.
 _INT64_MAX = (1 << 63) - 1
+_UINT64_MAX = (1 << 64) - 1
 _MAX_BLAST_RADIUS = 64
+#: ``hash(row) == row`` exactly for ``0 <= row < 2**61 - 1`` (python's
+#: int hash modulus), so the kernel's BlockHammer probes hash ``row``.
+_HASH_MODULUS = (1 << 61) - 1
 
 #: Instance-level overrides of these hooks would bypass the kernel,
 #: so a system carrying any of them stays on the python drain.
 _HOOKS = {
-    "controller": {"advance_refresh", "_apply_rfm", "_apply_arr"},
+    "controller": {
+        "advance_refresh", "_apply_rfm", "_apply_arr", "throttle_release",
+    },
     "bank": {"block_for"},
     "refresh": {"drain_due", "pop_tick"},
     "hammer": {"on_refresh_row", "on_refresh_range"},
-    "scheme": {"on_rfm", "rfm_needed_flag", "on_autorefresh", "_victims"},
+    "scheme": {
+        "on_rfm", "rfm_needed_flag", "on_autorefresh", "_victims",
+        "on_activate", "throttle_release", "_maybe_reset",
+    },
     "table": {
         "record_activation", "greedy_select", "demote_max", "spread",
         "max_count", "min_count",
     },
     "summary": {
         "observe", "_observe_one", "max_entry", "demote_to_min",
-        "_insert", "_remove", "_move", "_advance_min",
+        "_insert", "_remove", "_move", "_advance_min", "reset",
+        "estimate",
     },
+    "cbf": {"observe_and_estimate", "_rotate", "observe", "estimate",
+            "reset"},
+    "filter": {"_indices", "reset", "observe", "estimate"},
 }
 _INT_TYPES = {int, bool}
 _FRESH_ENERGY = EnergyCounts()
@@ -184,6 +206,62 @@ def _int64s(values) -> bool:
     )
 
 
+def _fresh_summary(summary) -> bool:
+    return not (
+        summary._counts or summary._buckets or summary._max_heap
+        or summary._min_count or summary._total_observed
+        or summary.evictions
+    )
+
+
+def _fresh_filter(cbf_filter) -> bool:
+    """An unobserved filter whose counters are an ``array('q')`` of its
+    own size.  The kernel increments those counters in place, exactly
+    as python would, so it needs no check of their values."""
+    counters = cbf_filter._counters
+    return (
+        type(counters) is array and counters.typecode == "q"
+        and 0 < len(counters) == cbf_filter.size
+        and not cbf_filter._total
+    )
+
+
+def _fresh_tracker(scheme) -> bool:
+    """The scheme's tracker state is as constructed."""
+    if type(scheme) is MithrilScheme:
+        return (
+            not scheme.table._max_spread_seen
+            and _fresh_summary(scheme.table._summary)
+        )
+    if type(scheme) is BlockHammerScheme:
+        cbf = scheme.cbf
+        return (
+            not scheme._release and not scheme.blacklisted_rows_seen
+            and not cbf._active and not cbf._since_swap
+            and len(cbf._filters) == 2
+            and all(map(_fresh_filter, cbf._filters))
+        )
+    if type(scheme) is GrapheneScheme:
+        return (
+            not scheme.resets and not scheme._next_trigger
+            and _fresh_summary(scheme.table)
+        )
+    return True
+
+
+def _tracker_objects(scheme) -> list:
+    """The mutable tracker objects the kernel writes for ``scheme``."""
+    if type(scheme) is MithrilScheme:
+        return [scheme, scheme.table, scheme.table._summary]
+    if type(scheme) is BlockHammerScheme:
+        filters = scheme.cbf._filters
+        return [scheme, scheme.cbf, *filters,
+                *(f._counters for f in filters)]
+    if type(scheme) is GrapheneScheme:
+        return [scheme, scheme.table]
+    return []
+
+
 def _pristine(system) -> bool:
     """Nothing has run and nothing was injected: the kernel starts every
     object from its constructed state."""
@@ -235,17 +313,15 @@ def _pristine(system) -> bool:
             or rfm.mrr_reads
         ):
             return False
-        scheme = controller.scheme
-        if type(scheme) is MithrilScheme:
-            summary = scheme.table._summary
-            if (
-                scheme.table._max_spread_seen or summary._counts
-                or summary._buckets or summary._max_heap
-                or summary._min_count or summary._total_observed
-                or summary.evictions
-            ):
-                return False
-    return True
+        if not _fresh_tracker(controller.scheme):
+            return False
+    # The kernel gives every bank its own tracker: one shared between
+    # banks (or one filter's counters between filters) stays python.
+    owned = [
+        id(obj) for controller in system.banks
+        for obj in _tracker_objects(controller.scheme)
+    ]
+    return len(owned) == len(set(owned))
 
 
 def _index_of(objects: list, obj) -> int:
@@ -257,9 +333,20 @@ def _index_of(objects: list, obj) -> int:
     return len(objects) - 1
 
 
+def _probe_seeds(cbf_filter) -> Optional[tuple]:
+    """The filter's premixed probe seeds, if all fit a uint64."""
+    seeds = tuple(cbf_filter._probe_seeds)
+    if seeds and all(
+        type(seed) is int and 0 <= seed <= _UINT64_MAX for seed in seeds
+    ):
+        return seeds
+    return None
+
+
 def _bank_fields(system, flat, channel_states, faws) -> Optional[tuple]:
     """One bank's configuration, in the order of ``_kernel.c``'s BF_*
-    enum; None when the kernel cannot run this bank exactly."""
+    enum, and its BlockHammer filters ``((counters, seeds), ...)`` or
+    None; None when the kernel cannot run this bank exactly."""
     controller = system.banks[flat]
     bank = controller.bank
     refresh = controller.refresh
@@ -274,6 +361,9 @@ def _bank_fields(system, flat, channel_states, faws) -> Optional[tuple]:
     ):
         return None
     mithril = type(scheme) is MithrilScheme
+    blockhammer = type(scheme) is BlockHammerScheme
+    graphene = type(scheme) is GrapheneScheme
+    filters = None
     if mithril:
         table = scheme.table
         if _patched(table, "table") or _patched(table._summary, "summary"):
@@ -283,6 +373,19 @@ def _bank_fields(system, flat, channel_states, faws) -> Optional[tuple]:
             window = -1  # unchecked, or wider than any reachable spread
         if scheme.blast_radius > _MAX_BLAST_RADIUS:
             return None
+    elif blockhammer:
+        cbf = scheme.cbf
+        if _patched(cbf, "cbf") or any(
+            _patched(f, "filter") for f in cbf._filters
+        ):
+            return None
+        filters = tuple(
+            (f._counters, _probe_seeds(f)) for f in cbf._filters
+        )
+        if any(seeds is None for _counters, seeds in filters):
+            return None
+    elif graphene and _patched(scheme.table, "summary"):
+        return None
     faw = bank.faw
     if faw is not None and faw.window < 1:
         return None
@@ -301,36 +404,49 @@ def _bank_fields(system, flat, channel_states, faws) -> Optional[tuple]:
         hammer is not None,
         0 if hammer is None else hammer.flip_th,
         0 if hammer is None else hammer.rows_per_bank,
-        _SCHEME_MITHRIL if mithril else _SCHEME_NONE,
-        table._summary.capacity if mithril else 0,
+        _SCHEME_CODES.get(type(scheme), _SCHEME_NONE),
+        table._summary.capacity if mithril
+        else scheme.table.capacity if graphene else 0,
         window if mithril else -1,
         (table.counter_bits or 0) if mithril else 0,
         scheme.adaptive_th if mithril else 0,
         scheme.plus if mithril else False,
         scheme.blast_radius if mithril else 0,
-        scheme.rows_per_bank if mithril else 0,
+        scheme.rows_per_bank if mithril or graphene else 0,
         rfm is not None,
         0 if rfm is None else rfm.raa.rfm_th,
         False if rfm is None else rfm.mrr_gated,
+        controller._trc_cycles,
+        scheme.cbf.half_epoch if blockhammer else 0,
+        scheme.n_bl if blockhammer else 0,
+        scheme.delay_cycles if blockhammer else 0,
+        scheme.threshold if graphene else 0,
+        scheme.reset_interval_cycles if graphene else 0,
+        scheme._next_reset if graphene else 0,
     )
-    return fields if _int64s(fields) else None
+    if not _int64s(fields) or (graphene and scheme.reset_interval_cycles < 1):
+        return None
+    return fields, filters
 
 
 def pack(system) -> Optional[tuple]:
     """The kernel's arguments for a stock-component, fused ``system``
-    whose banks all run ``none`` or Mithril; None when the kernel
-    cannot represent it exactly (not pristine, an instance-patched
-    hook, a non-int parameter)."""
+    whose banks all run ``none``, Mithril, BlockHammer or Graphene;
+    None when the kernel cannot represent it exactly (not pristine, an
+    instance-patched hook, a non-int parameter, a BlockHammer trace row
+    whose hash is not the row itself)."""
     if not _pristine(system):
         return None
     channel_states: list = []
     faws: list = []
     banks = []
+    filters = []
     for flat in range(system.num_banks):
-        fields = _bank_fields(system, flat, channel_states, faws)
-        if fields is None:
+        packed = _bank_fields(system, flat, channel_states, faws)
+        if packed is None:
             return None
-        banks.append(fields)
+        banks.append(packed[0])
+        filters.append(packed[1])
     timings = system.config.timings
     config = (  # the order of _kernel.c's CF_* enum
         system.num_banks,
@@ -365,7 +481,12 @@ def pack(system) -> Optional[tuple]:
         )
         for core in system.cores
     ]
-    return config, cores, banks, channel_states, faws, schedulers
+    if any(filters) and not all(
+        not len(rows) or (rows.min() >= 0 and rows.max() < _HASH_MODULUS)
+        for _gap, _bank, rows, *_rest in cores
+    ):
+        return None
+    return config, cores, banks, channel_states, faws, schedulers, filters
 
 
 # ----------------------------------------------------------------------
@@ -376,11 +497,12 @@ def pack(system) -> Optional[tuple]:
 def drain(system, packed: tuple) -> None:
     """Run ``packed`` (from :func:`pack`) on the kernel and write the
     final state back onto ``system``'s objects."""
-    config, cores, banks, channel_states, faws, schedulers = packed
+    config, cores, banks, channel_states, faws, schedulers, filters = packed
     (seq, row_hits, row_misses, core_states, bank_states, bus_free,
      faw_states, scheduler_states) = load().drain(
         config, cores, banks, len(channel_states),
         [(faw.window, faw.tfaw_cycles) for faw in faws], schedulers,
+        filters,
     )
     system._seq = seq
     system.row_hits += row_hits
@@ -409,12 +531,13 @@ def drain(system, packed: tuple) -> None:
 
 def _write_bank(controller, state) -> None:
     (open_row, timing, refresh, energy, stats, rfm, hammer_state,
-     cbs_state, max_spread_seen) = state
+     tracker) = state
     bank = controller.bank
     bank.open_row = open_row
     (bank.ready_cycle, bank._last_act_cycle, bank.act_count, bank.pre_count,
      bank.access_count, bank.refresh_blocks, controller._consecutive_hits,
-     controller.rfm_stall_cycles, controller.refresh_stall_cycles) = timing
+     controller.rfm_stall_cycles, controller.refresh_stall_cycles,
+     controller.arr_stall_cycles) = timing
     engine = controller.refresh
     engine._next_tick, engine._group_cursor, engine.ticks_processed = refresh
     controller.energy = EnergyCounts(*energy)
@@ -435,17 +558,31 @@ def _write_bank(controller, state) -> None:
         )
         hammer.max_disturbance = max_level
         hammer.max_disturbance_row = max_row
-    if cbs_state is not None:
-        (rows, counts, buckets, heap, min_count, total_observed,
-         evictions) = cbs_state
-        table = scheme.table
-        summary = table._summary
-        summary._counts.update(zip(rows, counts))
-        summary._buckets.update(
-            (count, dict.fromkeys(members)) for count, members in buckets
-        )
-        summary._max_heap[:] = heap  # sorted, hence a valid heap
-        summary._min_count = min_count
-        summary._total_observed = total_observed
-        summary.evictions = evictions
-        table._max_spread_seen = max_spread_seen
+    if type(scheme) is MithrilScheme:
+        cbs_state, scheme.table._max_spread_seen = tracker
+        _write_summary(scheme.table._summary, cbs_state)
+    elif type(scheme) is BlockHammerScheme:
+        cbf = scheme.cbf
+        (totals, cbf._active, cbf._since_swap, (rows, releases),
+         scheme.blacklisted_rows_seen) = tracker
+        for cbf_filter, total in zip(cbf._filters, totals):
+            cbf_filter._total = total  # counters were written in place
+        scheme._release.update(zip(rows, releases))
+    elif type(scheme) is GrapheneScheme:
+        (cbs_state, (rows, triggers), scheme._next_reset,
+         scheme.resets) = tracker
+        _write_summary(scheme.table, cbs_state)
+        scheme._next_trigger.update(zip(rows, triggers))
+
+
+def _write_summary(summary, cbs_state) -> None:
+    (rows, counts, buckets, heap, min_count, total_observed,
+     evictions) = cbs_state
+    summary._counts.update(zip(rows, counts))
+    summary._buckets.update(
+        (count, dict.fromkeys(members)) for count, members in buckets
+    )
+    summary._max_heap[:] = heap  # sorted, hence a valid heap
+    summary._min_count = min_count
+    summary._total_observed = total_observed
+    summary.evictions = evictions

@@ -42,9 +42,10 @@ Turbo is the default backend; its exactness against the scalar
 reference is owned by the golden-equivalence suite, the cross-backend
 battery and the probe-parity tests.
 
-Native kernel: a run the kernel covers — every bank ``none`` or
-Mithril / Mithril+ with no throttling, hammer and RFM logic on their
-fast paths, no probe, no cycle limit, a pristine system (see
+Native kernel: a run the kernel covers — every bank ``none``,
+Mithril / Mithril+ or Graphene without throttling, or BlockHammer with
+its own throttle, hammer and RFM logic on their fast paths, no probe,
+no cycle limit, a pristine system (see
 :meth:`TurboSimulatedSystem._kernel_args`) — is handed whole to the C
 drain in :mod:`repro.sim.kernel`, which ports ``_drain_fused`` on
 exactly those paths and writes the final state back onto the same
@@ -58,9 +59,10 @@ most one serve per cycle), so per-sketch batches within an epoch stay
 tiny (~1.02 events measured).  Each bank's tracker update therefore
 runs at its ACT on that bank's own objects, uniform or mixed schemes
 alike.  The one cross-bank saving is BlockHammer's probe hashing:
-every trace row is hashed up front in one vectorized pass into the
-filters' shared index caches (see
-:func:`~repro.streaming.counting_bloom.prefill_index_caches`).
+just before ``_drain_fused`` runs, every trace row is hashed in one
+vectorized pass into the filters' shared index caches (see
+:func:`~repro.streaming.counting_bloom.prefill_index_caches`); a
+kernel run hashes in C and skips it.
 """
 
 from __future__ import annotations
@@ -117,6 +119,14 @@ _ACT_GENERIC, _ACT_NONE, _ACT_MITHRIL, _ACT_BLOCKHAMMER, _ACT_GRAPHENE = (
 #: Throttle-release specializations.
 _THROTTLE_NEVER, _THROTTLE_BLOCKHAMMER, _THROTTLE_GENERIC = 0, 1, 2
 
+#: (per-ACT, throttle) specializations the native kernel runs.
+_KERNEL_MODES = {
+    (_ACT_NONE, _THROTTLE_NEVER),
+    (_ACT_MITHRIL, _THROTTLE_NEVER),
+    (_ACT_GRAPHENE, _THROTTLE_NEVER),
+    (_ACT_BLOCKHAMMER, _THROTTLE_BLOCKHAMMER),
+}
+
 
 def _unpatched(obj, base_class, *methods) -> bool:
     """``obj`` is exactly ``base_class`` with no method overrides."""
@@ -156,18 +166,6 @@ class TurboSimulatedSystem(SimulatedSystem):
         #: which drain the run took: "kernel" (native), "fused" or
         #: "generic" (python); None before run()
         self.drain_path: Optional[str] = None
-        if self._fused:
-            # Stock BlockHammer banks find nearly every row's probes
-            # pre-hashed: one vectorized pass over the traces' rows.
-            prefill_index_caches(
-                [
-                    cbf_filter
-                    for ctx, mode in zip(self._bank_ctx, self._act_mode)
-                    if mode == _ACT_BLOCKHAMMER
-                    for cbf_filter in ctx[6].cbf._filters
-                ],
-                [core.trace.row for core in self.cores],
-            )
 
     # ------------------------------------------------------------------
 
@@ -440,12 +438,13 @@ class TurboSimulatedSystem(SimulatedSystem):
     def _kernel_args(self, max_cycles: Optional[int]) -> Optional[tuple]:
         """The native kernel's inputs when it covers this run, else None.
 
-        Covered: the fused snapshot holds, every bank runs ``none`` or
-        Mithril / Mithril+ with no throttling, each hammer and RFM
-        logic (if any) is on its fast path, no probe is attached, there
-        is no cycle limit, the kernel loaded (built on the first such
-        run) and the system is pristine (:func:`kernel.pack`).
-        Anything else drains in python.
+        Covered: the fused snapshot holds, every bank runs ``none``,
+        Mithril / Mithril+ or Graphene with no throttling, or
+        BlockHammer with its own throttle, each hammer and RFM logic
+        (if any) is on its fast path, no probe is attached, there is
+        no cycle limit, the kernel loaded (built on the first such run)
+        and the system is pristine (:func:`kernel.pack`).  Anything
+        else drains in python.
         """
         if (
             max_cycles is not None or not self._fused
@@ -454,8 +453,8 @@ class TurboSimulatedSystem(SimulatedSystem):
             return None
         for flat, controller in enumerate(self.banks):
             if (
-                self._throttle_mode[flat] != _THROTTLE_NEVER
-                or self._act_mode[flat] not in (_ACT_NONE, _ACT_MITHRIL)
+                (self._act_mode[flat], self._throttle_mode[flat])
+                not in _KERNEL_MODES
                 or (controller.hammer is not None
                     and not self._fast_hammer[flat])
                 or (controller.rfm_logic is not None
@@ -507,6 +506,17 @@ class TurboSimulatedSystem(SimulatedSystem):
         if not self._fused:
             self._drain_generic(max_cycles)
             return
+        # Stock BlockHammer banks find nearly every row's probes
+        # pre-hashed: one vectorized pass over the traces' rows.
+        prefill_index_caches(
+            [
+                cbf_filter
+                for ctx, mode in zip(self._bank_ctx, self._act_mode)
+                if mode == _ACT_BLOCKHAMMER
+                for cbf_filter in ctx[6].cbf._filters
+            ],
+            [core.trace.row for core in self.cores],
+        )
         # Pause cyclic GC for the drain: the pool removes nearly all
         # per-event allocation, so generational collections only scan
         # long-lived simulator state over and over.  Results are

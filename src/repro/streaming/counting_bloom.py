@@ -18,8 +18,8 @@ indices across both filters and the estimate
 Probe indices depend only on ``(seed, size, num_hashes, element)``,
 so :func:`probe_index_matrix` hashes a whole batch in one numpy pass
 and :func:`prefill_index_caches` writes such a batch into filters'
-index caches up front (the turbo simulator does this for every trace
-row of its BlockHammer banks).
+index caches up front (turbo's python drain does this for every trace
+row of its BlockHammer banks; the native kernel hashes in C).
 """
 
 from __future__ import annotations

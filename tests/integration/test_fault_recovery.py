@@ -283,11 +283,28 @@ class TestGracefulDrain:
     def test_sigterm_drains_checkpoint_and_resumes(self, harness):
         """SIGTERM mid-campaign finishes the in-flight batch,
         checkpoints, and exits resumable (exit code 3); the resume
-        re-simulates nothing the drained run completed."""
+        re-simulates nothing the drained run completed.
+
+        The third job to execute (the first of the second of six
+        batches) hangs for a few seconds, so the campaign is still
+        inside a batch when the signal lands: however fast the
+        simulator, the run cannot finish between the first checkpoint
+        and the SIGTERM."""
         import signal
         import time
 
         env = dict(harness["env"])
+        plan_path = harness["tmp_path"] / "fault-plan.json"
+        plan_path.write_text(json.dumps({
+            "state_dir": str(harness["tmp_path"] / "fault-state"),
+            "faults": [
+                {"site": "worker.execute", "kind": "hang",
+                 "seconds": 0, "times": 2},
+                {"site": "worker.execute", "kind": "hang",
+                 "seconds": 4, "times": 1},
+            ],
+        }))
+        env["REPRO_FAULT_PLAN"] = str(plan_path)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "campaign", "run",
              str(harness["spec_path"]), "--batch-size", "2",

@@ -1,16 +1,21 @@
 """The native drain kernel against turbo's python fused drain.
 
 The kernel (``repro/sim/_kernel.c``, loaded by :mod:`repro.sim.kernel`)
-runs every covered system: each bank ``none`` or Mithril / Mithril+,
-stock components, pristine, no probe, no cycle limit.  This battery
-pins it to the python fused drain it replaces there:
+runs every covered system: each bank ``none``, Mithril / Mithril+,
+BlockHammer or Graphene, stock components, pristine, no probe, no cycle
+limit.  This battery pins it to the python fused drain it replaces
+there:
 
-* the nine covered golden records run on the kernel, byte-identical to
-  the golden file and to the python drain;
+* the fifteen covered golden records run on the kernel, byte-identical
+  to the golden file and to the python drain;
 * hypothesis-drawn covered configurations (scheme mix, workload, seed,
-  FlipTH, table size, RFM threshold, AdTH, scheduler, page policy,
-  hammer tracking) give equal results *and* equal post-run state on
-  every simulator object, including each CbS bucket's FIFO order;
+  FlipTH, table and filter sizes, RFM threshold, AdTH, blacklist
+  threshold, reset interval, scheduler, page policy, hammer tracking)
+  give equal results *and* equal post-run state on every simulator
+  object, including each CbS bucket's FIFO order, every filter
+  counter and the BlockHammer and Graphene dicts' insertion order;
+* targeted cases reach the throttle's abstain and retry paths, CBF
+  rotation and Graphene's reset with ARR;
 * everything outside the coverage predicate, and a host whose kernel
   cannot be built, takes the python drain with identical results.
 
@@ -36,16 +41,20 @@ from repro.engine.cache import result_to_dict
 from repro.engine.catalog import build_config
 from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
-from repro.mc.scheduler import BlissScheduler
+from repro.mc.scheduler import BlissScheduler, FrFcfsScheduler
+from repro.mitigations.blockhammer import BlockHammerScheme
+from repro.mitigations.graphene import GrapheneScheme
+from repro.params import DramTimings
 from repro.protection import NoProtection
 from repro.sim import kernel
 from repro.sim.system import make_system
 from repro.types import MemoryRequest, RowAddress
+from repro.workloads.trace import CoreTrace
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "golden" / "simulation_results.json"
 )
-COVERED_SCHEMES = ("none", "mithril", "mithril+")
+COVERED_SCHEMES = ("none", "mithril", "mithril+", "blockhammer", "graphene")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -131,6 +140,24 @@ def _state(system):
                 summary._total_observed, scheme.table._max_spread_seen,
                 summary.max_entry(), summary.min_entry(),
             )
+        elif isinstance(scheme, BlockHammerScheme):
+            cbf = scheme.cbf
+            record["blockhammer"] = (
+                [(list(f._counters), f._total) for f in cbf._filters],
+                cbf._active, cbf._since_swap,
+                list(scheme._release.items()), scheme.blacklisted_rows_seen,
+            )
+        elif isinstance(scheme, GrapheneScheme):
+            table = scheme.table
+            record["graphene"] = (
+                list(table._counts.items()),
+                [(count, list(rows))
+                 for count, rows in table._buckets.items()],
+                table._min_count, table.evictions, table._total_observed,
+                table.max_entry(), table.min_entry(),
+                list(scheme._next_trigger.items()), scheme._next_reset,
+                scheme.resets,
+            )
         banks.append(record)
     schedulers = [
         (s._last_core, s._streak, list(s._blacklist_until.items()))
@@ -196,8 +223,8 @@ def _job_from_canonical(data) -> SimJob:
 COVERED = _covered_records()
 
 
-def test_nine_covered_goldens():
-    assert len(COVERED) == 9
+def test_fifteen_covered_goldens():
+    assert len(COVERED) == 15
 
 
 @pytest.mark.parametrize(
@@ -236,15 +263,25 @@ def covered_configs(draw):
         "seed": draw(st.integers(0, 50)),
         "scale": draw(st.sampled_from([0.05, 0.1, 0.2])),
         "flip_th": draw(st.sampled_from([40, 300, 1500, 6250])),
-        # per bank: "none", "mithril" or "mithril+"; a pattern cycled
-        # over the banks covers uniform and mixed systems alike
+        # per bank: a covered scheme; a pattern cycled over the banks
+        # covers uniform and mixed systems alike (hypothesis favours
+        # the first choices, so the trackers with the most paths lead)
         "banks": draw(st.lists(
-            st.sampled_from(COVERED_SCHEMES), min_size=1, max_size=3
+            st.sampled_from(COVERED_SCHEMES[::-1]), min_size=1, max_size=3
         )),
         "n_entries": draw(st.sampled_from([None, 1, 3, 16])),
         "rfm_th": draw(st.sampled_from([None, 2, 8, 40])),
         "adaptive_th": draw(st.sampled_from([0, 1, 4, 200])),
         "blast_radius": draw(st.integers(1, 3)),
+        # BlockHammer: filter size, blacklist threshold and a tCBF
+        # short enough (in ns) to rotate the filters mid-run
+        "cbf_size": draw(st.sampled_from([8, 64, 1024])),
+        "n_bl": draw(st.sampled_from([2, 8, 64])),
+        "tcbf_ns": draw(st.sampled_from([2_000.0, 20_000.0, 32e6])),
+        # Graphene: threshold FlipTH/4, reset interval, victim clipping
+        "graphene_flip_th": draw(st.sampled_from([8, 40, 300])),
+        "reset_interval": draw(st.sampled_from([None, 700, 9_000])),
+        "graphene_rows": draw(st.sampled_from([65536, 300])),
         "scheduler": draw(st.sampled_from(["bliss", "frfcfs"])),
         "page_policy": draw(
             st.sampled_from(["open", "closed", "minimalist-open"])
@@ -264,6 +301,22 @@ def _factory(draw_config):
         name = pattern[len(built) % len(pattern)]
         if name == "none":
             scheme = NoProtection()
+        elif name == "blockhammer":
+            scheme = BlockHammerScheme(
+                flip_th=draw_config["n_bl"] * 4,
+                timings=dataclasses.replace(
+                    DramTimings(), trefw=draw_config["tcbf_ns"]
+                ),
+                cbf_size=draw_config["cbf_size"],
+                n_bl=draw_config["n_bl"],
+            )
+        elif name == "graphene":
+            scheme = GrapheneScheme(
+                flip_th=draw_config["graphene_flip_th"],
+                rows_per_bank=draw_config["graphene_rows"],
+                n_entries=draw_config["n_entries"],
+                reset_interval_cycles=draw_config["reset_interval"],
+            )
         else:
             scheme = MithrilScheme(
                 n_entries=n_entries,
@@ -280,7 +333,7 @@ def _factory(draw_config):
 
 
 @settings(
-    max_examples=60,
+    max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
@@ -354,13 +407,164 @@ def test_drain_path_reaches_telemetry(tmp_path, monkeypatch):
                  scheme="mithril", flip_th=6250, scale=0.05)
     _build(job).run()
     _python_run(_build(job), monkeypatch)
-    _build(SimJob(workload=job.workload, scheme="graphene",
+    _build(SimJob(workload=job.workload, scheme="para",
                   flip_th=6250, scale=0.05)).run()
     ring = list(telemetry.get().ring)
     spans = [r["attrs"]["path"] for r in ring
              if r["kind"] == "span" and r["name"] == "sim.drain"]
     done = [r["path"] for r in ring if r["kind"] == "sim.run.done"]
     assert spans == done == ["kernel", "fused", "fused"]
+
+
+# ----------------------------------------------------------------------
+# BlockHammer throttle paths and Graphene resets, case by case
+# ----------------------------------------------------------------------
+
+
+def _reads(name, rows, bank=0):
+    """A core reading ``rows`` on one bank, one request per cycle."""
+    n = len(rows)
+    return CoreTrace(name, gap_cycles=[1] * n, bank_index=[bank] * n,
+                     row=rows, column=[0] * n, is_write=[False] * n,
+                     instructions=[1] * n)
+
+
+def _small_system(traces, factory, scheduler="frfcfs", mlp=4,
+                  backend="turbo"):
+    return make_system(
+        traces, scheme_factory=factory,
+        config=build_config((("scheduler", scheduler),)),
+        flip_th=1000, mlp=mlp, backend=backend,
+    )
+
+
+def _blacklisting_blockhammer(tcbf_ns=200_000.0):
+    """Two ACTs blacklist a row for tens of thousands of cycles."""
+    return BlockHammerScheme(
+        flip_th=8, cbf_size=64, n_bl=2,
+        timings=dataclasses.replace(DramTimings(), trefw=tcbf_ns),
+    )
+
+
+def _abstentions(make_scalar, scheduler_class, monkeypatch):
+    """A scalar run of ``make_scalar()`` and how often its scheduler
+    found every queued request throttled."""
+    original = scheduler_class.pick
+    abstained = []
+
+    def pick(self, queue, open_row, cycle, release_of):
+        index = original(self, queue, open_row, cycle, release_of)
+        abstained.append(index is None)
+        return index
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scheduler_class, "pick", pick)
+        result = make_scalar().run()
+    return result, sum(abstained)
+
+
+@pytest.mark.parametrize(
+    "scheduler, scheduler_class",
+    [("frfcfs", FrFcfsScheduler), ("bliss", BlissScheduler)],
+)
+def test_all_throttled_queue_waits_for_earliest_release(
+    scheduler, scheduler_class, monkeypatch
+):
+    """Two cores hammer two blacklisted rows: every queued request is
+    throttled, the scheduler abstains and the bank retries at the
+    earliest release (FR-FCFS's min((release, arrival)) and BLISS's
+    earliest-then-oldest fallback)."""
+    traces = [_reads(f"c{i}", [10, 20] * 12) for i in range(2)]
+
+    def make(backend="turbo"):
+        return _small_system(traces, _blacklisting_blockhammer, scheduler,
+                             backend=backend)
+
+    result = _assert_same_run(make, monkeypatch)
+    scalar, abstained = _abstentions(
+        lambda: make("scalar"), scheduler_class, monkeypatch
+    )
+    assert abstained > 0
+    assert scalar == result
+
+
+def test_single_throttled_request_retries_at_release(monkeypatch):
+    """One core with one outstanding read: the queue never holds more
+    than the throttled request, which waits out its release."""
+    traces = [_reads("c0", [10, 20] * 8)]
+
+    def make():
+        return _small_system(traces, _blacklisting_blockhammer, mlp=1)
+
+    _assert_same_run(make, monkeypatch)
+    system = make()
+    system.run()
+    scheme = system.banks[0].scheme
+    assert scheme.stats.throttle_events > 0
+    assert system._core_last_completion[0] > scheme.delay_cycles
+
+
+def test_filter_rotation_mid_run(monkeypatch):
+    """A tCBF of a few dozen ACTs rotates the filter pair many times;
+    the retired filter is cleared in place."""
+    rows = [10 + (i % 7) for i in range(300)]
+    traces = [_reads("c0", rows), _reads("c1", rows[::-1])]
+
+    def make():
+        return _small_system(
+            traces, lambda: _blacklisting_blockhammer(tcbf_ns=2_000.0)
+        )
+
+    _assert_same_run(make, monkeypatch)
+    system = make()
+    system.run()
+    scheme = system.banks[0].scheme
+    assert scheme.stats.acts_observed > 4 * scheme.cbf.half_epoch
+    assert all(
+        f._total < scheme.stats.acts_observed for f in scheme.cbf._filters
+    )
+
+
+def test_graphene_reset_with_arr_and_hammer_refresh(monkeypatch):
+    """A short reset interval clears the table mid-run; threshold
+    crossings before and after it issue ARRs that refresh the hammer
+    model's victims and stall the bank."""
+    rows = [10, 20, 30] * 60
+
+    def make():
+        return _small_system(
+            [_reads("c0", rows), _reads("c1", rows[1:] + rows[:1])],
+            lambda: GrapheneScheme(flip_th=8, n_entries=2,
+                                   reset_interval_cycles=3_000),
+        )
+
+    _assert_same_run(make, monkeypatch)
+    system = make()
+    system.run()
+    controller = system.banks[0]
+    scheme = controller.scheme
+    assert scheme.resets > 0
+    assert scheme.stats.arr_requests > 0
+    assert controller.arr_stall_cycles > 0
+    assert scheme.table.evictions > 0
+
+
+@pytest.mark.parametrize(
+    "row, path", [((1 << 61) - 2, "kernel"), ((1 << 61) - 1, "fused")]
+)
+def test_blockhammer_row_hash_range(row, path, monkeypatch):
+    """The kernel hashes a row as itself, which python's int hash
+    matches only below 2**61 - 1; a larger trace row keeps a
+    BlockHammer system on the python drain."""
+    traces = [_reads("c0", [5, row, 5, row] * 4)]
+
+    def make():
+        return _small_system(traces, _blacklisting_blockhammer)
+
+    system = make()
+    result = system.run()
+    assert system.drain_path == path
+    assert _python_run(make(), monkeypatch) == result
 
 
 # ----------------------------------------------------------------------
@@ -384,11 +588,38 @@ def _assert_python_path(make, monkeypatch, max_cycles=None, path="fused"):
 
 
 class TestFallback:
-    @pytest.mark.parametrize(
-        "scheme", ["parfm", "blockhammer", "graphene", "para"]
-    )
+    @pytest.mark.parametrize("scheme", ["parfm", "para", "twice", "cbt"])
     def test_uncovered_schemes(self, scheme, monkeypatch):
         _assert_python_path(lambda: _build(_job(scheme)), monkeypatch)
+
+    def test_instance_patched_throttle_release(self, monkeypatch):
+        def make():
+            system = _build(_job("blockhammer"))
+            scheme = system.banks[0].scheme
+            scheme.throttle_release = (
+                lambda row, cycle, _orig=scheme.throttle_release:
+                _orig(row, cycle)
+            )
+            return system
+
+        _assert_python_path(make, monkeypatch)
+
+    def test_used_filter_is_not_pristine(self, monkeypatch):
+        def make():
+            system = _build(_job("blockhammer"))
+            system.banks[5].scheme.cbf.observe(7)
+            return system
+
+        _assert_python_path(make, monkeypatch)
+
+    def test_tracker_shared_between_banks(self, monkeypatch):
+        job = _job("graphene")
+
+        def make():
+            shared = GrapheneScheme(flip_th=job.flip_th)
+            return _build(job, factory=lambda: shared)
+
+        _assert_python_path(make, monkeypatch)
 
     def test_probes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PROBES", str(tmp_path / "probes"))

@@ -16,7 +16,7 @@ import pytest
 from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
 from repro.mc.scheduler import BlissScheduler
-from repro.sim import soa
+from repro.sim import kernel, soa
 from repro.sim.system import SimulatedSystem, make_system
 from repro.sim.turbo import TurboSimulatedSystem
 
@@ -259,10 +259,12 @@ class TestArenas:
             controller.rfm_logic.raa.value for controller in scalar.banks
         ]
 
-    def test_blockhammer_write_back_matches_scalar(self):
+    def test_blockhammer_write_back_matches_scalar(self, monkeypatch):
         """Post-run CBF counters, rotation phase, and blacklists on the
-        scheme objects equal the scalar backend's; at construction each
-        turbo bank's two filters hold the shared, prefilled caches."""
+        scheme objects equal the scalar backend's, on the native kernel
+        and on turbo's python drain.  Only the python drain pre-hashes
+        probes: its banks' two filters hold the shared, prefilled
+        caches, while a kernel run leaves every cache empty."""
         spec = WorkloadSpec.make(
             "attack", scale=0.2, pattern="multi-sided", seed=31
         )
@@ -270,17 +272,34 @@ class TestArenas:
                      flip_th=2500, scale=0.2)
         traces, factory, config, rfm_th = materialize_job(job)
         schemes = {}
-        for cls in (SimulatedSystem, TurboSimulatedSystem):
+        for cls, drain in (
+            (SimulatedSystem, None),
+            (TurboSimulatedSystem, "kernel"),
+            (TurboSimulatedSystem, "fused"),
+        ):
             system = cls(
                 traces, scheme_factory=factory, config=config,
                 rfm_th=rfm_th, flip_th=job.flip_th,
             )
-            if cls is TurboSimulatedSystem:
+            with monkeypatch.context() as patch:
+                if drain == "fused":
+                    patch.setattr(kernel, "load", lambda: None)
+                system.run()
+            if drain is not None and kernel.load() is not None:
+                assert system.drain_path == drain
+            if drain == "fused":
                 _assert_prefilled_caches(system, traces)
-            system.run()
-            schemes[cls] = [controller.scheme for controller in system.banks]
-        for scalar, turbo in zip(
-            schemes[SimulatedSystem], schemes[TurboSimulatedSystem]
+            elif drain == "kernel" and system.drain_path == "kernel":
+                assert not any(
+                    f._index_cache for controller in system.banks
+                    for f in controller.scheme.cbf._filters
+                )
+            schemes[drain] = [
+                controller.scheme for controller in system.banks
+            ]
+        for scalar, turbo in (
+            pair for drain in ("kernel", "fused")
+            for pair in zip(schemes[None], schemes[drain])
         ):
             assert scalar._release == turbo._release
             assert scalar.blacklisted_rows_seen == turbo.blacklisted_rows_seen

@@ -100,6 +100,37 @@ class TestIngestIdempotency:
         assert job_hash in rig.pending
         assert rig.stats.reassigned == 1
 
+    def test_store_that_never_verifies_quarantines_once(self, rig):
+        # An agent keeps reporting "ok" for a point this coordinator's
+        # store never verifies (another code_version, say): the point
+        # is re-dealt max_retries times, then quarantined exactly once
+        # as "unverified", and the deal loop stops.
+        job_hash = sorted(rig.plan.jobs)[0]
+        rig.completed.update(h for h in rig.plan.jobs if h != job_hash)
+        host = rig.add_host("1", spawn=False)
+        host.alive = True
+        rig.pending = [job_hash]
+        rounds = 0
+        while not rig._work_done():
+            rounds += 1
+            assert rounds <= rig.max_retries + 1, "re-dealt forever"
+            host.last_seen = time.time()
+            rig._assign(time.time())
+            [assign] = rig.transport.recv(host.mailbox)
+            for job in assign.payload["jobs"]:
+                rig._ingest(_result(job["hash"]))
+        assert rounds == rig.max_retries + 1
+        assert rig.quarantined == {job_hash}
+        assert rig.stats.quarantined == 1
+        assert rig.stats.reassigned == rig.max_retries
+        record = rig.manifest.quarantined[job_hash]
+        assert record["reason"] == "unverified"
+        assert record["attempts"] == rig.max_retries + 1
+        rig._ingest(_result(job_hash))  # one more: a settled duplicate
+        assert rig.stats.quarantined == 1
+        assert rig.stats.duplicate_results == 1
+        assert rig.pending == []
+
     def test_failed_result_quarantines_with_diagnostics(self, rig):
         job_hash = sorted(rig.plan.jobs)[0]
         rig._ingest(_result(job_hash, status="failed", failure={
@@ -233,6 +264,29 @@ class TestAssignment:
         rig.pending = sorted(rig.plan.jobs)
         rig._assign(time.time())
         assert done not in host.assigned
+
+    def test_reassigned_jobs_are_submitted_once(self, rig):
+        # A host dies holding a chunk; the chunk is re-dealt to another
+        # host.  ``reassigned`` counts the re-deal, ``submitted`` still
+        # counts every pending point once.
+        first = rig.add_host("1", spawn=False)
+        second = rig.add_host("2", spawn=False)
+        pending = sorted(rig.plan.jobs)
+        rig.pending = list(pending)
+        for host in (first, second):
+            host.alive = True
+            host.last_seen = time.time()
+        rig._assign(time.time())
+        lost = set(first.assigned)
+        first.last_seen = time.time() - 10.0  # lease_timeout is 1.0
+        rig._check_hosts(time.time())
+        assert rig.stats.reassigned == len(lost)
+        second.assigned.clear()  # its chunk came back done
+        while rig.pending:
+            second.last_seen = time.time()
+            second.assigned.clear()
+            rig._assign(time.time())
+        assert rig.stats.submitted == len(pending)
 
     def test_work_done_counts_quarantine(self, rig):
         assert not rig._work_done()
