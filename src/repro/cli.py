@@ -25,8 +25,9 @@ campaign <cmd>      Declarative multi-experiment campaigns: list,
                     1 findings / 2 unreadable), report
                     (docs/CAMPAIGNS.md, docs/FAULTS.md).
 profile             cProfile one workload x scheme simulation
-                    (``--backend {scalar,turbo}`` to compare the
-                    per-phase split across backends).
+                    (``--backend {native,python}``: the C kernel or
+                    the python loop, whose per-phase split cProfile
+                    can see).
 traces <cmd>        Trace foundry: ingest external traces, synthesize
                     stress families, characterize ACT streams
                     (docs/WORKLOADS.md).
@@ -1230,12 +1231,13 @@ def main(argv=None) -> int:
     p_prof.add_argument("--scheme", default="mithril")
     p_prof.add_argument("--scale", type=float, default=1.0)
     p_prof.add_argument("--flip-th", type=int, default=6_250)
-    p_prof.add_argument("--backend", choices=["scalar", "turbo"],
+    p_prof.add_argument("--backend", choices=["native", "python"],
                         default=None,
                         help="simulation backend to profile (default: "
-                             "REPRO_SIM_BACKEND or turbo), so the "
-                             "per-phase split can be compared across "
-                             "backends")
+                             "REPRO_SIM_BACKEND or native); python "
+                             "shows the per-phase split of the event "
+                             "loop, which the native kernel runs as "
+                             "one C call")
     p_prof.add_argument("--sort", default="cumulative",
                         help="pstats sort key (cumulative/tottime/...)")
     p_prof.add_argument("--top", type=int, default=25,

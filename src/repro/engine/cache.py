@@ -68,10 +68,11 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: v2: simulator hot-path overhaul (zero-alloc event loop, incremental
 #: schedulers, array-backed sketches) — results are byte-identical,
 #: but pre-overhaul entries must not satisfy post-overhaul jobs.
-#: v3: vectorized turbo backend + numpy-optional workload generation.
-#: Results are byte-identical across backends (the golden suite pins
-#: both), but the salt retires caches written before the equivalence
-#: machinery existed.
+#: v3: a second simulator backend (since replaced by the native C
+#: kernel) + numpy-optional workload generation.  Results are
+#: byte-identical across backends (the golden suite pins both), but the
+#: salt retires caches written before the equivalence machinery
+#: existed; the value stays, so existing stores stay valid.
 CACHE_SCHEMA_SALT = "v3-turbo"
 
 
@@ -87,7 +88,7 @@ def code_version() -> str:
     """Hash of the installed ``repro`` sources (the cache salt): every
     python module and the native drain kernel's C source.
 
-    The scalar/turbo simulation *backend* is deliberately **not**
+    The native/python simulation *backend* is deliberately **not**
     folded in — backends are byte-identical (golden-pinned)
     implementation details and share cache entries.
     """

@@ -1,5 +1,5 @@
 /*
- * Native event drain for the turbo backend (see repro/sim/kernel.py).
+ * Native event drain of the simulator (see repro/sim/kernel.py).
  *
  * One function, drain(), runs a *covered* system from its pristine
  * state to an empty event heap: core issue and MLP stalls, the
@@ -8,16 +8,20 @@
  * RFM issue with the Mithril+ MRR gate, and the per-bank schemes
  * `none`, Mithril (CbS update, greedy RFM, adaptive skip), BlockHammer
  * (dual counting Bloom filter, blacklist, ACT throttling in the pick,
- * retry and serve paths) and Graphene (CbS with periodic reset,
- * threshold-triggered ARR).
+ * retry and serve paths), Graphene (CbS with periodic reset,
+ * threshold-triggered ARR), PARA (probabilistic neighbour ARR), PARFM
+ * (reservoir-sampled RFM victim), TWiCe (pruned per-row counters,
+ * threshold ARR) and CBT (split counter tree, range ARR).  PARA and
+ * PARFM draw from an exact port of python's MT19937 random(), seeded
+ * with each scheme's random.Random state and handing it back.
  *
- * It is a line-for-line port of TurboSimulatedSystem._drain_fused on
- * those paths, and every ordering the python objects expose is kept:
- * events pop in (cycle, seq) order, CbS buckets are FIFO, the CbS
- * maximum breaks ties toward the smallest row, and every dict the
- * write-back rebuilds (CbS counts and buckets, hammer disturbance,
- * BLISS blacklist, BlockHammer releases, Graphene triggers) is
- * returned in python's insertion order.
+ * It is a line-for-line port of SimulatedSystem's event loop on those
+ * paths, and every ordering the python objects expose is kept: events
+ * pop in (cycle, seq) order, CbS buckets are FIFO, the CbS maximum
+ * breaks ties toward the smallest row, and every dict the write-back
+ * rebuilds (CbS counts and buckets, hammer disturbance, BLISS
+ * blacklist, BlockHammer releases, Graphene triggers, TWiCe entries)
+ * is returned in python's insertion order.
  *
  * The kernel knows no python classes.  It reads the trace columns
  * through the buffer protocol and plain int tuples for configuration,
@@ -48,7 +52,8 @@ enum { EV_ISSUE = 0, EV_BANK = 1, EV_COMPLETE = 2 };
 enum { POLICY_OPEN = 0, POLICY_CLOSED = 1, POLICY_MINIMALIST = 2 };
 enum {
     SCHEME_NONE = 0, SCHEME_MITHRIL = 1, SCHEME_BLOCKHAMMER = 2,
-    SCHEME_GRAPHENE = 3
+    SCHEME_GRAPHENE = 3, SCHEME_PARA = 4, SCHEME_PARFM = 5,
+    SCHEME_TWICE = 6, SCHEME_CBT = 7
 };
 
 /* Per-run scalars, in the order kernel.pack builds them. */
@@ -57,16 +62,22 @@ enum {
     CF_TRAS, CF_POLICY, CF_BURST, CF_COUNT
 };
 
-/* Per-bank configuration, in the order kernel._bank_fields builds it. */
+/* Per-bank configuration, in the order kernel._bank_fields builds it:
+ * the bank's own fields, then the scheme's (kernel's _SCHEME_FIELDS),
+ * whose meaning depends on the scheme (unused ones are 0):
+ *   capacity   Mithril / Graphene CbS entries, CBT counter budget
+ *   threshold  Graphene and TWiCe ARR threshold, CBT refresh
+ *              threshold, BlockHammer blacklist threshold
+ *   interval   Graphene reset interval, TWiCe tREFI, BlockHammer
+ *              half epoch
+ *   next       Graphene's next reset, TWiCe's next checkpoint */
 enum {
     BF_CHANNEL, BF_FAW, BF_SCHEDULER, BF_TRP, BF_TRAS, BF_TRFC, BF_TRFM,
-    BF_NEXT_TICK, BF_TREFI, BF_ROWS_PER_GROUP, BF_NUM_GROUPS,
-    BF_HAMMER, BF_FLIP_TH, BF_HAMMER_ROWS,
-    BF_SCHEME, BF_CAPACITY, BF_WRAP_WINDOW, BF_COUNTER_BITS,
-    BF_ADAPTIVE_TH, BF_PLUS, BF_BLAST_RADIUS, BF_SCHEME_ROWS,
-    BF_RFM, BF_RAA_TH, BF_MRR_GATED, BF_TRC_ARR,
-    BF_BH_HALF_EPOCH, BF_BH_N_BL, BF_BH_DELAY,
-    BF_GR_THRESHOLD, BF_GR_INTERVAL, BF_GR_NEXT_RESET,
+    BF_TRC_ARR, BF_NEXT_TICK, BF_TREFI, BF_ROWS_PER_GROUP, BF_NUM_GROUPS,
+    BF_HAMMER, BF_FLIP_TH, BF_HAMMER_ROWS, BF_RFM, BF_RAA_TH, BF_MRR_GATED,
+    BF_SCHEME, BF_SCHEME_ROWS, BF_CAPACITY, BF_THRESHOLD, BF_INTERVAL,
+    BF_NEXT, BF_SPLIT, BF_DELAY, BF_BLAST_RADIUS, BF_WRAP_WINDOW,
+    BF_COUNTER_BITS, BF_ADAPTIVE_TH, BF_PLUS,
     BF_COUNT
 };
 
@@ -613,8 +624,70 @@ static int32_t cbs_max_entry(const Cbs *s)
 }
 
 /* ------------------------------------------------------------------ */
+/* MT19937 as python's random.Random (Modules/_randommodule.c): the     */
+/* 624 state words and the index of getstate()'s 625-int tuple.        */
+/* ------------------------------------------------------------------ */
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t state[MT_N];
+    int index;
+    int drawn;               /* any draw this run: the state changed */
+} Mt;
+
+/* genrand_uint32 */
+static uint32_t mt_uint32(Mt *mt)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t *s = mt->state;
+    uint32_t y;
+    if (mt->index >= MT_N) {
+        int k;
+        for (k = 0; k < MT_N - MT_M; k++) {
+            y = (s[k] & 0x80000000U) | (s[k + 1] & 0x7fffffffU);
+            s[k] = s[k + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; k < MT_N - 1; k++) {
+            y = (s[k] & 0x80000000U) | (s[k + 1] & 0x7fffffffU);
+            s[k] = s[k + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (s[MT_N - 1] & 0x80000000U) | (s[0] & 0x7fffffffU);
+        s[MT_N - 1] = s[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt->index = 0;
+    }
+    y = s[mt->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.random(): a 53-bit float in [0, 1) from two draws */
+static double mt_random(Mt *mt)
+{
+    uint32_t a = mt_uint32(mt) >> 5;
+    uint32_t b = mt_uint32(mt) >> 6;
+    mt->drawn = 1;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* ------------------------------------------------------------------ */
 /* simulator state                                                      */
 /* ------------------------------------------------------------------ */
+
+/* One TWiCe entry; `born` is the checkpoint count at insertion, so its
+ * life is checkpoints - born.  Free entries chain through `count`. */
+typedef struct {
+    int64_t count, born;
+} TwEntry;
+
+/* One CBT tree node; left/right are node indices, -1 for a leaf. */
+typedef struct {
+    int64_t lo, hi, count, left, right;
+} Node;
 
 typedef struct {
     int64_t arrival, row;
@@ -648,24 +721,45 @@ typedef struct {
     int64_t *occupancy;
     int scheduled;
     int64_t energy[EN_COUNT];
-    /* scheme */
+    /* scheme: the BF_SCHEME.. fields (see the enum) */
     int scheme;
     int64_t stats[ST_COUNT];
+    int64_t scheme_rows, capacity, threshold, interval, next_at, split;
+    int64_t delay, blast_radius, wrap_window, counter_bits, adaptive_th;
+    int64_t plus;
+    /* Mithril and Graphene: the CbS table */
     Cbs cbs;
-    int64_t wrap_window, counter_bits, adaptive_th, plus;
-    int64_t blast_radius, scheme_rows, max_spread_seen;
+    int64_t max_spread_seen;
     /* BlockHammer: the filter pair, its rotation and the blacklist */
     Cbf cbf[2];
     Py_buffer cbf_views[2];
     int num_cbf_views;
-    int64_t active, since_swap, half_epoch, n_bl, delay;
+    int64_t active, since_swap;
     Map release;             /* row -> release cycle (dict order) */
     uint64_t release_order;
     int64_t blacklisted_seen;
-    /* Graphene: reset schedule and ARR triggers */
-    int64_t threshold, next_reset, reset_interval, resets;
+    /* Graphene: resets done and ARR triggers */
+    int64_t resets;
     Map trigger;             /* row -> next trigger (dict order) */
     uint64_t trigger_order;
+    /* PARA and PARFM: the scheme's random.Random; PARFM's sample */
+    Mt *mt;
+    double probability;
+    int has_sample;
+    int64_t sample, interval_acts;
+    /* TWiCe: row -> entry index (dict order), entries, pruning */
+    Map twice;
+    uint64_t twice_order;
+    TwEntry *entries;
+    int64_t num_entries, entry_capacity, free_entry;
+    int64_t checkpoints, max_entries_seen, pruned;
+    double prune_rate;
+    int64_t *doomed;
+    /* CBT: the tree (node 0 is the root) and its refresh histogram */
+    Node *nodes;
+    int64_t num_nodes, node_capacity, counters_used;
+    int64_t *histogram;
+    int64_t histogram_len, histogram_capacity;
     /* BankController._apply_arr */
     int64_t trc_arr, arr_stall;
     /* RfmIssueLogic */
@@ -759,6 +853,12 @@ static void ctx_free(Ctx *ctx)
             }
             free(b->release.slots);
             free(b->trigger.slots);
+            free(b->mt);
+            free(b->twice.slots);
+            free(b->entries);
+            free(b->doomed);
+            free(b->nodes);
+            free(b->histogram);
         }
     }
     if (ctx->cores != NULL) {
@@ -928,13 +1028,41 @@ static int rfm_needed_flag(Bank *b)
     return cbs_spread(&b->cbs) > b->adaptive_th;
 }
 
-/* BankController._apply_rfm with MithrilScheme.on_rfm inline */
+/* The in-bank neighbours of `aggressor` up to `radius` rows away,
+ * nearest first, the lower one first: the victim lists of Mithril,
+ * PARFM, Graphene and TWiCe. */
+static int64_t neighbours(int64_t *victims, int64_t aggressor,
+                          int64_t radius, int64_t rows)
+{
+    int64_t n = 0;
+    for (int64_t offset = 1; offset <= radius; offset++) {
+        for (int sign = -1; sign <= 1; sign += 2) {
+            int64_t victim = aggressor + sign * offset;
+            if (0 <= victim && victim < rows) {
+                victims[n++] = victim;
+            }
+        }
+    }
+    return n;
+}
+
+/* BankController._apply_rfm with MithrilScheme.on_rfm and
+ * ParfmScheme.on_rfm inline */
 static void apply_rfm(Ctx *ctx, Bank *b)
 {
     b->energy[EN_RFM_COMMANDS]++;
     int64_t victims[2 * 64];
     int64_t num_victims = 0;
-    if (b->scheme == SCHEME_MITHRIL) {
+    if (b->scheme == SCHEME_PARFM) {
+        b->stats[ST_RFMS_RECEIVED]++;
+        if (b->has_sample) {
+            num_victims = neighbours(victims, b->sample, b->blast_radius,
+                                     b->scheme_rows);
+            b->stats[ST_PREVENTIVE_ROWS] += num_victims;
+        }
+        b->has_sample = 0;
+        b->interval_acts = 0;
+    } else if (b->scheme == SCHEME_MITHRIL) {
         Cbs *s = &b->cbs;
         b->stats[ST_RFMS_RECEIVED]++;
         if (b->adaptive_th && cbs_spread(s) <= b->adaptive_th) {
@@ -948,15 +1076,8 @@ static void apply_rfm(Ctx *ctx, Bank *b)
                 if (target < current) {   /* demote_to_min */
                     cbs_move(ctx, s, top, current, target);
                 }
-                for (int64_t offset = 1; offset <= b->blast_radius;
-                     offset++) {
-                    for (int sign = -1; sign <= 1; sign += 2) {
-                        int64_t victim = aggressor + sign * offset;
-                        if (0 <= victim && victim < b->scheme_rows) {
-                            victims[num_victims++] = victim;
-                        }
-                    }
-                }
+                num_victims = neighbours(victims, aggressor,
+                                         b->blast_radius, b->scheme_rows);
                 b->stats[ST_PREVENTIVE_ROWS] += num_victims;
             }
         }
@@ -972,14 +1093,20 @@ static void apply_rfm(Ctx *ctx, Bank *b)
     }
 }
 
-/* BankController._apply_arr */
-static void apply_arr(Bank *b, const int64_t *victims, int64_t n)
+/* BankController._apply_arr's stall and accounting for n victims */
+static void arr_stall(Bank *b, int64_t n)
 {
     b->stats[ST_ARR_REQUESTS]++;
     int64_t before = b->ready;
     block_for(b, b->ready, b->trc_arr * n);
     b->arr_stall += b->ready - before;
     b->energy[EN_PREVENTIVE_ROWS] += n;
+}
+
+/* BankController._apply_arr */
+static void apply_arr(Bank *b, const int64_t *victims, int64_t n)
+{
+    arr_stall(b, n);
     if (b->has_hammer) {
         for (int64_t i = 0; i < n; i++) {
             hammer_refresh_row(&b->hammer, victims[i]);
@@ -987,17 +1114,25 @@ static void apply_arr(Bank *b, const int64_t *victims, int64_t n)
     }
 }
 
+/* BankController._apply_arr for the victims first..last */
+static void apply_arr_range(Ctx *ctx, Bank *b, int64_t first, int64_t last)
+{
+    arr_stall(b, last - first + 1);
+    if (b->has_hammer) {
+        hammer_refresh_range(ctx, &b->hammer, first, last);
+    }
+}
+
 /* GrapheneScheme.on_activate (+ _maybe_reset), its ARR applied */
 static void graphene_activate(Ctx *ctx, Bank *b, int64_t row, int64_t cycle)
 {
     b->stats[ST_ACTS_OBSERVED]++;
-    if (cycle >= b->next_reset) {
+    if (cycle >= b->next_at) {
         cbs_reset(&b->cbs);
         map_clear(&b->trigger);
         b->resets++;
         /* while next_reset <= cycle: next_reset += interval */
-        b->next_reset += ((cycle - b->next_reset) / b->reset_interval + 1)
-                         * b->reset_interval;
+        b->next_at += ((cycle - b->next_at) / b->interval + 1) * b->interval;
     }
     int32_t e = cbs_observe(ctx, &b->cbs, row);
     int64_t estimate = b->cbs.entries[e].count;
@@ -1012,17 +1147,205 @@ static void graphene_activate(Ctx *ctx, Bank *b, int64_t row, int64_t cycle)
     }
     slot->value = trigger + b->threshold;
     int64_t victims[2];
-    int64_t n = 0;
-    if (row - 1 >= 0 && row - 1 < b->scheme_rows) {
-        victims[n++] = row - 1;
-    }
-    if (row + 1 >= 0 && row + 1 < b->scheme_rows) {
-        victims[n++] = row + 1;
-    }
+    int64_t n = neighbours(victims, row, 1, b->scheme_rows);
     b->stats[ST_PREVENTIVE_ROWS] += n;
     if (n) {
         apply_arr(b, victims, n);
     }
+}
+
+/* ParaScheme.on_activate, its ARR applied */
+static void para_activate(Bank *b, int64_t row)
+{
+    b->stats[ST_ACTS_OBSERVED]++;
+    if (mt_random(b->mt) >= b->probability) {
+        return;
+    }
+    int64_t side = mt_random(b->mt) < 0.5 ? -1 : 1;
+    int64_t victim = row + side;
+    if (victim < 0 || victim >= b->scheme_rows) {
+        victim = row - side;
+    }
+    b->stats[ST_PREVENTIVE_ROWS]++;
+    apply_arr(b, &victim, 1);
+}
+
+/* ParfmScheme.on_activate: reservoir-sample one row per RFM interval */
+static void parfm_activate(Bank *b, int64_t row)
+{
+    b->stats[ST_ACTS_OBSERVED]++;
+    b->interval_acts++;
+    if (mt_random(b->mt) < 1.0 / (double)b->interval_acts) {
+        b->has_sample = 1;
+        b->sample = row;
+    }
+}
+
+static int64_t twice_new_entry(Ctx *ctx, Bank *b)
+{
+    if (b->free_entry >= 0) {
+        int64_t e = b->free_entry;
+        b->free_entry = b->entries[e].count;
+        return e;
+    }
+    if (b->num_entries == b->entry_capacity) {
+        int64_t capacity = b->entry_capacity ? b->entry_capacity * 2 : 16;
+        TwEntry *grown = realloc(b->entries, capacity * sizeof(TwEntry));
+        int64_t *doomed = realloc(b->doomed, capacity * sizeof(int64_t));
+        if (grown != NULL) {
+            b->entries = grown;
+        }
+        if (doomed != NULL) {
+            b->doomed = doomed;
+        }
+        if (grown == NULL || doomed == NULL) {
+            fail_nomem(ctx);
+        }
+        b->entry_capacity = capacity;
+    }
+    return b->num_entries++;
+}
+
+/* Drop the entry in `slot` (free-listed). */
+static void twice_remove(Bank *b, Slot *slot)
+{
+    b->entries[slot->value].count = b->free_entry;
+    b->free_entry = slot->value;
+    map_delete(&b->twice, slot);
+}
+
+/* TwiceScheme._checkpoint: at each tREFI passed every entry ages one
+ * interval, and those below the pruning rate are dropped. */
+static void twice_checkpoint(Bank *b, int64_t cycle)
+{
+    while (cycle >= b->next_at) {
+        b->next_at += b->interval;
+        b->checkpoints++;
+        if (b->twice.size == 0) {
+            continue;
+        }
+        /* collect, then delete: a backward shift during the scan
+         * could skip a slot */
+        int64_t n = 0;
+        for (size_t i = 0; i <= b->twice.mask; i++) {
+            const Slot *slot = &b->twice.slots[i];
+            if (slot->key == EMPTY_KEY) {
+                continue;
+            }
+            const TwEntry *entry = &b->entries[slot->value];
+            if ((double)entry->count
+                < b->prune_rate * (double)(b->checkpoints - entry->born)) {
+                b->doomed[n++] = slot->key;
+            }
+        }
+        for (int64_t i = 0; i < n; i++) {
+            twice_remove(b, map_find(&b->twice, b->doomed[i]));
+        }
+        b->pruned += n;
+    }
+}
+
+/* TwiceScheme.on_activate, its ARR applied */
+static void twice_activate(Ctx *ctx, Bank *b, int64_t row, int64_t cycle)
+{
+    b->stats[ST_ACTS_OBSERVED]++;
+    twice_checkpoint(b, cycle);
+    Slot *slot = map_find(&b->twice, row);
+    if (slot == NULL) {
+        int64_t e = twice_new_entry(ctx, b);
+        b->entries[e].count = 0;
+        b->entries[e].born = b->checkpoints;
+        slot = map_insert(ctx, &b->twice, row);
+        slot->value = e;
+        slot->order = b->twice_order++;
+        if ((int64_t)b->twice.size > b->max_entries_seen) {
+            b->max_entries_seen = (int64_t)b->twice.size;
+        }
+    }
+    if (++b->entries[slot->value].count < b->threshold) {
+        return;
+    }
+    /* ARR: refresh the victims and retire the entry */
+    twice_remove(b, slot);
+    int64_t victims[2];
+    int64_t n = neighbours(victims, row, 1, b->scheme_rows);
+    b->stats[ST_PREVENTIVE_ROWS] += n;
+    if (n) {
+        apply_arr(b, victims, n);
+    }
+}
+
+static int64_t cbt_new_node(Ctx *ctx, Bank *b, int64_t lo, int64_t hi,
+                            int64_t count)
+{
+    if (b->num_nodes == b->node_capacity) {
+        int64_t capacity = b->node_capacity ? b->node_capacity * 2 : 16;
+        Node *grown = realloc(b->nodes, capacity * sizeof(Node));
+        if (grown == NULL) {
+            fail_nomem(ctx);
+        }
+        b->nodes = grown;
+        b->node_capacity = capacity;
+    }
+    Node *node = &b->nodes[b->num_nodes];
+    node->lo = lo;
+    node->hi = hi;
+    node->count = count;
+    node->left = -1;
+    node->right = -1;
+    return b->num_nodes++;
+}
+
+/* CbtScheme._find_leaf */
+static int64_t cbt_leaf(const Bank *b, int64_t row)
+{
+    int64_t node = 0;
+    while (b->nodes[node].left >= 0) {
+        int64_t left = b->nodes[node].left;
+        node = row <= b->nodes[left].hi ? left : b->nodes[node].right;
+    }
+    return node;
+}
+
+/* CbtScheme.on_activate (+ _maybe_split), its range ARR applied */
+static void cbt_activate(Ctx *ctx, Bank *b, int64_t row)
+{
+    b->stats[ST_ACTS_OBSERVED]++;
+    int64_t leaf = cbt_leaf(b, row);
+    int64_t count = ++b->nodes[leaf].count;
+    int64_t lo = b->nodes[leaf].lo, hi = b->nodes[leaf].hi;
+    if (hi > lo && count >= b->split && b->counters_used < b->capacity) {
+        /* both children inherit the count */
+        int64_t mid = (lo + hi) / 2;
+        int64_t left = cbt_new_node(ctx, b, lo, mid, count);
+        int64_t right = cbt_new_node(ctx, b, mid + 1, hi, count);
+        b->nodes[leaf].left = left;
+        b->nodes[leaf].right = right;
+        b->counters_used++;
+        leaf = row <= mid ? left : right;
+        lo = b->nodes[leaf].lo;
+        hi = b->nodes[leaf].hi;
+    }
+    if (count < b->threshold) {
+        return;
+    }
+    b->nodes[leaf].count = 0;
+    /* every row the leaf covers plus the two boundary neighbours */
+    int64_t first = lo > 0 ? lo - 1 : 0;
+    int64_t last = hi + 1 < b->scheme_rows ? hi + 1 : b->scheme_rows - 1;
+    if (b->histogram_len == b->histogram_capacity) {
+        int64_t capacity = b->histogram_capacity
+                           ? b->histogram_capacity * 2 : 16;
+        int64_t *grown = realloc(b->histogram, capacity * sizeof(int64_t));
+        if (grown == NULL) {
+            fail_nomem(ctx);
+        }
+        b->histogram = grown;
+        b->histogram_capacity = capacity;
+    }
+    b->histogram[b->histogram_len++] = last - first + 1;
+    b->stats[ST_PREVENTIVE_ROWS] += last - first + 1;
+    apply_arr_range(ctx, b, first, last);
 }
 
 /* CountingBloomFilter._indices: splitmix64 probes of hash(row), which
@@ -1052,7 +1375,7 @@ static void blockhammer_activate(Ctx *ctx, Bank *b, int64_t row,
         }
         filter->total++;
     }
-    if (++b->since_swap >= b->half_epoch) {
+    if (++b->since_swap >= b->interval) {
         /* _rotate: the retired filter restarts empty, in place */
         Cbf *retired = &b->cbf[b->active];
         b->since_swap = 0;
@@ -1068,7 +1391,7 @@ static void blockhammer_activate(Ctx *ctx, Bank *b, int64_t row,
             estimate = value;
         }
     }
-    if (estimate >= b->n_bl) {
+    if (estimate >= b->threshold) {
         Slot *slot = map_find(&b->release, row);
         if (slot == NULL) {
             slot = map_insert(ctx, &b->release, row);
@@ -1395,6 +1718,14 @@ static void bank_event(Ctx *ctx, int64_t flat, int64_t cycle)
             blockhammer_activate(ctx, b, row, start);
         } else if (b->scheme == SCHEME_GRAPHENE) {
             graphene_activate(ctx, b, row, start);
+        } else if (b->scheme == SCHEME_PARA) {
+            para_activate(b, row);
+        } else if (b->scheme == SCHEME_PARFM) {
+            parfm_activate(b, row);
+        } else if (b->scheme == SCHEME_TWICE) {
+            twice_activate(ctx, b, row, start);
+        } else if (b->scheme == SCHEME_CBT) {
+            cbt_activate(ctx, b, row);
         } else {
             b->stats[ST_ACTS_OBSERVED]++;
         }
@@ -1568,7 +1899,71 @@ static int read_cbf(Ctx *ctx, Bank *b, int f, PyObject *spec)
     return 0;
 }
 
-static int read_banks(Ctx *ctx, PyObject *banks, PyObject *filters)
+/* random.Random's getstate()[1]: 624 state words and the index */
+static int read_mt(Ctx *ctx, Bank *b, PyObject *state)
+{
+    int64_t words[MT_N + 1];
+    if (read_ints(state, words, MT_N + 1, "random state") < 0) {
+        return -1;
+    }
+    b->mt = ctx_calloc(ctx, 1, sizeof(Mt));
+    for (int k = 0; k < MT_N; k++) {
+        if (words[k] < 0 || words[k] > 0xffffffffLL) {
+            PyErr_SetString(PyExc_ValueError, "random state word out of "
+                            "range");
+            return -1;
+        }
+        b->mt->state[k] = (uint32_t)words[k];
+    }
+    if (words[MT_N] < 0 || words[MT_N] > MT_N) {
+        PyErr_SetString(PyExc_ValueError, "random state index out of range");
+        return -1;
+    }
+    b->mt->index = (int)words[MT_N];
+    return 0;
+}
+
+/* A bank's scheme input beyond its int fields, by scheme:
+ *   BlockHammer  (filter, filter)
+ *   PARA         (random state, probability)
+ *   PARFM        (random state,)
+ *   TWiCe        (prune_rate,)
+ * and None for the others. */
+static int read_extra(Ctx *ctx, Bank *b, PyObject *extra)
+{
+    PyObject *first, *second;
+    switch (b->scheme) {
+    case SCHEME_BLOCKHAMMER:
+        if (!PyArg_ParseTuple(extra, "OO", &first, &second)
+            || read_cbf(ctx, b, 0, first) < 0
+            || read_cbf(ctx, b, 1, second) < 0) {
+            return -1;
+        }
+        map_alloc(ctx, &b->release, 16);
+        return 0;
+    case SCHEME_PARA:
+        if (!PyArg_ParseTuple(extra, "Od", &first, &b->probability)) {
+            return -1;
+        }
+        return read_mt(ctx, b, first);
+    case SCHEME_PARFM:
+        if (!PyArg_ParseTuple(extra, "O", &first)) {
+            return -1;
+        }
+        return read_mt(ctx, b, first);
+    case SCHEME_TWICE:
+        if (!PyArg_ParseTuple(extra, "d", &b->prune_rate)) {
+            return -1;
+        }
+        map_alloc(ctx, &b->twice, 64);
+        b->free_entry = -1;
+        return 0;
+    default:
+        return 0;
+    }
+}
+
+static int read_banks(Ctx *ctx, PyObject *banks, PyObject *extras)
 {
     int64_t field[BF_COUNT];
     for (int64_t i = 0; i < ctx->num_banks; i++) {
@@ -1577,14 +1972,17 @@ static int read_banks(Ctx *ctx, PyObject *banks, PyObject *filters)
                       "bank fields") < 0) {
             return -1;
         }
+        int64_t scheme = field[BF_SCHEME];
         if (field[BF_CHANNEL] < 0 || field[BF_CHANNEL] >= ctx->num_channels
             || field[BF_FAW] >= ctx->num_faws
             || field[BF_SCHEDULER] < 0
             || field[BF_SCHEDULER] >= ctx->num_schedulers
             || field[BF_NUM_GROUPS] <= 0 || field[BF_TREFI] <= 0
+            || scheme < SCHEME_NONE || scheme > SCHEME_CBT
             || field[BF_BLAST_RADIUS] > 64
-            || (field[BF_SCHEME] == SCHEME_GRAPHENE
-                && field[BF_GR_INTERVAL] <= 0)) {
+            || ((scheme == SCHEME_GRAPHENE || scheme == SCHEME_TWICE)
+                && field[BF_INTERVAL] <= 0)
+            || (scheme == SCHEME_CBT && field[BF_SCHEME_ROWS] <= 0)) {
             PyErr_SetString(PyExc_ValueError, "bank fields out of range");
             return -1;
         }
@@ -1595,6 +1993,7 @@ static int read_banks(Ctx *ctx, PyObject *banks, PyObject *filters)
         b->tras = field[BF_TRAS];
         b->trfc = field[BF_TRFC];
         b->trfm = field[BF_TRFM];
+        b->trc_arr = field[BF_TRC_ARR];
         b->next_tick = field[BF_NEXT_TICK];
         b->trefi = field[BF_TREFI];
         b->rows_per_group = field[BF_ROWS_PER_GROUP];
@@ -1607,44 +2006,39 @@ static int read_banks(Ctx *ctx, PyObject *banks, PyObject *filters)
             b->hammer.rows = field[BF_HAMMER_ROWS];
             map_alloc(ctx, &b->hammer.levels, 64);
         }
-        b->scheme = (int)field[BF_SCHEME];
+        b->has_rfm = field[BF_RFM] != 0;
+        b->raa_th = field[BF_RAA_TH];
+        b->mrr_gated = field[BF_MRR_GATED] != 0;
+        b->scheme = (int)scheme;
+        b->scheme_rows = field[BF_SCHEME_ROWS];
+        b->capacity = field[BF_CAPACITY];
+        b->threshold = field[BF_THRESHOLD];
+        b->interval = field[BF_INTERVAL];
+        b->next_at = field[BF_NEXT];
+        b->split = field[BF_SPLIT];
+        b->delay = field[BF_DELAY];
+        b->blast_radius = field[BF_BLAST_RADIUS];
+        b->wrap_window = field[BF_WRAP_WINDOW];
+        b->counter_bits = field[BF_COUNTER_BITS];
+        b->adaptive_th = field[BF_ADAPTIVE_TH];
+        b->plus = field[BF_PLUS];
         if (b->scheme == SCHEME_MITHRIL || b->scheme == SCHEME_GRAPHENE) {
             Cbs *s = &b->cbs;
-            s->capacity = field[BF_CAPACITY];
+            s->capacity = b->capacity;
             s->free_entry = -1;
             s->free_bucket = -1;
             map_alloc(ctx, &s->rows, 64);
             map_alloc(ctx, &s->counts, 16);
-            b->scheme_rows = field[BF_SCHEME_ROWS];
         }
-        if (b->scheme == SCHEME_MITHRIL) {
-            b->wrap_window = field[BF_WRAP_WINDOW];
-            b->counter_bits = field[BF_COUNTER_BITS];
-            b->adaptive_th = field[BF_ADAPTIVE_TH];
-            b->plus = field[BF_PLUS];
-            b->blast_radius = field[BF_BLAST_RADIUS];
-        } else if (b->scheme == SCHEME_GRAPHENE) {
-            b->threshold = field[BF_GR_THRESHOLD];
-            b->reset_interval = field[BF_GR_INTERVAL];
-            b->next_reset = field[BF_GR_NEXT_RESET];
-            b->trc_arr = field[BF_TRC_ARR];
+        if (b->scheme == SCHEME_GRAPHENE) {
             map_alloc(ctx, &b->trigger, 16);
-        } else if (b->scheme == SCHEME_BLOCKHAMMER) {
-            PyObject *pair = PyList_GET_ITEM(filters, i);
-            PyObject *first, *second;
-            if (!PyArg_ParseTuple(pair, "OO", &first, &second)
-                || read_cbf(ctx, b, 0, first) < 0
-                || read_cbf(ctx, b, 1, second) < 0) {
-                return -1;
-            }
-            b->half_epoch = field[BF_BH_HALF_EPOCH];
-            b->n_bl = field[BF_BH_N_BL];
-            b->delay = field[BF_BH_DELAY];
-            map_alloc(ctx, &b->release, 16);
+        } else if (b->scheme == SCHEME_CBT) {
+            b->counters_used = 1;
+            cbt_new_node(ctx, b, 0, b->scheme_rows - 1, 0);
         }
-        b->has_rfm = field[BF_RFM] != 0;
-        b->raa_th = field[BF_RAA_TH];
-        b->mrr_gated = field[BF_MRR_GATED] != 0;
+        if (read_extra(ctx, b, PyList_GET_ITEM(extras, i)) < 0) {
+            return -1;
+        }
     }
     return 0;
 }
@@ -1887,11 +2281,71 @@ static PyObject *map_out(const Map *map)
     return out;
 }
 
+/* random.Random's getstate()[1], or None when nothing was drawn */
+static PyObject *mt_out(const Mt *mt)
+{
+    if (!mt->drawn) {
+        Py_RETURN_NONE;
+    }
+    int64_t words[MT_N + 1];
+    for (int k = 0; k < MT_N; k++) {
+        words[k] = mt->state[k];
+    }
+    words[MT_N] = mt->index;
+    return ints_tuple(words, MT_N + 1);
+}
+
+/* [(row, act_count, life)] of TWiCe's table, in dict order */
+static PyObject *twice_out(const Bank *b)
+{
+    Slot **ordered = map_ordered(&b->twice);
+    if (ordered == NULL) {
+        return PyErr_NoMemory();
+    }
+    PyObject *list = PyList_New((Py_ssize_t)b->twice.size);
+    for (size_t i = 0; list != NULL && i < b->twice.size; i++) {
+        const TwEntry *entry = &b->entries[ordered[i]->value];
+        PyObject *item = Py_BuildValue(
+            "(LLL)", (long long)ordered[i]->key, (long long)entry->count,
+            (long long)(b->checkpoints - entry->born));
+        if (item == NULL) {
+            Py_CLEAR(list);
+            break;
+        }
+        PyList_SET_ITEM(list, i, item);
+    }
+    free(ordered);
+    return list;
+}
+
+/* [(lo, hi, count, left, right)] of CBT's nodes, the root first */
+static PyObject *cbt_out(const Bank *b)
+{
+    PyObject *list = PyList_New((Py_ssize_t)b->num_nodes);
+    for (int64_t i = 0; list != NULL && i < b->num_nodes; i++) {
+        const Node *node = &b->nodes[i];
+        PyObject *item = Py_BuildValue(
+            "(LLLLL)", (long long)node->lo, (long long)node->hi,
+            (long long)node->count, (long long)node->left,
+            (long long)node->right);
+        if (item == NULL) {
+            Py_CLEAR(list);
+            break;
+        }
+        PyList_SET_ITEM(list, i, item);
+    }
+    return list;
+}
+
 /* The scheme's tracker state, by scheme (None for `none`):
  *   Mithril      (cbs, max_spread_seen)
  *   BlockHammer  ((total, total), active, since_swap, release,
  *                 blacklisted_rows_seen); counters are already in place
- *   Graphene     (cbs, trigger, next_reset, resets) */
+ *   Graphene     (cbs, trigger, next_reset, resets)
+ *   PARA         (random state | None,)
+ *   PARFM        (random state | None, sample | None, interval_acts)
+ *   TWiCe        (entries, next_checkpoint, max_entries_seen, pruned)
+ *   CBT          (nodes, counters_used, refreshed rows histogram) */
 static PyObject *tracker_out(const Bank *b)
 {
     switch (b->scheme) {
@@ -1906,9 +2360,23 @@ static PyObject *tracker_out(const Bank *b)
             (long long)b->blacklisted_seen);
     case SCHEME_GRAPHENE:
         return Py_BuildValue("(NNLL)", cbs_out(&b->cbs),
-                             map_out(&b->trigger),
-                             (long long)b->next_reset,
+                             map_out(&b->trigger), (long long)b->next_at,
                              (long long)b->resets);
+    case SCHEME_PARA:
+        return Py_BuildValue("(N)", mt_out(b->mt));
+    case SCHEME_PARFM:
+        return Py_BuildValue("(NNL)", mt_out(b->mt),
+                             optional_int(b->has_sample, b->sample),
+                             (long long)b->interval_acts);
+    case SCHEME_TWICE:
+        return Py_BuildValue("(NLLL)", twice_out(b), (long long)b->next_at,
+                             (long long)b->max_entries_seen,
+                             (long long)b->pruned);
+    case SCHEME_CBT:
+        return Py_BuildValue("(NLN)", cbt_out(b),
+                             (long long)b->counters_used,
+                             number_list(b->histogram,
+                                         (size_t)b->histogram_len, 0));
     default:
         Py_RETURN_NONE;
     }
@@ -2044,19 +2512,19 @@ done:
 /* ------------------------------------------------------------------ */
 
 PyDoc_STRVAR(drain_doc,
-"drain(config, cores, banks, num_channels, faws, schedulers, filters)\n"
+"drain(config, cores, banks, num_channels, faws, schedulers, extras)\n"
 "\n"
 "Run a pristine covered system until its event heap is empty and\n"
 "return its final state as plain ints, tuples and lists.");
 
 static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *config, *cores, *banks, *faws, *schedulers, *filters;
+    PyObject *config, *cores, *banks, *faws, *schedulers, *extras;
     Py_ssize_t num_channels;
     if (!PyArg_ParseTuple(args, "OO!O!nO!O!O!", &config, &PyList_Type,
                           &cores, &PyList_Type, &banks, &num_channels,
                           &PyList_Type, &faws, &PyList_Type, &schedulers,
-                          &PyList_Type, &filters)) {
+                          &PyList_Type, &extras)) {
         return NULL;
     }
     Ctx *ctx = calloc(1, sizeof(Ctx));
@@ -2078,7 +2546,7 @@ static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
     ctx->num_schedulers = PyList_GET_SIZE(schedulers);
     ctx->seq = ctx->cfg[CF_SEQ];
     if (ctx->num_banks != PyList_GET_SIZE(banks)
-        || ctx->num_banks != PyList_GET_SIZE(filters) || ctx->num_banks <= 0
+        || ctx->num_banks != PyList_GET_SIZE(extras) || ctx->num_banks <= 0
         || ctx->num_banks > IDENT_MASK || ctx->num_cores > IDENT_MASK) {
         PyErr_SetString(PyExc_ValueError, "bad bank or core count");
         ctx_free(ctx);
@@ -2089,7 +2557,7 @@ static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
     ctx->bus_free = ctx_calloc(ctx, num_channels, sizeof(int64_t));
     ctx->faws = ctx_calloc(ctx, ctx->num_faws, sizeof(Faw));
     ctx->schedulers = ctx_calloc(ctx, ctx->num_schedulers, sizeof(Scheduler));
-    if (read_cores(ctx, cores) < 0 || read_banks(ctx, banks, filters) < 0
+    if (read_cores(ctx, cores) < 0 || read_banks(ctx, banks, extras) < 0
         || read_shared(ctx, faws, schedulers) < 0) {
         ctx_free(ctx);
         return NULL;
@@ -2123,7 +2591,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Native event drain for covered turbo systems.",
+    .m_doc = "Native event drain for covered simulated systems.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

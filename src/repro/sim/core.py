@@ -30,8 +30,8 @@ class TraceCore:
     stalled_on_mlp: bool = False
     reads_issued: int = 0
     writes_issued: int = 0
-    #: the trace as entry objects, built on first use: the scalar
-    #: reference loop's view (the turbo drain reads the columns).
+    #: the trace as entry objects, built on first use: the python
+    #: loop's view (the native kernel reads the columns).
     entries: Optional[List[TraceEntry]] = field(default=None, repr=False)
 
     def entry_list(self) -> List[TraceEntry]:

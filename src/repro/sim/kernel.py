@@ -1,12 +1,13 @@
 """Native drain kernel: build, load, pack and write back.
 
-``_kernel.c`` beside this file is a plain-C port of the turbo fused
-drain for the systems it *covers* (see
-:meth:`~repro.sim.turbo.TurboSimulatedSystem._kernel_args`): every bank
-runs ``none``, Mithril / Mithril+, BlockHammer (with its throttle) or
-Graphene, uniform or mixed, on stock components, from a pristine state,
-with no probe and no cycle limit.  Everything else keeps running
-through turbo's python drains.
+``_kernel.c`` beside this file is a plain-C port of
+:class:`~repro.sim.system.SimulatedSystem`'s event loop for the systems
+it *covers*: stock components with no instance-patched hook, every bank
+on a stock ``none``, Mithril / Mithril+, BlockHammer, Graphene, PARA,
+PARFM, TWiCe or CBT scheme (uniform or mixed), a pristine state, int64
+parameters, no probe and no cycle limit.  :func:`pack` is the one place
+that decides coverage; ``SimulatedSystem.run`` drains a packed system
+here and everything else in its python loop.
 
 * **Build.**  The first covered run compiles the source with the
   interpreter's own ``sysconfig`` compiler, include directory and
@@ -17,33 +18,62 @@ through turbo's python drains.
 * **Load.**  Only that exact name is loaded.  An artifact that fails to
   load (a truncated write, say) is rebuilt once.  A failed compile or
   load warns once per process, and :func:`load` then returns None, so
-  every run takes the python drain: slower, never different.
+  every run takes the python loop: slower, never different.
 * **Flat in, flat out.**  :func:`pack` turns a system into trace
   columns (buffer protocol) and int tuples; :func:`drain` runs the
   kernel and writes its plain-int result back onto the simulator
   objects that ``_collect`` and the tests read.  The C side knows no
-  python class.  BlockHammer's filter counters are the one exception
+  python class.  PARA and PARFM hand their ``random.Random`` state in
+  through ``getstate()`` and take the advanced one back through
+  ``setstate()``.  BlockHammer's filter counters are the one exception
   to "flat out": the kernel increments and clears each filter's own
   ``array('q')`` in place through a writable buffer, so no copy of
   the 2 x 8192 counters per bank is ever made.
+
+A hook patched on an *instance* (``controller._apply_arr = ...``), at
+any time before ``run()``, keeps that run in python.  A stock class
+patched as a whole is not detected: the kernel runs the code it was
+built from.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import random
 import warnings
 from array import array
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from repro.core.mithril import MithrilScheme
-from repro.dram.hammer import FlipEvent
-from repro.mc.scheduler import BlissScheduler
+from repro.core.mithril import MithrilScheme, MithrilTable
+from repro.dram.bank import BankTimingModel, FawTracker
+from repro.dram.hammer import FlipEvent, HammerModel
+from repro.dram.refresh import AutoRefreshEngine
+from repro.mc.controller import BankController
+from repro.mc.pagepolicy import (
+    ClosedPagePolicy,
+    MinimalistOpenPolicy,
+    OpenPagePolicy,
+)
+from repro.mc.rfm import RaaCounter, RfmIssueLogic
+from repro.mc.scheduler import BlissScheduler, FrFcfsScheduler
 from repro.mitigations.blockhammer import BlockHammerScheme
+from repro.mitigations.cbt import CbtScheme, _Node
 from repro.mitigations.graphene import GrapheneScheme
-from repro.protection import SchemeStats
+from repro.mitigations.para import ParaScheme
+from repro.mitigations.parfm import ParfmScheme
+from repro.mitigations.twice import TwiceScheme, _TwiceEntry
+from repro.protection import NoProtection, SchemeStats
+from repro.streaming.cbs import CounterSummary
+from repro.streaming.counting_bloom import (
+    CountingBloomFilter,
+    DualCountingBloomFilter,
+)
 from repro.types import EnergyCounts
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -52,9 +82,16 @@ BUILD_DIR = Path(__file__).with_name("__pycache__")
 #: Seconds one compile may take before it counts as failed.
 BUILD_TIMEOUT_S = 300
 
-#: ``_kernel.c``'s SCHEME_* codes; any other covered scheme is ``none``.
-_SCHEME_NONE = 0
-_SCHEME_CODES = {MithrilScheme: 1, BlockHammerScheme: 2, GrapheneScheme: 3}
+#: ``_kernel.c``'s SCHEME_* codes.
+_SCHEME_NONE, _SCHEME_MITHRIL, _SCHEME_BLOCKHAMMER, _SCHEME_GRAPHENE = (
+    0, 1, 2, 3
+)
+_SCHEME_PARA, _SCHEME_PARFM, _SCHEME_TWICE, _SCHEME_CBT = 4, 5, 6, 7
+#: ``_kernel.c``'s POLICY_* codes by page-policy type (None: open).
+_POLICY_CODES = {
+    type(None): 0, OpenPagePolicy: 0, ClosedPagePolicy: 1,
+    MinimalistOpenPolicy: 2,
+}
 #: ``BankTimingModel._last_act_cycle`` before any ACT.
 _FRESH_LAST_ACT = -1 << 30
 #: The kernel keeps ints in int64 and refreshes at most this many
@@ -62,39 +99,90 @@ _FRESH_LAST_ACT = -1 << 30
 _INT64_MAX = (1 << 63) - 1
 _UINT64_MAX = (1 << 64) - 1
 _MAX_BLAST_RADIUS = 64
+#: Trace rows the kernel takes: far from int64's ends, so ``row +- 1``
+#: and the hash maps' empty-slot key stay out of reach.
+_ROW_LIMIT = 1 << 62
 #: ``hash(row) == row`` exactly for ``0 <= row < 2**61 - 1`` (python's
 #: int hash modulus), so the kernel's BlockHammer probes hash ``row``.
 _HASH_MODULUS = (1 << 61) - 1
 
-#: Instance-level overrides of these hooks would bypass the kernel,
-#: so a system carrying any of them stays on the python drain.
+_SCHEME_HOOKS = frozenset({
+    "on_activate", "on_rfm", "rfm_needed_flag", "on_autorefresh",
+    "throttle_release", "_victims", "_maybe_reset", "_checkpoint",
+    "_find_leaf", "_maybe_split",
+})
+#: The stock types the kernel runs, each with the hooks it runs in C:
+#: an instance attribute of one of these names, or any other type,
+#: keeps the run in python.
 _HOOKS = {
-    "controller": {
-        "advance_refresh", "_apply_rfm", "_apply_arr", "throttle_release",
-    },
-    "bank": {"block_for"},
-    "refresh": {"drain_due", "pop_tick"},
-    "hammer": {"on_refresh_row", "on_refresh_range"},
-    "scheme": {
-        "on_rfm", "rfm_needed_flag", "on_autorefresh", "_victims",
-        "on_activate", "throttle_release", "_maybe_reset",
-    },
-    "table": {
+    BankController: frozenset({
+        "serve", "_on_activated", "advance_refresh", "_apply_rfm",
+        "_apply_arr", "throttle_release", "never_throttles",
+    }),
+    BankTimingModel: frozenset({"serve_access", "block_for"}),
+    FawTracker: frozenset({"earliest_act", "record_act"}),
+    AutoRefreshEngine: frozenset({"drain_due", "pop_tick"}),
+    HammerModel: frozenset({
+        "on_activate", "on_refresh_row", "on_refresh_range",
+    }),
+    RfmIssueLogic: frozenset({"on_activate"}),
+    RaaCounter: frozenset({"on_activate", "reset"}),
+    BlissScheduler: frozenset({"pick", "on_served", "_blacklisted"}),
+    FrFcfsScheduler: frozenset({"pick", "on_served"}),
+    OpenPagePolicy: frozenset({"should_close"}),
+    ClosedPagePolicy: frozenset({"should_close"}),
+    MinimalistOpenPolicy: frozenset({"should_close"}),
+    NoProtection: _SCHEME_HOOKS,
+    MithrilScheme: _SCHEME_HOOKS,
+    BlockHammerScheme: _SCHEME_HOOKS,
+    GrapheneScheme: _SCHEME_HOOKS,
+    ParaScheme: _SCHEME_HOOKS,
+    ParfmScheme: _SCHEME_HOOKS,
+    TwiceScheme: _SCHEME_HOOKS,
+    CbtScheme: _SCHEME_HOOKS,
+    MithrilTable: frozenset({
         "record_activation", "greedy_select", "demote_max", "spread",
         "max_count", "min_count",
-    },
-    "summary": {
-        "observe", "_observe_one", "max_entry", "demote_to_min",
-        "_insert", "_remove", "_move", "_advance_min", "reset",
-        "estimate",
-    },
-    "cbf": {"observe_and_estimate", "_rotate", "observe", "estimate",
-            "reset"},
-    "filter": {"_indices", "reset", "observe", "estimate"},
+    }),
+    CounterSummary: frozenset({
+        "observe", "_observe_one", "max_entry", "demote_to_min", "_insert",
+        "_remove", "_move", "_advance_min", "reset", "estimate",
+    }),
+    DualCountingBloomFilter: frozenset({
+        "observe_and_estimate", "_rotate", "observe", "estimate", "reset",
+    }),
+    CountingBloomFilter: frozenset({
+        "_indices", "reset", "observe", "estimate",
+    }),
+    random.Random: frozenset({"random", "getstate", "setstate"}),
 }
+#: The system's own event handlers, which the kernel replaces.
+_SYSTEM_HOOKS = frozenset({
+    "_try_issue", "_bank_event", "_complete_event", "_push",
+    "_make_request",
+})
 _INT_TYPES = {int, bool}
-_FRESH_ENERGY = EnergyCounts()
-_FRESH_STATS = SchemeStats()
+#: A controller's state that is zero (or empty) as constructed: its
+#: own, its bank's, refresh engine's, energy's and scheme stats'.
+_CONTROLLER_STATE = attrgetter(
+    "queue", "_consecutive_hits", "arr_stall_cycles", "rfm_stall_cycles",
+    "refresh_stall_cycles", "channel_state.bus_free_cycle",
+    "bank.ready_cycle", "bank.act_count", "bank.pre_count",
+    "bank.access_count", "bank.refresh_blocks", "refresh._group_cursor",
+    "refresh.ticks_processed",
+    *(f"energy.{f.name}" for f in dataclasses.fields(EnergyCounts)),
+    *(f"scheme.stats.{f.name}" for f in dataclasses.fields(SchemeStats)),
+)
+_HAMMER_STATE = attrgetter("_disturbance", "flips", "max_disturbance")
+_RFM_STATE = attrgetter("raa.value", "rfm_issued", "rfm_elided", "mrr_reads")
+#: A controller's timing and refresh fields (BF_TRP.. BF_NUM_GROUPS).
+_CONTROLLER_FIELDS = attrgetter(
+    "bank._trp", "bank._tras", "_trfc_cycles", "_trfm_cycles",
+    "_trc_cycles", "refresh._next_tick", "refresh.trefi_cycles",
+    "refresh.rows_per_group", "refresh.num_groups",
+)
+#: The scheme half of a bank's fields for a scheme with no parameters.
+_NO_SCHEME = (_SCHEME_NONE,) + (0,) * 12
 
 _module = None
 _failed = False
@@ -193,8 +281,11 @@ def load():
 # ----------------------------------------------------------------------
 
 
-def _patched(obj, role: str) -> bool:
-    return not _HOOKS[role].isdisjoint(vars(obj))
+def _stock(obj) -> bool:
+    """``obj`` is of a stock type the kernel runs, with none of the
+    hooks it runs in C overridden on the instance."""
+    hooks = _HOOKS.get(type(obj))
+    return hooks is not None and obj.__dict__.keys().isdisjoint(hooks)
 
 
 def _int64s(values) -> bool:
@@ -203,6 +294,13 @@ def _int64s(values) -> bool:
     return (
         set(map(type, values)) <= _INT_TYPES
         and -_INT64_MAX <= min(values) and max(values) <= _INT64_MAX
+    )
+
+
+def _double(value) -> bool:
+    """``value`` is a float, or an int a C double holds exactly."""
+    return type(value) is float or (
+        type(value) is int and -(1 << 53) <= value <= 1 << 53
     )
 
 
@@ -215,122 +313,16 @@ def _fresh_summary(summary) -> bool:
 
 
 def _fresh_filter(cbf_filter) -> bool:
-    """An unobserved filter whose counters are an ``array('q')`` of its
-    own size.  The kernel increments those counters in place, exactly
-    as python would, so it needs no check of their values."""
+    """A stock, unobserved filter whose counters are an ``array('q')``
+    of its own size.  The kernel increments those counters in place,
+    exactly as python would, so it needs no check of their values."""
     counters = cbf_filter._counters
     return (
-        type(counters) is array and counters.typecode == "q"
+        _stock(cbf_filter)
+        and type(counters) is array and counters.typecode == "q"
         and 0 < len(counters) == cbf_filter.size
         and not cbf_filter._total
     )
-
-
-def _fresh_tracker(scheme) -> bool:
-    """The scheme's tracker state is as constructed."""
-    if type(scheme) is MithrilScheme:
-        return (
-            not scheme.table._max_spread_seen
-            and _fresh_summary(scheme.table._summary)
-        )
-    if type(scheme) is BlockHammerScheme:
-        cbf = scheme.cbf
-        return (
-            not scheme._release and not scheme.blacklisted_rows_seen
-            and not cbf._active and not cbf._since_swap
-            and len(cbf._filters) == 2
-            and all(map(_fresh_filter, cbf._filters))
-        )
-    if type(scheme) is GrapheneScheme:
-        return (
-            not scheme.resets and not scheme._next_trigger
-            and _fresh_summary(scheme.table)
-        )
-    return True
-
-
-def _tracker_objects(scheme) -> list:
-    """The mutable tracker objects the kernel writes for ``scheme``."""
-    if type(scheme) is MithrilScheme:
-        return [scheme, scheme.table, scheme.table._summary]
-    if type(scheme) is BlockHammerScheme:
-        filters = scheme.cbf._filters
-        return [scheme, scheme.cbf, *filters,
-                *(f._counters for f in filters)]
-    if type(scheme) is GrapheneScheme:
-        return [scheme, scheme.table]
-    return []
-
-
-def _pristine(system) -> bool:
-    """Nothing has run and nothing was injected: the kernel starts every
-    object from its constructed state."""
-    if (
-        system._seq or system._heap or system.row_hits or system.row_misses
-        or any(system._core_served) or any(system._core_last_completion)
-        or any(system._bank_scheduled) or any(system._queue_cores)
-    ):
-        return False
-    for core in system.cores:
-        if (
-            core.index or core.outstanding_reads or core.next_issue_cycle
-            or core.stalled_on_mlp or core.reads_issued or core.writes_issued
-        ):
-            return False
-    for scheduler in system._schedulers:
-        if type(scheduler) is BlissScheduler and (
-            scheduler._last_core is not None or scheduler._streak
-            or scheduler._blacklist_until
-        ):
-            return False
-    for controller in system.banks:
-        bank = controller.bank
-        refresh = controller.refresh
-        if (
-            controller.queue or controller._consecutive_hits
-            or controller.arr_stall_cycles or controller.rfm_stall_cycles
-            or controller.refresh_stall_cycles
-            or controller.channel_state.bus_free_cycle
-            or controller.energy != _FRESH_ENERGY
-            or controller.scheme.stats != _FRESH_STATS
-            or bank.open_row is not None or bank.ready_cycle
-            or bank._last_act_cycle != _FRESH_LAST_ACT
-            or bank.act_count or bank.pre_count or bank.access_count
-            or bank.refresh_blocks
-            or (bank.faw is not None and bank.faw._recent)
-            or refresh._group_cursor or refresh.ticks_processed
-        ):
-            return False
-        hammer = controller.hammer
-        if hammer is not None and (
-            hammer._disturbance or hammer.flips or hammer.max_disturbance
-            or hammer.max_disturbance_row is not None
-        ):
-            return False
-        rfm = controller.rfm_logic
-        if rfm is not None and (
-            rfm.raa.value or rfm.rfm_issued or rfm.rfm_elided
-            or rfm.mrr_reads
-        ):
-            return False
-        if not _fresh_tracker(controller.scheme):
-            return False
-    # The kernel gives every bank its own tracker: one shared between
-    # banks (or one filter's counters between filters) stays python.
-    owned = [
-        id(obj) for controller in system.banks
-        for obj in _tracker_objects(controller.scheme)
-    ]
-    return len(owned) == len(set(owned))
-
-
-def _index_of(objects: list, obj) -> int:
-    """Index of ``obj`` (by identity) in ``objects``, appending it."""
-    for index, known in enumerate(objects):
-        if known is obj:
-            return index
-    objects.append(obj)
-    return len(objects) - 1
 
 
 def _probe_seeds(cbf_filter) -> Optional[tuple]:
@@ -343,110 +335,270 @@ def _probe_seeds(cbf_filter) -> Optional[tuple]:
     return None
 
 
-def _bank_fields(system, flat, channel_states, faws) -> Optional[tuple]:
-    """One bank's configuration, in the order of ``_kernel.c``'s BF_*
-    enum, and its BlockHammer filters ``((counters, seeds), ...)`` or
-    None; None when the kernel cannot run this bank exactly."""
-    controller = system.banks[flat]
+# Per scheme type: ``scheme -> (fields, extra, owned)`` or None when
+# the scheme's state is not as constructed.  ``fields`` is the scheme
+# half of the bank's fields (``_kernel.c``'s BF_SCHEME.. BF_PLUS:
+# scheme, rows, capacity, threshold, interval, next, split, delay,
+# blast radius, wrap window, counter bits, adaptive threshold, plus),
+# ``extra`` its non-int input and ``owned`` the mutable objects the
+# kernel writes, which no other bank may share.
+
+
+def _pack_none(scheme):
+    return _NO_SCHEME, None, (scheme,)
+
+
+def _pack_mithril(scheme):
+    table = scheme.table
+    summary = table._summary
+    if not (
+        _stock(table) and _stock(summary)
+        and not table._max_spread_seen and _fresh_summary(summary)
+    ):
+        return None
+    window = table._wrap_window
+    if window is None or window > _INT64_MAX:
+        window = -1  # unchecked, or wider than any reachable spread
+    return (
+        (_SCHEME_MITHRIL, scheme.rows_per_bank, summary.capacity, 0, 0, 0,
+         0, 0, scheme.blast_radius, window, table.counter_bits or 0,
+         scheme.adaptive_th, scheme.plus),
+        None, (scheme, table, summary),
+    )
+
+
+def _pack_blockhammer(scheme):
+    cbf = scheme.cbf
+    filters = cbf._filters
+    if not (
+        _stock(cbf) and not scheme._release
+        and not scheme.blacklisted_rows_seen and not cbf._active
+        and not cbf._since_swap and len(filters) == 2
+        and all(map(_fresh_filter, filters))
+    ):
+        return None
+    extra = tuple((f._counters, _probe_seeds(f)) for f in filters)
+    if any(seeds is None for _counters, seeds in extra):
+        return None
+    return (
+        (_SCHEME_BLOCKHAMMER, 0, 0, scheme.n_bl, cbf.half_epoch, 0, 0,
+         scheme.delay_cycles, 0, 0, 0, 0, 0),
+        extra, (scheme, cbf, *filters, *(f._counters for f in filters)),
+    )
+
+
+def _pack_graphene(scheme):
+    table = scheme.table
+    if not (
+        _stock(table) and not scheme.resets and not scheme._next_trigger
+        and _fresh_summary(table)
+    ):
+        return None
+    return (
+        (_SCHEME_GRAPHENE, scheme.rows_per_bank, table.capacity,
+         scheme.threshold, scheme.reset_interval_cycles, scheme._next_reset,
+         0, 0, 0, 0, 0, 0, 0),
+        None, (scheme, table),
+    )
+
+
+def _pack_para(scheme):
+    rng = scheme._rng
+    if not (_stock(rng) and _double(scheme.probability)):
+        return None
+    return (
+        (_SCHEME_PARA, scheme.rows_per_bank) + (0,) * 11,
+        (rng.getstate()[1], scheme.probability), (scheme, rng),
+    )
+
+
+def _pack_parfm(scheme):
+    rng = scheme._rng
+    if not (
+        _stock(rng) and scheme._sample is None and not scheme._interval_acts
+    ):
+        return None
+    return (
+        (_SCHEME_PARFM, scheme.rows_per_bank, 0, 0, 0, 0, 0, 0,
+         scheme.blast_radius, 0, 0, 0, 0),
+        (rng.getstate()[1],), (scheme, rng),
+    )
+
+
+def _pack_twice(scheme):
+    if (
+        scheme._entries or scheme.max_entries_seen or scheme.pruned
+        or not _double(scheme.prune_rate)
+    ):
+        return None
+    return (
+        (_SCHEME_TWICE, scheme.rows_per_bank, 0, scheme.arr_threshold,
+         scheme._trefi_cycles, scheme._next_checkpoint, 0, 0, 0, 0, 0, 0, 0),
+        (scheme.prune_rate,), (scheme, scheme._entries),
+    )
+
+
+def _pack_cbt(scheme):
+    root = scheme._root
+    if not (
+        type(root) is _Node and root.left is None and root.right is None
+        and not root.count and root.lo == 0
+        and root.hi == scheme.rows_per_bank - 1
+        and scheme._counters_used == 1
+        and not scheme.refreshed_rows_histogram
+    ):
+        return None
+    return (
+        (_SCHEME_CBT, scheme.rows_per_bank, scheme.num_counters,
+         scheme.refresh_threshold, 0, 0, scheme.split_threshold, 0, 0, 0, 0,
+         0, 0),
+        None, (scheme, root, scheme.refreshed_rows_histogram),
+    )
+
+
+_PACKERS = {
+    NoProtection: _pack_none,
+    MithrilScheme: _pack_mithril,
+    BlockHammerScheme: _pack_blockhammer,
+    GrapheneScheme: _pack_graphene,
+    ParaScheme: _pack_para,
+    ParfmScheme: _pack_parfm,
+    TwiceScheme: _pack_twice,
+    CbtScheme: _pack_cbt,
+}
+
+#: Field positions ``pack`` validates beyond int64 (``_kernel.c``'s
+#: BF_SCHEME, BF_SCHEME_ROWS, BF_INTERVAL, BF_BLAST_RADIUS).
+_BF_SCHEME, _BF_SCHEME_ROWS, _BF_INTERVAL, _BF_BLAST_RADIUS = 18, 19, 22, 26
+
+
+def _pristine_system(system) -> bool:
+    """Nothing has run and nothing was injected at the system level."""
+    if (
+        system._seq or system._heap or system.row_hits or system.row_misses
+        or any(system._core_served) or any(system._core_last_completion)
+        or any(system._bank_scheduled) or any(system._queue_cores)
+    ):
+        return False
+    for core in system.cores:
+        if (
+            core.index or core.outstanding_reads or core.next_issue_cycle
+            or core.stalled_on_mlp or core.reads_issued or core.writes_issued
+        ):
+            return False
+    return True
+
+
+def _index_of(objects: list, obj) -> int:
+    """Index of ``obj`` (by identity) in ``objects``, appending it."""
+    for index, known in enumerate(objects):
+        if known is obj:
+            return index
+    objects.append(obj)
+    return len(objects) - 1
+
+
+def _bank_fields(controller, scheduler: int, policy, channel_states: list,
+                 faws: list) -> Optional[tuple]:
+    """One bank's fields up to BF_MRR_GATED, in ``_kernel.c``'s order;
+    None when a component is not stock or not pristine.  Shared
+    components (channel state, tFAW window) are checked by ``pack``."""
     bank = controller.bank
     refresh = controller.refresh
     hammer = controller.hammer
-    scheme = controller.scheme
     rfm = controller.rfm_logic
-    if (
-        _patched(controller, "controller") or _patched(bank, "bank")
-        or _patched(refresh, "refresh")
-        or (hammer is not None and _patched(hammer, "hammer"))
-        or _patched(scheme, "scheme")
+    if not (
+        _stock(controller) and _stock(bank) and _stock(refresh)
+        and controller.page_policy is policy
+        and (hammer is None
+             or (_stock(hammer) and hammer.blast_weights == (1.0,)))
+        and (rfm is None or (_stock(rfm) and _stock(rfm.raa)))
     ):
         return None
-    mithril = type(scheme) is MithrilScheme
-    blockhammer = type(scheme) is BlockHammerScheme
-    graphene = type(scheme) is GrapheneScheme
-    filters = None
-    if mithril:
-        table = scheme.table
-        if _patched(table, "table") or _patched(table._summary, "summary"):
-            return None
-        window = table._wrap_window
-        if window is None or window > _INT64_MAX:
-            window = -1  # unchecked, or wider than any reachable spread
-        if scheme.blast_radius > _MAX_BLAST_RADIUS:
-            return None
-    elif blockhammer:
-        cbf = scheme.cbf
-        if _patched(cbf, "cbf") or any(
-            _patched(f, "filter") for f in cbf._filters
-        ):
-            return None
-        filters = tuple(
-            (f._counters, _probe_seeds(f)) for f in cbf._filters
-        )
-        if any(seeds is None for _counters, seeds in filters):
-            return None
-    elif graphene and _patched(scheme.table, "summary"):
+    if (
+        any(_CONTROLLER_STATE(controller))
+        or bank.open_row is not None
+        or bank._last_act_cycle != _FRESH_LAST_ACT
+        or (hammer is not None and (
+            any(_HAMMER_STATE(hammer))
+            or hammer.max_disturbance_row is not None))
+        or (rfm is not None and any(_RFM_STATE(rfm)))
+    ):
         return None
     faw = bank.faw
-    if faw is not None and faw.window < 1:
-        return None
-    fields = (
+    return (
         _index_of(channel_states, controller.channel_state),
         -1 if faw is None else _index_of(faws, faw),
-        system._bank_channel[flat],
-        bank._trp,
-        bank._tras,
-        controller._trfc_cycles,
-        controller._trfm_cycles,
-        refresh._next_tick,
-        refresh.trefi_cycles,
-        refresh.rows_per_group,
-        refresh.num_groups,
+        scheduler,
+        *_CONTROLLER_FIELDS(controller),
         hammer is not None,
         0 if hammer is None else hammer.flip_th,
         0 if hammer is None else hammer.rows_per_bank,
-        _SCHEME_CODES.get(type(scheme), _SCHEME_NONE),
-        table._summary.capacity if mithril
-        else scheme.table.capacity if graphene else 0,
-        window if mithril else -1,
-        (table.counter_bits or 0) if mithril else 0,
-        scheme.adaptive_th if mithril else 0,
-        scheme.plus if mithril else False,
-        scheme.blast_radius if mithril else 0,
-        scheme.rows_per_bank if mithril or graphene else 0,
         rfm is not None,
         0 if rfm is None else rfm.raa.rfm_th,
         False if rfm is None else rfm.mrr_gated,
-        controller._trc_cycles,
-        scheme.cbf.half_epoch if blockhammer else 0,
-        scheme.n_bl if blockhammer else 0,
-        scheme.delay_cycles if blockhammer else 0,
-        scheme.threshold if graphene else 0,
-        scheme.reset_interval_cycles if graphene else 0,
-        scheme._next_reset if graphene else 0,
     )
-    if not _int64s(fields) or (graphene and scheme.reset_interval_cycles < 1):
-        return None
-    return fields, filters
 
 
 def pack(system) -> Optional[tuple]:
-    """The kernel's arguments for a stock-component, fused ``system``
-    whose banks all run ``none``, Mithril, BlockHammer or Graphene;
-    None when the kernel cannot represent it exactly (not pristine, an
-    instance-patched hook, a non-int parameter, a BlockHammer trace row
-    whose hash is not the row itself)."""
-    if not _pristine(system):
+    """The kernel's arguments for ``system``, or None when the kernel
+    cannot run it exactly: a component of another type or with an
+    instance-patched hook, a probe, a state other than as constructed,
+    a tracker shared between banks, a parameter outside int64 (or a
+    probability outside a C double), a trace row the kernel cannot
+    take, or a host where the kernel does not build."""
+    from repro.sim.system import SimulatedSystem
+
+    if (
+        type(system) is not SimulatedSystem or system._probe is not None
+        or not system.__dict__.keys().isdisjoint(_SYSTEM_HOOKS)
+        or not _pristine_system(system)
+    ):
         return None
+    schedulers = []
+    for scheduler in system._schedulers:
+        if not _stock(scheduler):
+            return None
+        if type(scheduler) is BlissScheduler:
+            if (
+                scheduler._last_core is not None or scheduler._streak
+                or scheduler._blacklist_until
+            ):
+                return None
+            schedulers.append((True, scheduler.blacklist_threshold,
+                               scheduler.blacklist_cycles))
+        else:
+            schedulers.append((False, 0, 0))
+    policy = system.banks[0].page_policy
+    if policy is not None and not _stock(policy):
+        return None
+    policy_mode = _POLICY_CODES[type(policy)]
     channel_states: list = []
     faws: list = []
     banks = []
-    filters = []
-    for flat in range(system.num_banks):
-        packed = _bank_fields(system, flat, channel_states, faws)
-        if packed is None:
+    extras = []
+    owned = []
+    schemes = set()
+    for controller, scheduler in zip(system.banks, system._bank_channel):
+        fields = _bank_fields(controller, scheduler, policy, channel_states,
+                              faws)
+        scheme = controller.scheme
+        packed = _stock(scheme) and _PACKERS[type(scheme)](scheme)
+        if fields is None or not packed:
             return None
-        banks.append(packed[0])
-        filters.append(packed[1])
+        scheme_fields, extra, objects = packed
+        banks.append(fields + scheme_fields)
+        extras.append(extra)
+        owned.extend(objects)
+        schemes.add(scheme_fields[0])
+    # The kernel gives every bank its own tracker: one shared between
+    # banks (or one filter's counters between filters) stays python.
+    if len(set(map(id, owned))) != len(owned):
+        return None
+    if not all(
+        _stock(faw) and faw.window >= 1 and not faw._recent for faw in faws
+    ):
+        return None
     timings = system.config.timings
     config = (  # the order of _kernel.c's CF_* enum
         system.num_banks,
@@ -457,36 +609,59 @@ def pack(system) -> Optional[tuple]:
         timings.cycles(timings.tbl),
         timings.cycles(timings.trc),
         timings.cycles(timings.tras),
-        system._policy_mode,
-        system._policy_burst,
+        policy_mode,
+        policy.burst_limit if policy_mode == 2 else 0,
     )
-    schedulers = [
-        (True, scheduler.blacklist_threshold, scheduler.blacklist_cycles)
-        if type(scheduler) is BlissScheduler else (False, 0, 0)
-        for scheduler in system._schedulers
-    ]
+    # Banks mostly repeat each other's fields: one pass checks every
+    # value's type, and ranges are checked on each distinct field set.
+    if not set(map(type, chain.from_iterable(banks))) <= _INT_TYPES:
+        return None
+    distinct = set(banks)
     scalars = list(config)
     scalars.extend(core.mlp for core in system.cores)
     scalars.extend(value for fields in schedulers for value in fields)
+    scalars.extend(value for fields in distinct for value in fields)
     if not _int64s(scalars):
         return None
-    cores = [
-        (
-            np.ascontiguousarray(core.trace.gap_cycles, dtype=np.int64),
-            np.ascontiguousarray(core.trace.bank_index, dtype=np.int64),
-            np.ascontiguousarray(core.trace.row, dtype=np.int64),
-            np.ascontiguousarray(core.trace.is_write, dtype=np.bool_),
-            len(core.trace),
+    cbt_rows = _ROW_LIMIT
+    for fields in distinct:
+        scheme = fields[_BF_SCHEME]
+        if (
+            fields[_BF_BLAST_RADIUS] > _MAX_BLAST_RADIUS
+            or (scheme in (_SCHEME_GRAPHENE, _SCHEME_TWICE)
+                and fields[_BF_INTERVAL] < 1)
+        ):
+            return None
+        if scheme == _SCHEME_CBT:
+            cbt_rows = min(cbt_rows, fields[_BF_SCHEME_ROWS])
+    # Trace rows: within the kernel's range; BlockHammer's hashed as
+    # themselves; CBT's inside its tree (python raises otherwise).
+    low, high = 0, 0
+    cores = []
+    for core in system.cores:
+        trace = core.trace
+        rows = np.ascontiguousarray(trace.row, dtype=np.int64)
+        if len(rows):
+            low = min(low, int(rows.min()))
+            high = max(high, int(rows.max()))
+        cores.append((
+            np.ascontiguousarray(trace.gap_cycles, dtype=np.int64),
+            np.ascontiguousarray(trace.bank_index, dtype=np.int64),
+            rows,
+            np.ascontiguousarray(trace.is_write, dtype=np.bool_),
+            len(rows),
             core.mlp,
-        )
-        for core in system.cores
-    ]
-    if any(filters) and not all(
-        not len(rows) or (rows.min() >= 0 and rows.max() < _HASH_MODULUS)
-        for _gap, _bank, rows, *_rest in cores
+        ))
+    if (
+        low < -_ROW_LIMIT or high > _ROW_LIMIT
+        or (_SCHEME_BLOCKHAMMER in schemes
+            and (low < 0 or high >= _HASH_MODULUS))
+        or (_SCHEME_CBT in schemes and (low < 0 or high >= cbt_rows))
     ):
         return None
-    return config, cores, banks, channel_states, faws, schedulers, filters
+    if load() is None:
+        return None
+    return config, cores, banks, channel_states, faws, schedulers, extras
 
 
 # ----------------------------------------------------------------------
@@ -497,12 +672,12 @@ def pack(system) -> Optional[tuple]:
 def drain(system, packed: tuple) -> None:
     """Run ``packed`` (from :func:`pack`) on the kernel and write the
     final state back onto ``system``'s objects."""
-    config, cores, banks, channel_states, faws, schedulers, filters = packed
+    config, cores, banks, channel_states, faws, schedulers, extras = packed
     (seq, row_hits, row_misses, core_states, bank_states, bus_free,
      faw_states, scheduler_states) = load().drain(
         config, cores, banks, len(channel_states),
         [(faw.window, faw.tfaw_cycles) for faw in faws], schedulers,
-        filters,
+        extras,
     )
     system._seq = seq
     system.row_hits += row_hits
@@ -558,21 +733,9 @@ def _write_bank(controller, state) -> None:
         )
         hammer.max_disturbance = max_level
         hammer.max_disturbance_row = max_row
-    if type(scheme) is MithrilScheme:
-        cbs_state, scheme.table._max_spread_seen = tracker
-        _write_summary(scheme.table._summary, cbs_state)
-    elif type(scheme) is BlockHammerScheme:
-        cbf = scheme.cbf
-        (totals, cbf._active, cbf._since_swap, (rows, releases),
-         scheme.blacklisted_rows_seen) = tracker
-        for cbf_filter, total in zip(cbf._filters, totals):
-            cbf_filter._total = total  # counters were written in place
-        scheme._release.update(zip(rows, releases))
-    elif type(scheme) is GrapheneScheme:
-        (cbs_state, (rows, triggers), scheme._next_reset,
-         scheme.resets) = tracker
-        _write_summary(scheme.table, cbs_state)
-        scheme._next_trigger.update(zip(rows, triggers))
+    writer = _WRITERS.get(type(scheme))
+    if writer is not None:
+        writer(scheme, tracker)
 
 
 def _write_summary(summary, cbs_state) -> None:
@@ -586,3 +749,72 @@ def _write_summary(summary, cbs_state) -> None:
     summary._min_count = min_count
     summary._total_observed = total_observed
     summary.evictions = evictions
+
+
+def _write_rng(rng, state) -> None:
+    """Hand the kernel's advanced MT19937 state back (None: no draw)."""
+    if state is not None:
+        rng.setstate((rng.VERSION, state, rng.gauss_next))
+
+
+def _write_mithril(scheme, tracker) -> None:
+    cbs_state, scheme.table._max_spread_seen = tracker
+    _write_summary(scheme.table._summary, cbs_state)
+
+
+def _write_blockhammer(scheme, tracker) -> None:
+    cbf = scheme.cbf
+    (totals, cbf._active, cbf._since_swap, (rows, releases),
+     scheme.blacklisted_rows_seen) = tracker
+    for cbf_filter, total in zip(cbf._filters, totals):
+        cbf_filter._total = total  # counters were written in place
+    scheme._release.update(zip(rows, releases))
+
+
+def _write_graphene(scheme, tracker) -> None:
+    (cbs_state, (rows, triggers), scheme._next_reset,
+     scheme.resets) = tracker
+    _write_summary(scheme.table, cbs_state)
+    scheme._next_trigger.update(zip(rows, triggers))
+
+
+def _write_para(scheme, tracker) -> None:
+    _write_rng(scheme._rng, tracker[0])
+
+
+def _write_parfm(scheme, tracker) -> None:
+    state, scheme._sample, scheme._interval_acts = tracker
+    _write_rng(scheme._rng, state)
+
+
+def _write_twice(scheme, tracker) -> None:
+    (entries, scheme._next_checkpoint, scheme.max_entries_seen,
+     scheme.pruned) = tracker
+    scheme._entries.update(
+        (row, _TwiceEntry(act_count=count, life=life))
+        for row, count, life in entries
+    )
+
+
+def _write_cbt(scheme, tracker) -> None:
+    nodes, scheme._counters_used, histogram = tracker
+    scheme.refreshed_rows_histogram.extend(histogram)
+    built = [scheme._root] + [
+        _Node(lo=lo, hi=hi) for lo, hi, _count, _left, _right in nodes[1:]
+    ]
+    for node, (_lo, _hi, count, left, right) in zip(built, nodes):
+        node.count = count
+        if left >= 0:
+            node.left = built[left]
+            node.right = built[right]
+
+
+_WRITERS = {
+    MithrilScheme: _write_mithril,
+    BlockHammerScheme: _write_blockhammer,
+    GrapheneScheme: _write_graphene,
+    ParaScheme: _write_para,
+    ParfmScheme: _write_parfm,
+    TwiceScheme: _write_twice,
+    CbtScheme: _write_cbt,
+}

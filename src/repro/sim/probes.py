@@ -15,18 +15,17 @@ cycles (default 20000):
 * estimated-vs-true hot-row error: the probe layer keeps exact per-bank
   ACT counts and compares the tracker's estimate for the hottest row.
 
-Exactness contract: the scalar and turbo backends process the identical
-event stream, and both sample at the *same* logical point — after every
-event of cycles ``< c`` has been applied and before any event of the
-triggering cycle ``c`` — so with probes enabled the two backends emit
-byte-identical record streams (gated by
-tests/integration/test_probe_parity.py).  Records therefore contain no
-wall-clock times, pids, or backend identifiers; the canonical encoding
-is ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.
+Exactness contract: the python event loop samples at one logical point
+— after every event of cycles ``< c`` has been applied and before any
+event of the triggering cycle ``c`` — and a probed system always takes
+that loop (the native kernel runs only probe-free systems), so with
+probes enabled both backends emit byte-identical record streams (gated
+by tests/integration/test_probe_parity.py).  Records therefore contain
+no wall-clock times, pids, or backend identifiers; the canonical
+encoding is ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.
 
-Zero-cost-off: with ``REPRO_PROBES`` unset the scalar backend runs its
-original tight loop unchanged and the turbo drains pay one comparison
-per distinct event cycle against ``inf``.
+Zero-cost-off: with ``REPRO_PROBES`` unset the python loop runs its
+original tight loop unchanged, and the native kernel is not touched.
 
 Each stream ends with a seal record carrying the record count and the
 sha256 over all preceding lines; :func:`read_probe_stream` verifies it,
@@ -81,9 +80,8 @@ def probe_interval() -> int:
 def attach(system) -> Optional["ProbeRun"]:
     """Create a probe stream for ``system``; None when probing is off.
 
-    Called once from ``SimulatedSystem.__init__`` (both backends share
-    it through ``super().__init__``).  I/O failures degrade to probing
-    disabled rather than perturbing the simulation.
+    Called once from ``SimulatedSystem.__init__``.  I/O failures
+    degrade to probing disabled rather than perturbing the simulation.
     """
     directory = probes_dir()
     if directory is None:
@@ -114,8 +112,7 @@ class ProbeRun:
         self._sha = hashlib.sha256()
         self._finalized = False
         banks = system.banks
-        #: exact per-bank row -> ACT count, fed by the serve-path wraps
-        #: (scalar + turbo generic) or the fused drain's explicit hook.
+        #: exact per-bank row -> ACT count, fed by the serve-path wraps.
         self.act_counts: List[Dict[int, int]] = [{} for _ in banks]
         self._fh = self.path.open("w")
         for flat, controller in enumerate(banks):
@@ -423,9 +420,7 @@ def _wrap_act_counter(controller, counts: Dict[int, int]) -> None:
     """Count every served ACT through the controller's serve path.
 
     Installed as an instance attribute (the :mod:`repro.sim.tracing`
-    pattern), so the turbo fusability snapshot — which type-checks the
-    controller — is unaffected.  The fused drain never calls
-    ``_on_activated``; it feeds :attr:`ProbeRun.act_counts` directly.
+    pattern), which on its own keeps the run in the python loop.
     """
     inner = controller._on_activated
 

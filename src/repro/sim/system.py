@@ -34,6 +34,17 @@ cover, so the loop avoids per-event allocation and recomputation:
 
 All of this is behavior-preserving: the golden-equivalence suite pins
 results to the pre-optimization simulator byte for byte.
+
+Native kernel
+-------------
+On the ``native`` backend (the default, see :mod:`repro.sim.backend`)
+``run`` first asks :func:`repro.sim.kernel.pack` whether the C drain
+can run this system exactly; when it can, the whole run happens there
+and the final state is written back onto the same objects.  Otherwise,
+and always on the ``python`` backend, the event loop below runs.  The
+per-entry issue tables it needs are built only then, so a kernel run
+never pays for them.  ``drain_path`` (and the ``sim.drain`` telemetry
+span) records which of the two ran.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from repro.mc.scheduler import make_scheduler
 from repro.params import DEFAULT_CONFIG, SystemConfig
 from repro.protection import NoProtection, ProtectionScheme
 from repro.sim import probes as _probes
+from repro.sim.backend import NATIVE, resolve_backend
 from repro.sim.core import TraceCore
 from repro.sim.metrics import SimulationResult
 from repro.types import BankAddress, EnergyCounts, MemoryRequest, RowAddress
@@ -82,9 +94,12 @@ class SimulatedSystem:
         flip_th: int = 10_000,
         mlp: int = 4,
         track_hammer: bool = True,
+        backend: Optional[str] = None,
     ):
         if not traces:
             raise ValueError("need at least one core trace")
+        #: "native" or "python" (see repro.sim.backend)
+        self.backend = resolve_backend(backend)
         self.config = config
         self.cores = [
             TraceCore(core_id=i, trace=trace, mlp=mlp)
@@ -142,8 +157,9 @@ class SimulatedSystem:
         ]
         # Per-trace normalized flat bank index, one entry per request:
         # `entry.bank_index % num_banks` is evaluated once per trace
-        # entry here and never in the issue path.
-        self._core_flats = self._build_core_flats()
+        # entry, when the python loop first needs it, and never in the
+        # issue path.
+        self._core_flats: Optional[List[List[int]]] = None
         self._bank_scheduled = [False] * self.num_banks
         # Per-bank queue occupancy by core (the scheduler's "contended"
         # bit) plus the queue length it was built against; an external
@@ -159,6 +175,8 @@ class SimulatedSystem:
         self.row_hits = 0
         self.row_misses = 0
         self._ran = False
+        #: which drain ran: "kernel" or "python"; None before run()
+        self.drain_path: Optional[str] = None
         #: opt-in scheme-internals probe stream (REPRO_PROBES); None in
         #: the common case, and the run loops branch once on it so the
         #: probes-off hot path is unchanged.
@@ -167,8 +185,8 @@ class SimulatedSystem:
     # ------------------------------------------------------------------
 
     def _build_core_flats(self) -> List[List[int]]:
-        """Issue-table hook over each core's entry objects; the turbo
-        backend reads windows of the trace columns instead."""
+        """The python loop's issue tables, over each core's entry
+        objects (built on first use)."""
         num_banks = self.num_banks
         return [
             [entry.bank_index % num_banks for entry in core.entry_list()]
@@ -379,6 +397,32 @@ class SimulatedSystem:
         if self._ran:
             raise RuntimeError("a SimulatedSystem can only run once")
         self._ran = True
+        from repro import telemetry
+        from repro.sim import kernel
+
+        packed = (
+            kernel.pack(self)
+            if self.backend == NATIVE and max_cycles is None else None
+        )
+        self.drain_path = "python" if packed is None else "kernel"
+        tel = telemetry.get()
+        span = (
+            tel.span("sim.drain", path=self.drain_path)
+            if tel is not None else telemetry.NOOP_SPAN
+        )
+        with span:
+            if packed is None:
+                self._drain_python(max_cycles)
+            else:
+                kernel.drain(self, packed)
+        if tel is not None:
+            tel.event("sim.run.done", path=self.drain_path)
+        return self._collect()
+
+    def _drain_python(self, max_cycles: Optional[int]) -> None:
+        """The reference event loop."""
+        if self._core_flats is None:
+            self._core_flats = self._build_core_flats()
         heap = self._heap
         # Batch the initial issue events: build the list once and
         # heapify instead of N pushes (same (cycle, seq) order).
@@ -410,9 +454,7 @@ class SimulatedSystem:
         else:
             # Probing twin of the loop above: sample on the first event
             # at or past the schedule — every prior cycle fully applied,
-            # the triggering cycle untouched — the same logical point
-            # the turbo drains sample at, so streams match byte for
-            # byte across backends.
+            # the triggering cycle untouched.
             next_probe = probe.next_cycle
             while heap:
                 key = heappop(heap)
@@ -430,7 +472,6 @@ class SimulatedSystem:
                     try_issue(cores[ident], cycle)
                 else:
                     complete_event(ident, cycle)
-        return self._collect()
 
     def _collect(self) -> SimulationResult:
         energy = EnergyCounts()
@@ -493,8 +534,6 @@ class SimulatedSystem:
             throttle_events=throttle_events,
         )
         if self._probe is not None:
-            # Turbo works on the per-bank objects throughout, so the
-            # final record reads the same state on every backend.
             self._probe.finalize(self, result)
         return result
 
@@ -512,18 +551,10 @@ def make_system(
     """Build one system on the resolved backend (see repro.sim.backend).
 
     ``backend=None`` consults ``REPRO_SIM_BACKEND`` and defaults to
-    ``turbo``.  Results are byte-identical across backends — the
+    ``native``.  Results are byte-identical across backends — the
     golden suite runs both.
     """
-    from repro.sim.backend import TURBO, resolve_backend
-
-    if resolve_backend(backend) == TURBO:
-        from repro.sim.turbo import TurboSimulatedSystem
-
-        system_class = TurboSimulatedSystem
-    else:
-        system_class = SimulatedSystem
-    return system_class(
+    return SimulatedSystem(
         traces,
         scheme_factory=scheme_factory,
         config=config,
@@ -531,6 +562,7 @@ def make_system(
         flip_th=flip_th,
         mlp=mlp,
         track_hammer=track_hammer,
+        backend=backend,
     )
 
 
@@ -562,7 +594,7 @@ def simulate(
     span = (
         tel.span(
             "sim.simulate",
-            backend=type(system).__name__,
+            backend=system.backend,
             cores=len(system.cores),
         )
         if tel is not None else telemetry.NOOP_SPAN

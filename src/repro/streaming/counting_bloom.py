@@ -17,15 +17,14 @@ indices across both filters and the estimate
 
 Probe indices depend only on ``(seed, size, num_hashes, element)``,
 so :func:`probe_index_matrix` hashes a whole batch in one numpy pass
-and :func:`prefill_index_caches` writes such a batch into filters'
-index caches up front (turbo's python drain does this for every trace
-row of its BlockHammer banks; the native kernel hashes in C).
+(the BlockHammer-adversarial attack builder uses it; the native drain
+kernel hashes in C).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Hashable, List, Sequence
 
 import numpy as np
 
@@ -38,9 +37,6 @@ from repro.streaming.count_min import _MASK64, premix_seeds
 #: indices inline, capping worst-case memory at a few hundred KB per
 #: filter.
 _INDEX_CACHE_LIMIT = 8192
-
-#: Row bound of one :func:`prefill_index_caches` group cache.
-_PREFILL_LIMIT = 1 << 17
 
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
@@ -71,40 +67,6 @@ def probe_index_matrix(
     return (mixed % np.uint64(size)).astype(np.int64)
 
 
-def prefill_index_caches(
-    filters: Sequence["CountingBloomFilter"], rows: Sequence[np.ndarray]
-) -> None:
-    """Pre-hash every distinct row of ``rows`` into the filters' caches.
-
-    ``rows`` is a list of integer row columns.  Filters with equal
-    ``(seed, size, num_hashes)`` hash every element identically, so
-    each such group shares its first member's cache dict, filled up to
-    :data:`_PREFILL_LIMIT` entries.  Sharing is invisible: indices
-    never depend on counter state.
-    """
-    groups: Dict[Tuple[int, int, int], List[CountingBloomFilter]] = {}
-    for cbf in filters:
-        groups.setdefault(
-            (cbf._seed, cbf.size, cbf.num_hashes), []
-        ).append(cbf)
-    if not groups:
-        return
-    # return_index keeps np.unique off its masked-array check, which
-    # would import numpy.ma (~2 MB) into every simulating process.
-    distinct = np.unique(
-        np.concatenate(rows), return_index=True
-    )[0].tolist()
-    for (seed, size, num_hashes), members in groups.items():
-        shared = members[0]._index_cache
-        fresh = [row for row in distinct if row not in shared]
-        fresh = fresh[:max(0, _PREFILL_LIMIT - len(shared))]
-        if fresh:
-            matrix = probe_index_matrix(seed, size, num_hashes, fresh)
-            shared.update(zip(fresh, matrix.tolist()))
-        for cbf in members:
-            cbf._index_cache = shared
-
-
 class CountingBloomFilter(FrequencyEstimator):
     """A single counting Bloom filter: k hashed counters per element.
 
@@ -125,8 +87,7 @@ class CountingBloomFilter(FrequencyEstimator):
         self._probe_seeds = premix_seeds(seed, num_hashes)
         #: element -> probe indices.  Indices depend only on (element,
         #: seed, size, num_hashes), never on counter state, so entries
-        #: survive resets and :func:`prefill_index_caches` may share
-        #: one dict between filters; lazy growth stops at
+        #: survive resets; lazy growth stops at
         #: :data:`_INDEX_CACHE_LIMIT` entries.
         self._index_cache: dict = {}
         self._total = 0

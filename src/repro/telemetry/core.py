@@ -7,7 +7,7 @@ fetch — never per event-loop iteration) and pays a single ``is None``
 branch when ``REPRO_TELEMETRY`` is unset.  Setting
 ``REPRO_TELEMETRY=<dir>`` turns the same calls into:
 
-* **spans** — ``with tel.span("sim.drain", backend="turbo"):``
+* **spans** — ``with tel.span("sim.drain", path="kernel"):``
   records a monotonic duration, accumulates it into the per-name
   timer registry, keeps the record in a bounded in-memory ring, and
   appends one newline-JSON event to this process's

@@ -9,9 +9,9 @@ generators control explicitly.
 
 Storage is columnar: a :class:`CoreTrace` holds six read-only numpy
 columns (:data:`COLUMNS`), one value per request.  That layout is this
-module's decision alone — generators, readers and the turbo drain work
-on the columns, while cold callers (characterization, the jsonl/csv
-writers, the scalar reference loop) iterate :class:`TraceEntry`
+module's decision alone — generators, readers and the native drain
+kernel work on the columns, while cold callers (characterization, the
+jsonl/csv writers, the python reference loop) iterate :class:`TraceEntry`
 objects built lazily from them.  The binary ``RPTRC1`` format
 (:mod:`repro.traces.readers`) is the columns' on-disk image.
 """

@@ -49,8 +49,9 @@ def _isolated_sim_cache(tmp_path, monkeypatch):
 
 @pytest.fixture
 def python_drain(monkeypatch):
-    """Run covered turbo systems on turbo's python drains: the native
-    kernel reports itself unavailable (without a warning)."""
+    """Run native-backend systems on the python loop: the native
+    kernel reports itself unavailable (without a warning), as on a host
+    without a C compiler."""
     from repro.sim import kernel
 
     monkeypatch.setattr(kernel, "load", lambda: None)

@@ -269,7 +269,7 @@ class TestProbeCli:
         traces, factory, config, rfm_th = materialize_job(job)
         make_system(
             traces, scheme_factory=factory, config=config,
-            rfm_th=rfm_th, flip_th=job.flip_th, backend="scalar",
+            rfm_th=rfm_th, flip_th=job.flip_th, backend="python",
         ).run()
         return directory
 

@@ -3,17 +3,22 @@
 The golden file (tests/golden/simulation_results.json) was captured
 from the pre-optimization simulator.  Every hot-path change — the
 zero-alloc event loop, the memoized schedulers, the array-backed
-sketches, the turbo backend's fused drain — must leave each shipped
-scheme's `SimulationResult` exactly identical on every workload here:
-the comparison happens on canonical JSON, so even a float that differs
-in its last bit fails.  Every record runs under **both** simulation
-backends: ``turbo``, the default, and ``scalar``, the reference loop —
-and twice more with turbo's native kernel switched off:
-``turbo-python``, the python fused drain on every record, and
-``turbo-window64``, turbo decoding its traces in 64-entry windows, so
-every window crossing of the python drain is exercised.  Under plain
-``turbo`` the ``none``, Mithril and Mithril+ records run on the native
-kernel (tests/integration/test_native_kernel.py asserts that they do).
+sketches, the native C drain — must leave each shipped scheme's
+`SimulationResult` exactly identical on every workload here: the
+comparison happens on canonical JSON, so even a float that differs in
+its last bit fails.  Every record runs under **both** simulation
+backends, and twice more on variants of them (the parameter ids are
+the backends' former names, kept so test ids stay stable):
+
+* ``scalar`` — the ``python`` backend, the reference event loop;
+* ``turbo`` — the ``native`` backend, the default: every golden
+  record runs on the C kernel (asserted here and in
+  tests/integration/test_native_kernel.py);
+* ``turbo-python`` — the ``native`` backend on a host whose kernel
+  cannot be built: every record falls back to the python loop;
+* ``turbo-window64`` — the ``python`` backend building its issue
+  tables from 64-entry trace-iterator blocks, so every block crossing
+  of the lazy table build is exercised.
 
 If a change is *meant* to alter results, regenerate via
 ``PYTHONPATH=src python tests/golden/generate_golden.py`` and say so in
@@ -21,15 +26,17 @@ the commit message.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.engine.cache import result_to_dict
-from repro.engine.executor import execute_job
+from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
-from repro.sim import soa
 from repro.sim.backend import BACKEND_ENV
+from repro.sim.system import make_system
+from repro.workloads import trace as trace_module
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "golden" / "simulation_results.json"
@@ -78,22 +85,37 @@ def _ids():
     ]
 
 
-@pytest.fixture(
-    params=["scalar", "turbo", "turbo-python", "turbo-window64"]
-)
+#: parameter id -> (REPRO_SIM_BACKEND, the drain every record takes)
+BACKENDS = {
+    "scalar": ("python", "python"),
+    "turbo": ("native", "kernel"),
+    "turbo-python": ("native", "python"),
+    "turbo-window64": ("python", "python"),
+}
+
+
+@pytest.fixture(params=list(BACKENDS))
 def backend(request, monkeypatch):
-    if request.param in ("turbo-python", "turbo-window64"):
+    if request.param == "turbo-python":
         request.getfixturevalue("python_drain")
     if request.param == "turbo-window64":
-        monkeypatch.setattr(soa, "WINDOW", 64)
-    monkeypatch.setenv(BACKEND_ENV, request.param.split("-")[0])
-    return request.param
+        monkeypatch.setattr(trace_module, "_ITER_BLOCK", 64)
+    name, drain_path = BACKENDS[request.param]
+    monkeypatch.setenv(BACKEND_ENV, name)
+    # a probed run (the probe-smoke CI lane) always takes the python loop
+    return "python" if os.environ.get("REPRO_PROBES") else drain_path
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_ids())
 def test_result_matches_golden(record, backend):
     job = _job_from_canonical(record["job"])
-    result = execute_job(job)
+    traces, factory, config, rfm_th = materialize_job(job)
+    system = make_system(
+        traces, scheme_factory=factory, config=config, rfm_th=rfm_th,
+        flip_th=job.flip_th, mlp=job.mlp, track_hammer=job.track_hammer,
+    )
+    result = system.run(max_cycles=job.max_cycles)
+    assert system.drain_path == backend
     assert _canonical_json(result_to_dict(result)) == _canonical_json(
         record["result"]
     )

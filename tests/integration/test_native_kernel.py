@@ -1,23 +1,27 @@
-"""The native drain kernel against turbo's python fused drain.
+"""The native drain kernel against the python event loop.
 
 The kernel (``repro/sim/_kernel.c``, loaded by :mod:`repro.sim.kernel`)
 runs every covered system: each bank ``none``, Mithril / Mithril+,
-BlockHammer or Graphene, stock components, pristine, no probe, no cycle
-limit.  This battery pins it to the python fused drain it replaces
-there:
+BlockHammer, Graphene, PARA, PARFM, TWiCe or CBT, stock components
+with no instance-patched hook, pristine, no probe, no cycle limit.
+This battery pins it to the python loop it replaces there:
 
-* the fifteen covered golden records run on the kernel, byte-identical
-  to the golden file and to the python drain;
+* every golden record runs on the kernel, byte-identical to the golden
+  file and to the python loop, and so does every scheme of the
+  ``paper-scale`` campaign and of fig11 at its stock configuration;
 * hypothesis-drawn covered configurations (scheme mix, workload, seed,
-  FlipTH, table and filter sizes, RFM threshold, AdTH, blacklist
-  threshold, reset interval, scheduler, page policy, hammer tracking)
-  give equal results *and* equal post-run state on every simulator
-  object, including each CbS bucket's FIFO order, every filter
-  counter and the BlockHammer and Graphene dicts' insertion order;
+  FlipTH, table, filter and tree sizes, RFM threshold, AdTH, blacklist
+  threshold, reset interval, PARA probability, scheduler, page policy,
+  hammer tracking) give equal results *and* equal post-run state on
+  every simulator object, including each CbS bucket's FIFO order,
+  every filter counter, the BlockHammer, Graphene and TWiCe dicts'
+  insertion order, PARA's and PARFM's random state and CBT's tree;
 * targeted cases reach the throttle's abstain and retry paths, CBF
-  rotation and Graphene's reset with ARR;
-* everything outside the coverage predicate, and a host whose kernel
-  cannot be built, takes the python drain with identical results.
+  rotation, Graphene's reset with ARR, TWiCe's pruning and CBT's
+  splits and range refreshes;
+* everything outside the coverage predicate — including a hook patched
+  on an instance after the system was built — and a host whose kernel
+  cannot be built, takes the python loop with identical results.
 
 When a C compiler is on PATH the kernel must load: the battery fails
 instead of skipping, so a compile error cannot hide behind the
@@ -43,7 +47,11 @@ from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
 from repro.mc.scheduler import BlissScheduler, FrFcfsScheduler
 from repro.mitigations.blockhammer import BlockHammerScheme
+from repro.mitigations.cbt import CbtScheme
 from repro.mitigations.graphene import GrapheneScheme
+from repro.mitigations.para import ParaScheme
+from repro.mitigations.parfm import ParfmScheme
+from repro.mitigations.twice import TwiceScheme
 from repro.params import DramTimings
 from repro.protection import NoProtection
 from repro.sim import kernel
@@ -54,7 +62,10 @@ from repro.workloads.trace import CoreTrace
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "golden" / "simulation_results.json"
 )
-COVERED_SCHEMES = ("none", "mithril", "mithril+", "blockhammer", "graphene")
+COVERED_SCHEMES = (
+    "none", "mithril", "mithril+", "blockhammer", "graphene", "para",
+    "parfm", "twice", "cbt",
+)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -70,7 +81,7 @@ def native():
     return module
 
 
-def _build(job, factory=None, backend="turbo", **overrides):
+def _build(job, factory=None, backend="native", **overrides):
     traces, job_factory, config, rfm_th = materialize_job(job)
     return make_system(
         traces,
@@ -86,7 +97,8 @@ def _build(job, factory=None, backend="turbo", **overrides):
 
 
 def _python_run(system, monkeypatch, max_cycles=None):
-    """Run ``system`` with the kernel reported unavailable."""
+    """Run ``system`` with the kernel reported unavailable (the
+    fallback of a host without a compiler: the python loop)."""
     with monkeypatch.context() as patch:
         patch.setattr(kernel, "load", lambda: None)
         return system.run(max_cycles=max_cycles)
@@ -158,6 +170,26 @@ def _state(system):
                 list(scheme._next_trigger.items()), scheme._next_reset,
                 scheme.resets,
             )
+        elif isinstance(scheme, ParaScheme):
+            record["para"] = scheme._rng.getstate()
+        elif isinstance(scheme, ParfmScheme):
+            record["parfm"] = (
+                scheme._rng.getstate(), scheme._sample,
+                scheme._interval_acts,
+            )
+        elif isinstance(scheme, TwiceScheme):
+            record["twice"] = (
+                [(row, entry.act_count, entry.life)
+                 for row, entry in scheme._entries.items()],
+                scheme.max_entries_seen, scheme.pruned,
+                scheme._next_checkpoint,
+            )
+        elif isinstance(scheme, CbtScheme):
+            record["cbt"] = (
+                scheme.refreshed_rows_histogram, scheme.tree_depth,
+                scheme.leaf_count, scheme._counters_used,
+                _tree(scheme._root),
+            )
         banks.append(record)
     schedulers = [
         (s._last_core, s._streak, list(s._blacklist_until.items()))
@@ -179,14 +211,22 @@ def _state(system):
     }
 
 
+def _tree(node):
+    """A CBT (sub)tree as nested (lo, hi, count, left, right) tuples."""
+    if node is None:
+        return None
+    return (node.lo, node.hi, node.count, _tree(node.left),
+            _tree(node.right))
+
+
 def _assert_same_run(make, monkeypatch):
-    """Kernel and python fused drain agree on results and state."""
+    """Kernel and python loop agree on results and state."""
     native_system = make()
     python_system = make()
     native_result = native_system.run()
     assert native_system.drain_path == "kernel"
     python_result = _python_run(python_system, monkeypatch)
-    assert python_system.drain_path == "fused"
+    assert python_system.drain_path == "python"
     assert native_result == python_result
     assert _state(native_system) == _state(python_system)
     return native_result
@@ -223,8 +263,8 @@ def _job_from_canonical(data) -> SimJob:
 COVERED = _covered_records()
 
 
-def test_fifteen_covered_goldens():
-    assert len(COVERED) == 15
+def test_every_golden_is_covered():
+    assert len(COVERED) == len(json.loads(GOLDEN_PATH.read_text())) == 24
 
 
 @pytest.mark.parametrize(
@@ -278,10 +318,19 @@ def covered_configs(draw):
         "cbf_size": draw(st.sampled_from([8, 64, 1024])),
         "n_bl": draw(st.sampled_from([2, 8, 64])),
         "tcbf_ns": draw(st.sampled_from([2_000.0, 20_000.0, 32e6])),
-        # Graphene: threshold FlipTH/4, reset interval, victim clipping
+        # Graphene, TWiCe and CBT: ARR thresholds from a small FlipTH,
+        # and victim clipping at a small bank (all the ARR schemes)
         "graphene_flip_th": draw(st.sampled_from([8, 40, 300])),
         "reset_interval": draw(st.sampled_from([None, 700, 9_000])),
-        "graphene_rows": draw(st.sampled_from([65536, 300])),
+        "scheme_rows": draw(st.sampled_from([65536, 300])),
+        # PARA: probability (None: derived from FlipTH) and seed
+        "probability": draw(st.sampled_from([None, 0.0, 0.05, 0.5, 1.0])),
+        "rng_seed": draw(st.integers(0, 2**40)),
+        # TWiCe: tREFW in tREFIs, short enough to prune mid-run
+        "twice_intervals": draw(st.sampled_from([None, 2, 64])),
+        # CBT: counter budget and split divisor
+        "num_counters": draw(st.sampled_from([None, 3, 32])),
+        "split_divisor": draw(st.sampled_from([2, 8])),
         "scheduler": draw(st.sampled_from(["bliss", "frfcfs"])),
         "page_policy": draw(
             st.sampled_from(["open", "closed", "minimalist-open"])
@@ -313,9 +362,41 @@ def _factory(draw_config):
         elif name == "graphene":
             scheme = GrapheneScheme(
                 flip_th=draw_config["graphene_flip_th"],
-                rows_per_bank=draw_config["graphene_rows"],
+                rows_per_bank=draw_config["scheme_rows"],
                 n_entries=draw_config["n_entries"],
                 reset_interval_cycles=draw_config["reset_interval"],
+            )
+        elif name == "para":
+            scheme = ParaScheme(
+                flip_th=draw_config["graphene_flip_th"],
+                rows_per_bank=draw_config["scheme_rows"],
+                seed=draw_config["rng_seed"] + len(built),
+                probability=draw_config["probability"],
+            )
+        elif name == "parfm":
+            scheme = ParfmScheme(
+                rows_per_bank=draw_config["scheme_rows"],
+                blast_radius=draw_config["blast_radius"],
+                seed=draw_config["rng_seed"],
+            )
+        elif name == "twice":
+            timings = DramTimings()
+            if draw_config["twice_intervals"]:
+                timings = dataclasses.replace(
+                    timings,
+                    trefw=timings.trefi * draw_config["twice_intervals"],
+                )
+            scheme = TwiceScheme(
+                flip_th=draw_config["graphene_flip_th"],
+                rows_per_bank=draw_config["scheme_rows"],
+                timings=timings,
+            )
+        elif name == "cbt":
+            # every trace row must lie in the tree (python raises)
+            scheme = CbtScheme(
+                flip_th=max(300, draw_config["graphene_flip_th"]),
+                num_counters=draw_config["num_counters"],
+                split_divisor=draw_config["split_divisor"],
             )
         else:
             scheme = MithrilScheme(
@@ -372,7 +453,8 @@ def test_two_channel_organization(monkeypatch):
 
     def make():
         return make_system(traces, scheme_factory=factory, config=config,
-                           rfm_th=rfm_th, flip_th=job.flip_th)
+                           rfm_th=rfm_th, flip_th=job.flip_th,
+                           backend="native")
 
     _assert_same_run(make, monkeypatch)
 
@@ -409,11 +491,12 @@ def test_drain_path_reaches_telemetry(tmp_path, monkeypatch):
     _python_run(_build(job), monkeypatch)
     _build(SimJob(workload=job.workload, scheme="para",
                   flip_th=6250, scale=0.05)).run()
+    _build(job, backend="python").run()
     ring = list(telemetry.get().ring)
     spans = [r["attrs"]["path"] for r in ring
              if r["kind"] == "span" and r["name"] == "sim.drain"]
     done = [r["path"] for r in ring if r["kind"] == "sim.run.done"]
-    assert spans == done == ["kernel", "fused", "fused"]
+    assert spans == done == ["kernel", "python", "kernel", "python"]
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +513,7 @@ def _reads(name, rows, bank=0):
 
 
 def _small_system(traces, factory, scheduler="frfcfs", mlp=4,
-                  backend="turbo"):
+                  backend="native"):
     return make_system(
         traces, scheme_factory=factory,
         config=build_config((("scheduler", scheduler),)),
@@ -476,13 +559,13 @@ def test_all_throttled_queue_waits_for_earliest_release(
     earliest-then-oldest fallback)."""
     traces = [_reads(f"c{i}", [10, 20] * 12) for i in range(2)]
 
-    def make(backend="turbo"):
+    def make(backend="native"):
         return _small_system(traces, _blacklisting_blockhammer, scheduler,
                              backend=backend)
 
     result = _assert_same_run(make, monkeypatch)
     scalar, abstained = _abstentions(
-        lambda: make("scalar"), scheduler_class, monkeypatch
+        lambda: make("python"), scheduler_class, monkeypatch
     )
     assert abstained > 0
     assert scalar == result
@@ -550,12 +633,12 @@ def test_graphene_reset_with_arr_and_hammer_refresh(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "row, path", [((1 << 61) - 2, "kernel"), ((1 << 61) - 1, "fused")]
+    "row, path", [((1 << 61) - 2, "kernel"), ((1 << 61) - 1, "python")]
 )
 def test_blockhammer_row_hash_range(row, path, monkeypatch):
     """The kernel hashes a row as itself, which python's int hash
     matches only below 2**61 - 1; a larger trace row keeps a
-    BlockHammer system on the python drain."""
+    BlockHammer system on the python loop."""
     traces = [_reads("c0", [5, row, 5, row] * 4)]
 
     def make():
@@ -567,18 +650,107 @@ def test_blockhammer_row_hash_range(row, path, monkeypatch):
     assert _python_run(make(), monkeypatch) == result
 
 
+def test_twice_prunes_and_refreshes(monkeypatch):
+    """A tREFW of two tREFIs prunes cold entries at every checkpoint
+    while hot rows still reach the ARR threshold."""
+    rows = [10, 20, 30, 10, 20, 10] * 40 + list(range(100, 160))
+    timings = DramTimings()
+    short = dataclasses.replace(timings, trefw=2 * timings.trefi)
+
+    def make():
+        return _small_system(
+            [_reads("c0", rows), _reads("c1", rows[::-1])],
+            lambda: TwiceScheme(flip_th=40, rows_per_bank=300,
+                                timings=short),
+        )
+
+    _assert_same_run(make, monkeypatch)
+    system = make()
+    system.run()
+    scheme = system.banks[0].scheme
+    assert scheme.pruned > 0
+    assert scheme.stats.arr_requests > 0
+    assert scheme.max_entries_seen > len(scheme._entries)
+
+
+def test_cbt_splits_and_range_refreshes(monkeypatch):
+    """CBT splits until its counter budget runs out, and a leaf at its
+    threshold refreshes its whole row range plus both neighbours."""
+    rows = [(17 * i) % 300 for i in range(400)] + [5, 6] * 60
+
+    def make():
+        return _small_system(
+            [_reads("c0", rows)],
+            lambda: CbtScheme(flip_th=40, rows_per_bank=300,
+                              num_counters=12, split_divisor=4),
+        )
+
+    _assert_same_run(make, monkeypatch)
+    system = make()
+    system.run()
+    scheme = system.banks[0].scheme
+    assert scheme._counters_used == scheme.num_counters
+    assert max(scheme.refreshed_rows_histogram) > 3
+    assert system.banks[0].arr_stall_cycles > 0
+
+
+@pytest.mark.parametrize("scheme", ["para", "parfm"])
+def test_random_state_round_trip(scheme, monkeypatch):
+    """PARA and PARFM draw from each scheme's own random.Random: the
+    kernel starts from its state and hands the advanced state back."""
+    def make():
+        return _build(_job(scheme, flip_th=1500))
+
+    _assert_same_run(make, monkeypatch)
+    system = make()
+    before = [c.scheme._rng.getstate() for c in system.banks]
+    system.run()
+    after = [c.scheme._rng.getstate() for c in system.banks]
+    assert any(a != b for a, b in zip(after, before))
+
+
+def _campaign_schemes():
+    """One stock job per distinct (scheme, FlipTH) of the paper-scale
+    plan and of fig11's default schemes."""
+    from repro.campaigns import get_campaign, plan_campaign
+    from repro.experiments import fig11
+
+    jobs = {}
+    plan = plan_campaign(get_campaign("paper-scale"))
+    for job in plan.jobs.values():
+        jobs.setdefault((job.scheme, job.flip_th), job)
+    for name in fig11.DEFAULT_SCHEMES:
+        for flip_th in fig11.PAPER_FLIP_THRESHOLDS:
+            jobs.setdefault((name, flip_th), SimJob(
+                workload=WorkloadSpec.make("mix-high", scale=0.02),
+                scheme=name, flip_th=flip_th, scale=0.02,
+            ))
+    assert {name for name, _ in jobs} == set(COVERED_SCHEMES)
+    return [jobs[key] for key in sorted(jobs)]
+
+
+def test_every_campaign_scheme_runs_on_kernel():
+    """Every scheme the paper-scale campaign and fig11 run, at its
+    stock configuration, drains in the kernel (on a small workload)."""
+    tiny = WorkloadSpec.make("mix-high", scale=0.02, seed=5)
+    for job in _campaign_schemes():
+        system = _build(dataclasses.replace(job, workload=tiny))
+        system.run()
+        assert system.drain_path == "kernel", (job.scheme, job.flip_th)
+
+
 # ----------------------------------------------------------------------
-# everything else takes the python drain
+# everything else takes the python loop
 # ----------------------------------------------------------------------
 
 
-def _job(scheme="mithril", **knobs):
+def _job(scheme="mithril", flip_th=1500, **knobs):
     spec = WorkloadSpec.make("mix-high", scale=0.1, seed=11)
-    return SimJob(workload=spec, scheme=scheme, flip_th=1500, scale=0.1,
+    return SimJob(workload=spec, scheme=scheme, flip_th=flip_th, scale=0.1,
                   **knobs)
 
 
-def _assert_python_path(make, monkeypatch, max_cycles=None, path="fused"):
+def _assert_python_path(make, monkeypatch, max_cycles=None, path="python"):
     system = make()
     result = system.run(max_cycles=max_cycles)
     assert system.drain_path == path
@@ -590,7 +762,56 @@ def _assert_python_path(make, monkeypatch, max_cycles=None, path="fused"):
 class TestFallback:
     @pytest.mark.parametrize("scheme", ["parfm", "para", "twice", "cbt"])
     def test_uncovered_schemes(self, scheme, monkeypatch):
-        _assert_python_path(lambda: _build(_job(scheme)), monkeypatch)
+        """A subclass of a stock scheme is not covered, even one that
+        changes nothing."""
+        traces, factory, config, rfm_th = materialize_job(_job(scheme))
+
+        def custom():
+            scheme = factory()
+            scheme.__class__ = type("Custom", (type(scheme),), {})
+            return scheme
+
+        def make():
+            return make_system(traces, scheme_factory=custom,
+                               config=config, rfm_th=rfm_th, flip_th=1500,
+                               backend="native")
+
+        _assert_python_path(make, monkeypatch)
+
+    def test_hook_patched_after_build_is_honored(self, monkeypatch):
+        """An instance hook patched after the system was built (here the
+        command tracer's wraps) keeps the run in python, where it runs."""
+        from repro.sim.tracing import attach_tracer
+
+        tracers = []
+
+        def make():
+            system = _build(_job("para"))
+            tracers.append(attach_tracer(system))
+            return system
+
+        _assert_python_path(make, monkeypatch)
+        assert len(tracers[0]) > 0
+
+    def test_float_parameter_on_one_bank(self, monkeypatch):
+        """A float where the kernel needs an int, on one bank whose
+        neighbours hold the equal int, keeps the run in python."""
+        def make():
+            system = _build(_job("graphene"))
+            scheme = system.banks[3].scheme
+            scheme.threshold = float(scheme.threshold)
+            return system
+
+        _assert_python_path(make, monkeypatch)
+
+    def test_cbt_row_outside_tree_stays_python(self):
+        """CBT rejects a row outside its bank; the kernel leaves that
+        run to python, which raises the same error as before."""
+        traces = [_reads("c0", [5, 70_000, 5])]
+        system = _small_system(traces, lambda: CbtScheme(flip_th=40))
+        with pytest.raises(ValueError, match="out of range"):
+            system.run()
+        assert system.drain_path == "python"
 
     def test_instance_patched_throttle_release(self, monkeypatch):
         def make():
@@ -652,10 +873,9 @@ class TestFallback:
             system._schedulers = [
                 PatchedBliss() for _ in system._schedulers
             ]
-            system._fused = system._snapshot_fusability()
             return system
 
-        _assert_python_path(make, monkeypatch, path="generic")
+        _assert_python_path(make, monkeypatch)
 
     def test_instance_patched_rfm_hook(self, monkeypatch):
         def make():
@@ -679,7 +899,7 @@ class TestLoader:
     def test_missing_compiler_warns_once_and_falls_back(
         self, fresh_loader, monkeypatch
     ):
-        reference = _build(_job(), backend="scalar").run()
+        reference = _build(_job(), backend="python").run()
         monkeypatch.setattr(
             kernel, "_compiler", lambda: [str(fresh_loader / "no-cc")]
         )
@@ -689,7 +909,7 @@ class TestLoader:
             assert kernel.load() is None
             system = _build(_job())
             assert system.run() == reference
-        assert system.drain_path == "fused"
+        assert system.drain_path == "python"
         messages = [
             str(w.message) for w in caught
             if "native drain kernel" in str(w.message)

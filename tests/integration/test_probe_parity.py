@@ -1,13 +1,17 @@
 """Probe streams are byte-identical across backends and perturb nothing.
 
 The probe layer (:mod:`repro.sim.probes`) samples scheme internals at
-fixed cycle intervals.  Its exactness contract — both backends sample
-at the same logical point in the event stream — is gated here: for
-every scheme family the scalar and turbo backends must emit probe
-streams whose file contents are *equal bytes*, while the
-``SimulationResult`` stays identical to a probes-off run.  The battery
-also covers the windowed trace decode, seal verification, the
+fixed cycle intervals from the python event loop.  A probed run takes
+that loop on either backend (the native kernel does not sample), so
+for every scheme family the ``python`` and ``native`` backends must
+emit probe streams whose file contents are *equal bytes*, while the
+``SimulationResult`` stays identical to a probes-off run — which on
+the native backend is a kernel run.  The battery also covers issue
+tables built across trace-iterator blocks, seal verification, the
 probes-off zero-file guarantee, and the report/Perfetto renderers.
+
+The backend parameters keep the ids ``scalar`` (python) and ``turbo``
+(native) so test ids stay stable across the backend rename.
 """
 
 import json
@@ -16,9 +20,9 @@ import pytest
 
 from repro.engine.executor import materialize_job
 from repro.engine.job import SimJob, WorkloadSpec
-from repro.sim import soa
 from repro.sim.probes import probe_files, read_probe_stream
 from repro.sim.system import make_system
+from repro.workloads import trace as trace_module
 
 
 def _job(scheme, workload="mix-high", seed=11, **kwargs):
@@ -28,7 +32,8 @@ def _job(scheme, workload="mix-high", seed=11, **kwargs):
 
 
 def _run_probed(job, backend, directory, monkeypatch, interval="5000"):
-    """Run ``job`` on ``backend`` with probes into ``directory``."""
+    """Run ``job`` on ``backend`` with probes into ``directory``; a
+    probed run always takes the python loop."""
     monkeypatch.setenv("REPRO_PROBES", str(directory))
     monkeypatch.setenv("REPRO_PROBE_INTERVAL", interval)
     traces, factory, config, rfm_th = materialize_job(job)
@@ -42,7 +47,9 @@ def _run_probed(job, backend, directory, monkeypatch, interval="5000"):
         track_hammer=job.track_hammer,
         backend=backend,
     )
-    return system.run(max_cycles=job.max_cycles)
+    result = system.run(max_cycles=job.max_cycles)
+    assert system.drain_path == "python"
+    return result
 
 
 def _run_plain(job, backend, monkeypatch):
@@ -67,7 +74,8 @@ def _single_stream(directory):
 
 
 class TestCrossBackendParity:
-    """Scalar vs turbo probe streams, byte for byte, per scheme."""
+    """Python vs native backend probe streams, byte for byte, per
+    scheme, and equal to the unprobed kernel run's result."""
 
     @pytest.mark.parametrize(
         "scheme",
@@ -78,7 +86,7 @@ class TestCrossBackendParity:
         job = _job(scheme)
         results = {}
         texts = {}
-        for backend in ("scalar", "turbo"):
+        for backend in ("python", "native"):
             directory = tmp_path / backend
             results[backend] = _run_probed(
                 job, backend, directory, monkeypatch
@@ -88,16 +96,14 @@ class TestCrossBackendParity:
             records, sealed = read_probe_stream(path)
             assert sealed, f"{backend} stream not sealed"
             assert any(r["k"] == "sample" for r in records)
-        assert results["scalar"] == results["turbo"]
-        assert texts["scalar"] == texts["turbo"]
+        assert results["python"] == results["native"]
+        assert texts["python"] == texts["native"]
+        assert _run_plain(job, "native", monkeypatch) == results["native"]
 
     def test_mixed_blockhammer_mithril_banks(self, tmp_path, monkeypatch):
-        """Banks alternating BlockHammer and Mithril each run their own
-        inline tracker block in the fused drain; sampling between those
-        blocks must still reach the probe sampler."""
+        """Banks alternating BlockHammer and Mithril: both backends
+        sample the same mixed system identically."""
         from repro.core.mithril import MithrilScheme
-        from repro.sim.system import SimulatedSystem
-        from repro.sim.turbo import TurboSimulatedSystem
 
         spec = WorkloadSpec.make(
             "attack", scale=0.2, pattern="multi-sided", seed=31
@@ -120,40 +126,43 @@ class TestCrossBackendParity:
         monkeypatch.setenv("REPRO_PROBE_INTERVAL", "2000")
         results = {}
         texts = {}
-        for name, cls in (("scalar", SimulatedSystem),
-                          ("turbo", TurboSimulatedSystem)):
+        for name in ("python", "native"):
             directory = tmp_path / name
             monkeypatch.setenv("REPRO_PROBES", str(directory))
-            system = cls(
+            system = make_system(
                 traces, scheme_factory=alternating_factory(),
                 config=config, rfm_th=rfm_th, flip_th=job.flip_th,
+                backend=name,
             )
-            if cls is TurboSimulatedSystem:
-                assert system._fused is True
             results[name] = system.run()
             path = _single_stream(directory)
             texts[name] = path.read_text()
             records, sealed = read_probe_stream(path)
             assert sealed
             assert sum(r["k"] == "sample" for r in records) >= 2
-        assert results["scalar"] == results["turbo"]
-        assert texts["scalar"] == texts["turbo"]
+        assert results["python"] == results["native"]
+        assert texts["python"] == texts["native"]
 
     def test_parity_through_chunked_decode(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(soa, "WINDOW", 64)
+        """Issue tables built from 64-entry iterator blocks sample the
+        same stream as one-block tables."""
         job = _job("mithril")
         texts = {}
-        for backend in ("scalar", "turbo"):
-            directory = tmp_path / backend
-            _run_probed(job, backend, directory, monkeypatch)
-            texts[backend] = _single_stream(directory).read_text()
-        assert texts["scalar"] == texts["turbo"]
+        for block in (None, 64):
+            if block is not None:
+                monkeypatch.setattr(trace_module, "_ITER_BLOCK", block)
+            directory = tmp_path / f"block-{block}"
+            _run_probed(job, "python", directory, monkeypatch)
+            texts[block] = _single_stream(directory).read_text()
+        assert texts[None] == texts[64]
 
 
 class TestNonPerturbation:
     """Probing must never change what the simulation computes."""
 
-    @pytest.mark.parametrize("backend", ["scalar", "turbo"])
+    @pytest.mark.parametrize(
+        "backend", ["python", "native"], ids=["scalar", "turbo"]
+    )
     @pytest.mark.parametrize("scheme", ["mithril", "blockhammer"])
     def test_results_match_probes_off(self, backend, scheme, tmp_path,
                                       monkeypatch):
@@ -164,7 +173,7 @@ class TestNonPerturbation:
 
     def test_probes_off_writes_no_files(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_PROBES", raising=False)
-        _run_plain(_job("mithril"), "scalar", monkeypatch)
+        _run_plain(_job("mithril"), "python", monkeypatch)
         assert probe_files(tmp_path) == []
         assert not list(tmp_path.glob("probes-*"))
 
@@ -172,7 +181,7 @@ class TestNonPerturbation:
 class TestStreamContents:
     def test_records_are_canonical_and_sealed(self, tmp_path,
                                               monkeypatch):
-        _run_probed(_job("mithril"), "scalar", tmp_path, monkeypatch)
+        _run_probed(_job("mithril"), "python", tmp_path, monkeypatch)
         path = _single_stream(tmp_path)
         lines = path.read_text().splitlines()
         for line in lines:
@@ -189,7 +198,7 @@ class TestStreamContents:
 
     def test_sample_schedule_and_monotone_counters(self, tmp_path,
                                                    monkeypatch):
-        _run_probed(_job("mithril"), "scalar", tmp_path, monkeypatch,
+        _run_probed(_job("mithril"), "python", tmp_path, monkeypatch,
                     interval="5000")
         records, sealed = read_probe_stream(_single_stream(tmp_path))
         assert sealed
@@ -203,7 +212,7 @@ class TestStreamContents:
         assert all(cap >= 0 for cap in raa_caps)
 
     def test_torn_stream_reads_unsealed(self, tmp_path, monkeypatch):
-        _run_probed(_job("mithril"), "scalar", tmp_path, monkeypatch)
+        _run_probed(_job("mithril"), "python", tmp_path, monkeypatch)
         path = _single_stream(tmp_path)
         text = path.read_text()
         # chop the seal line in half: a crash mid-append
@@ -222,7 +231,7 @@ class TestProbeReport:
         )
 
         for scheme in ("mithril", "blockhammer"):
-            _run_probed(_job(scheme), "scalar", tmp_path, monkeypatch)
+            _run_probed(_job(scheme), "python", tmp_path, monkeypatch)
         report = build_probe_report(tmp_path)
         assert report["streams"] == 2
         schemes = {run["scheme"] for run in report["runs"]}
@@ -244,7 +253,7 @@ class TestProbeReport:
             validate_perfetto,
         )
 
-        _run_probed(_job("mithril"), "scalar", tmp_path, monkeypatch)
+        _run_probed(_job("mithril"), "python", tmp_path, monkeypatch)
         events = probe_counter_events(tmp_path)
         counters = [e for e in events if e.get("ph") == "C"]
         assert counters

@@ -6,46 +6,52 @@ import pytest
 
 from repro.sim.backend import (
     BACKEND_ENV,
-    SCALAR,
-    TURBO,
+    NATIVE,
+    PYTHON,
     resolve_backend,
 )
 
 
 class TestResolveBackend:
-    def test_default_is_turbo(self, monkeypatch):
+    def test_default_is_native(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == TURBO
+        assert resolve_backend() == NATIVE
 
     def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "turbo")
-        assert resolve_backend() == TURBO
+        monkeypatch.setenv(BACKEND_ENV, "python")
+        assert resolve_backend() == PYTHON
 
     def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "turbo")
-        assert resolve_backend("scalar") == SCALAR
+        monkeypatch.setenv(BACKEND_ENV, "native")
+        assert resolve_backend("python") == PYTHON
 
     def test_case_and_whitespace_tolerant(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend(" Scalar ") == SCALAR
+        assert resolve_backend(" Python ") == PYTHON
 
     def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            resolve_backend("warp")
+        for name in ("warp", "scalar", "turbo"):
+            with pytest.raises(ValueError,
+                               match="unknown simulation backend"):
+                resolve_backend(name)
 
     def test_make_system_returns_backend_class(self, monkeypatch):
+        """One system class; the backend is the system's attribute and
+        decides which drain ``run`` takes."""
         from repro.sim.system import SimulatedSystem, make_system
-        from repro.sim.turbo import TurboSimulatedSystem
         from repro.workloads.synthetic import random_access_trace
 
         traces = [random_access_trace(num_requests=8)]
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert type(make_system(traces)) is TurboSimulatedSystem
-        assert type(
-            make_system(traces, backend="scalar")
-        ) is SimulatedSystem
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        assert type(make_system(traces)) is SimulatedSystem
+        system = make_system(traces)
+        assert type(system) is SimulatedSystem
+        assert system.backend == NATIVE
+        assert make_system(traces, backend="python").backend == PYTHON
+        monkeypatch.setenv(BACKEND_ENV, "python")
+        system = make_system(traces)
+        assert system.backend == PYTHON
+        system.run()
+        assert system.drain_path == "python"
 
 
 class TestBackendIsNotAResultDimension:
@@ -60,10 +66,10 @@ class TestBackendIsNotAResultDimension:
 
     def test_job_hash_ignores_backend_env(self, monkeypatch):
         job = self._tiny_job()
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        scalar_hash = job.job_hash()
-        monkeypatch.setenv(BACKEND_ENV, "turbo")
-        assert job.job_hash() == scalar_hash
+        monkeypatch.setenv(BACKEND_ENV, "python")
+        python_hash = job.job_hash()
+        monkeypatch.setenv(BACKEND_ENV, "native")
+        assert job.job_hash() == python_hash
 
     def test_cached_payload_byte_identical_across_backends(
         self, monkeypatch, tmp_path
@@ -73,7 +79,7 @@ class TestBackendIsNotAResultDimension:
 
         job = self._tiny_job()
         payloads = {}
-        for backend in ("scalar", "turbo"):
+        for backend in ("python", "native"):
             cache_dir = tmp_path / backend
             monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
             monkeypatch.setenv(BACKEND_ENV, backend)
@@ -82,6 +88,6 @@ class TestBackendIsNotAResultDimension:
             path = cache.path_for(job)
             assert path.exists()
             payloads[backend] = path.read_bytes()
-        assert payloads["scalar"] == payloads["turbo"]
-        entry = json.loads(payloads["turbo"])
+        assert payloads["python"] == payloads["native"]
+        entry = json.loads(payloads["native"])
         assert "backend" not in entry  # implementation detail, not data

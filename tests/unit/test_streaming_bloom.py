@@ -1,12 +1,10 @@
 """Unit tests for the counting Bloom filters (BlockHammer's tracker)."""
 
-import numpy as np
 import pytest
 
 from repro.streaming.counting_bloom import (
     CountingBloomFilter,
     DualCountingBloomFilter,
-    prefill_index_caches,
 )
 
 
@@ -51,33 +49,6 @@ class TestCountingBloomFilter:
     def test_indices_deterministic(self):
         cbf = CountingBloomFilter(size=64, num_hashes=4, seed=7)
         assert cbf._indices(42) == cbf._indices(42)
-
-
-class TestPrefillIndexCaches:
-    def test_prefilled_entries_equal_lazy_indices(self):
-        filters = [CountingBloomFilter(64, 4, seed=7) for _ in range(3)]
-        rows = [np.array([5, 3, 900, 3]), np.array([12, 5, 70_000])]
-        prefill_index_caches(filters, rows)
-        shared = filters[0]._index_cache
-        assert all(f._index_cache is shared for f in filters)
-        assert sorted(shared) == [3, 5, 12, 900, 70_000]
-        for row, indices in shared.items():
-            assert indices == CountingBloomFilter(64, 4, seed=7)._indices(row)
-
-    def test_different_seeds_never_share(self):
-        dual = DualCountingBloomFilter(32, epoch_length=8, seed=1)
-        other = DualCountingBloomFilter(32, epoch_length=8, seed=2)
-        filters = dual._filters + other._filters  # seeds 1, 2, 2, 3
-        prefill_index_caches(filters, [np.arange(40)])
-        caches = [f._index_cache for f in filters]
-        assert caches[1] is caches[2]
-        assert len({id(cache) for cache in caches}) == 3
-        for cbf in filters:
-            fresh = CountingBloomFilter(32, 4, seed=cbf._seed)
-            assert all(
-                cbf._index_cache[row] == fresh._indices(row)
-                for row in range(40)
-            )
 
 
 class TestDualCountingBloomFilter:
