@@ -69,6 +69,7 @@ from repro.mitigations.para import ParaScheme
 from repro.mitigations.parfm import ParfmScheme
 from repro.mitigations.twice import TwiceScheme, _TwiceEntry
 from repro.protection import NoProtection, SchemeStats
+from repro.sim.system import SimulatedSystem
 from repro.streaming.cbs import CounterSummary
 from repro.streaming.counting_bloom import (
     CountingBloomFilter,
@@ -501,8 +502,8 @@ def _index_of(objects: list, obj) -> int:
 def _bank_fields(controller, scheduler: int, policy, channel_states: list,
                  faws: list) -> Optional[tuple]:
     """One bank's fields up to BF_MRR_GATED, in ``_kernel.c``'s order;
-    None when a component is not stock or not pristine.  Shared
-    components (channel state, tFAW window) are checked by ``pack``."""
+    None when a component is not stock or not pristine.  The tFAW
+    windows, shared by a channel's banks, are checked by ``pack``."""
     bank = controller.bank
     refresh = controller.refresh
     hammer = controller.hammer
@@ -547,8 +548,6 @@ def pack(system) -> Optional[tuple]:
     a tracker shared between banks, a parameter outside int64 (or a
     probability outside a C double), a trace row the kernel cannot
     take, or a host where the kernel does not build."""
-    from repro.sim.system import SimulatedSystem
-
     if (
         type(system) is not SimulatedSystem or system._probe is not None
         or not system.__dict__.keys().isdisjoint(_SYSTEM_HOOKS)
