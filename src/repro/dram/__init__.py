@@ -1,15 +1,12 @@
 """DRAM device substrate: addressing, bank timing, refresh, RH faults."""
 
 from repro.dram.address import AddressMapper
-from repro.dram.device import DramChip, DramCommand
 from repro.dram.bank import BankTimingModel
 from repro.dram.hammer import HammerModel, FlipEvent
 from repro.dram.refresh import AutoRefreshEngine
 
 __all__ = [
     "AddressMapper",
-    "DramChip",
-    "DramCommand",
     "BankTimingModel",
     "HammerModel",
     "FlipEvent",

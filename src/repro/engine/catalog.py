@@ -447,6 +447,21 @@ def scheme_under_test(
     raise ValueError(f"unknown scheme {name!r}")
 
 
+def _blockhammer_compression(scale: float) -> float:
+    """BlockHammer's window compression at ``scale``; never below 1.
+
+    Below 1 the shim would *stretch* N_BL, FlipTH and tCBF past the
+    paper's values while the hammer model keeps the real FlipTH.
+    """
+    compression = BH_WINDOW_COMPRESSION / max(scale, 1e-6)
+    if compression < 1:
+        raise ValueError(
+            f"BlockHammer window compression {BH_WINDOW_COMPRESSION}/{scale}"
+            f" is below 1: scale must be at most {BH_WINDOW_COMPRESSION}"
+        )
+    return compression
+
+
 def scaled_blockhammer_params(
     flip_th: int, scale: float = 1.0
 ) -> Tuple[int, int, int]:
@@ -454,7 +469,7 @@ def scaled_blockhammer_params(
     from repro.mitigations.blockhammer import blockhammer_config
 
     cbf_size, n_bl = blockhammer_config(flip_th)
-    compression = BH_WINDOW_COMPRESSION / max(scale, 1e-6)
+    compression = _blockhammer_compression(scale)
     n_bl_sim = max(4, int(n_bl / compression))
     flip_sim = max(n_bl_sim + 4, int(flip_th / compression))
     return cbf_size, n_bl_sim, flip_sim
@@ -465,9 +480,9 @@ def _blockhammer_factory(flip_th: int, scale: float = 1.0):
     from repro.params import DramTimings
 
     cbf_size, n_bl_sim, flip_sim = scaled_blockhammer_params(flip_th, scale)
-    compression = BH_WINDOW_COMPRESSION / max(scale, 1e-6)
     timings = dataclasses.replace(
-        DramTimings(), trefw=DramTimings().trefw / compression
+        DramTimings(),
+        trefw=DramTimings().trefw / _blockhammer_compression(scale),
     )
     return lambda: BlockHammerScheme(
         flip_th=flip_sim,

@@ -1,6 +1,5 @@
 """Memory-controller substrate: scheduling, page policy, RFM issue logic."""
 
-from repro.mc.refresh_management import Ddr5RaaState, Ddr5RfmPolicy, RfmAction
 from repro.mc.rfm import RaaCounter, RfmIssueLogic
 from repro.mc.scheduler import BlissScheduler, FrFcfsScheduler, make_scheduler
 from repro.mc.pagepolicy import make_page_policy
@@ -9,9 +8,6 @@ from repro.mc.controller import BankController, ChannelState
 __all__ = [
     "RaaCounter",
     "RfmIssueLogic",
-    "Ddr5RaaState",
-    "Ddr5RfmPolicy",
-    "RfmAction",
     "BlissScheduler",
     "FrFcfsScheduler",
     "make_scheduler",

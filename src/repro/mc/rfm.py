@@ -20,7 +20,12 @@ from typing import Optional
 
 @dataclass
 class RaaCounter:
-    """Rolling Accumulated ACT counter for one bank."""
+    """Rolling Accumulated ACT counter for one bank.
+
+    ACTs count it up and the issue logic resets it at RFM_TH; no RAAMMT
+    cap and no REF credit apply, so the RFM decision comes once every
+    RFM_TH ACTs (the modelling choice is in docs/EXPERIMENTS.md).
+    """
 
     rfm_th: int
     value: int = 0
@@ -34,10 +39,6 @@ class RaaCounter:
 
     def reset(self) -> None:
         self.value = 0
-
-    def decay(self, amount: int) -> None:
-        """RAA decrement on REF, as DDR5 allows (RAA 'refresh credit')."""
-        self.value = max(0, self.value - amount)
 
 
 @dataclass

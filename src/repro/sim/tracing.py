@@ -2,9 +2,8 @@
 
 A :class:`CommandTracer` hooks into the per-bank controllers and logs
 every DRAM command (ACT/PRE/REF/RFM/ARR events) with its cycle —
-useful for debugging scheduler behaviour, for validating command
-legality offline, and for feeding the device-level model with real
-command streams.
+useful for debugging scheduler behaviour and for validating command
+legality offline.
 
 Tracing is opt-in: the hot simulation path never pays for it unless a
 tracer is attached.

@@ -74,6 +74,8 @@ class TestMithrilSafety:
         )
         assert report.safe, f"{stream_name}: flips={len(report.flips)}"
         assert report.max_disturbance < FLIP_TH
+        # without the MRR gate the MC sends one RFM per RFM_TH ACTs
+        assert report.rfm_commands == report.acts_replayed // RFM_TH
 
     def test_adaptive_refresh_remains_safe(self):
         """AdTH=200 with the re-sized table still protects (Theorem 2)."""
@@ -90,6 +92,32 @@ class TestMithrilSafety:
             scheme, many_sided_stream(17, ACTS), FLIP_TH, rfm_th=RFM_TH
         )
         assert report.safe
+
+    def test_mithril_plus_elides_rfms_on_benign_stream(self):
+        """The MRR gate keeps most RFM commands off the bus."""
+        acts = 100_000
+        report = run_safety_trace(
+            _mithril(adaptive_th=200, plus=True),
+            random_stream(50_000, acts),
+            FLIP_TH,
+            rfm_th=RFM_TH,
+        )
+        assert report.safe
+        assert report.rfm_commands < (acts // RFM_TH) / 2
+
+    def test_mithril_plus_spends_rfms_under_attack(self):
+        """Double-sided hammering keeps the MRR flag set: Mithril+ sends
+        RFMs, refreshes victims and stays safe."""
+        report = run_safety_trace(
+            _mithril(adaptive_th=200, plus=True),
+            double_sided_stream(1000, ACTS),
+            FLIP_TH,
+            rfm_th=RFM_TH,
+        )
+        assert report.safe
+        assert report.max_disturbance < FLIP_TH
+        assert report.rfm_commands > 0
+        assert report.preventive_refresh_rows > 0
 
     def test_benign_stream_skips_most_refreshes(self):
         """Adaptive refresh: near-uniform traffic does almost no work."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.catalog import scaled_blockhammer_params, scheme_under_test
 from repro.mitigations.blockhammer import (
     BlockHammerScheme,
     blockhammer_config,
@@ -30,6 +31,16 @@ class TestConfig:
         trefw_cycles = timings.trefw_cycles
         max_acts = n_bl + trefw_cycles / delay
         assert max_acts <= flip_th * 1.01
+
+    def test_window_compression_never_below_one(self):
+        """Above scale 16 the shim would stretch N_BL and FlipTH past the
+        paper's values; it refuses instead."""
+        _cbf_size, n_bl, flip_sim = scaled_blockhammer_params(3_125, 16)
+        assert (n_bl, flip_sim) == (blockhammer_config(3_125)[1], 3_125)
+        with pytest.raises(ValueError, match="scale must be at most 16"):
+            scaled_blockhammer_params(3_125, 20)
+        with pytest.raises(ValueError, match="16/20"):
+            scheme_under_test("blockhammer", 3_125, scale=20)
 
 
 class TestBlockHammerScheme:

@@ -24,12 +24,6 @@ class TestRaaCounter:
         raa = RaaCounter(rfm_th=0)
         assert not raa.on_activate()
 
-    def test_decay_floors_at_zero(self):
-        raa = RaaCounter(rfm_th=10)
-        raa.on_activate()
-        raa.decay(5)
-        assert raa.value == 0
-
 
 class TestRfmIssueLogic:
     def test_issues_every_rfm_th_acts(self):
