@@ -12,19 +12,17 @@ invisible to benign scheduling.
 Run:  python examples/blockhammer_performance_attack.py
 """
 
-from repro.core.config import paper_default_config
-from repro.core.mithril import MithrilScheme
-from repro.experiments.runner import (
-    attack_workload,
-    scheme_under_test,
-)
+from repro.engine import attack_workload_spec, build_workload
+from repro.engine.catalog import scheme_under_test
 from repro.sim.system import simulate
 
 FLIP_TH = 1_500
 
 
 def main() -> None:
-    traces = attack_workload("bh-adversarial", scale=1.0, flip_th=FLIP_TH)
+    traces = build_workload(
+        attack_workload_spec("bh-adversarial", scale=1.0, flip_th=FLIP_TH)
+    )
     benign_cores = len(traces) - 1
     print(
         f"{benign_cores} benign cores + 1 adversary hammering CBF aliases "

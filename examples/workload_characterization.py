@@ -14,9 +14,8 @@ Run:  python examples/workload_characterization.py
 
 from repro.core.config import paper_default_config
 from repro.core.mithril import MithrilScheme
-from repro.engine import build_workload
+from repro.engine import build_workload, normal_workload_specs
 from repro.engine.job import WorkloadSpec
-from repro.experiments.runner import normal_workloads
 from repro.sim.system import simulate
 from repro.traces import characterize_workload
 from repro.workloads.attacks import double_sided_trace, multi_sided_trace
@@ -34,7 +33,10 @@ def main() -> None:
     flip_th = 6_250
     config = paper_default_config(flip_th, adaptive_th=200)
 
-    suites = dict(normal_workloads(scale=1.0))
+    suites = {
+        name: build_workload(spec)
+        for name, spec in normal_workload_specs(scale=1.0).items()
+    }
     for kind in STRESS_FAMILIES:
         suites[kind] = build_workload(WorkloadSpec.make(kind, scale=1.0))
     suites["ATTACK double-sided"] = [

@@ -358,38 +358,6 @@ def attack_workload_spec(
     )
 
 
-def normal_workloads(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-) -> Dict[str, List[CoreTrace]]:
-    """The benign suite, materialized (legacy trace-level interface)."""
-    return {
-        name: build_workload(spec)
-        for name, spec in normal_workload_specs(
-            scale, num_cores, num_banks
-        ).items()
-    }
-
-
-def attack_workload(
-    kind: str,
-    scale: float = 1.0,
-    num_cores: int = 8,
-    num_banks: int = DEFAULT_BANKS,
-    flip_th: int = 6_250,
-    seed: int = 31,
-) -> List[CoreTrace]:
-    """One attack workload, materialized (legacy trace-level interface).
-
-    ``kind`` is the attack pattern ("multi-sided" / "bh-adversarial"),
-    keeping the historic runner.py parameter name.
-    """
-    return build_workload(
-        attack_workload_spec(kind, scale, num_cores, num_banks, flip_th, seed)
-    )
-
-
 # ----------------------------------------------------------------------
 # scheme catalog
 # ----------------------------------------------------------------------

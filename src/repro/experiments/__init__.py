@@ -21,9 +21,7 @@ from repro.experiments import (
 from repro.experiments.runner import (
     EXPERIMENTS,
     geo_mean,
-    normal_workloads,
     run_experiment,
-    scheme_under_test,
 )
 
 __all__ = [
@@ -39,7 +37,5 @@ __all__ = [
     "nonadjacent",
     "EXPERIMENTS",
     "run_experiment",
-    "normal_workloads",
     "geo_mean",
-    "scheme_under_test",
 ]

@@ -1,32 +1,15 @@
 """Shared machinery for the experiment drivers.
 
 Workload construction and the per-(scheme, FlipTH) factories live in
-the engine catalog (:mod:`repro.engine.catalog`); this module re-exports
-them for the drivers and older call sites, keeps the aggregation
-helpers, and holds the experiment registry the CLI dispatches through.
+the engine catalog (:mod:`repro.engine.catalog`); this module keeps the
+aggregation helper and holds the experiment registry the CLI
+dispatches through.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
-
-from repro.analysis.energy import energy_overhead_percent
-from repro.engine.catalog import (  # noqa: F401  (re-exported API)
-    BH_WINDOW_COMPRESSION,
-    DEFAULT_BANKS,
-    DEFAULT_CORES,
-    DEFAULT_REQUESTS,
-    attack_workload,
-    attack_workload_spec,
-    normal_workload_specs,
-    normal_workloads,
-    scaled_blockhammer_params,
-    scheme_under_test,
-)
-from repro.engine.executor import run_jobs
-from repro.engine.job import SimJob, WorkloadSpec
-from repro.sim.metrics import SimulationResult
+from typing import Sequence
 
 
 def geo_mean(values: Sequence[float]) -> float:
@@ -35,43 +18,6 @@ def geo_mean(values: Sequence[float]) -> float:
     if not filtered:
         return 0.0
     return math.exp(sum(math.log(v) for v in filtered) / len(filtered))
-
-
-def run_pair(
-    workload: WorkloadSpec,
-    scheme_name: str,
-    flip_th: int,
-    scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
-) -> Tuple[SimulationResult, SimulationResult]:
-    """Simulate (unprotected baseline, scheme) on the same workload."""
-    baseline_job = SimJob(workload=workload, flip_th=flip_th)
-    scheme_job = SimJob(
-        workload=workload, scheme=scheme_name, flip_th=flip_th, scale=scale
-    )
-    baseline, result = run_jobs(
-        [baseline_job, scheme_job], n_jobs=n_jobs, use_cache=use_cache
-    )
-    return baseline, result
-
-
-def relative_perf_and_energy(
-    workload: WorkloadSpec,
-    scheme_name: str,
-    flip_th: int,
-    scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
-) -> Tuple[float, float, SimulationResult]:
-    base, result = run_pair(
-        workload, scheme_name, flip_th, scale, n_jobs, use_cache
-    )
-    return (
-        result.relative_performance(base),
-        energy_overhead_percent(result, base),
-        result,
-    )
 
 
 #: Experiment registry used by the CLI: id -> (module path, description).

@@ -1,7 +1,6 @@
 """System simulator: cores + memory controller + DRAM + protection."""
 
 from repro.sim.core import TraceCore
-from repro.sim.tracing import CommandTracer, attach_tracer
 from repro.sim.metrics import SimulationResult
 from repro.sim.system import SimulatedSystem, simulate
 
@@ -10,6 +9,4 @@ __all__ = [
     "SimulationResult",
     "SimulatedSystem",
     "simulate",
-    "CommandTracer",
-    "attach_tracer",
 ]

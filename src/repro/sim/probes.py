@@ -419,8 +419,8 @@ def _truth_block(banks, act_counts) -> Dict[str, List[int]]:
 def _wrap_act_counter(controller, counts: Dict[int, int]) -> None:
     """Count every served ACT through the controller's serve path.
 
-    Installed as an instance attribute (the :mod:`repro.sim.tracing`
-    pattern), which on its own keeps the run in the python loop.
+    Installed as an instance attribute, which on its own keeps the run
+    in the python loop.
     """
     inner = controller._on_activated
 

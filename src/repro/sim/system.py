@@ -207,10 +207,8 @@ class SimulatedSystem:
         )
 
     def _make_request(
-        self, core_id: int, cycle: int, entry, flat: Optional[int] = None
+        self, core_id: int, cycle: int, entry, flat: int
     ) -> MemoryRequest:
-        if flat is None:  # compatibility path for direct callers
-            flat = entry.bank_index % self.num_banks
         row = entry.row
         interned = self._row_address[flat]
         address = interned.get(row)

@@ -29,7 +29,9 @@ from typing import Hashable, List, Sequence
 import numpy as np
 
 from repro.streaming.base import FrequencyEstimator
-from repro.streaming.count_min import _MASK64, premix_seeds
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
 
 #: Probe-index cache bound per filter for lazy growth.  Hot rows (the
 #: ones BlockHammer exists to catch) are re-probed constantly and win
@@ -42,8 +44,19 @@ _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 
 
+def premix_seeds(seed: int, count: int) -> List[int]:
+    """``seed * golden-ratio`` products for ``count`` consecutive seeds.
+
+    Probe ``i`` of an element is the splitmix64 finalizer applied to
+    ``hash(element) ^ premix_seeds(seed, n)[i]``; precomputing the
+    products hoists one multiply out of every per-ACT probe.
+    """
+    return [((seed + i) * _GOLDEN) & _MASK64 for i in range(count)]
+
+
 def _finalize(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (same bits as ``count_min._mix``)."""
+    """Vectorized splitmix64 finalizer (same bits as the scalar probe
+    loop in :meth:`CountingBloomFilter._indices`)."""
     x = (x ^ (x >> np.uint64(30))) * _C1
     x = (x ^ (x >> np.uint64(27))) * _C2
     return x ^ (x >> np.uint64(31))

@@ -26,7 +26,9 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns import CampaignSpec, ExperimentSpec, plan_campaign
+from repro.cluster.transport import COORDINATOR_MAILBOX, SpoolTransport
 from repro.engine.cache import ResultCache
+from repro.engine.durable import CorruptEntryError, read_json_verified
 from repro.engine.executor import group_by_workload
 from repro.faults import CRASH_EXIT_CODE
 
@@ -35,8 +37,9 @@ TINY = 0.05
 pytestmark = pytest.mark.slow
 
 
-def _tiny_spec():
-    """One fig11 sweep: 12 distinct points at trivial scale."""
+def _tiny_spec(flip_thresholds=(6_250,)):
+    """One fig11 sweep at trivial scale: 12 distinct points at the
+    default single FlipTH, 26 at three."""
     return CampaignSpec(
         name="chaos-dist",
         experiments=[
@@ -44,7 +47,7 @@ def _tiny_spec():
                 name="f11",
                 kind="fig11",
                 params=dict(
-                    scale=TINY, flip_thresholds=[6_250],
+                    scale=TINY, flip_thresholds=list(flip_thresholds),
                     schemes=["mithril"], attack_seeds=[31],
                 ),
             )
@@ -115,48 +118,75 @@ def _verify_strict(harness):
     return proc.returncode, payload
 
 
-def _settled_store_count(harness, quiet_s=1.0, timeout_s=60.0):
-    """Store entry count once orphaned agents have wound down.
+def _store_count_after_orphans_exit(harness, hosts=2, timeout_s=120.0):
+    """Store entry count once every orphaned agent has exited.
 
-    After a coordinator kill the agent processes notice the dead
-    parent and exit on their own, but they may finish their in-flight
-    chunk first — wait for the store to go quiet before counting.
+    After a coordinator kill each agent finishes the chunks it holds,
+    sends their results, notices the dead parent and sends ``bye`` as
+    its last message.  The coordinator's inbox is read without being
+    consumed (the resume's scavenge adopts the spooled results), and
+    once a ``bye`` from every host is spooled no agent can store or
+    send anything more.
     """
-    cache = ResultCache(harness["env"]["REPRO_CACHE_DIR"])
+    from repro.campaigns import manifest_path
+
+    inbox = SpoolTransport(
+        manifest_path("chaos-dist", harness["env"]["REPRO_CAMPAIGN_DIR"])
+        .parent / "cluster"
+    ).inbox(COORDINATOR_MAILBOX)
     deadline = time.monotonic() + timeout_s
-    count = cache.entry_count()
-    settled_at = time.monotonic()
-    while time.monotonic() < deadline:
-        time.sleep(0.1)
-        now_count = cache.entry_count()
-        if now_count != count:
-            count = now_count
-            settled_at = time.monotonic()
-        elif time.monotonic() - settled_at >= quiet_s:
+    while True:
+        departed = set()
+        for path in inbox.glob("msg-*.json"):
+            try:
+                record = read_json_verified(path)
+            except (FileNotFoundError, CorruptEntryError):
+                continue
+            if record.get("type") == "bye":
+                departed.add(record.get("sender"))
+        if len(departed) >= hosts:
             break
-    return count
+        assert time.monotonic() < deadline, (
+            f"only {sorted(departed)} of {hosts} orphaned agents exited"
+        )
+        time.sleep(0.1)
+    return ResultCache(harness["env"]["REPRO_CACHE_DIR"]).entry_count()
 
 
 class TestCoordinatorDeath:
+    #: The coordinator deals a host a chunk only while the host holds
+    #: none, and a host frees up only once its whole chunk is
+    #: ingested, which makes the first checkpoint due in that same
+    #: poll.  So when that checkpoint crashes, at most two chunks per
+    #: host (16 points at ``--batch-size 4``) have been dealt, and the
+    #: orphaned agents cannot store more than that.  A lease long
+    #: enough that no agent expires under host load keeps a rejoining
+    #: host from being dealt a third.
+    FLIP_THRESHOLDS = (6_250, 3_125, 1_500)
+    LEASE = ("--lease-timeout", "30")
+
     def test_kill_mid_checkpoint_then_resume_resimulates_nothing(
         self, harness
     ):
-        total = plan_campaign(_tiny_spec()).total_points
+        spec = _tiny_spec(self.FLIP_THRESHOLDS)
+        harness["spec_path"].write_text(json.dumps(spec.to_dict()))
+        total = plan_campaign(spec).total_points
+        assert total > 16
 
         # -- kill -9 the coordinator inside a manifest checkpoint
         # write: completed points are in the store, their completion
         # records are not.
-        proc = _run(harness, check=False, faults=[
+        proc = _run(harness, *self.LEASE, check=False, faults=[
             {"site": "manifest.write", "kind": "crash",
              "hard": True, "times": 1, "match": "chaos-dist"},
         ])
         assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
-        stored = _settled_store_count(harness)
+        stored = _store_count_after_orphans_exit(harness)
         assert 0 < stored < total
 
         # -- clean resume: the store turns every point simulated
         # before the kill into a cache hit.
-        _run(harness)
+        _run(harness, *self.LEASE)
         stats = _last_run_stats(harness)
         assert stats["distributed"] is True
         assert stats["simulated"] == total - stored
@@ -164,7 +194,7 @@ class TestCoordinatorDeath:
             stats["cache_hits"] == total
 
         # -- a further rerun is a zero-work, zero-process no-op
-        proc = _run(harness)
+        proc = _run(harness, *self.LEASE)
         stats = _last_run_stats(harness)
         assert stats["submitted"] == 0
         assert stats["simulated"] == 0

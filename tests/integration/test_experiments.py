@@ -7,6 +7,7 @@ the registry and the CLI.
 
 import pytest
 
+from repro.engine import build_workload, normal_workload_specs
 from repro.experiments import (
     appendix_parfm,
     fig2,
@@ -22,7 +23,6 @@ from repro.experiments import (
 from repro.experiments.runner import (
     EXPERIMENTS,
     geo_mean,
-    normal_workloads,
     run_experiment,
 )
 
@@ -101,8 +101,13 @@ class TestRunnerHelpers:
         assert geo_mean([]) == 0.0
         assert geo_mean([0.0, 5.0]) == pytest.approx(5.0)
 
-    def test_normal_workloads_shape(self):
-        workloads = normal_workloads(scale=TINY, num_cores=2)
+    def test_normal_workload_specs_shape(self):
+        workloads = {
+            name: build_workload(spec)
+            for name, spec in normal_workload_specs(
+                scale=TINY, num_cores=2
+            ).items()
+        }
         assert set(workloads) == {
             "mix-high", "mix-blend", "fft", "radix", "pagerank",
         }

@@ -779,19 +779,25 @@ class TestFallback:
         _assert_python_path(make, monkeypatch)
 
     def test_hook_patched_after_build_is_honored(self, monkeypatch):
-        """An instance hook patched after the system was built (here the
-        command tracer's wraps) keeps the run in python, where it runs."""
-        from repro.sim.tracing import attach_tracer
-
-        tracers = []
+        """An instance hook patched after the system was built (here a
+        counting wrap of every bank's ``_on_activated``) keeps the run
+        in python, where it runs."""
+        counts = []
 
         def make():
             system = _build(_job("para"))
-            tracers.append(attach_tracer(system))
+            count = [0]
+            for controller in system.banks:
+                def counted(row, result, _inner=controller._on_activated):
+                    count[0] += 1
+                    return _inner(row, result)
+
+                controller._on_activated = counted
+            counts.append(count)
             return system
 
         _assert_python_path(make, monkeypatch)
-        assert len(tracers[0]) > 0
+        assert counts[0][0] > 0
 
     def test_float_parameter_on_one_bank(self, monkeypatch):
         """A float where the kernel needs an int, on one bank whose

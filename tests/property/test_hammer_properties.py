@@ -1,11 +1,9 @@
-"""Property tests for the RowHammer fault model and address mapper."""
+"""Property tests for the RowHammer fault model."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.address import AddressMapper
 from repro.dram.hammer import HammerModel
-from repro.params import DramOrganization
 
 
 @given(st.lists(st.integers(min_value=1, max_value=62), min_size=1,
@@ -41,28 +39,3 @@ def test_refresh_is_idempotent_reset(operations):
                     levels[victim] = levels.get(victim, 0.0) + 1.0
     for victim, expected in levels.items():
         assert model.disturbance(victim) == expected
-
-
-@given(st.integers(min_value=0, max_value=(1 << 34) - 1))
-@settings(max_examples=300)
-def test_address_roundtrip(address):
-    mapper = AddressMapper(DramOrganization())
-    aligned = (address % mapper.capacity_bytes) & ~63
-    decoded = mapper.decode(aligned)
-    assert mapper.encode(decoded.row, decoded.column) == aligned
-
-
-@given(st.integers(min_value=0, max_value=65535),
-       st.integers(min_value=0, max_value=127),
-       st.integers(min_value=0, max_value=1),
-       st.integers(min_value=0, max_value=31))
-@settings(max_examples=200)
-def test_encode_decode_inverse(row, column, channel, bank):
-    from repro.types import BankAddress, RowAddress
-
-    mapper = AddressMapper(DramOrganization())
-    address = RowAddress(BankAddress(channel, 0, bank), row)
-    encoded = mapper.encode(address, column)
-    decoded = mapper.decode(encoded)
-    assert decoded.row == address
-    assert decoded.column == column

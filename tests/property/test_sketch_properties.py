@@ -1,11 +1,10 @@
-"""Property tests for Count-Min and counting Bloom filters."""
+"""Property tests for the counting Bloom filters."""
 
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming.count_min import CountMinSketch
 from repro.streaming.counting_bloom import (
     CountingBloomFilter,
     DualCountingBloomFilter,
@@ -13,19 +12,6 @@ from repro.streaming.counting_bloom import (
 
 streams = st.lists(st.integers(min_value=0, max_value=100), min_size=1,
                    max_size=300)
-
-
-@given(streams, st.integers(min_value=1, max_value=64),
-       st.integers(min_value=1, max_value=4))
-@settings(max_examples=150)
-def test_count_min_never_underestimates(stream, width, depth):
-    sketch = CountMinSketch(width=width, depth=depth)
-    truth = Counter()
-    for element in stream:
-        sketch.observe(element)
-        truth[element] += 1
-    for element, actual in truth.items():
-        assert sketch.estimate(element) >= actual
 
 
 @given(streams, st.integers(min_value=4, max_value=128))
@@ -38,16 +24,6 @@ def test_cbf_never_underestimates(stream, size):
         truth[element] += 1
     for element, actual in truth.items():
         assert cbf.estimate(element) >= actual
-
-
-@given(streams)
-@settings(max_examples=100)
-def test_count_min_estimate_bounded_by_total(stream):
-    sketch = CountMinSketch(width=8, depth=2)
-    for element in stream:
-        sketch.observe(element)
-    for element in set(stream):
-        assert sketch.estimate(element) <= sketch.total_observed
 
 
 @given(streams, st.integers(min_value=16, max_value=128))

@@ -1,62 +1,6 @@
-"""Unit tests for the address mapper."""
+"""Unit tests for DRAM row addresses."""
 
-import pytest
-
-from repro.dram.address import AddressMapper
-from repro.params import DramOrganization
 from repro.types import BankAddress, RowAddress
-
-
-class TestAddressMapper:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            AddressMapper(DramOrganization(channels=3))
-
-    def test_capacity(self, organization):
-        mapper = AddressMapper(organization)
-        expected = 2 * 1 * 32 * 65536 * 8192
-        assert mapper.capacity_bytes == expected
-
-    def test_roundtrip(self, organization):
-        mapper = AddressMapper(organization)
-        row = RowAddress(BankAddress(channel=1, rank=0, bank=17), row=4097)
-        address = mapper.encode(row, column=63)
-        decoded = mapper.decode(address)
-        assert decoded.row == row
-        assert decoded.column == 63
-
-    def test_consecutive_lines_stripe_channels_first(self, organization):
-        mapper = AddressMapper(organization)
-        first = mapper.decode(0)
-        second = mapper.decode(64)
-        assert first.row.bank.channel != second.row.bank.channel
-
-    def test_rejects_out_of_range(self, organization):
-        mapper = AddressMapper(organization)
-        with pytest.raises(ValueError):
-            mapper.decode(-1)
-        with pytest.raises(ValueError):
-            mapper.decode(mapper.capacity_bytes)
-        with pytest.raises(ValueError):
-            mapper.encode(RowAddress(BankAddress(0, 0, 0), 65536))
-        with pytest.raises(ValueError):
-            mapper.encode(RowAddress(BankAddress(0, 0, 0), 0), column=128)
-
-    def test_flat_bank_index_unique(self, organization):
-        mapper = AddressMapper(organization)
-        banks = mapper.all_banks()
-        indices = {mapper.flat_bank_index(b) for b in banks}
-        assert len(indices) == organization.total_banks
-        assert min(indices) == 0
-        assert max(indices) == organization.total_banks - 1
-
-    def test_decode_covers_all_banks(self, organization):
-        mapper = AddressMapper(organization)
-        seen = set()
-        for line in range(256):
-            decoded = mapper.decode(line * 64)
-            seen.add(mapper.flat_bank_index(decoded.row.bank))
-        assert len(seen) == organization.total_banks
 
 
 class TestRowAddress:

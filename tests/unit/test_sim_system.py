@@ -50,8 +50,8 @@ class TestSchedulerAbstentionFallback:
             _AbstainingScheduler() for _ in system._schedulers
         ]
         controller = system.banks[0]
-        first = system._make_request(0, 0, system.cores[0].entry_list()[0])
-        second = system._make_request(0, 1, system.cores[0].entry_list()[1])
+        first = system._make_request(0, 0, system.cores[0].entry_list()[0], 0)
+        second = system._make_request(0, 1, system.cores[0].entry_list()[1], 0)
         controller.queue.extend([first, second])
 
         original = controller.throttle_release
@@ -74,8 +74,8 @@ class TestThrottledRetry:
         """Two queued requests whose rows release at ``releases``."""
         system = SimulatedSystem(_traces(num_cores=2, requests=2))
         controller = system.banks[0]
-        first = system._make_request(0, 0, system.cores[0].entry_list()[0])
-        second = system._make_request(1, 1, system.cores[1].entry_list()[1])
+        first = system._make_request(0, 0, system.cores[0].entry_list()[0], 0)
+        second = system._make_request(1, 1, system.cores[1].entry_list()[1], 0)
         controller.queue.extend([first, second])
         by_row = {
             first.address.row: releases[0],
