@@ -17,9 +17,8 @@ from repro.core.mithril import MithrilScheme
 from repro.engine import build_workload, normal_workload_specs
 from repro.engine.job import WorkloadSpec
 from repro.sim.system import simulate
-from repro.traces import characterize_workload
+from repro.traces import characterize_workload, expected_tracker_spread
 from repro.workloads.attacks import double_sided_trace, multi_sided_trace
-from repro.workloads.stats import expected_tracker_spread
 
 #: The trace-foundry stress families (docs/WORKLOADS.md).
 STRESS_FAMILIES = (
@@ -53,9 +52,7 @@ def main() -> None:
     )
     for name, traces in suites.items():
         char = characterize_workload(traces, name=name)
-        predicted = expected_tracker_spread(
-            char, config.n_entries, config.rfm_th
-        )
+        predicted = expected_tracker_spread(char, config.rfm_th)
         # simulate with the real adaptive configuration attached
         schemes = []
 

@@ -408,12 +408,8 @@ def _run_batches(plan, manifest, pending, stats, drain, batch_size,
     name = plan.spec.name
     for start in range(0, len(pending), batch_size):
         batch = pending[start:start + batch_size]
-        span = (
-            tel.span("campaign.batch", campaign=name,
-                     batch=stats.batches + 1, points=len(batch))
-            if tel is not None else telemetry.NOOP_SPAN
-        )
-        with span:
+        with telemetry.span("campaign.batch", campaign=name,
+                            batch=stats.batches + 1, points=len(batch)):
             run_jobs([plan.jobs[job_hash] for job_hash in batch],
                      on_failure="skip", **run_kwargs)
         batch_stats = run_jobs.last_stats
@@ -665,12 +661,11 @@ def verify_campaign(
     * ``corrupt`` — entry present but unreadable/seal-failed (the
       check quarantines it as a side effect);
     * ``unaccounted`` — planned but neither completed nor quarantined;
-    * ``duplicates`` — hashes with entries in both store layouts;
     * ``quarantined`` — the manifest's quarantine records.
 
     ``ok`` is True when the store holds exactly the planned results:
-    no missing/corrupt/unaccounted/duplicate entries (quarantined
-    points are accounted for, but reported for the strict gate).
+    no missing/corrupt/unaccounted entries (quarantined points are
+    accounted for, but reported for the strict gate).
     """
     plan = plan_campaign(spec, scale=scale)
     manifest = CampaignManifest.load(manifest_path(spec.name, directory))
@@ -692,9 +687,6 @@ def verify_campaign(
                 corrupt.append(job_hash)
         elif job_hash not in quarantined:
             unaccounted.append(job_hash)
-    duplicates = [
-        h for h in cache.duplicate_hashes() if h in plan.jobs
-    ]
     return {
         "campaign": plan.spec.name,
         "planned": plan.total_points,
@@ -703,10 +695,10 @@ def verify_campaign(
         "missing": sorted(missing),
         "corrupt": sorted(corrupt),
         "unaccounted": sorted(unaccounted),
-        "duplicates": duplicates,
+        "duplicates": [],  # one path per hash; kept for payload readers
         "quarantined": quarantined,
         "store_quarantine_log": cache.quarantine_records(),
-        "ok": not (missing or corrupt or unaccounted or duplicates),
+        "ok": not (missing or corrupt or unaccounted),
     }
 
 

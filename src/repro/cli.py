@@ -12,9 +12,9 @@ list                List available experiments.
 safety <scheme>     Replay an attack against a scheme and report.
 configure           Print safe Mithril configurations for a FlipTH.
 schemes             List registered protection schemes.
-cache               Show (or clear / --gc / --migrate) the simulation
-                    result cache; ``--stats`` for per-generation
-                    size/age, ``--query`` against the sharded index.
+cache               Show (or clear / --gc) the simulation result
+                    cache; ``--stats`` for per-generation size/age,
+                    ``--query`` against the sharded index.
 campaign <cmd>      Declarative multi-experiment campaigns: list,
                     plan, run (resumable + fault-tolerant: retries,
                     per-job timeouts, quarantine, graceful drain;
@@ -279,13 +279,6 @@ def _cmd_cache(args) -> int:
         return _cmd_cache_stats(cache, code_version())
     if args.query:
         return _cmd_cache_query(cache, code_version(), args.query)
-    if args.migrate:
-        moved = cache.migrate()
-        print(f"moved {moved} flat entr{'y' if moved == 1 else 'ies'} "
-              "into shards (index rebuilt)" if moved else
-              "nothing to migrate (no flat entries in the live "
-              "generation)")
-        return 0
     if args.gc:
         if args.gc == "stale":
             removed = cache.gc_stale()
@@ -701,7 +694,7 @@ def _cmd_campaign_verify(args) -> int:
         print(f"planned:     {audit['planned']} point(s)")
         print(f"verified:    {audit['verified']} "
               "(present, seal-checked, exactly once)")
-        for key in ("missing", "corrupt", "unaccounted", "duplicates"):
+        for key in ("missing", "corrupt", "unaccounted"):
             values = audit[key]
             print(f"{key + ':':<13}{len(values)}"
                   + (f"  {' '.join(h[:12] for h in values[:8])}"
@@ -1068,9 +1061,6 @@ def main(argv=None) -> int:
                          help="count entries in the live generation by "
                               "scheme/workload/experiment/flip_th "
                               "(served from the sharded index)")
-    p_cache.add_argument("--migrate", action="store_true",
-                         help="move flat legacy entries of the live "
-                              "generation into sharded directories")
     p_cache.set_defaults(func=_cmd_cache)
 
     p_campaign = sub.add_parser(

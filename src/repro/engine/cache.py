@@ -1,29 +1,29 @@
 """On-disk result cache keyed by job hash + code-version salt.
 
-Completed simulation points are stored as JSON under::
+Completed simulation points are stored as sealed JSON under::
 
     <cache dir>/<code version>/<hh>/<job hash>.json
 
 where ``hh`` is the two-hex-character shard prefix of the job hash
-(:mod:`repro.engine.store`); entries written by pre-sharding versions
-of this module sit flat in the generation directory and are still
-found, counted, and garbage-collected — :meth:`ResultCache.migrate`
-moves them into shards without changing their hashes, so nothing is
-invalidated.  Each generation also carries an ``index.jsonl``
+(:mod:`repro.engine.store`).  That path is the one place a job's
+result can live: a lookup is one read, and an entry that is missing
+its ``sha256`` seal is corrupt (:mod:`repro.engine.durable`).  Each
+generation also carries an ``index.jsonl``
 (:class:`~repro.engine.store.CacheIndex`) answering count/size/query
 by scheme, workload, FlipTH, or campaign experiment without opening
 entry files.
 
-The *code version* is a hash over every ``*.py`` file of the ``repro``
-package plus an explicit schema salt, so any change to the simulator,
-the schemes, or the workload generators silently invalidates old
-entries — a stale cache can never masquerade as a fresh result.  The
-salt (:data:`CACHE_SCHEMA_SALT`) exists for deliberate bumps: the
-hot-path overhaul bumped it to retire every warm cache written by the
-pre-optimization simulator, even for users running an identical source
-tree from a different install path.  The cache directory defaults to
-``~/.cache/repro/sim`` and is overridden by the ``REPRO_CACHE_DIR``
-environment variable (tests point it at a tmpdir).
+The *code version* is a hash over every ``*.py`` and ``*.c`` file of
+the ``repro`` package plus an explicit schema salt, so any change to
+the simulator, the native drain kernel, the schemes, or the workload
+generators silently invalidates old entries — a stale cache can never
+masquerade as a fresh result.  The salt (:data:`CACHE_SCHEMA_SALT`)
+exists for deliberate bumps: the hot-path overhaul bumped it to retire
+every warm cache written by the pre-optimization simulator, even for
+users running an identical source tree from a different install path.
+The cache directory defaults to ``~/.cache/repro/sim`` and is
+overridden by the ``REPRO_CACHE_DIR`` environment variable (tests
+point it at a tmpdir).
 
 Entries store both the canonical job description and the result, so a
 cache directory doubles as a browsable record of completed sweeps.
@@ -137,36 +137,30 @@ class ResultCache:
         return self.directory / (version or code_version())
 
     def path_for(self, job: SimJob) -> Path:
-        """The sharded entry path (where new writes go)."""
+        """The sharded entry path: where ``job``'s result is read and
+        written."""
         job_hash = job.job_hash()
         return (
             self.version_dir() / shard_name(job_hash) / f"{job_hash}.json"
         )
 
-    def flat_path_for(self, job: SimJob) -> Path:
-        """The pre-sharding flat path (legacy caches, read-only)."""
-        return self.version_dir() / f"{job.job_hash()}.json"
-
     def get(self, job: SimJob) -> Optional[SimulationResult]:
         """The cached result for ``job``, or None.
 
-        Looks in the sharded location first, then falls back to the
-        flat legacy layout, so caches written before sharding keep
-        serving hits without migration.  A truncated, unparsable, or
-        seal-failing entry (:mod:`repro.engine.durable`) is moved into
-        the generation's ``quarantine/`` directory and reported as a
-        miss — the point re-simulates instead of raising (or serving
-        garbage) mid-campaign.
+        A truncated, unparsable, unsealed, or seal-failing entry
+        (:mod:`repro.engine.durable`) is moved into the generation's
+        ``quarantine/`` directory and reported as a miss — the point
+        re-simulates instead of raising (or serving garbage)
+        mid-campaign.
         """
         from repro import telemetry
 
-        for path in (self.path_for(job), self.flat_path_for(job)):
-            try:
-                record = self._read_entry(path)
-            except FileNotFoundError:
-                continue
-            if record is None:
-                continue
+        path = self.path_for(job)
+        try:
+            record = self._read_entry(path)
+        except FileNotFoundError:
+            record = None
+        if record is not None:
             try:
                 result = result_from_dict(record["result"])
             except (KeyError, TypeError, ValueError) as error:
@@ -176,10 +170,10 @@ class ResultCache:
                 )
                 self.quarantined += 1
                 telemetry.counter("cache.quarantine")
-                continue
-            self.hits += 1
-            telemetry.counter("cache.hit")
-            return result
+            else:
+                self.hits += 1
+                telemetry.counter("cache.hit")
+                return result
         self.misses += 1
         telemetry.counter("cache.miss")
         return None
@@ -187,8 +181,8 @@ class ResultCache:
     def _read_entry(self, path: Path) -> Optional[Dict[str, Any]]:
         """Verified entry record at ``path``; corrupt ⇒ quarantine + None.
 
-        ``FileNotFoundError`` propagates (a missing entry is a miss at
-        a different layout, not corruption).
+        ``FileNotFoundError`` propagates (a missing entry is a miss,
+        not corruption).
         """
         try:
             return read_json_verified(path)
@@ -232,32 +226,13 @@ class ResultCache:
         file is quarantined as a side effect, same as :meth:`get`).
         Used by ``repro campaign verify`` and the campaign audit.
         """
-        state = "missing"
-        for path in (self.path_for(job), self.flat_path_for(job)):
-            try:
-                record = self._read_entry(path)
-            except FileNotFoundError:
-                continue
-            if record is None:
-                state = "corrupt"
-                continue
-            if "result" in record:
-                return "ok"
-            state = "corrupt"
-        return state
-
-    def duplicate_hashes(self, version: Optional[str] = None) -> list:
-        """Job hashes present in both the flat and sharded layouts.
-
-        A hash must resolve to exactly one entry; duplicates can only
-        come from a legacy migration interrupted halfway and are worth
-        surfacing (``campaign verify`` gates on zero).
-        """
-        version_dir = self.version_dir(version)
-        seen: Dict[str, int] = {}
-        for path in iter_entry_paths(version_dir):
-            seen[path.stem] = seen.get(path.stem, 0) + 1
-        return sorted(h for h, count in seen.items() if count > 1)
+        try:
+            record = self._read_entry(self.path_for(job))
+        except FileNotFoundError:
+            return "missing"
+        if record is None or "result" not in record:
+            return "corrupt"
+        return "ok"
 
     def quarantine_records(self, version: Optional[str] = None) -> list:
         """Quarantine-log records of one generation (default live)."""
@@ -283,7 +258,7 @@ class ResultCache:
             if child.is_dir()
         }
 
-    # -- index, stats, migration --------------------------------------
+    # -- index, stats, garbage collection -----------------------------
 
     def index_for_version(self, version: Optional[str] = None) -> CacheIndex:
         """The raw (possibly stale) index of one generation."""
@@ -291,8 +266,7 @@ class ResultCache:
 
     def index(self, version: Optional[str] = None) -> CacheIndex:
         """A fresh index for one generation, rebuilt if it disagrees
-        with the entry files on disk (lost index, manual deletions,
-        flat legacy layouts that never had one)."""
+        with the entry files on disk (lost index, manual deletions)."""
         index = self.index_for_version(version)
         if not index.is_fresh():
             index.rebuild()
@@ -330,31 +304,6 @@ class ResultCache:
             for job_hash in job_hashes
         )
 
-    def migrate(self, version: Optional[str] = None) -> int:
-        """Move one generation's flat legacy entries into shards.
-
-        Hashes (and therefore keys) are untouched — nothing is
-        invalidated; the index is rebuilt afterwards.  Returns the
-        number of entries moved.
-        """
-        version_dir = self.version_dir(version)
-        if not version_dir.is_dir():
-            return 0
-        moved = 0
-        for path in sorted(version_dir.glob("*.json")):
-            if not path.is_file():
-                continue
-            target = version_dir / shard_name(path.stem) / path.name
-            try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-                moved += 1
-            except OSError:
-                pass
-        if moved:
-            self.index_for_version(version).rebuild()
-        return moved
-
     def gc(self, version: str) -> int:
         """Delete one dead generation's entries; returns the count.
 
@@ -377,17 +326,7 @@ class ResultCache:
             return 0
         if not contained or resolved.name != version:
             return 0
-        if not version_dir.is_dir():
-            return 0
-        removed = 0
-        for path in list(iter_entry_paths(version_dir)):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self._remove_generation_scaffolding(version_dir)
-        return removed
+        return self._remove_generation(version_dir)
 
     def gc_stale(self) -> int:
         """Delete every generation except the live one."""
@@ -399,22 +338,27 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry (all code versions); returns the count."""
-        removed = 0
         if not self.directory.is_dir():
             return 0
-        for path in self.directory.rglob("*.json"):
+        return sum(
+            self._remove_generation(child)
+            for child in sorted(self.directory.iterdir())
+            if child.is_dir()
+        )
+
+    def _remove_generation(self, version_dir: Path) -> int:
+        """Delete one generation's entries, index, quarantine, and
+        emptied directories; returns the number of entries removed
+        (quarantined files are not entries)."""
+        if not version_dir.is_dir():
+            return 0
+        removed = 0
+        for path in list(iter_entry_paths(version_dir)):
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
-        for child in self.directory.iterdir():
-            if child.is_dir():
-                self._remove_generation_scaffolding(child)
-        return removed
-
-    def _remove_generation_scaffolding(self, version_dir: Path) -> None:
-        """Drop a generation's index, quarantine, and emptied dirs."""
         try:
             (version_dir / INDEX_NAME).unlink()
         except OSError:
@@ -430,9 +374,7 @@ class ResultCache:
                 quarantine.rmdir()
             except OSError:
                 pass
-        for child in list(version_dir.iterdir()) if (
-            version_dir.is_dir()
-        ) else []:
+        for child in list(version_dir.iterdir()):
             if is_shard_dir(child):
                 try:
                     child.rmdir()
@@ -442,3 +384,4 @@ class ResultCache:
             version_dir.rmdir()
         except OSError:
             pass
+        return removed

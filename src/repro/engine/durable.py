@@ -6,7 +6,7 @@ next to its destination and is renamed into place, so a process killed
 mid-write leaves the previous contents intact — never a half-written
 JSON file.  Store entries are additionally **sealed**: a ``sha256``
 field over the canonical payload is added on write and verified on
-read, so truncation *and* silent bit rot both surface as
+read, so truncation, silent bit rot and a missing seal all surface as
 :class:`CorruptEntryError` instead of wrong results.
 
 Corruption is handled by **quarantine, not exceptions mid-campaign**:
@@ -67,11 +67,8 @@ def seal(record: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def is_sealed_ok(record: Dict[str, Any]) -> bool:
-    """Seal verification; records without a seal (legacy) pass."""
-    stored = record.get(SEAL_KEY)
-    if stored is None:
-        return True
-    return stored == payload_checksum(record)
+    """Seal verification; a record without a seal fails."""
+    return record.get(SEAL_KEY) == payload_checksum(record)
 
 
 def read_json_verified(path: Path) -> Dict[str, Any]:
@@ -79,7 +76,8 @@ def read_json_verified(path: Path) -> Dict[str, Any]:
 
     ``FileNotFoundError`` passes through untouched (a missing entry is
     a miss, not corruption); anything else unreadable — truncated
-    JSON, a non-object payload, a failed seal — is corruption.
+    JSON, a non-object payload, a missing or failed seal — is
+    corruption.
     """
     try:
         text = Path(path).read_text()
@@ -95,6 +93,8 @@ def read_json_verified(path: Path) -> Dict[str, Any]:
         raise CorruptEntryError(
             f"expected a JSON object, got {type(record).__name__}"
         )
+    if SEAL_KEY not in record:
+        raise CorruptEntryError("no sha256 seal")
     if not is_sealed_ok(record):
         raise CorruptEntryError("sha256 seal mismatch (payload tampered "
                                 "or partially written)")

@@ -185,12 +185,8 @@ def _execute_serial(
             attempt = ledger.begin(job_hash)
             try:
                 maybe_fail("worker.execute", job_hash)
-                span = (
-                    tel.span("job.execute", job=job_hash,
-                             scheme=job.scheme, attempt=attempt)
-                    if tel is not None else telemetry.NOOP_SPAN
-                )
-                with span:
+                with telemetry.span("job.execute", job=job_hash,
+                                    scheme=job.scheme, attempt=attempt):
                     results[job_hash] = execute_job(job)
             except Exception as error:  # noqa: BLE001 — recorded below
                 message = f"{type(error).__name__}: {error}"
@@ -267,11 +263,7 @@ def run_jobs(
     )
     t0 = time.perf_counter()
     if cache is not None:
-        span = (
-            tel.span("run_jobs.cache_lookup", unique=stats.unique)
-            if tel is not None else telemetry.NOOP_SPAN
-        )
-        with span:
+        with telemetry.span("run_jobs.cache_lookup", unique=stats.unique):
             for job_hash, job in unique.items():
                 hit = cache.get(job)
                 if hit is not None:
@@ -294,14 +286,10 @@ def run_jobs(
         supervised = workers > 1 or job_timeout is not None
         executed: Dict[str, SimulationResult] = {}
         t0 = time.perf_counter()
-        span = (
-            tel.span(
-                "run_jobs.execute", missing=len(missing),
-                workers=workers, supervised=supervised,
-            )
-            if tel is not None else telemetry.NOOP_SPAN
-        )
-        with span:
+        with telemetry.span(
+            "run_jobs.execute", missing=len(missing),
+            workers=workers, supervised=supervised,
+        ):
             if supervised:
                 pool = SupervisedPool(
                     workers, job_timeout=job_timeout, policy=policy
@@ -334,11 +322,7 @@ def run_jobs(
         stats.failed = len(stats.failures)
         t0 = time.perf_counter()
         if cache is not None:
-            span = (
-                tel.span("run_jobs.cache_put", entries=len(executed))
-                if tel is not None else telemetry.NOOP_SPAN
-            )
-            with span:
+            with telemetry.span("run_jobs.cache_put", entries=len(executed)):
                 for job_hash, _job in missing:
                     if job_hash in executed:
                         cache.put(unique[job_hash], executed[job_hash])

@@ -19,12 +19,10 @@ module supplies the two missing structures:
   query-by-scheme/workload/experiment are index reads, never file
   scans.
 
-Both structures are backwards compatible: flat entries written by
-earlier generations of the code are still found by
-:meth:`~repro.engine.cache.ResultCache.get`, counted by the index
-rebuild, and movable into shards via
-:meth:`~repro.engine.cache.ResultCache.migrate` — without changing
-their job hashes, so nothing is invalidated.
+The sharded path is the only place live code reads an entry from.
+:func:`iter_entry_paths` still yields a generation's top-level
+``*.json`` files: dead generations written before sharding can sit on
+disk, and ``repro cache`` must still count and garbage-collect them.
 """
 
 from __future__ import annotations
@@ -62,7 +60,8 @@ def is_shard_dir(path: Path) -> bool:
 
 
 def iter_entry_paths(version_dir: Path) -> Iterator[Path]:
-    """Every entry file of one generation, flat and sharded alike."""
+    """Every entry file of one generation: sharded entries, plus the
+    top-level ones of dead pre-sharding generations."""
     if not version_dir.is_dir():
         return
     for child in sorted(version_dir.iterdir()):

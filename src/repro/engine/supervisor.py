@@ -211,11 +211,8 @@ def _worker_main(task_queue, result_queue) -> None:
         job_hash, job = item
         try:
             faults.maybe_fail("worker.execute", job_hash)
-            span = (
-                tel.span("job.execute", job=job_hash, scheme=job.scheme)
-                if tel is not None else telemetry.NOOP_SPAN
-            )
-            with span:
+            with telemetry.span("job.execute", job=job_hash,
+                                scheme=job.scheme):
                 result = execute_job(job)
         except BaseException as error:  # noqa: BLE001 — reported, not hidden
             if tel is not None:

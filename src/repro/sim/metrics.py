@@ -105,14 +105,6 @@ def pow2_bucket_bounds(index: int, buckets: int = POW2_BUCKETS) -> Tuple[int, Op
     return (1 << (index - 1), 1 << index)
 
 
-def pow2_histogram(values: Sequence[int], buckets: int = POW2_BUCKETS) -> List[int]:
-    """Per-bucket counts of ``values`` (non-negative ints)."""
-    counts = [0] * buckets
-    for value in values:
-        counts[pow2_bucket(value, buckets)] += 1
-    return counts
-
-
 def merge_counts(histograms: Sequence[Sequence[int]]) -> List[int]:
     """Element-wise sum of equal-length bucket-count vectors."""
     histograms = [h for h in histograms if h]

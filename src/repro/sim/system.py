@@ -404,11 +404,7 @@ class SimulatedSystem:
         )
         self.drain_path = "python" if packed is None else "kernel"
         tel = telemetry.get()
-        span = (
-            tel.span("sim.drain", path=self.drain_path)
-            if tel is not None else telemetry.NOOP_SPAN
-        )
-        with span:
+        with telemetry.span("sim.drain", path=self.drain_path):
             if packed is None:
                 self._drain_python(max_cycles)
             else:
@@ -588,14 +584,9 @@ def simulate(
         track_hammer=track_hammer,
         backend=backend,
     )
-    tel = telemetry.get()
-    span = (
-        tel.span(
-            "sim.simulate",
-            backend=system.backend,
-            cores=len(system.cores),
-        )
-        if tel is not None else telemetry.NOOP_SPAN
-    )
-    with span:
+    with telemetry.span(
+        "sim.simulate",
+        backend=system.backend,
+        cores=len(system.cores),
+    ):
         return system.run(max_cycles=max_cycles)

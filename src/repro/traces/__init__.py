@@ -26,6 +26,7 @@ from repro.traces.characterize import (
     characterize_trace,
     characterize_traceset,
     characterize_workload,
+    expected_tracker_spread,
 )
 from repro.traces.families import (
     DESIGN_TARGETS,
@@ -64,6 +65,7 @@ __all__ = [
     "characterize_trace",
     "characterize_traceset",
     "characterize_workload",
+    "expected_tracker_spread",
     "DESIGN_TARGETS",
     "design_violations",
     "capacity_pressure",

@@ -19,11 +19,13 @@ these axes):
   traces' own instruction counts (generated traces carry real gap
   proxies; ingested CSV traces inherit gap-derived counts).
 
-:func:`characterize_workload` merges per-core traces round-robin —
-the same arrival interleaving approximation
-:func:`repro.workloads.stats.profile_traces` uses — so aggregate
-numbers describe what the memory controller sees, while
-:func:`characterize_trace` scores a single core in isolation.
+:func:`characterize_workload` merges per-core traces round-robin
+(:func:`~repro.workloads.trace.interleave_round_robin`, an arrival
+interleaving approximation) so aggregate numbers describe what the
+memory controller sees, while :func:`characterize_trace` scores a
+single core in isolation.  :func:`expected_tracker_spread` turns a
+characterization into the first-order Mithril-table spread prediction
+of Section V-A (Figure 8).
 
 The new stress families (:mod:`repro.traces.families`) assert their
 design targets against these exact metrics, so the characterization
@@ -66,12 +68,6 @@ class TraceCharacterization:
     row_locality_cdf: Dict[int, float]  #: P(request in burst <= k)
     hot_row_top1_share: float
     hot_row_top8_share: float
-
-    @property
-    def hottest_row_share(self) -> float:
-        """Alias matching :class:`~repro.workloads.stats.WorkloadProfile`
-        (so :func:`expected_tracker_spread` accepts either)."""
-        return self.hot_row_top1_share
 
     def summary(self) -> Dict[str, object]:
         return {
@@ -198,3 +194,18 @@ def characterize_traceset(
         characterize_trace(trace, organization) for trace in traceset.traces
     ]
     return aggregate, per_core
+
+
+def expected_tracker_spread(
+    char: TraceCharacterization, rfm_th: int
+) -> float:
+    """First-order prediction of the Mithril-table spread a workload
+    builds between RFMs: bounded by its burst concentration.
+
+    A benign workload's spread stays near its typical per-row burst
+    (the Section V-A observation that ~128-access sweeps keep spread
+    under AdTH ~ 200); a hot-row workload's spread grows toward
+    ``hot_row_top1_share * rfm_th`` per interval, accumulating if the
+    row stays resident.
+    """
+    return max(char.mean_burst_length, char.hot_row_top1_share * rfm_th)

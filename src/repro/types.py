@@ -67,20 +67,6 @@ class MemoryRequest:
         return not self.is_write
 
 
-@dataclass(slots=True)
-class PreventiveRefresh:
-    """A preventive refresh performed for RowHammer protection.
-
-    ``victims`` are the rows whose charge is restored.  ``trigger`` notes
-    which command created the opportunity (RFM, ARR, or hidden-in-REF).
-    """
-
-    cycle: int
-    victims: tuple
-    trigger: CommandKind = CommandKind.RFM
-    aggressor: Optional[RowAddress] = None
-
-
 class SchemeLocation(enum.Enum):
     """Where a protection scheme is implemented (Table I)."""
 

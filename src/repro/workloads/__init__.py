@@ -1,6 +1,5 @@
 """Workload substrate: trace format, benign generators, attack patterns."""
 
-from repro.workloads.stats import WorkloadProfile, profile_traces
 from repro.workloads.trace import CoreTrace, TraceEntry
 from repro.workloads.synthetic import (
     random_access_trace,
@@ -19,8 +18,6 @@ from repro.workloads.attacks import (
 __all__ = [
     "CoreTrace",
     "TraceEntry",
-    "WorkloadProfile",
-    "profile_traces",
     "random_access_trace",
     "streaming_sweep_trace",
     "strided_trace",

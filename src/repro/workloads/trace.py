@@ -238,21 +238,12 @@ class CoreTrace:
         )
 
 
-def merge_as_workload(traces: Iterable[CoreTrace]) -> List[CoreTrace]:
-    """Validate a multi-core workload (one trace per core)."""
-    result = list(traces)
-    if not result:
-        raise ValueError("a workload needs at least one core trace")
-    return result
-
-
 def interleave_round_robin(traces: Iterable[CoreTrace]) -> List[TraceEntry]:
     """Merge per-core streams round-robin, one entry per core per turn.
 
-    The arrival-interleaving approximation both characterization
-    layers (:func:`repro.workloads.stats.profile_traces` and
-    :mod:`repro.traces.characterize`) analyze: close to what the
-    memory controller sees without simulating timing.
+    The arrival-interleaving approximation the characterization
+    layer (:mod:`repro.traces.characterize`) analyzes: close to what
+    the memory controller sees without simulating timing.
     """
     iterators = [iter(t) for t in traces]
     merged: List[TraceEntry] = []

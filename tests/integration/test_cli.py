@@ -158,20 +158,6 @@ class TestCacheCommand:
         assert main(["cache", "--query", "flip_th=abc"]) == 1
         assert "must be an integer" in capsys.readouterr().out
 
-    def test_migrate_moves_flat_entries(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.engine import ResultCache
-
-        job = self._seed_live_entry(tmp_path, monkeypatch)
-        cache = ResultCache()
-        cache.path_for(job).rename(cache.flat_path_for(job))
-        assert main(["cache", "--migrate"]) == 0
-        assert "moved 1 flat entry" in capsys.readouterr().out
-        assert cache.path_for(job).exists()
-        assert main(["cache", "--migrate"]) == 0
-        assert "nothing to migrate" in capsys.readouterr().out
-
 
 class TestTracesCommands:
     def test_list(self, capsys):

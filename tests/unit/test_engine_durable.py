@@ -41,9 +41,6 @@ class TestSeal:
         record["a"] = 2
         assert not is_sealed_ok(record)
 
-    def test_legacy_records_without_seal_pass(self):
-        assert is_sealed_ok({"a": 1})
-
     def test_checksum_ignores_the_seal_field(self):
         record = {"a": 1}
         assert payload_checksum(record) == payload_checksum(seal(record))
@@ -69,6 +66,12 @@ class TestReadVerified:
         path = tmp_path / "entry.json"
         path.write_text(text)
         with pytest.raises(CorruptEntryError):
+            read_json_verified(path)
+
+    def test_unsealed_record_is_corrupt(self, tmp_path):
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps({"x": 1}))
+        with pytest.raises(CorruptEntryError, match="no sha256 seal"):
             read_json_verified(path)
 
     def test_failed_seal_is_corrupt(self, tmp_path):

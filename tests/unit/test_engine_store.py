@@ -51,53 +51,34 @@ class TestShardedLayout:
         assert is_shard_dir(path.parent)
         assert cache.get(job) == _result()
 
-    def test_flat_legacy_entries_still_hit(self, tmp_path):
+    def test_unsealed_entry_is_corrupt(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = _job()
-        # a cache written by the pre-sharding layout
-        flat = cache.flat_path_for(job)
-        flat.parent.mkdir(parents=True)
-        flat.write_text(json.dumps({
-            "job": job.canonical(),
-            "result": {
-                "scheme_name": "none", "total_cycles": 1234,
-                "per_core_instructions": [10, 20],
-                "per_core_finish_cycles": [1000, 1234],
-                "energy": {"acts": 5, "reads": 7},
-                "acts": 5, "row_hits": 3, "row_misses": 2,
-            },
-        }))
-        hit = cache.get(job)
-        assert hit is not None and hit.total_cycles == 1234
-        assert cache.entry_count() == 1
+        cache.put(job, _result())
+        path = cache.path_for(job)
+        record = json.loads(path.read_text())
+        del record["sha256"]
+        path.write_text(json.dumps(record))
+        assert cache.get(job) is None
+        assert not path.exists()
+        quarantined = cache.quarantine_records()
+        assert [r["file"] for r in quarantined] == [path.name]
+        assert "no sha256 seal" in quarantined[0]["reason"]
+        path.write_text(json.dumps(record))
+        assert cache.verify(job) == "corrupt"
 
     def test_mixed_layout_counts_and_iterates(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_job(), _result())                      # sharded
         flat_job = _job(flip_th=7_777)
-        flat = cache.flat_path_for(flat_job)
-        flat.write_text("{}")                             # flat legacy
+        flat = cache.version_dir() / f"{flat_job.job_hash()}.json"
+        flat.write_text("{}")                  # a pre-sharding generation
         version_dir = cache.version_dir()
         assert count_entries(version_dir) == 2
         names = {p.name for p in iter_entry_paths(version_dir)}
         assert names == {
             f"{_job().job_hash()}.json", f"{flat_job.job_hash()}.json"
         }
-
-    def test_migrate_moves_flat_into_shards_without_invalidating(
-        self, tmp_path
-    ):
-        cache = ResultCache(tmp_path)
-        job = _job()
-        cache.put(job, _result())
-        # relocate to the flat location, as a legacy cache would have it
-        flat = cache.flat_path_for(job)
-        cache.path_for(job).rename(flat)
-        assert cache.get(job) == _result()  # flat fallback
-        assert cache.migrate() == 1
-        assert not flat.exists()
-        assert cache.path_for(job).exists()
-        assert cache.get(job) == _result()  # same key, nothing lost
 
     def test_gc_and_clear_handle_shards(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -111,6 +92,17 @@ class TestShardedLayout:
         assert not dead.exists()
         assert cache.clear() == 1
         assert cache.entry_count() == 0
+
+    def test_clear_does_not_count_quarantined_files(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        good, bad = _job(), _job(flip_th=7_777)
+        cache.put(good, _result())
+        cache.put(bad, _result())
+        cache.path_for(bad).write_text("{not json")
+        assert cache.get(bad) is None          # quarantined
+        assert cache.quarantine_records()
+        assert cache.clear() == 1
+        assert not cache.version_dir().exists()
 
 
 class TestCacheIndex:
@@ -131,7 +123,7 @@ class TestCacheIndex:
         cache = ResultCache(tmp_path)
         cache.put(_job(), _result())
         cache.put(_job(scheme="mithril"), _result())
-        # lose the index entirely — e.g. a legacy flat cache
+        # lose the index entirely — e.g. deleted by hand
         cache.index_for_version().path.unlink()
         index = cache.index()
         assert len(index.records()) == 2

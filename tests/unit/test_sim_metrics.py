@@ -11,7 +11,6 @@ from repro.sim.metrics import (
     percentile_summary,
     pow2_bucket,
     pow2_bucket_bounds,
-    pow2_histogram,
 )
 from repro.types import EnergyCounts
 
@@ -114,11 +113,6 @@ class TestPow2Histograms:
         # the last bucket is open-ended
         last = pow2_bucket_bounds(POW2_BUCKETS - 1)
         assert last == (1 << (POW2_BUCKETS - 2), None)
-
-    def test_histogram_exact_counts(self):
-        counts = pow2_histogram([0, 0, 1, 2, 3, 4, 9], buckets=5)
-        assert counts == [2, 1, 2, 1, 1]
-        assert sum(counts) == 7
 
     def test_merge_counts_pads_shorter_vectors(self):
         assert merge_counts([[1, 2], [3, 4, 5]]) == [4, 6, 5]

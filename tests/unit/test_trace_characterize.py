@@ -6,8 +6,13 @@ from repro.traces import (
     characterize_trace,
     characterize_traceset,
     characterize_workload,
+    expected_tracker_spread,
 )
 from repro.traces.ingest import TraceSet
+from repro.workloads.synthetic import (
+    random_access_trace,
+    streaming_sweep_trace,
+)
 from repro.workloads.trace import CoreTrace, TraceEntry
 
 
@@ -25,6 +30,17 @@ def _core(name, entries):
 
 
 class TestSingleTraceMetrics:
+    def test_basic_counts(self):
+        trace = _core(
+            "t",
+            _entries([(0, 1), (0, 1), (1, 2)], writes=[False, False, True]),
+        )
+        char = characterize_trace(trace)
+        assert char.requests == 3
+        assert char.write_fraction == pytest.approx(1 / 3)
+        assert char.footprint_rows == 2
+        assert char.banks_touched == 2
+
     def test_bursts_and_act_per_access(self):
         # two bursts of 2 on (0,1), then (0,2), then (1,5): bursts
         # [2, 1, 1]; open-row misses at indices 0, 2, 3.
@@ -102,8 +118,30 @@ class TestWorkloadMerge:
 
         json.dumps(summary)  # must be serializable as-is
 
-    def test_hottest_row_share_alias(self):
-        char = characterize_trace(
-            _core("t", _entries([(0, 1), (0, 1), (0, 2)]))
+    def test_sweep_has_long_bursts_random_does_not(self):
+        sweep = characterize_workload(
+            [streaming_sweep_trace(num_requests=512, accesses_per_row=16)]
         )
-        assert char.hottest_row_share == char.hot_row_top1_share
+        rand = characterize_workload(
+            [random_access_trace(num_requests=512)]
+        )
+        assert sweep.mean_burst_length > 4 * rand.mean_burst_length
+        assert rand.act_per_access > sweep.act_per_access
+
+
+class TestExpectedSpread:
+    def test_benign_spread_near_burst_length(self):
+        sweep = characterize_workload(
+            [streaming_sweep_trace(num_requests=2048,
+                                   accesses_per_row=128,
+                                   footprint_rows=4096)]
+        )
+        spread = expected_tracker_spread(sweep, rfm_th=64)
+        assert spread <= 200  # within the paper's AdTH range
+
+    def test_hot_row_spread_scales_with_share(self):
+        hot = characterize_workload(
+            [_core("t", _entries([(0, 1)] * 99 + [(0, 2)]))]
+        )
+        spread = expected_tracker_spread(hot, rfm_th=64)
+        assert spread > 30

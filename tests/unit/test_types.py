@@ -7,7 +7,6 @@ from repro.types import (
     CommandKind,
     EnergyCounts,
     MemoryRequest,
-    PreventiveRefresh,
     RowAddress,
     SchemeLocation,
 )
@@ -58,13 +57,6 @@ class TestMemoryRequest:
     def test_completion_initially_none(self):
         request = MemoryRequest(0, 0, RowAddress(BankAddress(0, 0, 0), 1))
         assert request.completion_cycle is None
-
-
-class TestPreventiveRefresh:
-    def test_defaults(self):
-        refresh = PreventiveRefresh(cycle=10, victims=(1, 3))
-        assert refresh.trigger is CommandKind.RFM
-        assert refresh.aggressor is None
 
 
 class TestEnums:

@@ -15,7 +15,7 @@ from repro.workloads.synthetic import (
     streaming_sweep_trace,
     strided_trace,
 )
-from repro.workloads.trace import CoreTrace, TraceEntry, merge_as_workload
+from repro.workloads.trace import CoreTrace, TraceEntry
 
 
 class TestTraceFormat:
@@ -48,10 +48,6 @@ class TestTraceFormat:
         assert loaded.name == trace.name
         assert loaded.memory_intensive == trace.memory_intensive
         assert list(loaded) == list(trace)
-
-    def test_merge_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_as_workload([])
 
 
 class TestSyntheticGenerators:
