@@ -23,6 +23,8 @@ import functools
 import math
 from typing import Optional
 
+import numpy as np
+
 from repro.params import DramTimings
 
 
@@ -45,12 +47,20 @@ def _single_row_failure(rfm_th: int, flip_th: int, intervals: int) -> float:
         return 0.0
     select_p = acts_per_interval / rfm_th
     survive = (1.0 - select_p) ** streak
-    p = [0.0] * (intervals + 1)
+    p = np.zeros(intervals + 1)
     p[streak] = survive
     step = select_p * survive
-    for i in range(streak + 1, intervals + 1):
-        p[i] = p[i - 1] + step * (1.0 - p[i - streak - 1])
-    return min(1.0, p[intervals])
+    # P[i] reads P[i - streak - 1], so a block of ``streak + 1`` terms
+    # depends only on earlier blocks: its increments are one vector
+    # op, and add.accumulate runs the same left-to-right IEEE adds as
+    # ``P[i] = P[i-1] + increment`` one term at a time (bit-equal).
+    for start in range(streak + 1, intervals + 1, streak + 1):
+        stop = min(start + streak + 1, intervals + 1)
+        increments = step * (1.0 - p[start - streak - 1:stop - streak - 1])
+        p[start - 1:stop] = np.add.accumulate(
+            np.concatenate(([p[start - 1]], increments))
+        )
+    return min(1.0, float(p[intervals]))
 
 
 def parfm_bank_failure_probability(

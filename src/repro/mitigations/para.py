@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
+from typing import List, Optional
 
 from repro.protection import ProtectionScheme, register_scheme
 from repro.types import SchemeLocation
@@ -55,13 +55,18 @@ class ParaScheme(ProtectionScheme):
             else para_probability(flip_th, target_failure)
         )
         self.rows_per_bank = rows_per_bank
-        self._rng = random.Random(seed)
+        self.seed = seed
+        #: ``random.Random(seed)``, built at the first draw.
+        self._rng: Optional[random.Random] = None
 
     def on_activate(self, row: int, cycle: int) -> List[int]:
         self.stats.acts_observed += 1
-        if self._rng.random() >= self.probability:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
+        if rng.random() >= self.probability:
             return []
-        side = -1 if self._rng.random() < 0.5 else 1
+        side = -1 if rng.random() < 0.5 else 1
         victim = row + side
         if not 0 <= victim < self.rows_per_bank:
             victim = row - side

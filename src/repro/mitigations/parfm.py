@@ -33,15 +33,20 @@ class ParfmScheme(ProtectionScheme):
         super().__init__()
         self.rows_per_bank = rows_per_bank
         self.blast_radius = blast_radius
-        self._rng = random.Random(seed)
+        self.seed = seed
+        #: ``random.Random(seed)``, built at the first draw.
+        self._rng: Optional[random.Random] = None
         self._sample: Optional[int] = None
         self._interval_acts = 0
 
     def on_activate(self, row: int, cycle: int) -> List[int]:
         self.stats.acts_observed += 1
         self._interval_acts += 1
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
         # Reservoir sampling: the i-th ACT replaces the sample w.p. 1/i.
-        if self._rng.random() < 1.0 / self._interval_acts:
+        if rng.random() < 1.0 / self._interval_acts:
             self._sample = row
         return []
 

@@ -12,8 +12,10 @@
  * threshold-triggered ARR), PARA (probabilistic neighbour ARR), PARFM
  * (reservoir-sampled RFM victim), TWiCe (pruned per-row counters,
  * threshold ARR) and CBT (split counter tree, range ARR).  PARA and
- * PARFM draw from an exact port of python's MT19937 random(), seeded
- * with each scheme's random.Random state and handing it back.
+ * PARFM draw from an exact port of python's MT19937 random(): each
+ * scheme's seed goes through a port of random.Random(seed)'s
+ * init_by_array once per distinct seed, and a bank that drew hands its
+ * advanced state back as getstate()'s 625 ints.
  *
  * It is a line-for-line port of SimulatedSystem's event loop on those
  * paths, and every ordering the python objects expose is kept: events
@@ -25,8 +27,9 @@
  *
  * The kernel knows no python classes.  It reads the trace columns
  * through the buffer protocol and plain int tuples for configuration,
- * and returns plain ints, tuples and lists; kernel.py alone maps them
- * onto the simulator objects.  Per-row state lives in hash maps sized
+ * and returns plain ints, tuples, lists and dicts (each dict a python
+ * object holds, built in its insertion order); kernel.py alone maps
+ * them onto the simulator objects.  Per-row state lives in hash maps sized
  * by the rows actually touched, never in dense per-row arrays.  The
  * one exception is BlockHammer's counters: the kernel writes straight
  * into each filter's own array('q') through a writable buffer, so the
@@ -665,6 +668,48 @@ static uint32_t mt_uint32(Mt *mt)
     return y;
 }
 
+/* init_genrand + init_by_array: random.Random(seed) for an int seed,
+ * whose key is abs(seed)'s 32-bit words, least significant first (one
+ * word for 0).  The kernel takes abs(seed) < 2**64: at most two words. */
+static void mt_seed(Mt *mt, uint64_t magnitude)
+{
+    uint32_t key[2] = {(uint32_t)magnitude, (uint32_t)(magnitude >> 32)};
+    size_t key_length = magnitude >> 32 ? 2 : 1;
+    uint32_t *s = mt->state;
+    size_t i, j, k;
+    s[0] = 19650218U;
+    for (i = 1; i < MT_N; i++) {
+        s[i] = 1812433253U * (s[i - 1] ^ (s[i - 1] >> 30)) + (uint32_t)i;
+    }
+    i = 1;
+    j = 0;
+    for (k = MT_N > key_length ? MT_N : key_length; k; k--) {
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1664525U))
+               + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_length) {
+            j = 0;
+        }
+    }
+    for (k = MT_N - 1; k; k--) {
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1566083941U))
+               - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+    }
+    s[0] = 0x80000000U;
+    mt->index = MT_N;
+    mt->drawn = 0;
+}
+
 /* random.random(): a 53-bit float in [0, 1) from two draws */
 static double mt_random(Mt *mt)
 {
@@ -802,9 +847,17 @@ typedef struct {
     int64_t cycle, low;      /* low = seq << LOW_BITS | kind | ident */
 } Event;
 
+/* One distinct PARA/PARFM seed of the run, seeded once. */
+typedef struct {
+    uint64_t magnitude;
+    Mt mt;
+} Seeded;
+
 struct Ctx {
     jmp_buf fail;
     int64_t num_banks, num_cores, num_channels, num_faws, num_schedulers;
+    Seeded *seeded;
+    int64_t num_seeded;
     int64_t cfg[CF_COUNT];
     int64_t seq, row_hits, row_misses;
     Bank *banks;
@@ -880,6 +933,7 @@ static void ctx_free(Ctx *ctx)
             free(ctx->schedulers[i].order);
         }
     }
+    free(ctx->seeded);
     free(ctx->banks);
     free(ctx->cores);
     free(ctx->bus_free);
@@ -1899,39 +1953,37 @@ static int read_cbf(Ctx *ctx, Bank *b, int f, PyObject *spec)
     return 0;
 }
 
-/* random.Random's getstate()[1]: 624 state words and the index */
-static int read_mt(Ctx *ctx, Bank *b, PyObject *state)
+/* The bank's generator as random.Random(seed) for seed = +-magnitude:
+ * seeded once per distinct seed of the run, then copied. */
+static void seed_mt(Ctx *ctx, Bank *b, uint64_t magnitude)
 {
-    int64_t words[MT_N + 1];
-    if (read_ints(state, words, MT_N + 1, "random state") < 0) {
-        return -1;
+    int64_t k = 0;
+    while (k < ctx->num_seeded && ctx->seeded[k].magnitude != magnitude) {
+        k++;
+    }
+    if (k == ctx->num_seeded) {
+        if (ctx->seeded == NULL) {
+            ctx->seeded = ctx_calloc(ctx, (size_t)ctx->num_banks,
+                                     sizeof(Seeded));
+        }
+        ctx->seeded[k].magnitude = magnitude;
+        mt_seed(&ctx->seeded[k].mt, magnitude);
+        ctx->num_seeded++;
     }
     b->mt = ctx_calloc(ctx, 1, sizeof(Mt));
-    for (int k = 0; k < MT_N; k++) {
-        if (words[k] < 0 || words[k] > 0xffffffffLL) {
-            PyErr_SetString(PyExc_ValueError, "random state word out of "
-                            "range");
-            return -1;
-        }
-        b->mt->state[k] = (uint32_t)words[k];
-    }
-    if (words[MT_N] < 0 || words[MT_N] > MT_N) {
-        PyErr_SetString(PyExc_ValueError, "random state index out of range");
-        return -1;
-    }
-    b->mt->index = (int)words[MT_N];
-    return 0;
+    *b->mt = ctx->seeded[k].mt;
 }
 
 /* A bank's scheme input beyond its int fields, by scheme:
  *   BlockHammer  (filter, filter)
- *   PARA         (random state, probability)
- *   PARFM        (random state,)
+ *   PARA         (abs(seed), probability)
+ *   PARFM        (abs(seed),)
  *   TWiCe        (prune_rate,)
  * and None for the others. */
 static int read_extra(Ctx *ctx, Bank *b, PyObject *extra)
 {
     PyObject *first, *second;
+    unsigned long long magnitude;
     switch (b->scheme) {
     case SCHEME_BLOCKHAMMER:
         if (!PyArg_ParseTuple(extra, "OO", &first, &second)
@@ -1942,15 +1994,17 @@ static int read_extra(Ctx *ctx, Bank *b, PyObject *extra)
         map_alloc(ctx, &b->release, 16);
         return 0;
     case SCHEME_PARA:
-        if (!PyArg_ParseTuple(extra, "Od", &first, &b->probability)) {
+        if (!PyArg_ParseTuple(extra, "Kd", &magnitude, &b->probability)) {
             return -1;
         }
-        return read_mt(ctx, b, first);
+        seed_mt(ctx, b, magnitude);
+        return 0;
     case SCHEME_PARFM:
-        if (!PyArg_ParseTuple(extra, "O", &first)) {
+        if (!PyArg_ParseTuple(extra, "K", &magnitude)) {
             return -1;
         }
-        return read_mt(ctx, b, first);
+        seed_mt(ctx, b, magnitude);
+        return 0;
     case SCHEME_TWICE:
         if (!PyArg_ParseTuple(extra, "d", &b->prune_rate)) {
             return -1;
@@ -2128,6 +2182,32 @@ static PyObject *number_list(const int64_t *values, size_t n, int as_float)
     return list;
 }
 
+/* A python dict {keys[i]: values[i]} (values ints, or floats) in
+ * order; with values NULL, dict.fromkeys(keys). */
+static PyObject *number_dict(const int64_t *keys, const int64_t *values,
+                             size_t n, int as_float)
+{
+    PyObject *dict = PyDict_New();
+    for (size_t i = 0; dict != NULL && i < n; i++) {
+        PyObject *key = PyLong_FromLongLong(keys[i]);
+        PyObject *value;
+        if (values == NULL) {
+            value = Py_None;
+            Py_INCREF(value);
+        } else {
+            value = as_float ? PyFloat_FromDouble((double)values[i])
+                             : PyLong_FromLongLong(values[i]);
+        }
+        if (key == NULL || value == NULL
+            || PyDict_SetItem(dict, key, value) < 0) {
+            Py_CLEAR(dict);
+        }
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+    }
+    return dict;
+}
+
 /* Keys and values of `map` in dict order, as two C arrays; with
  * `entries`, values are the entries' counts (caller frees both). */
 static int ordered_items(const Map *map, const Entry *entries,
@@ -2150,8 +2230,8 @@ static int ordered_items(const Map *map, const Entry *entries,
     return 0;
 }
 
-/* (rows, levels, flips [(cycle, row, level, aggressor)], max_level,
- *  max_row | None); rows/levels are the disturbance dict in order */
+/* (disturbance {row: level}, flips [(cycle, row, level, aggressor)],
+ *  max_level, max_row | None) */
 static PyObject *hammer_out(const Hammer *h)
 {
     int64_t *rows = NULL, *levels = NULL;
@@ -2171,8 +2251,7 @@ static PyObject *hammer_out(const Hammer *h)
         PyList_SET_ITEM(flips, i, item);
     }
     out = Py_BuildValue(
-        "(NNOdN)", number_list(rows, h->levels.size, 0),
-        number_list(levels, h->levels.size, 1), flips,
+        "(NOdN)", number_dict(rows, levels, h->levels.size, 1), flips,
         (double)h->max_level, optional_int(h->has_max_row, h->max_row));
 done:
     free(rows);
@@ -2220,15 +2299,15 @@ static PyObject *cbs_heap(const Cbs *s)
     return heap;
 }
 
-/* (rows, counts, buckets [(count, [rows oldest first])], heap,
- *  min_count, total_observed, evictions); rows/counts and buckets in
- *  dict order */
+/* (counts {row: count}, buckets {count: {row: None} oldest first},
+ *  heap, min_count, total_observed, evictions): the CounterSummary's
+ *  dicts in insertion order */
 static PyObject *cbs_out(const Cbs *s)
 {
     int64_t *rows = NULL, *counts = NULL, *bucket_keys = NULL;
     int64_t *bucket_index = NULL, *members = NULL;
     PyObject *out = NULL;
-    PyObject *buckets = PyList_New((Py_ssize_t)s->counts.size);
+    PyObject *buckets = PyDict_New();
     if (buckets == NULL
         || ordered_items(&s->rows, s->entries, &rows, &counts)
         || ordered_items(&s->counts, NULL, &bucket_keys, &bucket_index)) {
@@ -2245,16 +2324,19 @@ static PyObject *cbs_out(const Cbs *s)
              e = s->entries[e].next) {
             members[n++] = s->entries[e].row;
         }
-        PyObject *item = Py_BuildValue("(LN)", (long long)bucket_keys[i],
-                                       number_list(members, n, 0));
-        if (item == NULL) {
+        PyObject *key = PyLong_FromLongLong(bucket_keys[i]);
+        PyObject *bucket = number_dict(members, NULL, n, 0);
+        int failed = key == NULL || bucket == NULL
+                     || PyDict_SetItem(buckets, key, bucket) < 0;
+        Py_XDECREF(key);
+        Py_XDECREF(bucket);
+        if (failed) {
             goto done;
         }
-        PyList_SET_ITEM(buckets, i, item);
     }
     out = Py_BuildValue(
-        "(NNONLLL)", number_list(rows, s->rows.size, 0),
-        number_list(counts, s->rows.size, 0), buckets, cbs_heap(s),
+        "(NONLLL)", number_dict(rows, counts, s->rows.size, 0), buckets,
+        cbs_heap(s),
         (long long)s->min_count, (long long)s->total_observed,
         (long long)s->evictions);
 done:
@@ -2267,14 +2349,13 @@ done:
     return out;
 }
 
-/* (keys, values) of `map` in dict order */
+/* `map` as a python dict, in insertion order */
 static PyObject *map_out(const Map *map)
 {
     int64_t *keys = NULL, *values = NULL;
     PyObject *out = NULL;
     if (ordered_items(map, NULL, &keys, &values) == 0) {
-        out = Py_BuildValue("(NN)", number_list(keys, map->size, 0),
-                            number_list(values, map->size, 0));
+        out = number_dict(keys, values, map->size, 0);
     }
     free(keys);
     free(values);

@@ -19,16 +19,24 @@ here and everything else in its python loop.
   load (a truncated write, say) is rebuilt once.  A failed compile or
   load warns once per process, and :func:`load` then returns None, so
   every run takes the python loop: slower, never different.
-* **Flat in, flat out.**  :func:`pack` turns a system into trace
-  columns (buffer protocol) and int tuples; :func:`drain` runs the
-  kernel and writes its plain-int result back onto the simulator
-  objects that ``_collect`` and the tests read.  The C side knows no
-  python class.  PARA and PARFM hand their ``random.Random`` state in
-  through ``getstate()`` and take the advanced one back through
-  ``setstate()``.  BlockHammer's filter counters are the one exception
-  to "flat out": the kernel increments and clears each filter's own
-  ``array('q')`` in place through a writable buffer, so no copy of
-  the 2 x 8192 counters per bank is ever made.
+* **Pack.**  :func:`pack` turns a system into trace columns (buffer
+  protocol) and int tuples.  It reads the banks column by column: for
+  each kind of component it resolves the types' hook sets once, checks
+  every instance's own attribute names against them, and compares each
+  one's run state with its value as constructed in one pass; each
+  scheme type's banks are packed together.
+* **Seeds, not states.**  PARA and PARFM build their ``random.Random``
+  at the first draw, so a pristine scheme hands the kernel only
+  ``abs(seed)``.  The kernel ports CPython's ``init_by_array`` and
+  seeds each distinct seed of the run once; a bank that drew gets a
+  ``random.Random`` back, ``setstate()`` to the advanced state.
+* **Flat out.**  :func:`drain` runs the kernel and writes its result
+  (ints, tuples, and each dict a python object holds, built in its
+  insertion order) back onto the simulator objects that ``_collect``
+  and the tests read.  The C side knows no python class.  BlockHammer's
+  filter counters are the one exception: the kernel increments and
+  clears each filter's own ``array('q')`` in place through a writable
+  buffer, so no copy of the 2 x 8192 counters per bank is ever made.
 
 A hook patched on an *instance* (``controller._apply_arr = ...``), at
 any time before ``run()``, keeps that run in python.  A stock class
@@ -155,7 +163,6 @@ _HOOKS = {
     CountingBloomFilter: frozenset({
         "_indices", "reset", "observe", "estimate",
     }),
-    random.Random: frozenset({"random", "getstate", "setstate"}),
 }
 #: The system's own event handlers, which the kernel replaces.
 _SYSTEM_HOOKS = frozenset({
@@ -163,27 +170,55 @@ _SYSTEM_HOOKS = frozenset({
     "_make_request",
 })
 _INT_TYPES = {int, bool}
-#: A controller's state that is zero (or empty) as constructed: its
-#: own, its bank's, refresh engine's, energy's and scheme stats'.
+#: Each bank component's run state and its value as constructed; a
+#: bank whose state differs anywhere takes the python loop.
 _CONTROLLER_STATE = attrgetter(
     "queue", "_consecutive_hits", "arr_stall_cycles", "rfm_stall_cycles",
-    "refresh_stall_cycles", "channel_state.bus_free_cycle",
-    "bank.ready_cycle", "bank.act_count", "bank.pre_count",
-    "bank.access_count", "bank.refresh_blocks", "refresh._group_cursor",
-    "refresh.ticks_processed",
-    *(f"energy.{f.name}" for f in dataclasses.fields(EnergyCounts)),
-    *(f"scheme.stats.{f.name}" for f in dataclasses.fields(SchemeStats)),
+    "refresh_stall_cycles",
 )
-_HAMMER_STATE = attrgetter("_disturbance", "flips", "max_disturbance")
+_FRESH_CONTROLLER = ([], 0, 0, 0, 0)
+_TIMING_STATE = attrgetter(
+    "open_row", "_last_act_cycle", "ready_cycle", "act_count", "pre_count",
+    "access_count", "refresh_blocks",
+)
+_FRESH_TIMING = (None, _FRESH_LAST_ACT, 0, 0, 0, 0, 0)
+_REFRESH_STATE = attrgetter("_group_cursor", "ticks_processed")
+_FRESH_REFRESH = (0, 0)
+_ENERGY_STATE = attrgetter(*(f.name for f in dataclasses.fields(EnergyCounts)))
+_FRESH_ENERGY = _ENERGY_STATE(EnergyCounts())
+_STATS_STATE = attrgetter(*(f.name for f in dataclasses.fields(SchemeStats)))
+_FRESH_STATS = _STATS_STATE(SchemeStats())
+_HAMMER_STATE = attrgetter(
+    "_disturbance", "flips", "max_disturbance", "max_disturbance_row"
+)
+_FRESH_HAMMER = ({}, [], 0, None)
 _RFM_STATE = attrgetter("raa.value", "rfm_issued", "rfm_elided", "mrr_reads")
+_FRESH_RFM = (0, 0, 0, 0)
 #: A controller's timing and refresh fields (BF_TRP.. BF_NUM_GROUPS).
 _CONTROLLER_FIELDS = attrgetter(
     "bank._trp", "bank._tras", "_trfc_cycles", "_trfm_cycles",
     "_trc_cycles", "refresh._next_tick", "refresh.trefi_cycles",
     "refresh.rows_per_group", "refresh.num_groups",
 )
+#: A controller's parts, read once per bank.
+_BANK_PARTS = attrgetter(
+    "bank", "refresh", "hammer", "rfm_logic", "channel_state", "page_policy",
+    "energy",
+)
+#: The hammer and RFM halves of a bank's fields without either.
+_NO_HAMMER = (False, 0, 0)
+_NO_RFM = (False, 0, False)
 #: The scheme half of a bank's fields for a scheme with no parameters.
 _NO_SCHEME = (_SCHEME_NONE,) + (0,) * 12
+#: Scheme and tracker state that is zero (or empty) as constructed.
+_SUMMARY_STATE = attrgetter(
+    "_counts", "_buckets", "_max_heap", "_min_count", "_total_observed",
+    "evictions",
+)
+_BLOCKHAMMER_STATE = attrgetter("_release", "blacklisted_rows_seen")
+_DUAL_STATE = attrgetter("_active", "_since_swap")
+_GRAPHENE_STATE = attrgetter("resets", "_next_trigger")
+_TWICE_STATE = attrgetter("_entries", "max_entries_seen", "pruned")
 
 _module = None
 _failed = False
@@ -282,11 +317,21 @@ def load():
 # ----------------------------------------------------------------------
 
 
-def _stock(obj) -> bool:
-    """``obj`` is of a stock type the kernel runs, with none of the
-    hooks it runs in C overridden on the instance."""
-    hooks = _HOOKS.get(type(obj))
-    return hooks is not None and obj.__dict__.keys().isdisjoint(hooks)
+def _stock(objects) -> bool:
+    """Every object is of a stock type the kernel runs, with none of the
+    hooks it runs in C overridden on the instance.
+
+    Each type's hook set is resolved once per call, and every object's
+    own attribute names are checked against the union of the hook sets
+    of the types present (mixed schemes share one hook set).
+    """
+    hooks = set()
+    for kind in set(map(type, objects)):
+        kind_hooks = _HOOKS.get(kind)
+        if kind_hooks is None:
+            return False
+        hooks |= kind_hooks
+    return all(map(hooks.isdisjoint, map(vars, objects)))
 
 
 def _int64s(values) -> bool:
@@ -305,155 +350,189 @@ def _double(value) -> bool:
     )
 
 
-def _fresh_summary(summary) -> bool:
-    return not (
-        summary._counts or summary._buckets or summary._max_heap
-        or summary._min_count or summary._total_observed
-        or summary.evictions
-    )
-
-
-def _fresh_filter(cbf_filter) -> bool:
-    """A stock, unobserved filter whose counters are an ``array('q')``
-    of its own size.  The kernel increments those counters in place,
-    exactly as python would, so it needs no check of their values."""
-    counters = cbf_filter._counters
+def _seed(scheme) -> bool:
+    """A PARA/PARFM scheme has not drawn yet (its ``random.Random`` is
+    built at the first draw) and has an int seed the kernel seeds from:
+    ``abs(seed)`` below 2**64, CPython's ``init_by_array`` key."""
+    seed = scheme.seed
     return (
-        _stock(cbf_filter)
-        and type(counters) is array and counters.typecode == "q"
-        and 0 < len(counters) == cbf_filter.size
-        and not cbf_filter._total
+        scheme._rng is None and type(seed) is int
+        and -_UINT64_MAX <= seed <= _UINT64_MAX
     )
 
 
-def _probe_seeds(cbf_filter) -> Optional[tuple]:
-    """The filter's premixed probe seeds, if all fit a uint64."""
-    seeds = tuple(cbf_filter._probe_seeds)
-    if seeds and all(
+def _any_set(getter, objects) -> bool:
+    """Any of ``getter``'s attributes of any object is truthy."""
+    return any(chain.from_iterable(map(getter, objects)))
+
+
+def _fresh(getter, fresh, objects) -> bool:
+    """Every object's ``getter`` state equals ``fresh``, its value as
+    constructed."""
+    return all(map(fresh.__eq__, map(getter, objects)))
+
+
+def _fresh_filters(filters) -> bool:
+    """Stock, unobserved filters whose counters are each an
+    ``array('q')`` of the filter's size.  The kernel increments those
+    counters in place, exactly as python would, so it needs no check of
+    their values."""
+    return _stock(filters) and all(
+        type(f._counters) is array and f._counters.typecode == "q"
+        and 0 < len(f._counters) == f.size and not f._total
+        for f in filters
+    )
+
+
+def _probe_seeds(seeds: tuple) -> bool:
+    """A filter's premixed probe seeds all fit a uint64."""
+    return bool(seeds) and all(
         type(seed) is int and 0 <= seed <= _UINT64_MAX for seed in seeds
-    ):
-        return seeds
-    return None
+    )
 
 
-# Per scheme type: ``scheme -> (fields, extra, owned)`` or None when
-# the scheme's state is not as constructed.  ``fields`` is the scheme
-# half of the bank's fields (``_kernel.c``'s BF_SCHEME.. BF_PLUS:
-# scheme, rows, capacity, threshold, interval, next, split, delay,
-# blast radius, wrap window, counter bits, adaptive threshold, plus),
-# ``extra`` its non-int input and ``owned`` the mutable objects the
-# kernel writes, which no other bank may share.
+# Per scheme type: ``schemes -> (fields, extras, owned)`` for a list of
+# schemes of that type, or None when one's state is not as constructed.
+# ``fields`` holds each scheme's half of its bank's fields
+# (``_kernel.c``'s BF_SCHEME.. BF_PLUS: scheme, rows, capacity,
+# threshold, interval, next, split, delay, blast radius, wrap window,
+# counter bits, adaptive threshold, plus), ``extras`` each one's non-int
+# input and ``owned`` the mutable objects the kernel writes, which no
+# other bank may share.
 
 
-def _pack_none(scheme):
-    return _NO_SCHEME, None, (scheme,)
+def _pack_none(schemes):
+    return [_NO_SCHEME] * len(schemes), [None] * len(schemes), schemes
 
 
-def _pack_mithril(scheme):
-    table = scheme.table
-    summary = table._summary
-    if not (
-        _stock(table) and _stock(summary)
-        and not table._max_spread_seen and _fresh_summary(summary)
-    ):
-        return None
+def _wrap_window(table) -> int:
+    """-1 when unchecked, or wider than any reachable spread."""
     window = table._wrap_window
-    if window is None or window > _INT64_MAX:
-        window = -1  # unchecked, or wider than any reachable spread
-    return (
+    return -1 if window is None or window > _INT64_MAX else window
+
+
+def _pack_mithril(schemes):
+    tables = [scheme.table for scheme in schemes]
+    summaries = [table._summary for table in tables]
+    if not (
+        _stock(tables) and _stock(summaries)
+        and not any(table._max_spread_seen for table in tables)
+        and not _any_set(_SUMMARY_STATE, summaries)
+    ):
+        return None
+    fields = [
         (_SCHEME_MITHRIL, scheme.rows_per_bank, summary.capacity, 0, 0, 0,
-         0, 0, scheme.blast_radius, window, table.counter_bits or 0,
-         scheme.adaptive_th, scheme.plus),
-        None, (scheme, table, summary),
-    )
+         0, 0, scheme.blast_radius, _wrap_window(table),
+         table.counter_bits or 0, scheme.adaptive_th, scheme.plus)
+        for scheme, table, summary in zip(schemes, tables, summaries)
+    ]
+    return fields, [None] * len(schemes), [*schemes, *tables, *summaries]
 
 
-def _pack_blockhammer(scheme):
-    cbf = scheme.cbf
-    filters = cbf._filters
+def _pack_blockhammer(schemes):
+    cbfs = [scheme.cbf for scheme in schemes]
     if not (
-        _stock(cbf) and not scheme._release
-        and not scheme.blacklisted_rows_seen and not cbf._active
-        and not cbf._since_swap and len(filters) == 2
-        and all(map(_fresh_filter, filters))
+        _stock(cbfs) and not _any_set(_BLOCKHAMMER_STATE, schemes)
+        and not _any_set(_DUAL_STATE, cbfs)
+        and all(len(cbf._filters) == 2 for cbf in cbfs)
     ):
         return None
-    extra = tuple((f._counters, _probe_seeds(f)) for f in filters)
-    if any(seeds is None for _counters, seeds in extra):
+    filters = [f for cbf in cbfs for f in cbf._filters]
+    seeds = [tuple(f._probe_seeds) for f in filters]
+    if not (_fresh_filters(filters) and all(map(_probe_seeds, set(seeds)))):
         return None
-    return (
+    counters = [f._counters for f in filters]
+    inputs = list(zip(counters, seeds))
+    fields = [
         (_SCHEME_BLOCKHAMMER, 0, 0, scheme.n_bl, cbf.half_epoch, 0, 0,
-         scheme.delay_cycles, 0, 0, 0, 0, 0),
-        extra, (scheme, cbf, *filters, *(f._counters for f in filters)),
+         scheme.delay_cycles, 0, 0, 0, 0, 0)
+        for scheme, cbf in zip(schemes, cbfs)
+    ]
+    return (
+        fields, list(zip(inputs[0::2], inputs[1::2])),
+        [*schemes, *cbfs, *filters, *counters],
     )
 
 
-def _pack_graphene(scheme):
-    table = scheme.table
+def _pack_graphene(schemes):
+    tables = [scheme.table for scheme in schemes]
     if not (
-        _stock(table) and not scheme.resets and not scheme._next_trigger
-        and _fresh_summary(table)
+        _stock(tables) and not _any_set(_GRAPHENE_STATE, schemes)
+        and not _any_set(_SUMMARY_STATE, tables)
     ):
         return None
-    return (
+    fields = [
         (_SCHEME_GRAPHENE, scheme.rows_per_bank, table.capacity,
          scheme.threshold, scheme.reset_interval_cycles, scheme._next_reset,
-         0, 0, 0, 0, 0, 0, 0),
-        None, (scheme, table),
-    )
+         0, 0, 0, 0, 0, 0, 0)
+        for scheme, table in zip(schemes, tables)
+    ]
+    return fields, [None] * len(schemes), [*schemes, *tables]
 
 
-def _pack_para(scheme):
-    rng = scheme._rng
-    if not (_stock(rng) and _double(scheme.probability)):
-        return None
-    return (
-        (_SCHEME_PARA, scheme.rows_per_bank) + (0,) * 11,
-        (rng.getstate()[1], scheme.probability), (scheme, rng),
-    )
-
-
-def _pack_parfm(scheme):
-    rng = scheme._rng
-    if not (
-        _stock(rng) and scheme._sample is None and not scheme._interval_acts
+def _pack_para(schemes):
+    if not all(
+        _seed(scheme) and _double(scheme.probability) for scheme in schemes
     ):
         return None
     return (
-        (_SCHEME_PARFM, scheme.rows_per_bank, 0, 0, 0, 0, 0, 0,
-         scheme.blast_radius, 0, 0, 0, 0),
-        (rng.getstate()[1],), (scheme, rng),
+        [(_SCHEME_PARA, scheme.rows_per_bank) + (0,) * 11
+         for scheme in schemes],
+        [(abs(scheme.seed), scheme.probability) for scheme in schemes],
+        schemes,
     )
 
 
-def _pack_twice(scheme):
-    if (
-        scheme._entries or scheme.max_entries_seen or scheme.pruned
-        or not _double(scheme.prune_rate)
+def _pack_parfm(schemes):
+    if not all(
+        _seed(scheme) and scheme._sample is None
+        and not scheme._interval_acts
+        for scheme in schemes
     ):
         return None
     return (
-        (_SCHEME_TWICE, scheme.rows_per_bank, 0, scheme.arr_threshold,
-         scheme._trefi_cycles, scheme._next_checkpoint, 0, 0, 0, 0, 0, 0, 0),
-        (scheme.prune_rate,), (scheme, scheme._entries),
+        [(_SCHEME_PARFM, scheme.rows_per_bank, 0, 0, 0, 0, 0, 0,
+          scheme.blast_radius, 0, 0, 0, 0) for scheme in schemes],
+        [(abs(scheme.seed),) for scheme in schemes],
+        schemes,
     )
 
 
-def _pack_cbt(scheme):
+def _pack_twice(schemes):
+    if _any_set(_TWICE_STATE, schemes) or not all(
+        _double(scheme.prune_rate) for scheme in schemes
+    ):
+        return None
+    return (
+        [(_SCHEME_TWICE, scheme.rows_per_bank, 0, scheme.arr_threshold,
+          scheme._trefi_cycles, scheme._next_checkpoint, 0, 0, 0, 0, 0, 0,
+          0) for scheme in schemes],
+        [(scheme.prune_rate,) for scheme in schemes],
+        [*schemes, *(scheme._entries for scheme in schemes)],
+    )
+
+
+def _fresh_cbt(scheme) -> bool:
     root = scheme._root
-    if not (
+    return (
         type(root) is _Node and root.left is None and root.right is None
         and not root.count and root.lo == 0
         and root.hi == scheme.rows_per_bank - 1
         and scheme._counters_used == 1
         and not scheme.refreshed_rows_histogram
-    ):
+    )
+
+
+def _pack_cbt(schemes):
+    if not all(map(_fresh_cbt, schemes)):
         return None
     return (
-        (_SCHEME_CBT, scheme.rows_per_bank, scheme.num_counters,
-         scheme.refresh_threshold, 0, 0, scheme.split_threshold, 0, 0, 0, 0,
-         0, 0),
-        None, (scheme, root, scheme.refreshed_rows_histogram),
+        [(_SCHEME_CBT, scheme.rows_per_bank, scheme.num_counters,
+          scheme.refresh_threshold, 0, 0, scheme.split_threshold, 0, 0, 0, 0,
+          0, 0) for scheme in schemes],
+        [None] * len(schemes),
+        [*schemes, *(scheme._root for scheme in schemes),
+         *(scheme.refreshed_rows_histogram for scheme in schemes)],
     )
 
 
@@ -490,74 +569,102 @@ def _pristine_system(system) -> bool:
     return True
 
 
-def _index_of(objects: list, obj) -> int:
-    """Index of ``obj`` (by identity) in ``objects``, appending it."""
-    for index, known in enumerate(objects):
-        if known is obj:
-            return index
-    objects.append(obj)
-    return len(objects) - 1
+def _dedupe(objects) -> tuple:
+    """(each object's index among the distinct ones, -1 for None; the
+    distinct objects in order of first appearance), by identity."""
+    distinct = {id(obj): obj for obj in objects if obj is not None}
+    index = dict(zip(distinct, range(len(distinct))))
+    index[id(None)] = -1
+    return list(map(index.__getitem__, map(id, objects))), [*distinct.values()]
 
 
-def _bank_fields(controller, scheduler: int, policy, channel_states: list,
-                 faws: list) -> Optional[tuple]:
-    """One bank's fields up to BF_MRR_GATED, in ``_kernel.c``'s order;
-    None when a component is not stock or not pristine.  The tFAW
-    windows, shared by a channel's banks, are checked by ``pack``."""
-    bank = controller.bank
-    refresh = controller.refresh
-    hammer = controller.hammer
-    rfm = controller.rfm_logic
+def _bank_fields(controllers, schemes, bank_channel,
+                 policy) -> Optional[tuple]:
+    """(each bank's fields up to BF_MRR_GATED in ``_kernel.c``'s order,
+    the distinct channel states, the distinct tFAW windows), or None
+    when a component is not stock or not pristine.  The tFAW windows,
+    shared by a channel's banks, are checked by ``pack``."""
+    (timing_models, refreshes, hammers, rfms, channels, policies,
+     energies) = zip(*map(_BANK_PARTS, controllers))
+    hammers_on = [hammer for hammer in hammers if hammer is not None]
+    rfms_on = [rfm for rfm in rfms if rfm is not None]
     if not (
-        _stock(controller) and _stock(bank) and _stock(refresh)
-        and controller.page_policy is policy
-        and (hammer is None
-             or (_stock(hammer) and hammer.blast_weights == (1.0,)))
-        and (rfm is None or (_stock(rfm) and _stock(rfm.raa)))
+        all(bank_policy is policy for bank_policy in policies)
+        and _stock(controllers) and _stock(timing_models)
+        and _stock(refreshes) and _stock(hammers_on) and _stock(rfms_on)
+        and _stock([rfm.raa for rfm in rfms_on])
+        and all(hammer.blast_weights == (1.0,) for hammer in hammers_on)
     ):
         return None
-    if (
-        any(_CONTROLLER_STATE(controller))
-        or bank.open_row is not None
-        or bank._last_act_cycle != _FRESH_LAST_ACT
-        or (hammer is not None and (
-            any(_HAMMER_STATE(hammer))
-            or hammer.max_disturbance_row is not None))
-        or (rfm is not None and any(_RFM_STATE(rfm)))
+    if not (
+        _fresh(_CONTROLLER_STATE, _FRESH_CONTROLLER, controllers)
+        and _fresh(_TIMING_STATE, _FRESH_TIMING, timing_models)
+        and _fresh(_REFRESH_STATE, _FRESH_REFRESH, refreshes)
+        and _fresh(_ENERGY_STATE, _FRESH_ENERGY, energies)
+        and _fresh(_STATS_STATE, _FRESH_STATS,
+                   [scheme.stats for scheme in schemes])
+        and _fresh(_HAMMER_STATE, _FRESH_HAMMER, hammers_on)
+        and _fresh(_RFM_STATE, _FRESH_RFM, rfms_on)
     ):
         return None
-    faw = bank.faw
-    return (
-        _index_of(channel_states, controller.channel_state),
-        -1 if faw is None else _index_of(faws, faw),
-        scheduler,
-        *_CONTROLLER_FIELDS(controller),
-        hammer is not None,
-        0 if hammer is None else hammer.flip_th,
-        0 if hammer is None else hammer.rows_per_bank,
-        rfm is not None,
-        0 if rfm is None else rfm.raa.rfm_th,
-        False if rfm is None else rfm.mrr_gated,
-    )
+    channel_index, channel_states = _dedupe(channels)
+    if any(state.bus_free_cycle for state in channel_states):
+        return None
+    faw_index, faws = _dedupe([bank.faw for bank in timing_models])
+    fields = [
+        (channel, faw, scheduler, *_CONTROLLER_FIELDS(controller),
+         *(_NO_HAMMER if hammer is None
+           else (True, hammer.flip_th, hammer.rows_per_bank)),
+         *(_NO_RFM if rfm is None
+           else (True, rfm.raa.rfm_th, rfm.mrr_gated)))
+        for controller, channel, faw, scheduler, hammer, rfm in zip(
+            controllers, channel_index, faw_index, bank_channel, hammers,
+            rfms,
+        )
+    ]
+    return fields, channel_states, faws
+
+
+def _scheme_fields(schemes) -> Optional[tuple]:
+    """(each bank's scheme half of its fields, extras, the objects the
+    kernel writes), packing each scheme type's banks together; None
+    when a scheme is not covered."""
+    if not _stock(schemes):
+        return None
+    fields = [None] * len(schemes)
+    extras = [None] * len(schemes)
+    owned = []
+    kinds = list(map(type, schemes))
+    for kind in dict.fromkeys(kinds):
+        banks = [index for index, other in enumerate(kinds) if other is kind]
+        packed = _PACKERS[kind]([schemes[index] for index in banks])
+        if packed is None:
+            return None
+        for index, bank_fields, extra in zip(banks, packed[0], packed[1]):
+            fields[index] = bank_fields
+            extras[index] = extra
+        owned.extend(packed[2])
+    return fields, extras, owned
 
 
 def pack(system) -> Optional[tuple]:
     """The kernel's arguments for ``system``, or None when the kernel
     cannot run it exactly: a component of another type or with an
-    instance-patched hook, a probe, a state other than as constructed,
-    a tracker shared between banks, a parameter outside int64 (or a
-    probability outside a C double), a trace row the kernel cannot
-    take, or a host where the kernel does not build."""
+    instance-patched hook, a probe, a state other than as constructed
+    (a PARA/PARFM random stream drawn from included), a tracker shared
+    between banks, a parameter outside int64 (or a probability outside
+    a C double), a seed the kernel cannot take, a trace row the kernel
+    cannot take, or a host where the kernel does not build."""
     if (
         type(system) is not SimulatedSystem or system._probe is not None
         or not system.__dict__.keys().isdisjoint(_SYSTEM_HOOKS)
         or not _pristine_system(system)
     ):
         return None
+    if not _stock(system._schedulers):
+        return None
     schedulers = []
     for scheduler in system._schedulers:
-        if not _stock(scheduler):
-            return None
         if type(scheduler) is BlissScheduler:
             if (
                 scheduler._last_core is not None or scheduler._streak
@@ -568,36 +675,29 @@ def pack(system) -> Optional[tuple]:
                                scheduler.blacklist_cycles))
         else:
             schedulers.append((False, 0, 0))
-    policy = system.banks[0].page_policy
-    if policy is not None and not _stock(policy):
+    controllers = system.banks
+    policy = controllers[0].page_policy
+    if policy is not None and not _stock([policy]):
         return None
     policy_mode = _POLICY_CODES[type(policy)]
-    channel_states: list = []
-    faws: list = []
-    banks = []
-    extras = []
-    owned = []
-    schemes = set()
-    for controller, scheduler in zip(system.banks, system._bank_channel):
-        fields = _bank_fields(controller, scheduler, policy, channel_states,
-                              faws)
-        scheme = controller.scheme
-        packed = _stock(scheme) and _PACKERS[type(scheme)](scheme)
-        if fields is None or not packed:
-            return None
-        scheme_fields, extra, objects = packed
-        banks.append(fields + scheme_fields)
-        extras.append(extra)
-        owned.extend(objects)
-        schemes.add(scheme_fields[0])
+    schemes = [controller.scheme for controller in controllers]
+    bank_half = _bank_fields(controllers, schemes, system._bank_channel,
+                             policy)
+    scheme_half = _scheme_fields(schemes)
+    if bank_half is None or scheme_half is None:
+        return None
+    bank_fields, channel_states, faws = bank_half
+    scheme_fields, extras, owned = scheme_half
     # The kernel gives every bank its own tracker: one shared between
     # banks (or one filter's counters between filters) stays python.
     if len(set(map(id, owned))) != len(owned):
         return None
-    if not all(
-        _stock(faw) and faw.window >= 1 and not faw._recent for faw in faws
+    if not (
+        _stock(faws)
+        and all(faw.window >= 1 and not faw._recent for faw in faws)
     ):
         return None
+    banks = list(map(tuple.__add__, bank_fields, scheme_fields))
     timings = system.config.timings
     config = (  # the order of _kernel.c's CF_* enum
         system.num_banks,
@@ -622,9 +722,11 @@ def pack(system) -> Optional[tuple]:
     scalars.extend(value for fields in distinct for value in fields)
     if not _int64s(scalars):
         return None
+    codes = set()
     cbt_rows = _ROW_LIMIT
     for fields in distinct:
         scheme = fields[_BF_SCHEME]
+        codes.add(scheme)
         if (
             fields[_BF_BLAST_RADIUS] > _MAX_BLAST_RADIUS
             or (scheme in (_SCHEME_GRAPHENE, _SCHEME_TWICE)
@@ -653,9 +755,9 @@ def pack(system) -> Optional[tuple]:
         ))
     if (
         low < -_ROW_LIMIT or high > _ROW_LIMIT
-        or (_SCHEME_BLOCKHAMMER in schemes
+        or (_SCHEME_BLOCKHAMMER in codes
             and (low < 0 or high >= _HASH_MODULUS))
-        or (_SCHEME_CBT in schemes and (low < 0 or high >= cbt_rows))
+        or (_SCHEME_CBT in codes and (low < 0 or high >= cbt_rows))
     ):
         return None
     if load() is None:
@@ -723,37 +825,36 @@ def _write_bank(controller, state) -> None:
          rfm_logic.mrr_reads) = rfm
     hammer = controller.hammer
     if hammer is not None:
-        rows, levels, flips, max_level, max_row = hammer_state
-        hammer._disturbance.update(zip(rows, levels))
-        hammer.flips.extend(
-            FlipEvent(cycle=cycle, row=row, disturbance=level,
-                      aggressor=aggressor)
-            for cycle, row, level, aggressor in flips
-        )
-        hammer.max_disturbance = max_level
-        hammer.max_disturbance_row = max_row
+        (hammer._disturbance, flips, hammer.max_disturbance,
+         hammer.max_disturbance_row) = hammer_state
+        if flips:
+            hammer.flips.extend(
+                FlipEvent(cycle=cycle, row=row, disturbance=level,
+                          aggressor=aggressor)
+                for cycle, row, level, aggressor in flips
+            )
     writer = _WRITERS.get(type(scheme))
     if writer is not None:
         writer(scheme, tracker)
 
 
 def _write_summary(summary, cbs_state) -> None:
-    (rows, counts, buckets, heap, min_count, total_observed,
-     evictions) = cbs_state
-    summary._counts.update(zip(rows, counts))
-    summary._buckets.update(
-        (count, dict.fromkeys(members)) for count, members in buckets
-    )
-    summary._max_heap[:] = heap  # sorted, hence a valid heap
-    summary._min_count = min_count
-    summary._total_observed = total_observed
-    summary.evictions = evictions
+    # the heap comes sorted, hence a valid heap
+    (summary._counts, summary._buckets, summary._max_heap,
+     summary._min_count, summary._total_observed,
+     summary.evictions) = cbs_state
 
 
-def _write_rng(rng, state) -> None:
-    """Hand the kernel's advanced MT19937 state back (None: no draw)."""
+def _write_rng(scheme, state) -> None:
+    """Give a scheme that drew the ``random.Random`` the python loop
+    would have built at its first draw, in the kernel's advanced state
+    (None: no draw, so it stays unbuilt).  ``setstate`` sets every state
+    word, the index and ``gauss_next``, so the instance needs no seeding
+    of its own."""
     if state is not None:
-        rng.setstate((rng.VERSION, state, rng.gauss_next))
+        rng = random.Random.__new__(random.Random)
+        rng.setstate((rng.VERSION, state, None))
+        scheme._rng = rng
 
 
 def _write_mithril(scheme, tracker) -> None:
@@ -763,27 +864,25 @@ def _write_mithril(scheme, tracker) -> None:
 
 def _write_blockhammer(scheme, tracker) -> None:
     cbf = scheme.cbf
-    (totals, cbf._active, cbf._since_swap, (rows, releases),
+    (totals, cbf._active, cbf._since_swap, scheme._release,
      scheme.blacklisted_rows_seen) = tracker
     for cbf_filter, total in zip(cbf._filters, totals):
         cbf_filter._total = total  # counters were written in place
-    scheme._release.update(zip(rows, releases))
 
 
 def _write_graphene(scheme, tracker) -> None:
-    (cbs_state, (rows, triggers), scheme._next_reset,
+    (cbs_state, scheme._next_trigger, scheme._next_reset,
      scheme.resets) = tracker
     _write_summary(scheme.table, cbs_state)
-    scheme._next_trigger.update(zip(rows, triggers))
 
 
 def _write_para(scheme, tracker) -> None:
-    _write_rng(scheme._rng, tracker[0])
+    _write_rng(scheme, tracker[0])
 
 
 def _write_parfm(scheme, tracker) -> None:
     state, scheme._sample, scheme._interval_acts = tracker
-    _write_rng(scheme._rng, state)
+    _write_rng(scheme, state)
 
 
 def _write_twice(scheme, tracker) -> None:

@@ -16,15 +16,16 @@ indices across both filters and the estimate
 (:meth:`DualCountingBloomFilter.observe_and_estimate`).
 
 Probe indices depend only on ``(seed, size, num_hashes, element)``,
-so :func:`probe_index_matrix` hashes a whole batch in one numpy pass
-(the BlockHammer-adversarial attack builder uses it; the native drain
-kernel hashes in C).
+so :func:`probe_index_matrix` hashes a whole batch in one numpy pass:
+the BlockHammer-adversarial attack builder probes its 65,536-row
+search space as one ``np.arange`` of hash bases (a small int hashes
+to itself), and the native drain kernel hashes in C.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Hashable, List, Sequence
+from typing import Hashable, List
 
 import numpy as np
 
@@ -63,18 +64,16 @@ def _finalize(x: np.ndarray) -> np.ndarray:
 
 
 def probe_index_matrix(
-    seed: int, size: int, num_hashes: int, elements: Sequence[Hashable]
+    seed: int, size: int, num_hashes: int, num_rows: int
 ) -> np.ndarray:
-    """(n, num_hashes) int64 probe indices, one vectorized hash pass.
+    """(num_rows, num_hashes) int64 probe indices of the rows
+    ``0 .. num_rows - 1``, one vectorized hash pass.
 
-    Row ``i`` equals ``CountingBloomFilter(size, num_hashes, seed)
-    ._indices(elements[i])``.
+    Row ``r`` equals ``CountingBloomFilter(size, num_hashes, seed)
+    ._indices(r)``.  An int in ``[0, 2**61 - 1)`` (python's int hash
+    modulus) hashes to itself, so the hash bases are one ``np.arange``.
     """
-    bases = np.fromiter(
-        (hash(element) & _MASK64 for element in elements),
-        dtype=np.uint64,
-        count=len(elements),
-    )
+    bases = np.arange(num_rows, dtype=np.uint64)
     seeds = np.array(premix_seeds(seed, num_hashes), dtype=np.uint64)
     mixed = _finalize(bases[:, None] ^ seeds[None, :])
     return (mixed % np.uint64(size)).astype(np.int64)

@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -104,8 +104,22 @@ def _vectorized_probe_matrix(cbf: CountingBloomFilter, search_space: int):
     tests/unit/test_attacks.py.
     """
     return probe_index_matrix(
-        cbf._seed, cbf.size, cbf.num_hashes, range(search_space)
+        cbf._seed, cbf.size, cbf.num_hashes, search_space
     )
+
+
+def _target_hits(cbf: CountingBloomFilter, matrix, target_rows):
+    """Boolean mask over ``matrix``: which probes land on a CBF counter
+    of any of ``target_rows``.
+
+    This is the attacker's whole profiling pass: one lookup of every
+    probe of the search space in a per-counter table of the targets'
+    counters (an ``np.isin`` against them).
+    """
+    targeted = np.zeros(cbf.size, dtype=bool)
+    for row in target_rows:
+        targeted[cbf._indices(row)] = True
+    return targeted[matrix]
 
 
 def find_aliasing_rows(
@@ -121,21 +135,10 @@ def find_aliasing_rows(
     functions are not secret, so rows colliding with a benign thread's
     hot rows can be precomputed (batch-probed over the search space).
     """
-    target_indices = set(cbf._indices(target_row))
     matrix = _vectorized_probe_matrix(cbf, search_space)
-    targets = np.fromiter(
-        target_indices, dtype=np.int64, count=len(target_indices)
-    )
-    shared = np.isin(matrix, targets).sum(axis=1)
-    aliases = []
-    for row in range(search_space):
-        if row == target_row:
-            continue
-        if shared[row] >= min_shared:
-            aliases.append(row)
-            if len(aliases) >= count:
-                break
-    return aliases
+    shared = _target_hits(cbf, matrix, [target_row]).sum(axis=1)
+    aliases = np.flatnonzero(shared >= min_shared)
+    return [row for row in aliases.tolist() if row != target_row][:count]
 
 
 def find_covering_rows(
@@ -150,28 +153,40 @@ def find_covering_rows(
     of the target, pick a different row that also hashes there —
     hammering the set raises every counter and thus the minimum.
     """
-    return _covering_rows(
-        cbf, target_row, _vectorized_probe_matrix(cbf, search_space)
-    )
+    matrix = _vectorized_probe_matrix(cbf, search_space)
+    return _covering_rows(cbf, [target_row], matrix)[0]
 
 
 def _covering_rows(
-    cbf: CountingBloomFilter, target_row: int, matrix
-) -> List[int]:
-    """:func:`find_covering_rows` over a precomputed probe matrix.
+    cbf: CountingBloomFilter, target_rows: Sequence[int], matrix
+) -> List[List[int]]:
+    """:func:`find_covering_rows` of each target over one probe matrix.
 
     ``matrix`` is :func:`_vectorized_probe_matrix` of the same filter
     and search space, so one profiling pass serves every target row of
-    an attacker build.
+    an attacker build.  For each counter of a target, the cover is the
+    lowest row probing that counter that is neither the target nor
+    already one of its covers.
     """
-    covers: List[int] = []
-    for index in dict.fromkeys(cbf._indices(target_row)):
-        for row in np.flatnonzero((matrix == index).any(axis=1)):
-            row = int(row)
-            if row != target_row and row not in covers:
-                covers.append(row)
-                break
-    return covers
+    rows, probes = np.nonzero(_target_hits(cbf, matrix, target_rows))
+    counters = matrix[rows, probes]
+    # Group the hits by counter, rows ascending within each counter.
+    order = np.argsort(counters, kind="stable")
+    counters, rows = counters[order], rows[order]
+    keys, starts = np.unique(counters, return_index=True)
+    stops = np.append(starts[1:], len(rows))
+    spans = dict(zip(keys.tolist(), zip(starts.tolist(), stops.tolist())))
+    groups: List[List[int]] = []
+    for target_row in target_rows:
+        covers: List[int] = []
+        for index in dict.fromkeys(cbf._indices(target_row)):
+            start, stop = spans.get(index, (0, 0))
+            for row in map(int, rows[start:stop]):
+                if row != target_row and row not in covers:
+                    covers.append(row)
+                    break
+        groups.append(covers)
+    return groups
 
 
 def blockhammer_adversarial_trace(
@@ -192,11 +207,10 @@ def blockhammer_adversarial_trace(
     """
     probe = CountingBloomFilter(cbf_size, num_hashes=num_hashes, seed=seed)
     matrix = _vectorized_probe_matrix(probe, PROFILE_SEARCH_SPACE)
-    cover_groups: List[List[int]] = []
-    for row in benign_rows:
-        covers = _covering_rows(probe, row, matrix)
-        if covers:
-            cover_groups.append(covers)
+    cover_groups = [
+        covers for covers in _covering_rows(probe, benign_rows, matrix)
+        if covers
+    ]
     if not cover_groups:
         cover_groups = [[row + 1, row + 3] for row in benign_rows]
     # Budget-aware: fully blacklist one benign row's cover group before

@@ -127,3 +127,57 @@ def test_golden_covers_every_required_scheme():
     workloads = {r["job"]["workload"]["kind"] for r in RECORDS}
     assert {"none", "graphene", "mithril", "mithril+", "blockhammer"} <= schemes
     assert len(workloads) >= 3
+
+
+#: sha256 over the canonical results of paper-scale's fig10 at scale
+#: 0.05 with its first attack seed, across the four paper FlipTH
+#: values (125 points), one ``<job hash>:<result json>`` line per point
+#: in job-hash order.  Captured before the vectorized attacker
+#: profiling, the block-wise PARFM RFM_TH recurrence and the per-seed
+#: MT19937 hand-over, which must all leave every point (every float
+#: too) unchanged.
+FIG10_SMALL_DIGEST = (
+    "102f9a275063b9bcdb533ffaaa9b1003209b02a5288f82c7f47fb97ede6a86cb"
+)
+
+
+def test_fig10_small_campaign_matches_digest():
+    """Every point of a small fig10 sweep (Mithril, Mithril+, PARFM
+    with Appendix C's RFM_TH, BlockHammer under its CBF-aliasing
+    attacker) is byte-identical to the pinned digest."""
+    import hashlib
+
+    from repro.campaigns import get_campaign, plan_campaign
+    from repro.campaigns.spec import (
+        PAPER_SCALE_ATTACK_SEEDS,
+        CampaignSpec,
+        ExperimentSpec,
+    )
+    from repro.engine.executor import execute_job, group_by_workload
+
+    base = next(
+        experiment
+        for experiment in get_campaign("paper-scale").experiments
+        if experiment.name == "fig10-paper"
+    )
+    params = dict(
+        base.params,
+        scale=0.05,
+        attack_seeds=[PAPER_SCALE_ATTACK_SEEDS[0]],
+        flip_thresholds=[12_500, 6_250, 3_125, 1_500],
+    )
+    spec = CampaignSpec(
+        name="fig10-small", description="golden",
+        experiments=[ExperimentSpec(base.name, base.kind, params)],
+    )
+    jobs = plan_campaign(spec).jobs
+    assert len(jobs) == 125
+    lines = {}
+    for job_hash, job in group_by_workload(
+        list(jobs.items()), lambda item: item[1].workload
+    ):
+        lines[job_hash] = _canonical_json(result_to_dict(execute_job(job)))
+    digest = hashlib.sha256("".join(
+        f"{job_hash}:{lines[job_hash]}\n" for job_hash in sorted(lines)
+    ).encode()).hexdigest()
+    assert digest == FIG10_SMALL_DIGEST

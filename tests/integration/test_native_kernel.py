@@ -30,6 +30,7 @@ fallback.
 
 import dataclasses
 import json
+import random
 import shutil
 import warnings
 from pathlib import Path
@@ -171,11 +172,10 @@ def _state(system):
                 scheme.resets,
             )
         elif isinstance(scheme, ParaScheme):
-            record["para"] = scheme._rng.getstate()
+            record["para"] = _rng_state(scheme)
         elif isinstance(scheme, ParfmScheme):
             record["parfm"] = (
-                scheme._rng.getstate(), scheme._sample,
-                scheme._interval_acts,
+                _rng_state(scheme), scheme._sample, scheme._interval_acts,
             )
         elif isinstance(scheme, TwiceScheme):
             record["twice"] = (
@@ -209,6 +209,12 @@ def _state(system):
         "hits": (system.row_hits, system.row_misses),
         "seq": system._seq,
     }
+
+
+def _rng_state(scheme):
+    """A PARA/PARFM scheme's random state; None before its first draw
+    (the ``random.Random`` is built then)."""
+    return None if scheme._rng is None else scheme._rng.getstate()
 
 
 def _tree(node):
@@ -696,17 +702,85 @@ def test_cbt_splits_and_range_refreshes(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["para", "parfm"])
 def test_random_state_round_trip(scheme, monkeypatch):
-    """PARA and PARFM draw from each scheme's own random.Random: the
-    kernel starts from its state and hands the advanced state back."""
+    """PARA and PARFM draw from each scheme's own random.Random, built
+    from its seed at the first draw: the kernel seeds from the seed and
+    hands each bank that drew the advanced state back."""
     def make():
         return _build(_job(scheme, flip_th=1500))
 
     _assert_same_run(make, monkeypatch)
     system = make()
-    before = [c.scheme._rng.getstate() for c in system.banks]
+    assert all(c.scheme._rng is None for c in system.banks)
     system.run()
-    after = [c.scheme._rng.getstate() for c in system.banks]
-    assert any(a != b for a, b in zip(after, before))
+    seeded = random.Random(system.banks[0].scheme.seed).getstate()
+    after = [_rng_state(c.scheme) for c in system.banks]
+    assert any(state not in (None, seeded) for state in after)
+
+
+#: Seeds around CPython's init_by_array key lengths (abs(seed)'s 32-bit
+#: words): 0 and 2**32 - 1 take one word, 2**32 and 2**64 - 1 two, and
+#: a negative seed seeds as its absolute value.
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -5, 5, 0xF00D]
+
+
+def _rng_banks(scheme, seeds, drawn=None):
+    """A PARA or PARFM system whose banks cycle through ``seeds`` (so
+    banks share a seed when there are fewer seeds than the eight banks
+    the cores read); bank ``drawn``'s generator has been drawn from
+    before ``run()``."""
+    rows = [(7 * i) % 97 + 1 for i in range(400)]
+    traces = [_reads(f"c{b}", rows[b::4], bank=b) for b in range(8)]
+    built = []
+
+    def factory():
+        seed = seeds[len(built) % len(seeds)]
+        if scheme == "para":
+            made = ParaScheme(probability=0.3, rows_per_bank=128, seed=seed)
+        else:
+            made = ParfmScheme(rows_per_bank=128, seed=seed)
+        if len(built) == drawn:
+            made._rng = random.Random(seed)
+            for _ in range(3):
+                made._rng.random()
+        built.append(made)
+        return made
+
+    return _small_system(traces, factory)
+
+
+@pytest.mark.parametrize("scheme", ["para", "parfm"])
+def test_distinct_and_shared_seeds_run_on_kernel(scheme, monkeypatch):
+    """Each distinct seed is seeded once and every bank gets its own
+    copy: banks sharing a seed and banks with distinct ones (every key
+    length) hand back exactly the python loop's random states."""
+    for seeds in ([3, 4, 5, 6], _EDGE_SEEDS):
+        _assert_same_run(
+            lambda seeds=seeds: _rng_banks(scheme, seeds), monkeypatch
+        )
+    system = _rng_banks(scheme, _EDGE_SEEDS)
+    system.run()
+    # every bank a core reads drew, one per edge seed
+    assert None not in [_rng_state(c.scheme) for c in system.banks[:8]]
+
+
+@pytest.mark.parametrize("scheme", ["para", "parfm"])
+def test_generator_drawn_before_run_takes_python(scheme, monkeypatch):
+    """A bank whose generator was drawn from before ``run()`` is not as
+    constructed: the system takes the python loop, and every bank's
+    random state (the drawn one, and the others' distinct seeds) ends
+    as in a python run."""
+    def make():
+        return _rng_banks(scheme, [11, 12, 13], drawn=4)
+
+    _assert_python_path(make, monkeypatch)
+
+
+def test_seed_beyond_uint64_takes_python(monkeypatch):
+    """The kernel seeds from abs(seed) below 2**64; a wider int seed
+    keeps the python loop."""
+    _assert_python_path(
+        lambda: _rng_banks("parfm", [2**64 + 3]), monkeypatch
+    )
 
 
 def _campaign_schemes():

@@ -121,12 +121,48 @@ class TestVectorizedProfiler:
         cbf = CountingBloomFilter(size=256, num_hashes=4, seed=0xB10F)
         # One matrix shared across targets, as an attacker build does.
         shared = _vectorized_probe_matrix(cbf, 8192)
-        for target in (7, 123, 5000):
-            expected = self._scalar_covering(cbf, target, 8192)
+        targets = (7, 123, 5000)
+        expected = [
+            self._scalar_covering(cbf, target, 8192) for target in targets
+        ]
+        for target, covers in zip(targets, expected):
             assert find_covering_rows(
                 cbf, target, search_space=8192
-            ) == expected
-            assert _covering_rows(cbf, target, shared) == expected
+            ) == covers
+        assert _covering_rows(cbf, targets, shared) == expected
+
+    @pytest.mark.parametrize("size", [1024, 2048, 4096, 8192])
+    def test_profiling_matches_scalar_sweep_at_campaign_sizes(self, size):
+        """The one profiling pass (probe matrix over the full search
+        space, one lookup of every probe in the targets' counters)
+        equals the scalar loops at the CBF sizes BlockHammer's
+        campaign configurations use, for targets inside and outside
+        the search space, one profiling pass serving them all."""
+        from repro.workloads.attacks import (
+            PROFILE_SEARCH_SPACE,
+            _covering_rows,
+            _vectorized_probe_matrix,
+        )
+
+        cbf = CountingBloomFilter(size=size, num_hashes=4, seed=0xB10F)
+        targets = [3, 1000, 40_961, 65_535, 70_000, 123_456]
+        expected = [
+            self._scalar_covering(cbf, target, PROFILE_SEARCH_SPACE)
+            for target in targets
+        ]
+        matrix = _vectorized_probe_matrix(cbf, PROFILE_SEARCH_SPACE)
+        assert _covering_rows(cbf, targets, matrix) == expected
+        for target, covers in zip(targets, expected):
+            assert find_covering_rows(cbf, target) == covers
+            assert find_aliasing_rows(
+                cbf, target, count=8
+            ) == self._scalar_aliasing(cbf, target, 8, PROFILE_SEARCH_SPACE)
+        # Rows sharing two counters are rare: a scalar sweep of the
+        # full search space would scan it all, so this one is smaller.
+        for target in targets[:2]:
+            assert find_aliasing_rows(
+                cbf, target, count=3, search_space=8192, min_shared=2
+            ) == self._scalar_aliasing(cbf, target, 3, 8192, min_shared=2)
 
     def test_probe_indices_many_matches_scalar(self):
         from repro.workloads.attacks import _vectorized_probe_matrix
