@@ -64,6 +64,7 @@ from repro.engine.durable import atomic_write_json, quarantine_file
 from repro.engine.executor import (
     DEFAULT_MAX_RETRIES,
     group_by_workload,
+    open_pool,
     run_jobs,
 )
 
@@ -402,52 +403,65 @@ class _DrainGuard:
 def _run_batches(plan, manifest, pending, stats, drain, batch_size,
                  progress, tel, **run_kwargs) -> None:
     """Execute ``pending`` in-process, one checkpointed
-    :func:`run_jobs` batch at a time, stopping early on a drain."""
+    :func:`run_jobs` batch at a time, stopping early on a drain.
+
+    Supervised batches share one pool, so workers stay warm from one
+    batch to the next; it is closed (every worker joined) before this
+    returns."""
     from repro import telemetry
 
     name = plan.spec.name
-    for start in range(0, len(pending), batch_size):
-        batch = pending[start:start + batch_size]
-        with telemetry.span("campaign.batch", campaign=name,
-                            batch=stats.batches + 1, points=len(batch)):
-            run_jobs([plan.jobs[job_hash] for job_hash in batch],
-                     on_failure="skip", **run_kwargs)
-        batch_stats = run_jobs.last_stats
-        failed = {f.job_hash for f in batch_stats.failures}
-        stats.batches += 1
-        stats.submitted += len(batch)
-        stats.simulated += batch_stats.simulated
-        stats.cache_hits += batch_stats.cache_hits
-        stats.retried += batch_stats.retried
-        stats.quarantined += len(failed)
-        manifest.mark_completed([h for h in batch if h not in failed])
-        manifest.mark_quarantined(batch_stats.failures)
-        manifest.save()
-        log.debug(
-            "campaign %s batch %d: %d simulated, %d cached, "
-            "%d quarantined", name, stats.batches,
-            batch_stats.simulated, batch_stats.cache_hits, len(failed),
-        )
-        if tel is not None:
-            tel.event(
-                "campaign.batch.done", campaign=name, batch=stats.batches,
-                done=len(manifest.completed), total=plan.total_points,
-                simulated=batch_stats.simulated,
-                cache_hits=batch_stats.cache_hits,
-                retried=batch_stats.retried, quarantined=len(failed),
+    pool = open_pool(run_kwargs["n_jobs"], run_kwargs["job_timeout"],
+                     run_kwargs["max_retries"])
+    try:
+        for start in range(0, len(pending), batch_size):
+            batch = pending[start:start + batch_size]
+            with telemetry.span("campaign.batch", campaign=name,
+                                batch=stats.batches + 1,
+                                points=len(batch)):
+                run_jobs([plan.jobs[job_hash] for job_hash in batch],
+                         on_failure="skip", pool=pool, **run_kwargs)
+            batch_stats = run_jobs.last_stats
+            failed = {f.job_hash for f in batch_stats.failures}
+            stats.batches += 1
+            stats.submitted += len(batch)
+            stats.simulated += batch_stats.simulated
+            stats.cache_hits += batch_stats.cache_hits
+            stats.retried += batch_stats.retried
+            stats.quarantined += len(failed)
+            manifest.mark_completed([h for h in batch if h not in failed])
+            manifest.mark_quarantined(batch_stats.failures)
+            manifest.save()
+            log.debug(
+                "campaign %s batch %d: %d simulated, %d cached, "
+                "%d quarantined", name, stats.batches,
+                batch_stats.simulated, batch_stats.cache_hits,
+                len(failed),
             )
-        if progress is not None:
-            line = (
-                f"[{name}] {len(manifest.completed)}/"
-                f"{plan.total_points} points "
-                f"({batch_stats.simulated} simulated, "
-                f"{batch_stats.cache_hits} cached this batch)"
-            )
-            if failed:
-                line += f", {len(failed)} quarantined"
-            progress(line)
-        if drain.requested:
-            return
+            if tel is not None:
+                tel.event(
+                    "campaign.batch.done", campaign=name,
+                    batch=stats.batches, done=len(manifest.completed),
+                    total=plan.total_points,
+                    simulated=batch_stats.simulated,
+                    cache_hits=batch_stats.cache_hits,
+                    retried=batch_stats.retried, quarantined=len(failed),
+                )
+            if progress is not None:
+                line = (
+                    f"[{name}] {len(manifest.completed)}/"
+                    f"{plan.total_points} points "
+                    f"({batch_stats.simulated} simulated, "
+                    f"{batch_stats.cache_hits} cached this batch)"
+                )
+                if failed:
+                    line += f", {len(failed)} quarantined"
+                progress(line)
+            if drain.requested:
+                return
+    finally:
+        if pool is not None:
+            pool.close()
 
 
 def run_campaign(

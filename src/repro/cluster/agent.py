@@ -4,11 +4,12 @@ One agent process per (logical) host.  It owns no campaign state at
 all: assignments arrive as canonical job JSON over the transport, the
 results land in the shared sealed store through the exact same
 :func:`repro.engine.executor.run_jobs` path a single-host campaign
-uses (per-job leases, retries, quarantine included), and per-job
-``result`` messages flow back to the coordinator.  Killing an agent
-at any instant therefore loses nothing durable — at worst the
-coordinator re-assigns its outstanding chunk and the warm store turns
-the repeat into cache hits.
+uses (per-job leases, retries, quarantine included), on one
+supervised pool the agent keeps for its lifetime so its workers stay
+warm from chunk to chunk, and per-job ``result`` messages flow back
+to the coordinator.  Killing an agent at any instant therefore loses
+nothing durable — at worst the coordinator re-assigns its outstanding
+chunk and the warm store turns the repeat into cache hits.
 
 Liveness is a heartbeat thread: every ``heartbeat_s`` the agent sends
 a ``heartbeat`` message, gated by the ``host.heartbeat`` fault site —
@@ -39,9 +40,9 @@ from repro.cluster.transport import (
     heartbeat_gate,
     host_mailbox,
 )
-from repro.engine.executor import run_jobs
+from repro.engine.executor import open_pool, run_jobs
 from repro.engine.job import SimJob
-from repro.engine.supervisor import JobFailure
+from repro.engine.supervisor import JobFailure, SupervisedPool
 
 #: How often an idle agent polls its inbox.
 DEFAULT_POLL_S = 0.05
@@ -74,6 +75,9 @@ class HostAgent:
         self.heartbeat_s = heartbeat_s
         self.parent_pid = parent_pid
         self._stop = threading.Event()
+        #: Held for the agent's lifetime while :meth:`run` is active,
+        #: so its workers stay warm from chunk to chunk.
+        self._pool: Optional[SupervisedPool] = None
 
     # -- liveness ------------------------------------------------------
 
@@ -130,6 +134,7 @@ class HostAgent:
             max_retries=self.max_retries,
             job_timeout=self.job_timeout,
             on_failure="skip",
+            pool=self._pool,
         )
         stats = run_jobs.last_stats
         failures = {f.job_hash: f for f in stats.failures}
@@ -160,6 +165,8 @@ class HostAgent:
         self._send("hello", host=self.host_id, pid=os.getpid())
         beat = threading.Thread(target=self._heartbeat_loop, daemon=True)
         beat.start()
+        self._pool = open_pool(self.n_jobs, self.job_timeout,
+                               self.max_retries)
         try:
             while True:
                 if self._parent_gone():
@@ -182,6 +189,9 @@ class HostAgent:
                     time.sleep(self.poll_s)
         finally:
             self._stop.set()
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
             if tel is not None:
                 tel.event("host.stop", host=self.host_id, pid=os.getpid())
         self._send("bye", host=self.host_id, pid=os.getpid())

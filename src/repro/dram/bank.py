@@ -53,12 +53,12 @@ class BankTimingModel:
                  faw: Optional[FawTracker] = None):
         self.timings = timings or DramTimings()
         t = self.timings
-        self._trp = t.cycles(t.trp)
-        self._trcd = t.cycles(t.trcd)
-        self._tcl = t.cycles(t.tcl)
-        self._tbl = t.cycles(t.tbl)
-        self._trc = t.cycles(t.trc)
-        self._tras = t.cycles(t.tras)
+        self._trp = t.trp_cycles
+        self._trcd = t.trcd_cycles
+        self._tcl = t.tcl_cycles
+        self._tbl = t.tbl_cycles
+        self._trc = t.trc_cycles
+        self._tras = t.tras_cycles
         self.open_row: Optional[int] = None
         self.ready_cycle = 0          #: bank-free time
         self._last_act_cycle = -1 << 30

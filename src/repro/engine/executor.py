@@ -10,7 +10,9 @@ optional timeouts, crash detection, retry with exponential backoff,
 and quarantine of poison jobs instead of opaque pool errors.
 ``n_jobs=1`` is a deterministic serial path with no pool involved at
 all (unless a ``job_timeout`` is requested, which needs a worker
-process to enforce).
+process to enforce).  A caller that runs many batches keeps one pool
+across them (:func:`open_pool`, ``run_jobs(..., pool=...)``) so its
+workers stay warm between batches.
 
 Worker processes receive only the pickled :class:`SimJob`; traces are
 rebuilt from their seeded generators inside the child, so parallel
@@ -207,6 +209,22 @@ def _execute_serial(
     return results
 
 
+def open_pool(
+    n_jobs: int = 1,
+    job_timeout: Optional[float] = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+) -> Optional[SupervisedPool]:
+    """The pool a caller keeps across :func:`run_jobs` calls made with
+    the same ``n_jobs``/``job_timeout``/``max_retries``, or None when
+    those calls run in-process (``n_jobs=1`` and no timeout).  The
+    pool spawns nothing until its first batch; the caller closes it.
+    """
+    if max(1, int(n_jobs)) == 1 and job_timeout is None:
+        return None
+    return SupervisedPool(n_jobs, job_timeout=job_timeout,
+                          policy=RetryPolicy(max_retries=max_retries))
+
+
 def run_jobs(
     jobs: Iterable[SimJob],
     n_jobs: int = 1,
@@ -216,6 +234,7 @@ def run_jobs(
     job_timeout: Optional[float] = None,
     on_failure: str = "raise",
     retry_policy: Optional[RetryPolicy] = None,
+    pool: Optional[SupervisedPool] = None,
 ) -> List[Optional[SimulationResult]]:
     """Run a batch of jobs; results align with the input order.
 
@@ -235,6 +254,12 @@ def run_jobs(
     the records.
     ``retry_policy`` — full :class:`RetryPolicy` override (backoff
     shape); wins over ``max_retries``.
+    ``pool`` — a caller-owned :class:`SupervisedPool` (see
+    :func:`open_pool`) that supervised execution runs on instead of a
+    pool of its own, so its workers stay warm across calls; its
+    ``job_timeout`` and policy govern the leases.  The caller closes
+    it.  Without one, a supervised call opens a pool and closes it
+    before returning.
     """
     if on_failure not in ("raise", "skip"):
         raise ValueError(
@@ -291,11 +316,11 @@ def run_jobs(
             workers=workers, supervised=supervised,
         ):
             if supervised:
-                pool = SupervisedPool(
+                active = pool if pool is not None else SupervisedPool(
                     workers, job_timeout=job_timeout, policy=policy
                 )
                 try:
-                    outcome = pool.run(missing)
+                    outcome = active.run(missing)
                 except OSError as error:
                     warnings.warn(
                         f"worker pool unavailable ({error}); "
@@ -314,6 +339,9 @@ def run_jobs(
                         stats.timing_breakdown["queue_wait"] = round(
                             outcome.queue_wait_s, 6
                         )
+                finally:
+                    if active is not pool:
+                        active.close()
             else:
                 executed = _execute_serial(missing, policy, stats)
         stats.timing_breakdown["execute"] = time.perf_counter() - t0

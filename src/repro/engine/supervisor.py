@@ -8,9 +8,13 @@ raising job surfaces as an opaque error with no record of *which* job
 died.  This module replaces it with a supervisor that treats worker
 death as an expected event:
 
-* **pull model** — each worker owns a dedicated task queue and is
+* **pull model** — each worker owns a dedicated task pipe and is
   handed one job at a time, so the supervisor always knows which job a
   worker holds (the *lease*) and since when;
+* **private result pipes** — each worker also posts its results on a
+  pipe of its own, written from its main thread, so a worker that dies
+  (or is killed) mid-message tears only its own pipe, never a channel
+  the other workers share;
 * **timeouts** — a lease older than ``job_timeout`` gets its worker
   killed (``SIGKILL``) and replaced; the job counts a failed attempt;
 * **retry with backoff** — failed attempts (exception, crash,
@@ -26,6 +30,24 @@ The retry-or-quarantine decision lives in one place, the
 :class:`RetryLedger`; the pool here and the executor's in-process
 serial path both feed it their failed attempts.
 
+A pool outlives its batches: :class:`SupervisedPool` spawns workers at
+its first :meth:`~SupervisedPool.run` and keeps them across later
+runs, so a campaign's checkpoint batches (or a host agent's chunks)
+share warm worker processes — the loaded kernel, the held workload and
+every per-process cache survive from one batch to the next.  Its owner
+closes it, which joins (and so reaps) every worker.  Two rules keep a
+long-lived pool as trustworthy as a fresh one:
+
+* a worker found dead while idle is replaced before work is assigned,
+  and no job is charged an attempt for it;
+* a run that killed or lost a worker mid-lease (crash, timeout) closes
+  the pool as it ends, so the next run starts on all-fresh workers
+  rather than on the survivors of a run that went wrong.
+
+Workers do not outlive their supervisor either: an idle worker polls
+its task pipe and exits once its parent process is gone, so a
+hard-killed campaign or agent leaves no orphan holding its pipes.
+
 Workers run :func:`repro.engine.executor.execute_job` behind the
 ``worker.execute`` fault-injection site (:mod:`repro.faults`), which
 is how the tests provoke every path above deterministically.
@@ -36,10 +58,11 @@ from __future__ import annotations
 import heapq
 import logging
 import multiprocessing
-import queue as queue_mod
+import os
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait as wait_any
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.job import SimJob
@@ -50,6 +73,9 @@ _POLL_S = 0.25
 
 #: Interval between supervisor heartbeat events (telemetry on only).
 _HEARTBEAT_S = 1.0
+
+#: How often an idle worker checks that its supervisor is still alive.
+_ORPHAN_POLL_S = 0.5
 
 log = logging.getLogger("repro.engine.supervisor")
 
@@ -193,8 +219,14 @@ class RetryLedger:
         return delay
 
 
-def _worker_main(task_queue, result_queue) -> None:
-    """Worker loop: one job per lease, structured error capture."""
+def _worker_main(tasks, results, parent_pid: int) -> None:
+    """Worker loop: one job per lease, structured error capture.
+
+    Each outcome is sent on ``results`` synchronously, before the
+    worker takes its next lease.  While idle the worker polls ``tasks``
+    and exits once its parent is no longer ``parent_pid``: a supervisor
+    that died without closing its pool leaves no orphan behind.
+    """
     from repro import faults, telemetry
     from repro.engine.executor import execute_job
 
@@ -205,7 +237,14 @@ def _worker_main(task_queue, result_queue) -> None:
     if tel is not None:
         tel.set_role("worker")
     while True:
-        item = task_queue.get()
+        if not tasks.poll(_ORPHAN_POLL_S):
+            if os.getppid() != parent_pid:
+                return
+            continue
+        try:
+            item = tasks.recv()
+        except EOFError:
+            return
         if item is None:
             return
         job_hash, job = item
@@ -220,37 +259,52 @@ def _worker_main(task_queue, result_queue) -> None:
                     "job.error", job=job_hash,
                     message=f"{type(error).__name__}: {error}",
                 )
-            result_queue.put((
+            message = (
                 "err", job_hash,
                 f"{type(error).__name__}: {error}",
                 traceback.format_exc(),
-            ))
+            )
         else:
             if tel is not None:
                 tel.event("job.ok", job=job_hash)
-            result_queue.put(("ok", job_hash, result, None))
+            message = ("ok", job_hash, result, None)
+        try:
+            results.send(message)
+        except OSError:
+            return  # the supervisor is gone
 
 
 class _Worker:
     """One supervised worker process and its lease state."""
 
-    __slots__ = ("proc", "task_queue", "current", "deadline", "lease_wall")
+    __slots__ = ("proc", "tasks", "results", "current", "deadline",
+                 "lease_wall")
 
-    def __init__(self, ctx, result_queue):
-        self.task_queue = ctx.SimpleQueue()
+    def __init__(self, ctx):
+        inbox, self.tasks = ctx.Pipe(duplex=False)
+        self.results, outbox = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(self.task_queue, result_queue),
+            args=(inbox, outbox, os.getpid()),
             daemon=True,
         )
         self.proc.start()
+        # The child holds its own ends; workers forked later must not,
+        # and a dead worker's result pipe must read as EOF here.
+        inbox.close()
+        outbox.close()
         self.current: Optional[str] = None
         self.deadline: Optional[float] = None
         self.lease_wall: Optional[float] = None
 
     def assign(self, job_hash: str, job: SimJob,
                timeout: Optional[float]) -> None:
-        self.task_queue.put((job_hash, job))
+        try:
+            self.tasks.send((job_hash, job))
+        except OSError:
+            # The worker is gone; the reap pass finds it dead holding
+            # this lease and fails the attempt like any crash.
+            pass
         self.current = job_hash
         self.deadline = (
             time.monotonic() + timeout if timeout is not None else None
@@ -262,22 +316,27 @@ class _Worker:
         self.deadline = None
         self.lease_wall = None
 
+    def stop(self) -> None:
+        """Ask the worker to exit once it is idle."""
+        try:
+            self.tasks.send(None)
+        except OSError:
+            pass
+
     def close(self, kill: bool = False) -> None:
+        """Join the worker (killed first on ``kill``, or when it does
+        not exit in time) and drop its pipes."""
         try:
             if kill:
                 self.proc.kill()
-            elif self.proc.is_alive():
-                self.task_queue.put(None)
             self.proc.join(timeout=2.0)
             if self.proc.is_alive():
                 self.proc.kill()
                 self.proc.join(timeout=2.0)
         except (OSError, ValueError):
             pass
-        try:
-            self.task_queue.close()
-        except (OSError, AttributeError):
-            pass
+        self.tasks.close()
+        self.results.close()
 
 
 @dataclass
@@ -294,12 +353,16 @@ class PoolOutcome:
 
 
 class SupervisedPool:
-    """Run a batch of unique jobs under supervision.
+    """Run batches of unique jobs under supervision, on workers kept
+    warm from one batch to the next.
 
-    One-shot: construct, :meth:`run`, done (workers are recycled
-    between batches by construction — a campaign batch is the unit of
-    checkpointing anyway).  ``n_workers`` processes execute jobs;
-    ``job_timeout`` (seconds, None = unbounded) bounds each lease.
+    Constructing a pool spawns nothing.  Each :meth:`run` replaces any
+    worker that died while idle, tops the pool up to
+    ``min(n_workers, len(batch))`` workers and reuses the live ones;
+    :meth:`close` — or leaving a ``with`` block — joins them all.  A run
+    that killed or lost a worker mid-lease closes the pool itself.
+    ``n_workers`` bounds the processes; ``job_timeout`` (seconds, None =
+    unbounded) bounds each lease.
     """
 
     def __init__(
@@ -312,6 +375,34 @@ class SupervisedPool:
         self.job_timeout = job_timeout
         self.policy = policy or RetryPolicy()
         self.ctx = multiprocessing.get_context()
+        self._workers: List[_Worker] = []
+
+    def __enter__(self) -> "SupervisedPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Join every worker.
+
+        Idempotent.  Idle workers exit at a sentinel; a worker still
+        holding a lease (a run that raised) is killed.  A later
+        :meth:`run` starts fresh workers.
+        """
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            if worker.current is None:
+                worker.stop()
+        for worker in workers:
+            worker.close(kill=worker.current is not None)
+
+    def _spawn(self, tel, replaces: Optional[int] = None) -> _Worker:
+        worker = _Worker(self.ctx)
+        if tel is not None:
+            extra = {} if replaces is None else {"replaces": replaces}
+            tel.event("worker.spawn", worker=worker.proc.pid, **extra)
+        return worker
 
     def run(self, items: List[Tuple[str, SimJob]]) -> PoolOutcome:
         from repro import telemetry
@@ -323,18 +414,20 @@ class SupervisedPool:
         tel = telemetry.get()
         if tel is not None:
             tel.set_role("supervisor")
-        result_queue = self.ctx.Queue()
-        workers = [
-            _Worker(self.ctx, result_queue)
-            for _ in range(min(self.n_workers, len(jobs)))
-        ]
+        workers = self._workers
+        for index, worker in enumerate(workers):
+            if not worker.proc.is_alive():
+                # Died between runs, holding no lease: no job pays.
+                log.warning("idle worker %s died (exit %s); replacing",
+                            worker.proc.pid, worker.proc.exitcode)
+                worker.close()
+                workers[index] = self._spawn(tel, replaces=worker.proc.pid)
+        while len(workers) < min(self.n_workers, len(jobs)):
+            workers.append(self._spawn(tel))
         log.info(
             "pool: %d worker(s) over %d job(s), timeout=%s",
             len(workers), len(jobs), self.job_timeout,
         )
-        if tel is not None:
-            for worker in workers:
-                tel.event("worker.spawn", worker=worker.proc.pid)
         ledger = RetryLedger(jobs, self.policy)
         start_mono = time.monotonic()
         # Monotonic instant each job (re-)became eligible, for the
@@ -349,6 +442,7 @@ class SupervisedPool:
         seq_counter = len(ready)
         remaining = set(jobs)
         last_heartbeat = start_mono
+        lost_worker = False
 
         def lease_closed(worker: "_Worker", result: str) -> None:
             """Stamp the supervisor-side lease span for a finished (or
@@ -414,18 +508,22 @@ class SupervisedPool:
                     wait = min(wait, max(0.01, min(deadlines) - now))
                 if ready:
                     wait = min(wait, max(0.01, ready[0][0] - now))
-                try:
-                    tag, job_hash, payload, trace = result_queue.get(
-                        timeout=wait
-                    )
-                except queue_mod.Empty:
-                    tag = None
-                if tag is not None:
-                    for worker in workers:
-                        if worker.current == job_hash:
-                            lease_closed(worker, tag)
-                            worker.release()
-                            break
+                leased = {
+                    w.results: w for w in workers if w.current is not None
+                }
+                for conn in wait_any(list(leased), timeout=wait):
+                    worker = leased[conn]
+                    try:
+                        tag, job_hash, payload, trace = conn.recv()
+                    except (EOFError, OSError):
+                        # The worker died, maybe mid-message; the reap
+                        # pass below charges its lease as a crash.
+                        worker.proc.join(timeout=_POLL_S)
+                        continue
+                    if job_hash != worker.current:
+                        continue  # not this lease's outcome: stale
+                    lease_closed(worker, tag)
+                    worker.release()
                     if tag == "ok":
                         if job_hash in remaining:
                             outcome.results[job_hash] = payload
@@ -460,18 +558,16 @@ class SupervisedPool:
                         lease_closed(worker, "crash")
                         worker.release()
                         worker.close(kill=True)
-                        workers[index] = _Worker(self.ctx, result_queue)
+                        lost_worker = True
                         if tel is not None:
                             tel.event(
                                 "worker.crash", tid=worker.proc.pid,
                                 job=job_hash,
                                 exit_code=worker.proc.exitcode,
                             )
-                            tel.event(
-                                "worker.spawn",
-                                worker=workers[index].proc.pid,
-                                replaces=worker.proc.pid,
-                            )
+                        workers[index] = self._spawn(
+                            tel, replaces=worker.proc.pid
+                        )
                         attempt_failed(
                             job_hash, "worker-crash",
                             "worker process died mid-job "
@@ -490,30 +586,27 @@ class SupervisedPool:
                         lease_closed(worker, "timeout")
                         worker.release()
                         worker.close(kill=True)
-                        workers[index] = _Worker(self.ctx, result_queue)
+                        lost_worker = True
                         if tel is not None:
                             tel.event(
                                 "timeout.kill", tid=worker.proc.pid,
                                 job=job_hash, timeout=self.job_timeout,
                             )
-                            tel.event(
-                                "worker.spawn",
-                                worker=workers[index].proc.pid,
-                                replaces=worker.proc.pid,
-                            )
+                        workers[index] = self._spawn(
+                            tel, replaces=worker.proc.pid
+                        )
                         attempt_failed(
                             job_hash, "timeout",
                             f"lease exceeded {self.job_timeout}s; "
                             "worker killed",
                         )
-        finally:
-            for worker in workers:
-                worker.close()
-            try:
-                result_queue.close()
-                result_queue.join_thread()
-            except (OSError, AttributeError):
-                pass
+        except BaseException:
+            self.close()
+            raise
+        if lost_worker:
+            # The survivors of a run that lost a worker are not
+            # trusted with the next one: it starts from scratch.
+            self.close()
         outcome.failures = ledger.failures
         outcome.retried = ledger.retried
         return outcome

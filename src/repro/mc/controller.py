@@ -54,7 +54,7 @@ class BankController:
         self.config = config
         self.scheme = scheme or NoProtection()
         self.channel_state = channel_state or ChannelState(
-            faw=FawTracker(timings.cycles(timings.tfaw))
+            faw=FawTracker(timings.tfaw_cycles)
         )
         self.bank = BankTimingModel(timings, faw=self.channel_state.faw)
         self.refresh = AutoRefreshEngine(timings, organization)

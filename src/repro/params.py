@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 
 #: DDR5-4800 command-clock period in nanoseconds (2400 MHz command clock).
@@ -47,23 +48,52 @@ class DramTimings:
         """Convert a duration in nanoseconds to whole clock cycles."""
         return int(math.ceil(nanoseconds / self.tck - 1e-9))
 
-    @property
+    # Each ``*_cycles`` value is derived once per timings object and
+    # kept in the instance ``__dict__`` (which the frozen dataclass's
+    # eq, hash, ``replace`` and ``asdict`` never read): every bank of
+    # a system reads the same handful of them at build time.
+
+    @cached_property
     def trc_cycles(self) -> int:
         return self.cycles(self.trc)
 
-    @property
+    @cached_property
+    def tras_cycles(self) -> int:
+        return self.cycles(self.tras)
+
+    @cached_property
+    def trp_cycles(self) -> int:
+        return self.cycles(self.trp)
+
+    @cached_property
+    def trcd_cycles(self) -> int:
+        return self.cycles(self.trcd)
+
+    @cached_property
+    def tcl_cycles(self) -> int:
+        return self.cycles(self.tcl)
+
+    @cached_property
+    def tbl_cycles(self) -> int:
+        return self.cycles(self.tbl)
+
+    @cached_property
     def trfc_cycles(self) -> int:
         return self.cycles(self.trfc)
 
-    @property
+    @cached_property
     def trfm_cycles(self) -> int:
         return self.cycles(self.trfm)
 
-    @property
+    @cached_property
+    def tfaw_cycles(self) -> int:
+        return self.cycles(self.tfaw)
+
+    @cached_property
     def trefi_cycles(self) -> int:
         return self.cycles(self.trefi)
 
-    @property
+    @cached_property
     def trefw_cycles(self) -> int:
         return self.cycles(self.trefw)
 

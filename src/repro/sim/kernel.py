@@ -702,12 +702,12 @@ def pack(system) -> Optional[tuple]:
     config = (  # the order of _kernel.c's CF_* enum
         system.num_banks,
         system._seq,
-        timings.cycles(timings.trp),
-        timings.cycles(timings.trcd),
-        timings.cycles(timings.tcl),
-        timings.cycles(timings.tbl),
-        timings.cycles(timings.trc),
-        timings.cycles(timings.tras),
+        timings.trp_cycles,
+        timings.trcd_cycles,
+        timings.tcl_cycles,
+        timings.tbl_cycles,
+        timings.trc_cycles,
+        timings.tras_cycles,
         policy_mode,
         policy.burst_limit if policy_mode == 2 else 0,
     )

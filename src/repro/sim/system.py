@@ -115,7 +115,7 @@ class SimulatedSystem:
         banks_per_channel = org.ranks_per_channel * org.banks_per_rank
         timings = config.timings
         self._channels = [
-            ChannelState(faw=FawTracker(timings.cycles(timings.tfaw)))
+            ChannelState(faw=FawTracker(timings.tfaw_cycles))
             for _ in range(org.channels)
         ]
         self._schedulers = [

@@ -153,6 +153,34 @@ class TestKillMidManifestWrite:
         assert stats["submitted"] == 0
         assert stats["simulated"] == 0
 
+    def test_hard_kill_leaves_no_orphan_worker(self, harness):
+        """With ``--jobs 2`` one pool serves every batch, so its workers
+        sit idle between checkpoints.  A kill -9 of the campaign process
+        there must not orphan them: they would hold the captured
+        stdout/stderr pipes open and ``subprocess.run`` would wait out
+        its whole timeout.  The resume then re-simulates nothing that
+        reached the store."""
+        import time
+
+        total = plan_campaign(_tiny_spec()).total_points
+        cache = ResultCache(harness["env"]["REPRO_CACHE_DIR"])
+        start = time.monotonic()
+        proc = _run(harness, "--jobs", "2", check=False, faults=[
+            {"site": "manifest.write", "kind": "crash",
+             "hard": True, "times": 1, "match": "chaos-test"},
+        ])
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+        assert time.monotonic() - start < 120
+        stored_before_resume = cache.entry_count()
+        assert 0 < stored_before_resume < total
+
+        _run(harness, "--jobs", "2")
+        stats = _last_run_stats(harness)
+        assert stats["simulated"] == total - stored_before_resume
+        audit = _verify(harness)
+        assert audit["ok"], audit
+        assert audit["verified"] == total
+
     def test_torn_manifest_recovers_from_prev_rotation(self, harness):
         """A torn manifest primary costs at most one batch of
         completion records: load quarantines the torn file, falls back

@@ -9,6 +9,8 @@ an opaque pool error.
 """
 
 import json
+import os
+import signal
 
 import pytest
 
@@ -19,8 +21,10 @@ from repro.engine import (
     result_to_dict,
     run_jobs,
 )
-from repro.engine.supervisor import RetryPolicy
+from repro.engine import supervisor
+from repro.engine.supervisor import RetryPolicy, SupervisedPool
 from repro.faults import FAULT_PLAN_ENV
+from repro.telemetry import merge_events, summarize_events
 
 TINY = 0.1
 
@@ -208,3 +212,171 @@ class TestDeterminism:
                            retry_policy=_fast_policy())
         assert run_jobs.last_stats.retried == 2
         assert _dumps(clean) == _dumps(faulted)
+
+
+def _items(jobs):
+    return [(job.job_hash(), job) for job in jobs]
+
+
+def _pids(pool):
+    return [worker.proc.pid for worker in pool._workers]
+
+
+def _assert_reaped(pids):
+    """Every pid is gone and reaped: no longer a child of this process."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestPoolLifecycle:
+    """One pool serves many batches: live workers are reused, a worker
+    that died idle is replaced for free, a run that lost a worker
+    hands the next run a fresh pool, and close() reaps everything."""
+
+    def test_runs_reuse_the_same_workers(self):
+        jobs = _tiny_jobs(3)
+        with SupervisedPool(2, policy=_fast_policy()) as pool:
+            assert _pids(pool) == []  # constructing spawns nothing
+            first = pool.run(_items(jobs[:2]))
+            pids = _pids(pool)
+            second = pool.run(_items(jobs[1:]))
+            assert _pids(pool) == pids
+        assert len(pids) == 2
+        assert set(first.results) == {j.job_hash() for j in jobs[:2]}
+        assert set(second.results) == {j.job_hash() for j in jobs[1:]}
+        assert first.retried == second.retried == 0
+        _assert_reaped(pids)
+
+    def test_worker_killed_while_idle_is_replaced_for_free(
+        self, monkeypatch, tmp_path
+    ):
+        jobs = _tiny_jobs(3)
+        tel_dir = tmp_path / "tel"
+        monkeypatch.setenv("REPRO_TELEMETRY", str(tel_dir))
+        with SupervisedPool(2, policy=_fast_policy()) as pool:
+            run_jobs(jobs[:2], n_jobs=2, use_cache=False, pool=pool)
+            victim, survivor = _pids(pool)
+            os.kill(victim, signal.SIGKILL)
+            # Wait for the death without reaping it: the pool must
+            # notice on its own.
+            os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
+            results = run_jobs(jobs, n_jobs=2, use_cache=False, pool=pool)
+            stats = run_jobs.last_stats
+            after = _pids(pool)
+        assert all(r is not None for r in results)
+        assert stats.retried == 0 and stats.failed == 0
+        assert victim not in after and survivor in after
+        merged = merge_events(tel_dir)
+        assigns = [r for r in merged if r["kind"] == "lease.assign"]
+        # one attempt per job: 2 in the first batch, 3 in the second
+        assert len(assigns) == 5
+        assert {r["attempt"] for r in assigns} == {1}
+        respawn = [
+            r for r in merged
+            if r["kind"] == "worker.spawn" and "replaces" in r
+        ]
+        assert [r["replaces"] for r in respawn] == [victim]
+        assert summarize_events(merged)["kinds"].get("worker.crash") is None
+        _assert_reaped(after + [victim])
+
+    def test_run_that_lost_a_worker_leaves_a_fresh_pool(
+        self, monkeypatch, tmp_path
+    ):
+        jobs = _tiny_jobs(3)
+        _activate(monkeypatch, tmp_path, [
+            {"site": "worker.execute", "kind": "crash",
+             "match": jobs[2].job_hash(), "times": 1},
+        ])
+        with SupervisedPool(2, policy=_fast_policy()) as pool:
+            pool.run(_items(jobs[:2]))
+            warm = _pids(pool)
+            crashed = pool.run(_items(jobs[1:]))
+            assert _pids(pool) == []  # closed by the run that crashed
+            fresh = pool.run(_items(jobs[:2]))
+            renewed = _pids(pool)
+        assert crashed.retried == 1 and not crashed.failures
+        assert set(crashed.results) == {j.job_hash() for j in jobs[1:]}
+        assert len(fresh.results) == 2
+        assert len(renewed) == 2 and not set(renewed) & set(warm)
+        _assert_reaped(warm + renewed)
+
+    def test_close_is_idempotent_and_leaves_no_live_child(self):
+        pool = SupervisedPool(2, policy=_fast_policy())
+        pool.close()  # nothing spawned yet
+        pool.run(_items(_tiny_jobs(2)))
+        pids = _pids(pool)
+        assert len(pids) == 2
+        pool.close()
+        pool.close()
+        assert _pids(pool) == []
+        _assert_reaped(pids)
+
+    def test_stale_queued_result_outside_the_batch_is_ignored(
+        self, monkeypatch
+    ):
+        """Every worker posts an ok and an err for a hash outside the
+        batch ahead of its first real outcome; neither may land."""
+        worker_main = supervisor._worker_main
+        stale = "f" * 64
+
+        def chatty_worker(tasks, results, parent_pid):
+            results.send(("ok", stale, "not a result", None))
+            results.send(("err", stale, "stale failure", None))
+            worker_main(tasks, results, parent_pid)
+
+        monkeypatch.setattr(supervisor, "_worker_main", chatty_worker)
+        jobs = _tiny_jobs(3)
+        with SupervisedPool(2, policy=_fast_policy()) as pool:
+            outcome = pool.run(_items(jobs))
+        assert set(outcome.results) == {j.job_hash() for j in jobs}
+        assert outcome.retried == 0 and outcome.failures == {}
+        expected = run_jobs(jobs, use_cache=False)
+        assert _dumps([outcome.results[j.job_hash()] for j in jobs]) == \
+            _dumps(expected)
+
+    def test_multi_batch_campaign_identical_at_one_and_two_jobs(
+        self, monkeypatch, tmp_path
+    ):
+        """Warm workers change only where points run: a campaign split
+        into several checkpoint batches stores byte-identical results
+        serially and on a two-worker pool, the pool spawns its two
+        workers once for all batches, and run_campaign reaps them
+        before it returns."""
+        from repro.campaigns import (
+            CampaignSpec,
+            ExperimentSpec,
+            plan_campaign,
+            run_campaign,
+        )
+        from repro.engine import ResultCache
+
+        spec = CampaignSpec(name="pool-batches", experiments=[
+            ExperimentSpec(name="f11", kind="fig11", params=dict(
+                scale=0.05, flip_thresholds=[6_250],
+                schemes=["mithril"], attack_seeds=[31],
+            )),
+        ])
+        jobs = list(plan_campaign(spec).jobs.values())
+        stored = {}
+        for n_jobs in (1, 2):
+            if n_jobs == 2:
+                monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "tel"))
+            cache_dir = tmp_path / f"cache-{n_jobs}"
+            outcome = run_campaign(
+                spec, directory=tmp_path / f"campaigns-{n_jobs}",
+                cache_dir=cache_dir, batch_size=4, n_jobs=n_jobs,
+            )
+            assert outcome.complete
+            assert outcome.stats.batches > 1
+            assert outcome.stats.simulated == len(jobs)
+            cache = ResultCache(cache_dir)
+            stored[n_jobs] = _dumps([cache.get(job) for job in jobs])
+        assert stored[1] == stored[2]
+        spawns = [
+            r for r in merge_events(tmp_path / "tel")
+            if r["kind"] == "worker.spawn"
+        ]
+        assert len(spawns) == 2
+        assert not any("replaces" in r for r in spawns)
+        _assert_reaped([r["worker"] for r in spawns])

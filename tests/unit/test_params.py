@@ -29,6 +29,23 @@ class TestDramTimings:
         assert timings.cycles(timings.tck * 1.5) == 2
         assert timings.cycles(0.0) == 0
 
+    def test_cached_cycles_leave_the_dataclass_contract_alone(self):
+        """Each ``*_cycles`` value is computed once per object; reading
+        it changes nothing eq, hash, replace or asdict see."""
+        import dataclasses
+
+        names = ("trc", "tras", "trp", "trcd", "tcl", "tbl", "trfc",
+                 "trfm", "tfaw", "trefi", "trefw")
+        timings, fresh = DramTimings(), DramTimings()
+        for name in names:
+            assert getattr(timings, f"{name}_cycles") == \
+                timings.cycles(getattr(timings, name))
+        assert timings == fresh and hash(timings) == hash(fresh)
+        assert dataclasses.asdict(timings) == dataclasses.asdict(fresh)
+        slower = dataclasses.replace(timings, tck=2 * timings.tck)
+        assert slower.trc_cycles == slower.cycles(slower.trc)
+        assert slower.trc_cycles < timings.trc_cycles
+
     def test_acts_per_trefw_scale(self, timings):
         acts = timings.acts_per_trefw()
         # ~608k for DDR5-4800 with tRFC=295ns/tREFI=3.9us
