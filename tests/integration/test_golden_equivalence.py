@@ -141,19 +141,39 @@ FIG10_SMALL_DIGEST = (
 )
 
 
+def _campaign_digest(spec) -> "tuple[int, str]":
+    """(point count, sha256) over every point of ``spec``'s plan.
+
+    One ``<job hash>:<canonical result json>`` line per point, in
+    job-hash order; points sharing a workload run back to back.
+    """
+    import hashlib
+
+    from repro.campaigns import plan_campaign
+    from repro.engine.executor import execute_job, group_by_workload
+
+    jobs = plan_campaign(spec).jobs
+    lines = {}
+    for job_hash, job in group_by_workload(
+        list(jobs.items()), lambda item: item[1].workload
+    ):
+        lines[job_hash] = _canonical_json(result_to_dict(execute_job(job)))
+    digest = hashlib.sha256("".join(
+        f"{job_hash}:{lines[job_hash]}\n" for job_hash in sorted(lines)
+    ).encode()).hexdigest()
+    return len(jobs), digest
+
+
 def test_fig10_small_campaign_matches_digest():
     """Every point of a small fig10 sweep (Mithril, Mithril+, PARFM
     with Appendix C's RFM_TH, BlockHammer under its CBF-aliasing
     attacker) is byte-identical to the pinned digest."""
-    import hashlib
-
-    from repro.campaigns import get_campaign, plan_campaign
+    from repro.campaigns import get_campaign
     from repro.campaigns.spec import (
         PAPER_SCALE_ATTACK_SEEDS,
         CampaignSpec,
         ExperimentSpec,
     )
-    from repro.engine.executor import execute_job, group_by_workload
 
     base = next(
         experiment
@@ -170,14 +190,93 @@ def test_fig10_small_campaign_matches_digest():
         name="fig10-small", description="golden",
         experiments=[ExperimentSpec(base.name, base.kind, params)],
     )
-    jobs = plan_campaign(spec).jobs
-    assert len(jobs) == 125
-    lines = {}
-    for job_hash, job in group_by_workload(
-        list(jobs.items()), lambda item: item[1].workload
-    ):
-        lines[job_hash] = _canonical_json(result_to_dict(execute_job(job)))
-    digest = hashlib.sha256("".join(
-        f"{job_hash}:{lines[job_hash]}\n" for job_hash in sorted(lines)
-    ).encode()).hexdigest()
+    count, digest = _campaign_digest(spec)
+    assert count == 125
     assert digest == FIG10_SMALL_DIGEST
+
+
+# ----------------------------------------------------------------------
+# pins: what a results-preserving change must leave untouched
+# ----------------------------------------------------------------------
+
+#: Built-in campaign -> (job count, first 16 hex digits of the sha256
+#: over its plan's sorted, concatenated job hashes).  A change to any
+#: job's identity (workload, scheme, FlipTH, RFM_TH, scale, ...) moves
+#: these.
+JOB_HASH_PINS = {
+    "paper-scale": (810, "9cf94d97aa3fea91"),
+    "smoke": (27, "380eb1701b9b2428"),
+    "stress-panel": (166, "b00d3b75f0b56df1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOB_HASH_PINS))
+def test_builtin_campaign_job_hashes_are_pinned(name):
+    import hashlib
+
+    from repro.campaigns import builtin_campaigns, plan_campaign
+
+    assert set(JOB_HASH_PINS) == set(builtin_campaigns())
+    jobs = plan_campaign(builtin_campaigns()[name]).jobs
+    digest = hashlib.sha256("".join(sorted(jobs)).encode()).hexdigest()
+    assert (len(jobs), digest[:16]) == JOB_HASH_PINS[name]
+
+
+#: ``_campaign_digest`` of paper-scale reduced to scale 0.05, with
+#: fig10 and fig11 on one attack seed (31) and four FlipTH values:
+#: every scheme the campaigns run, including fig7/fig9's explicitly
+#: parameterized Mithril points.
+PAPER_SCALE_REDUCED_PINS = (
+    366,
+    "e7b09e01756cefd8e8c3f02de0803428aa0fb8e11543ac0c8de45f43489fc8ff",
+)
+
+
+def test_reduced_paper_scale_results_are_pinned():
+    from repro.campaigns import get_campaign
+    from repro.campaigns.spec import CampaignSpec, ExperimentSpec
+
+    experiments = []
+    for experiment in get_campaign("paper-scale").experiments:
+        params = dict(experiment.params, scale=0.05)
+        if experiment.kind in ("fig10", "fig11"):
+            params.update(
+                attack_seeds=[31],
+                flip_thresholds=[12_500, 6_250, 3_125, 1_500],
+            )
+        experiments.append(
+            ExperimentSpec(experiment.name, experiment.kind, params)
+        )
+    spec = CampaignSpec(
+        name="paper-scale-reduced", description="pins",
+        experiments=experiments,
+    )
+    assert _campaign_digest(spec) == PAPER_SCALE_REDUCED_PINS
+
+
+#: Analytic experiment -> sha256 of its default rows' canonical JSON.
+ANALYTIC_ROW_PINS = {
+    "table4": (
+        "2863d8cc58722b7818e0c0cbaafde98aa145f016504b3ed26f3781571e90b319"
+    ),
+    "fig6": (
+        "c13b7067537f6afbae6d9c2ed66071781a79a566492d640b085cd5e56d3ed10b"
+    ),
+    "fig2": (
+        "981277e1f27eec2a485f657ffa7ab9b8c53dacf0e045f6c8bb510c1c1d2de9f2"
+    ),
+    "appendix_parfm": (
+        "78d9ece86ef5d6b7359314bc161026e73f99db15e86862eb1c1c7d7d1b286c72"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_ROW_PINS))
+def test_analytic_experiment_rows_are_pinned(name):
+    import hashlib
+
+    from repro.experiments.runner import run_experiment
+
+    rows = _canonical_json(run_experiment(name))
+    digest = hashlib.sha256(rows.encode()).hexdigest()
+    assert digest == ANALYTIC_ROW_PINS[name]
