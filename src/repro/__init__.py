@@ -5,21 +5,15 @@ protection scheme.  This package implements the scheme, its analytical
 safety bounds, every baseline the paper compares against, and the DDR5
 memory-system simulator the evaluation needs.
 
-Quickstart::
+Quickstart (Mithril at its paper configuration for FlipTH 6.25K)::
 
-    from repro import MithrilScheme, paper_default_config, simulate
+    from repro import simulate
+    from repro.engine.catalog import scheme_under_test
     from repro.workloads import mix_high
 
-    cfg = paper_default_config(flip_th=6_250, adaptive_th=200)
-    result = simulate(
-        mix_high(num_requests=2000),
-        scheme_factory=lambda: MithrilScheme(
-            n_entries=cfg.n_entries, rfm_th=cfg.rfm_th,
-            adaptive_th=cfg.adaptive_th,
-        ),
-        rfm_th=cfg.rfm_th,
-        flip_th=cfg.flip_th,
-    )
+    factory, rfm_th = scheme_under_test("mithril", flip_th=6_250)
+    result = simulate(mix_high(num_requests=2000), scheme_factory=factory,
+                      rfm_th=rfm_th, flip_th=6_250)
     print(result.summary())
 """
 
@@ -33,7 +27,8 @@ from repro.params import (
     PAPER_FLIP_THRESHOLDS,
     SystemConfig,
 )
-from repro.protection import ProtectionScheme, build_scheme, scheme_names
+from repro.protection import ProtectionScheme
+from repro.schemes import build_scheme, scheme_names
 from repro.sim import SimulationResult, simulate
 from repro.verify import run_safety_trace
 

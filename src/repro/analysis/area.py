@@ -20,15 +20,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Sequence
 
-from repro.core.bounds import wrapping_counter_bits
-from repro.core.config import MithrilConfig, min_entries_for
-from repro.mitigations.blockhammer import blockhammer_config
-from repro.params import (
-    DramOrganization,
-    DramTimings,
-    MITHRIL_DEFAULT_RFM_TH,
-    PAPER_FLIP_THRESHOLDS,
-)
+from repro.core.config import MithrilConfig, min_entries_for, paper_rfm_th
+from repro.mitigations.cbt import cbt_counters
+from repro.mitigations.graphene import graphene_entries
+from repro.params import DramOrganization, DramTimings, PAPER_FLIP_THRESHOLDS
+from repro.protection import arr_trigger
+from repro.schemes import paper_config
 
 
 def _row_address_bits(organization: Optional[DramOrganization] = None) -> int:
@@ -47,10 +44,13 @@ def mithril_table_kb(
     timings: Optional[DramTimings] = None,
     organization: Optional[DramOrganization] = None,
 ) -> Optional[float]:
-    """Mithril table size; None when (FlipTH, RFM_TH) is infeasible."""
-    rfm_th = rfm_th or MITHRIL_DEFAULT_RFM_TH.get(flip_th, 64)
-    n = min_entries_for(flip_th, rfm_th, adaptive_th, timings=timings)
-    if n is None:
+    """Mithril table size at ``rfm_th`` (default: the paper's); None
+    when (FlipTH, RFM_TH) is infeasible."""
+    rfm_th = rfm_th or paper_rfm_th(flip_th, adaptive_th, timings)
+    n = rfm_th and min_entries_for(
+        flip_th, rfm_th, adaptive_th, timings=timings
+    )
+    if not n:
         return None
     config = MithrilConfig(
         flip_th=flip_th, rfm_th=rfm_th, n_entries=n, adaptive_th=adaptive_th
@@ -64,9 +64,8 @@ def graphene_table_kb(
     organization: Optional[DramOrganization] = None,
 ) -> float:
     timings = timings or DramTimings()
-    threshold = max(1, flip_th // 4)
+    entries = graphene_entries(flip_th, timings)
     acts_per_window = timings.acts_per_trefw() // 2  # reset every tREFW/2
-    entries = max(1, math.ceil(acts_per_window / threshold))
     counter_bits = math.ceil(math.log2(max(2, acts_per_window)))
     bits = entries * (_row_address_bits(organization) + counter_bits)
     return _bits_to_kb(bits)
@@ -78,7 +77,7 @@ def twice_table_kb(
     organization: Optional[DramOrganization] = None,
 ) -> float:
     timings = timings or DramTimings()
-    threshold = max(1, flip_th // 4)
+    threshold = arr_trigger(flip_th)
     acts = timings.acts_per_trefw()
     intervals = max(2, int(timings.trefw / timings.trefi))
     # Pruning keeps entries alive at progressively higher rates; the
@@ -99,15 +98,13 @@ def cbt_table_kb(
     organization: Optional[DramOrganization] = None,
     node_bits: int = 40,
 ) -> float:
-    timings = timings or DramTimings()
-    threshold = max(1, flip_th // 4)
-    leaves = max(1, math.ceil(timings.acts_per_trefw() / threshold))
-    nodes = 2 * leaves
-    return _bits_to_kb(nodes * node_bits)
+    return _bits_to_kb(cbt_counters(flip_th, timings) * node_bits)
 
 
 def blockhammer_table_kb(flip_th: int) -> float:
-    cbf_size, n_bl = blockhammer_config(flip_th)
+    """Two CBFs of the scheme table's paper (CBF size, N_BL)."""
+    params, _rfm_th = paper_config("blockhammer", flip_th)
+    cbf_size, n_bl = params["cbf_size"], params["n_bl"]
     counter_bits = math.ceil(math.log2(max(2, n_bl)))
     return _bits_to_kb(cbf_size * 2 * counter_bits)
 

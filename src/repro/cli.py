@@ -9,9 +9,9 @@ experiment <id>     Run a paper experiment (fig2, fig6, ..., table4).
                     ``--extra-workloads`` adds stress-family panels to
                     the drivers that support them (fig9, fig11).
 list                List available experiments.
-safety <scheme>     Replay an attack against a scheme and report.
+safety <scheme>     Replay an attack against a scheme's paper config.
 configure           Print safe Mithril configurations for a FlipTH.
-schemes             List registered protection schemes.
+schemes             List the protection schemes (the scheme table).
 cache               Show (or clear / --gc) the simulation result
                     cache; ``--stats`` for per-generation size/age,
                     ``--query`` against the sharded index.
@@ -58,7 +58,7 @@ from pathlib import Path
 
 from repro.core.config import configuration_curve
 from repro.experiments.runner import EXPERIMENTS
-from repro.protection import build_scheme, scheme_names
+from repro.schemes import build_scheme, paper_config, scheme_names
 from repro.verify.adversary import (
     double_sided_stream,
     many_sided_stream,
@@ -146,19 +146,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from repro.core.config import paper_default_config
-    from repro.core.mithril import MithrilScheme
+    from repro.schemes import scheme_factory
     from repro.verify.fuzzer import fuzz_scheme
 
-    config = paper_default_config(args.flip_th, adaptive_th=200)
+    params, rfm_th = paper_config("mithril", args.flip_th)
     results = fuzz_scheme(
-        lambda: MithrilScheme(
-            n_entries=config.n_entries,
-            rfm_th=config.rfm_th,
-            adaptive_th=config.adaptive_th,
-        ),
+        scheme_factory("mithril", **params),
         flip_th=args.flip_th,
-        rfm_th=config.rfm_th,
+        rfm_th=rfm_th,
         iterations=args.iterations,
         acts_per_pattern=args.acts,
         seed=args.seed,
@@ -953,25 +948,9 @@ _ATTACKS = {
 
 
 def _cmd_safety(args) -> int:
-    kwargs = {}
-    if args.scheme in ("mithril", "mithril+"):
-        from repro.core.config import paper_default_config
-
-        config = paper_default_config(args.flip_th, adaptive_th=200)
-        kwargs = dict(
-            n_entries=config.n_entries,
-            rfm_th=config.rfm_th,
-            adaptive_th=config.adaptive_th,
-        )
-        rfm_th = config.rfm_th
-    else:
-        rfm_th = args.rfm_th
-        for key in ("graphene", "twice", "cbt", "blockhammer", "para"):
-            if args.scheme == key:
-                kwargs = dict(flip_th=args.flip_th)
-    scheme = build_scheme(args.scheme, **kwargs)
+    params, rfm_th = paper_config(args.scheme, args.flip_th)
     report = run_safety_trace(
-        scheme,
+        build_scheme(args.scheme, **params),
         _ATTACKS[args.attack](args.acts),
         flip_th=args.flip_th,
         rfm_th=rfm_th,
@@ -1372,7 +1351,6 @@ def main(argv=None) -> int:
     p_safe.add_argument("--attack", choices=sorted(_ATTACKS),
                         default="double-sided")
     p_safe.add_argument("--flip-th", type=int, default=3_125)
-    p_safe.add_argument("--rfm-th", type=int, default=64)
     p_safe.add_argument("--acts", type=int, default=200_000)
     p_safe.set_defaults(func=_cmd_safety)
 

@@ -166,6 +166,24 @@ def lossy_counting_entries(
     return lo
 
 
+def paper_rfm_th(
+    flip_th: int,
+    adaptive_th: int = 0,
+    timings: Optional[DramTimings] = None,
+) -> Optional[int]:
+    """Mithril's RFM_TH for a FlipTH: the paper's choice (Figure 9) at
+    the evaluated FlipTH values, else the largest feasible power of two
+    from 256 down to 8; None when none is feasible."""
+    from repro.params import MITHRIL_DEFAULT_RFM_TH
+
+    if flip_th in MITHRIL_DEFAULT_RFM_TH:
+        return MITHRIL_DEFAULT_RFM_TH[flip_th]
+    for candidate in (256, 128, 64, 32, 16, 8):
+        if min_entries_for(flip_th, candidate, adaptive_th, timings=timings):
+            return candidate
+    return None
+
+
 @functools.lru_cache(maxsize=256)
 def paper_default_config(
     flip_th: int,
@@ -177,21 +195,13 @@ def paper_default_config(
     Memoized: the table-sizing search is a pure function of the
     arguments, and a sweep asks for each FlipTH once per point.
     """
-    from repro.params import MITHRIL_DEFAULT_RFM_TH
-
-    rfm_th = MITHRIL_DEFAULT_RFM_TH.get(flip_th)
-    if rfm_th is None:
-        # Fall back: pick the largest feasible RFM_TH <= 256.
-        for candidate in (256, 128, 64, 32, 16, 8):
-            if min_entries_for(flip_th, candidate, adaptive_th, timings=timings):
-                rfm_th = candidate
-                break
-        else:
-            raise ValueError(f"no feasible configuration for FlipTH={flip_th}")
-    n = min_entries_for(flip_th, rfm_th, adaptive_th, timings=timings)
-    if n is None:
+    rfm_th = paper_rfm_th(flip_th, adaptive_th, timings)
+    n = rfm_th and min_entries_for(
+        flip_th, rfm_th, adaptive_th, timings=timings
+    )
+    if not n:
         raise ValueError(
-            f"FlipTH={flip_th} infeasible at RFM_TH={rfm_th}; lower rfm_th"
+            f"no feasible configuration for FlipTH={flip_th} (RFM_TH={rfm_th})"
         )
     return MithrilConfig(
         flip_th=flip_th,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from repro.protection import ProtectionScheme, register_scheme
+from repro.protection import ProtectionScheme
 from repro.streaming.cbs import CounterSummary
 from repro.types import SchemeLocation
 
@@ -147,7 +147,6 @@ class MithrilTable:
         return self._summary.items()
 
 
-@register_scheme("mithril")
 class MithrilScheme(ProtectionScheme):
     """Mithril (and Mithril+ when ``plus=True``) per-bank scheme.
 
@@ -241,14 +240,3 @@ class MithrilScheme(ProtectionScheme):
                 if 0 <= victim < self.rows_per_bank:
                     victims.append(victim)
         return victims
-
-
-def make_mithril_plus(**kwargs) -> MithrilScheme:
-    """Convenience constructor for Mithril+."""
-    kwargs.setdefault("plus", True)
-    return MithrilScheme(**kwargs)
-
-
-register_scheme("mithril+")(
-    lambda **kwargs: make_mithril_plus(**kwargs)  # type: ignore[arg-type]
-)

@@ -7,9 +7,10 @@ Everything a job references by name is resolved here:
   :class:`~repro.engine.job.WorkloadSpec`'s parameters.  All builders
   are seeded, so materialization is deterministic and can happen
   inside worker processes.
-* **scheme factories** — :func:`scheme_under_test` holds the paper's
-  per-FlipTH configuration for every scheme (moved here from
-  ``experiments/runner.py``); explicit ``scheme_params`` bypass it.
+* **scheme factories** — :func:`scheme_under_test` builds a scheme's
+  paper configuration from the scheme table (:mod:`repro.schemes`),
+  plus BlockHammer's window compression; explicit ``scheme_params``
+  go straight to the scheme's constructor.
 * **config overrides** — :func:`build_config` maps dotted override
   keys (``scheduler``, ``timings.trefw``, ``organization.channels``)
   onto a :class:`~repro.params.SystemConfig`.
@@ -18,14 +19,11 @@ Everything a job references by name is resolved here:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.engine.job import Params, SimJob, WorkloadSpec
-from repro.params import (
-    DEFAULT_ADAPTIVE_THRESHOLD,
-    DEFAULT_CONFIG,
-    SystemConfig,
-)
+from repro.params import DEFAULT_CONFIG, DramTimings, SystemConfig
+from repro.schemes import paper_config, scheme_factory
 from repro.workloads.trace import CoreTrace
 
 #: Default experiment sizing (CI-friendly; scale them up for precision).
@@ -365,126 +363,63 @@ def attack_workload_spec(
 
 def scheme_under_test(
     name: str, flip_th: int, scale: float = 1.0
-) -> Tuple[Optional[Callable[[], object]], int]:
+) -> Tuple[Callable[[], object], int]:
     """(scheme factory, rfm_th) for a named scheme at a FlipTH.
 
-    Follows the paper's per-FlipTH configurations (Section VI-A).
+    The scheme table's paper configuration (:mod:`repro.schemes`),
+    derived once per call; the factory then builds one scheme per bank.
     ``scale`` is the trace-length multiplier; BlockHammer's
     window-compressed thresholds track it so the blacklist dynamics
     stay calibrated to the trace coverage.
     """
-    from repro.analysis.parfm_failure import parfm_rfm_th_for
-    from repro.core.config import paper_default_config
-    from repro.core.mithril import MithrilScheme
-    from repro.mitigations.cbt import CbtScheme
-    from repro.mitigations.graphene import GrapheneScheme
-    from repro.mitigations.para import ParaScheme
-    from repro.mitigations.parfm import ParfmScheme
-    from repro.mitigations.twice import TwiceScheme
-
-    if name == "none":
-        return None, 0
-    if name in ("mithril", "mithril+"):
-        config = paper_default_config(
-            flip_th, adaptive_th=DEFAULT_ADAPTIVE_THRESHOLD
-        )
-        plus = name == "mithril+"
-        return (
-            lambda: MithrilScheme(
-                n_entries=config.n_entries,
-                rfm_th=config.rfm_th,
-                adaptive_th=config.adaptive_th,
-                plus=plus,
-            ),
-            config.rfm_th,
-        )
-    if name == "parfm":
-        rfm_th = parfm_rfm_th_for(flip_th) or 2
-        return (lambda: ParfmScheme()), rfm_th
+    params, rfm_th = paper_config(name, flip_th)
     if name == "blockhammer":
-        factory = _blockhammer_factory(flip_th, scale)
-        return factory, 0
-    if name == "para":
-        return (lambda: ParaScheme(flip_th=flip_th)), 0
-    if name == "graphene":
-        return (lambda: GrapheneScheme(flip_th=flip_th)), 0
-    if name == "twice":
-        return (lambda: TwiceScheme(flip_th=flip_th)), 0
-    if name == "cbt":
-        return (lambda: CbtScheme(flip_th=flip_th)), 0
-    raise ValueError(f"unknown scheme {name!r}")
+        params = _window_compressed(params, scale)
+    return scheme_factory(name, **params), rfm_th
 
 
-def _blockhammer_compression(scale: float) -> float:
-    """BlockHammer's window compression at ``scale``; never below 1.
-
-    Below 1 the shim would *stretch* N_BL, FlipTH and tCBF past the
-    paper's values while the hammer model keeps the real FlipTH.
-    """
+def _window_compressed(params: Dict[str, object], scale: float):
+    """BlockHammer's table entry with N_BL, FlipTH and tCBF (= tREFW)
+    compressed for a simulation at ``scale``.  Never below 1, which
+    would stretch them past the paper's values."""
     compression = BH_WINDOW_COMPRESSION / max(scale, 1e-6)
     if compression < 1:
         raise ValueError(
             f"BlockHammer window compression {BH_WINDOW_COMPRESSION}/{scale}"
             f" is below 1: scale must be at most {BH_WINDOW_COMPRESSION}"
         )
-    return compression
+    n_bl = max(4, int(params["n_bl"] / compression))
+    return dict(
+        params,
+        n_bl=n_bl,
+        flip_th=max(n_bl + 4, int(params["flip_th"] / compression)),
+        timings=dataclasses.replace(
+            DramTimings(), trefw=DramTimings().trefw / compression
+        ),
+    )
 
 
 def scaled_blockhammer_params(
     flip_th: int, scale: float = 1.0
 ) -> Tuple[int, int, int]:
     """(cbf_size, scaled N_BL, scaled FlipTH) for simulation runs."""
-    from repro.mitigations.blockhammer import blockhammer_config
-
-    cbf_size, n_bl = blockhammer_config(flip_th)
-    compression = _blockhammer_compression(scale)
-    n_bl_sim = max(4, int(n_bl / compression))
-    flip_sim = max(n_bl_sim + 4, int(flip_th / compression))
-    return cbf_size, n_bl_sim, flip_sim
-
-
-def _blockhammer_factory(flip_th: int, scale: float = 1.0):
-    from repro.mitigations.blockhammer import BlockHammerScheme
-    from repro.params import DramTimings
-
-    cbf_size, n_bl_sim, flip_sim = scaled_blockhammer_params(flip_th, scale)
-    timings = dataclasses.replace(
-        DramTimings(),
-        trefw=DramTimings().trefw / _blockhammer_compression(scale),
-    )
-    return lambda: BlockHammerScheme(
-        flip_th=flip_sim,
-        cbf_size=cbf_size,
-        n_bl=n_bl_sim,
-        timings=timings,
-    )
-
-
-def _parameterized_scheme_factory(name: str, params: Dict[str, object]):
-    """Factory for a scheme with explicit constructor arguments."""
-    if name in ("mithril", "mithril+"):
-        from repro.core.mithril import MithrilScheme
-
-        kwargs = dict(params)
-        kwargs.setdefault("plus", name == "mithril+")
-        return lambda: MithrilScheme(**kwargs)
-    from repro.protection import build_scheme
-
-    return lambda: build_scheme(name, **params)
+    params = _window_compressed(paper_config("blockhammer", flip_th)[0], scale)
+    return params["cbf_size"], params["n_bl"], params["flip_th"]
 
 
 def scheme_factory_for(job: SimJob):
     """(factory, effective rfm_th) for a job's scheme description."""
     if job.scheme_params:
         params = dict(job.scheme_params)
-        factory = _parameterized_scheme_factory(job.scheme, params)
-        if job.rfm_th is not None:
-            return factory, job.rfm_th
+        factory = scheme_factory(job.scheme, **params)
         # rfm_th=None derives from the scheme's own configuration; an
         # explicitly parameterized scheme carries it in its params
         # (0 = no RFM issue, correct for ARR-based schemes).
-        return factory, int(params.get("rfm_th", 0))
-    factory, derived = scheme_under_test(job.scheme, job.flip_th, job.scale)
+        derived = int(params.get("rfm_th", 0))
+    else:
+        factory, derived = scheme_under_test(
+            job.scheme, job.flip_th, job.scale
+        )
     return factory, (job.rfm_th if job.rfm_th is not None else derived)
 
 

@@ -77,9 +77,9 @@ class WorkloadSpec:
 class SimJob:
     """One point of a sweep: (workload, scheme, simulator knobs).
 
-    ``scheme`` names a scheme from the catalog; with an empty
-    ``scheme_params`` the catalog applies the paper's per-FlipTH
-    configuration (:func:`repro.engine.catalog.scheme_under_test`),
+    ``scheme`` names an entry of the scheme table; with an empty
+    ``scheme_params`` the job runs its paper per-FlipTH configuration
+    (:func:`repro.engine.catalog.scheme_under_test`),
     while a non-empty bag instantiates the scheme with exactly those
     constructor arguments.  ``rfm_th=None`` means "derive from the
     scheme configuration"; drivers that know the RAA threshold pass it

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.area import blockhammer_table_kb, mithril_table_kb
+from repro.analysis.area import blockhammer_table_kb
 from repro.analysis.energy import energy_overhead_percent
+from repro.core.config import MithrilConfig
 from repro.engine import (
     JobPlan,
     SimJob,
@@ -22,7 +23,8 @@ from repro.engine import (
 )
 from repro.engine.catalog import DEFAULT_ATTACK_SEEDS as ATTACK_SEEDS
 from repro.experiments.runner import geo_mean
-from repro.params import MITHRIL_DEFAULT_RFM_TH, PAPER_FLIP_THRESHOLDS
+from repro.params import PAPER_FLIP_THRESHOLDS
+from repro.schemes import paper_config
 
 DEFAULT_SCHEMES = ("parfm", "blockhammer", "mithril", "mithril+")
 
@@ -133,10 +135,9 @@ def _table_kb(scheme_name: str, flip_th: int):
     if scheme_name == "blockhammer":
         return round(blockhammer_table_kb(flip_th), 3)
     if scheme_name in ("mithril", "mithril+"):
-        kb = mithril_table_kb(
-            flip_th, MITHRIL_DEFAULT_RFM_TH.get(flip_th), adaptive_th=200
-        )
-        return round(kb, 3) if kb is not None else None
+        params, _rfm_th = paper_config(scheme_name, flip_th)
+        config = MithrilConfig(flip_th=flip_th, **params)
+        return round(config.table_kilobytes(), 3)
     return 0.0  # PARFM holds no table
 
 

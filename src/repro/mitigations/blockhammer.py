@@ -19,22 +19,21 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.params import BLOCKHAMMER_CONFIGS, DramTimings
-from repro.protection import ProtectionScheme, register_scheme
+from repro.protection import ProtectionScheme
 from repro.streaming.counting_bloom import DualCountingBloomFilter
 from repro.types import SchemeLocation
 
 
 def blockhammer_config(flip_th: int) -> Tuple[int, int]:
-    """(CBF size, N_BL) for a FlipTH, per Section VI-A of the paper."""
+    """(CBF size, N_BL) for a FlipTH, per Section VI-A of the paper.
+
+    An unlisted FlipTH gets N_BL = FlipTH / 3 (at least 16) and a step
+    in CBF size: 1024 counters once N_BL reaches 2048, else 8192.
+    """
     if flip_th in BLOCKHAMMER_CONFIGS:
         return BLOCKHAMMER_CONFIGS[flip_th]
-    # Interpolate the paper's scaling for unlisted thresholds.
     n_bl = max(16, flip_th // 3)
-    size = 1024
-    while size < 8192 and n_bl < 2048:
-        size *= 2
-        n_bl = max(16, n_bl)
-    return size, n_bl
+    return (1024 if n_bl >= 2048 else 8192), n_bl
 
 
 def blockhammer_delay_cycles(
@@ -51,7 +50,6 @@ def blockhammer_delay_cycles(
     return max(1, timings.cycles(delay_ns))
 
 
-@register_scheme("blockhammer")
 class BlockHammerScheme(ProtectionScheme):
     """MC-side throttling scheme built on dual counting Bloom filters."""
 

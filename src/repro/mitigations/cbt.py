@@ -17,11 +17,20 @@ and the measurement of those over-refresh row counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.protection import ProtectionScheme, register_scheme
+from repro.params import DramTimings
+from repro.protection import ProtectionScheme, arr_trigger
 from repro.types import SchemeLocation
+
+
+def cbt_counters(flip_th: int, timings: Optional[DramTimings] = None) -> int:
+    """Counter budget: two tree nodes per leaf, with enough leaves that
+    no leaf reaches the refresh threshold untracked within tREFW."""
+    timings = timings or DramTimings()
+    leaves = math.ceil(timings.acts_per_trefw() / arr_trigger(flip_th))
+    return 2 * max(1, leaves)
 
 
 @dataclass
@@ -41,7 +50,6 @@ class _Node:
         return self.hi - self.lo + 1
 
 
-@register_scheme("cbt")
 class CbtScheme(ProtectionScheme):
     """Counter-based tree with conservative split inheritance."""
 
@@ -58,13 +66,10 @@ class CbtScheme(ProtectionScheme):
         super().__init__()
         self.flip_th = flip_th
         self.rows_per_bank = rows_per_bank
-        self.refresh_threshold = max(1, flip_th // 4)
+        self.refresh_threshold = arr_trigger(flip_th)
         self.split_threshold = max(1, flip_th // split_divisor)
         if num_counters is None:
-            from repro.params import DramTimings
-
-            acts = DramTimings().acts_per_trefw()
-            num_counters = 2 * max(1, math.ceil(acts / self.refresh_threshold))
+            num_counters = cbt_counters(flip_th)
         self.num_counters = num_counters
         self._root = _Node(lo=0, hi=rows_per_bank - 1)
         self._counters_used = 1

@@ -14,7 +14,7 @@ import math
 from typing import Dict, List, Optional
 
 from repro.params import DramTimings
-from repro.protection import ProtectionScheme, register_scheme
+from repro.protection import ProtectionScheme, arr_trigger
 from repro.streaming.cbs import CounterSummary
 from repro.types import SchemeLocation
 
@@ -25,12 +25,10 @@ def graphene_entries(
     """Table size: enough entries that no row can reach the threshold
     untracked within one reset window (tREFW/2)."""
     timings = timings or DramTimings()
-    threshold = max(1, flip_th // 4)
     acts_per_window = timings.acts_per_trefw() // 2
-    return max(1, math.ceil(acts_per_window / threshold))
+    return max(1, math.ceil(acts_per_window / arr_trigger(flip_th)))
 
 
-@register_scheme("graphene")
 class GrapheneScheme(ProtectionScheme):
     """MC-side deterministic ARR scheme with periodic table reset."""
 
@@ -48,7 +46,7 @@ class GrapheneScheme(ProtectionScheme):
         super().__init__()
         timings = timings or DramTimings()
         self.flip_th = flip_th
-        self.threshold = max(1, flip_th // 4)
+        self.threshold = arr_trigger(flip_th)
         self.n_entries = n_entries or graphene_entries(flip_th, timings)
         self.rows_per_bank = rows_per_bank
         self.reset_interval_cycles = (

@@ -12,7 +12,7 @@ import math
 import random
 from typing import List, Optional
 
-from repro.protection import ProtectionScheme, register_scheme
+from repro.protection import ProtectionScheme
 from repro.types import SchemeLocation
 
 
@@ -32,7 +32,6 @@ def para_probability(flip_th: int, target_failure: float = 1e-15) -> float:
     return min(1.0, p)
 
 
-@register_scheme("para")
 class ParaScheme(ProtectionScheme):
     """Stateless probabilistic ARR."""
 

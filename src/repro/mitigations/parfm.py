@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.protection import ProtectionScheme, register_scheme
+from repro.protection import ProtectionScheme
 from repro.types import SchemeLocation
 
 
-@register_scheme("parfm")
 class ParfmScheme(ProtectionScheme):
     """Reservoir-sampling probabilistic RFM responder."""
 

@@ -24,7 +24,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.params import DramTimings
-from repro.protection import ProtectionScheme, register_scheme
+from repro.protection import ARR_TRIGGER_DIVISOR, ProtectionScheme
 from repro.streaming.cbs import CounterSummary
 from repro.types import SchemeLocation
 
@@ -32,13 +32,12 @@ from repro.types import SchemeLocation
 def arr_graphene_safe_flip_th(threshold: int) -> int:
     """Safe FlipTH of the original ARR-Graphene (linear in threshold).
 
-    The ARR fires immediately at the threshold; with the table-reset
-    straddling factor of 2 and double-sided attacks, FlipTH = 4 * T is
-    protected.
+    The ARR fires immediately at the threshold, so this inverts
+    :func:`repro.protection.arr_trigger`: FlipTH = 4 * T is protected.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    return 4 * threshold
+    return ARR_TRIGGER_DIVISOR * threshold
 
 
 def rfm_graphene_safe_flip_th(
@@ -71,7 +70,6 @@ def rfm_graphene_best_safe_flip_th(
     return best
 
 
-@register_scheme("rfm-graphene")
 class RfmGrapheneScheme(ProtectionScheme):
     """The strawman itself, for empirical demonstration of the weakness."""
 

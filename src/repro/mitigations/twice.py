@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.params import DramTimings
-from repro.protection import ProtectionScheme, register_scheme
+from repro.protection import ProtectionScheme, arr_trigger
 from repro.types import SchemeLocation
 
 
@@ -29,7 +29,6 @@ class _TwiceEntry:
     life: int = 0
 
 
-@register_scheme("twice")
 class TwiceScheme(ProtectionScheme):
     """Buffer-chip deterministic ARR scheme with per-tREFI pruning."""
 
@@ -45,7 +44,7 @@ class TwiceScheme(ProtectionScheme):
         super().__init__()
         timings = timings or DramTimings()
         self.flip_th = flip_th
-        self.arr_threshold = max(1, flip_th // 4)
+        self.arr_threshold = arr_trigger(flip_th)
         self.rows_per_bank = rows_per_bank
         self._trefi_cycles = timings.trefi_cycles
         self._intervals_per_window = max(

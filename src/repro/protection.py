@@ -22,8 +22,8 @@ The memory controller / simulator drives a scheme through:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.types import SchemeLocation
 
@@ -88,35 +88,20 @@ class ProtectionScheme(abc.ABC):
         return 0
 
 
-SchemeFactory = Callable[[], ProtectionScheme]
-
-_REGISTRY: Dict[str, Callable[..., ProtectionScheme]] = {}
-
-
-def register_scheme(name: str):
-    """Class decorator registering a scheme under ``name``."""
-
-    def decorator(cls):
-        _REGISTRY[name] = cls
-        cls.registry_name = name
-        return cls
-
-    return decorator
+#: An ARR tracker refreshes an aggressor's victims every
+#: ``FlipTH / ARR_TRIGGER_DIVISOR`` of its ACTs.  The hammer model
+#: (:class:`repro.dram.hammer.HammerModel`) charges a victim for the
+#: ACTs of both of its neighbours, so two aggressors share one victim's
+#: budget (2); and a tracker can miss up to one trigger's worth of an
+#: aggressor's ACTs (Graphene's table reset, Section IV-E; TWiCe's
+#: pruned entries), which halves it again (2 x 2 = 4).
+ARR_TRIGGER_DIVISOR = 4
 
 
-def scheme_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def build_scheme(name: str, **kwargs) -> ProtectionScheme:
-    """Instantiate a registered scheme by name."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheme {name!r}; known: {', '.join(scheme_names())}"
-        ) from None
-    return cls(**kwargs)
+def arr_trigger(flip_th: int) -> int:
+    """ACTs to one aggressor after which an ARR tracker refreshes its
+    victims (Graphene, TWiCe, CBT); see :data:`ARR_TRIGGER_DIVISOR`."""
+    return max(1, flip_th // ARR_TRIGGER_DIVISOR)
 
 
 class NoProtection(ProtectionScheme):
@@ -128,6 +113,3 @@ class NoProtection(ProtectionScheme):
     def on_activate(self, row: int, cycle: int) -> List[int]:
         self.stats.acts_observed += 1
         return []
-
-
-_REGISTRY["none"] = NoProtection

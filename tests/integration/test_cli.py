@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.schemes import scheme_names
 
 
 class TestCliCommands:
@@ -52,6 +53,47 @@ class TestCliCommands:
             "--acts", "20000", "--flip-th", "3125",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_safety_runs_every_listed_scheme(
+        self, scheme, monkeypatch, capsys
+    ):
+        """Every name ``repro schemes`` lists replays its paper
+        configuration, and the exit code is the report's verdict."""
+        import repro.cli as cli
+
+        replay, reports = cli.run_safety_trace, []
+
+        def recording(*args, **kwargs):
+            reports.append(replay(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_safety_trace", recording)
+        assert main(["schemes"]) == 0
+        assert scheme in capsys.readouterr().out.split()
+        code = main(["safety", scheme, "--acts", "20000"])
+        out = capsys.readouterr().out
+        assert len(reports) == 1
+        assert f"flips:             {len(reports[0].flips)}" in out
+        assert code == (0 if reports[0].safe else 1)
+
+    def test_safety_parfm_uses_appendix_c_rfm_th(self, capsys):
+        """At FlipTH 1.5K PARFM runs at Appendix C's RFM_TH of 16, as in
+        the simulator: 20,000 ACTs issue 1,250 RFMs."""
+        main(["safety", "parfm", "--flip-th", "1500", "--acts", "20000"])
+        assert "rfm commands:      1250\n" in capsys.readouterr().out
+
+    def test_safety_rfm_graphene_default_output(self, capsys):
+        assert main(["safety", "rfm-graphene"]) == 1
+        assert capsys.readouterr().out == (
+            "scheme:            RfmGrapheneScheme\n"
+            "attack:            double-sided (200000 ACTs)\n"
+            "flips:             48\n"
+            "max disturbance:   3125 (FlipTH 3125)\n"
+            "headroom:          0.0%\n"
+            "preventive rows:   196\n"
+            "rfm commands:      3125\n"
+        )
 
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

@@ -15,6 +15,15 @@ class TestConfig:
         assert blockhammer_config(50_000) == (1024, 17_100)
         assert blockhammer_config(1_500) == (8192, 490)
 
+    def test_unlisted_flip_th_steps_cbf_size(self):
+        """Off the paper's grid N_BL is FlipTH/3 (at least 16), and the
+        CBF size steps from 8192 to 1024 at N_BL 2048."""
+        assert blockhammer_config(10_000) == (1024, 3333)
+        assert blockhammer_config(6_144) == (1024, 2048)
+        assert blockhammer_config(6_000) == (8192, 2000)
+        assert blockhammer_config(2_000) == (8192, 666)
+        assert blockhammer_config(20) == (8192, 16)
+
     def test_delay_grows_as_nbl_approaches_flip_th(self):
         tight = blockhammer_delay_cycles(1_500, 1_400)
         loose = blockhammer_delay_cycles(1_500, 490)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.mithril import MithrilScheme, MithrilTable, WrappingCounter
-from repro.protection import build_scheme
+from repro.schemes import build_scheme
 
 
 class TestWrappingCounter:

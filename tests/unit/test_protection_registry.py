@@ -1,15 +1,16 @@
-"""Unit tests for the scheme registry and base protocol."""
+"""Unit tests for the scheme table and base protocol."""
 
 import pytest
 
 from repro.core.mithril import MithrilScheme
-from repro.protection import (
-    NoProtection,
-    ProtectionScheme,
-    build_scheme,
-    register_scheme,
-    scheme_names,
-)
+from repro.engine.catalog import scheme_under_test
+from repro.mitigations.cbt import CbtScheme
+from repro.mitigations.graphene import GrapheneScheme
+from repro.mitigations.rfm_graphene import arr_graphene_safe_flip_th
+from repro.mitigations.twice import TwiceScheme
+from repro.params import PAPER_FLIP_THRESHOLDS
+from repro.protection import NoProtection, ProtectionScheme, arr_trigger
+from repro.schemes import build_scheme, paper_config, scheme_names
 
 
 class TestRegistry:
@@ -30,13 +31,46 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown scheme"):
             build_scheme("shield-o-matic")
 
-    def test_register_decorator(self):
-        @register_scheme("test-dummy")
-        class Dummy(NoProtection):
-            pass
 
-        assert "test-dummy" in scheme_names()
-        assert isinstance(build_scheme("test-dummy"), Dummy)
+class TestSchemeTable:
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_paper_config_builds_at_every_paper_flip_th(self, name):
+        """Each entry's configuration builds its scheme, with an RFM_TH
+        exactly when the scheme takes RFM commands."""
+        for flip_th in PAPER_FLIP_THRESHOLDS:
+            params, rfm_th = paper_config(name, flip_th)
+            scheme = build_scheme(name, **params)
+            assert isinstance(scheme, ProtectionScheme)
+            assert (rfm_th > 0) == scheme.uses_rfm
+
+    @pytest.mark.parametrize("name", ["none", "mithril+", "parfm", "cbt"])
+    def test_engine_factory_builds_the_paper_config(self, name):
+        factory, rfm_th = scheme_under_test(name, 3_125, scale=16)
+        params, paper_rfm_th = paper_config(name, 3_125)
+        assert rfm_th == paper_rfm_th
+        built, expected = factory(), build_scheme(name, **params)
+        assert type(built) is type(expected)
+        assert built.uses_mrr_gating == expected.uses_mrr_gating
+        assert built.table_entries() == expected.table_entries()
+
+    def test_mithril_plus_is_mithril_with_mrr_gating(self):
+        params, rfm_th = paper_config("mithril+", 6_250)
+        assert (params, rfm_th) == paper_config("mithril", 6_250)
+        assert build_scheme("mithril+", **params).plus
+        assert not build_scheme("mithril", **params).plus
+        assert not build_scheme("mithril+", plus=False, **params).plus
+
+    def test_arr_trackers_share_one_trigger(self):
+        for flip_th in PAPER_FLIP_THRESHOLDS:
+            trigger = arr_trigger(flip_th)
+            assert GrapheneScheme(flip_th=flip_th).threshold == trigger
+            assert TwiceScheme(flip_th=flip_th).arr_threshold == trigger
+            assert CbtScheme(flip_th=flip_th).refresh_threshold == trigger
+            assert arr_graphene_safe_flip_th(trigger) <= flip_th
+
+    def test_unknown_scheme_in_paper_config(self):
+        with pytest.raises(KeyError, match="unknown scheme"):
+            paper_config("shield-o-matic", 3_125)
 
 
 class TestBaseDefaults:
