@@ -192,13 +192,13 @@ def test_ablation_adth_sensitivity(benchmark, save_rows):
 def test_ablation_scheduler_interaction(benchmark, save_rows, repro_scale):
     """RFM stalls cost more under FR-FCFS than BLISS-style batching is
     not guaranteed; what matters is both stay small (< a few %)."""
-    from repro.core.config import paper_default_config
     from repro.params import SystemConfig
+    from repro.schemes import paper_config, scheme_factory
     from repro.sim.system import simulate
     from repro.workloads.spec_like import mix_high
 
     def study():
-        config = paper_default_config(3_125, adaptive_th=200)
+        params, rfm_th = paper_config("mithril", 3_125)
         traces = mix_high(4, int(1200 * repro_scale) + 64, 16, seed=77)
         rows = {}
         for scheduler in ("bliss", "frfcfs"):
@@ -206,12 +206,8 @@ def test_ablation_scheduler_interaction(benchmark, save_rows, repro_scale):
             base = simulate(traces, config=system_config)
             result = simulate(
                 traces,
-                scheme_factory=lambda: MithrilScheme(
-                    n_entries=config.n_entries,
-                    rfm_th=config.rfm_th,
-                    adaptive_th=config.adaptive_th,
-                ),
-                rfm_th=config.rfm_th,
+                scheme_factory=scheme_factory("mithril", **params),
+                rfm_th=rfm_th,
                 flip_th=3_125,
                 config=system_config,
             )

@@ -15,12 +15,12 @@ Run:  python examples/attack_gallery.py
 
 from repro.core.config import min_entries_for
 from repro.core.mithril import MithrilScheme
-from repro.mitigations.blockhammer import BlockHammerScheme
 from repro.mitigations.graphene import GrapheneScheme
 from repro.mitigations.parfm import ParfmScheme
 from repro.mitigations.rfm_graphene import RfmGrapheneScheme
 from repro.mitigations.twice import TwiceScheme
 from repro.protection import NoProtection
+from repro.schemes import build_scheme, paper_config
 from repro.verify import (
     double_sided_stream,
     feinting_stream,
@@ -36,20 +36,20 @@ ACTS = 150_000
 
 def build_schemes():
     n = min_entries_for(FLIP_TH, RFM_TH)
-    n_adaptive = min_entries_for(FLIP_TH, RFM_TH, 200)
+    mithril_plus, mithril_plus_rfm_th = paper_config("mithril+", FLIP_TH)
+    assert mithril_plus_rfm_th == RFM_TH  # one RFM_TH for every scheme
+    blockhammer, _ = paper_config("blockhammer", FLIP_TH)
     return {
         "none": lambda: NoProtection(),
         "mithril": lambda: MithrilScheme(n_entries=n, rfm_th=RFM_TH),
-        "mithril+": lambda: MithrilScheme(
-            n_entries=n_adaptive, rfm_th=RFM_TH, adaptive_th=200, plus=True
-        ),
+        "mithril+": lambda: build_scheme("mithril+", **mithril_plus),
         "graphene": lambda: GrapheneScheme(flip_th=FLIP_TH),
         "twice": lambda: TwiceScheme(flip_th=FLIP_TH),
         "parfm": lambda: ParfmScheme(),
         "rfm-graphene": lambda: RfmGrapheneScheme(
             threshold=400, n_entries=2048
         ),
-        "blockhammer": lambda: BlockHammerScheme(flip_th=FLIP_TH),
+        "blockhammer": lambda: build_scheme("blockhammer", **blockhammer),
     }
 
 

@@ -12,9 +12,10 @@ Walks the full public API surface in one script:
 Run:  python examples/quickstart.py
 """
 
-from repro import MithrilScheme, paper_default_config, simulate
+from repro import paper_default_config, simulate
 from repro.analysis.energy import energy_overhead_percent
 from repro.protection import NoProtection
+from repro.schemes import paper_config, scheme_factory
 from repro.verify import double_sided_stream, run_safety_trace
 from repro.workloads import mix_high, double_sided_trace
 
@@ -23,8 +24,10 @@ def main() -> None:
     flip_th = 6_250  # the RowHammer threshold of recent DDR4/5 parts
 
     # 1. Configuration: Theorem 1 gives the minimum table size for a
-    #    given RFM_TH; the paper's default uses RFM_TH=128 and AdTH=200.
-    config = paper_default_config(flip_th, adaptive_th=200)
+    #    given RFM_TH; the scheme table holds the paper's choice
+    #    (RFM_TH=128 and AdTH=200 at this FlipTH).
+    params, rfm_th = paper_config("mithril", flip_th)
+    config = paper_default_config(flip_th, params["adaptive_th"])
     print("Mithril configuration")
     print(f"  FlipTH       : {config.flip_th}")
     print(f"  RFM_TH       : {config.rfm_th}")
@@ -33,19 +36,13 @@ def main() -> None:
     print(f"  table size   : {config.table_kilobytes():.2f} KB per bank")
     print()
 
-    def mithril() -> MithrilScheme:
-        return MithrilScheme(
-            n_entries=config.n_entries,
-            rfm_th=config.rfm_th,
-            adaptive_th=config.adaptive_th,
-        )
+    mithril = scheme_factory("mithril", **params)
 
     # 2. Benign workload: 4 memory-intensive cores, 16 banks.
     traces = mix_high(num_cores=4, num_requests=2_000, num_banks=16)
     baseline = simulate(traces, flip_th=flip_th)
     protected = simulate(
-        traces, scheme_factory=mithril, rfm_th=config.rfm_th,
-        flip_th=flip_th,
+        traces, scheme_factory=mithril, rfm_th=rfm_th, flip_th=flip_th,
     )
     rel = protected.relative_performance(baseline)
     energy = energy_overhead_percent(protected, baseline)
@@ -64,7 +61,7 @@ def main() -> None:
     )
     protected_report = run_safety_trace(
         mithril(), double_sided_stream(1_000, 200_000), flip_th,
-        rfm_th=config.rfm_th,
+        rfm_th=rfm_th,
     )
     print(f"  unprotected  : {len(unprotected_report.flips)} bit flips "
           f"(max disturbance {unprotected_report.max_disturbance:.0f})")

@@ -12,10 +12,9 @@ prediction against the actual simulated spread.
 Run:  python examples/workload_characterization.py
 """
 
-from repro.core.config import paper_default_config
-from repro.core.mithril import MithrilScheme
 from repro.engine import build_workload, normal_workload_specs
 from repro.engine.job import WorkloadSpec
+from repro.schemes import build_scheme, paper_config
 from repro.sim.system import simulate
 from repro.traces import characterize_workload, expected_tracker_spread
 from repro.workloads.attacks import double_sided_trace, multi_sided_trace
@@ -30,7 +29,7 @@ STRESS_FAMILIES = (
 
 def main() -> None:
     flip_th = 6_250
-    config = paper_default_config(flip_th, adaptive_th=200)
+    params, rfm_th = paper_config("mithril", flip_th)
 
     suites = {
         name: build_workload(spec)
@@ -52,21 +51,17 @@ def main() -> None:
     )
     for name, traces in suites.items():
         char = characterize_workload(traces, name=name)
-        predicted = expected_tracker_spread(char, config.rfm_th)
+        predicted = expected_tracker_spread(char, rfm_th)
         # simulate with the real adaptive configuration attached
         schemes = []
 
         def factory():
-            scheme = MithrilScheme(
-                n_entries=config.n_entries,
-                rfm_th=config.rfm_th,
-                adaptive_th=config.adaptive_th,
-            )
+            scheme = build_scheme("mithril", **params)
             schemes.append(scheme)
             return scheme
 
         result = simulate(
-            traces, scheme_factory=factory, rfm_th=config.rfm_th,
+            traces, scheme_factory=factory, rfm_th=rfm_th,
             flip_th=flip_th,
         )
         measured = max(s.table.max_spread_seen for s in schemes)

@@ -32,7 +32,6 @@ docs/FAULTS.md) injects network weather deterministically:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ from repro.engine.durable import (
     atomic_write_json,
     quarantine_file,
     read_json_verified,
-    seal,
+    sealed_json,
 )
 
 #: Mailbox name of the coordinator; agents use ``host-<id>``.
@@ -156,16 +155,16 @@ class SpoolTransport(Transport):
         copies = 2 if rule is not None and rule.kind == "duplicate" else 1
         inbox = self.inbox(mailbox)
         inbox.mkdir(parents=True, exist_ok=True)
-        record = seal(message.as_dict())
+        record = message.as_dict()
         for copy in range(copies):
             name = (f"msg-{message.sender}-{message.seq:010d}"
                     + (f"-dup{copy}" if copy else "") + ".json")
             path = inbox / name
             if rule is not None and rule.kind == "torn":
-                text = json.dumps(record, sort_keys=True)
+                text = sealed_json(record)
                 path.write_text(text[: max(1, len(text) // 2)])
                 continue
-            atomic_write_json(path, record)
+            atomic_write_json(path, record, sealed=True)
 
     # -- recv ----------------------------------------------------------
 
@@ -202,7 +201,7 @@ class SpoolTransport(Transport):
                 continue
             if rule is not None and rule.kind == "delay":
                 message.not_before = now + rule.seconds
-                atomic_write_json(path, seal(message.as_dict()))
+                atomic_write_json(path, message.as_dict(), sealed=True)
                 continue
             if rule is not None and rule.kind == "torn":
                 text = path.read_text()

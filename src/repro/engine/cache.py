@@ -45,7 +45,6 @@ from repro.engine.durable import (
     quarantine_file,
     quarantine_log,
     read_json_verified,
-    seal,
 )
 from repro.engine.job import SimJob
 from repro.engine.store import (
@@ -132,6 +131,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
+        self._live_version = ""
+        self._live_root = ""
 
     def version_dir(self, version: Optional[str] = None) -> Path:
         return self.directory / (version or code_version())
@@ -139,9 +140,19 @@ class ResultCache:
     def path_for(self, job: SimJob) -> Path:
         """The sharded entry path: where ``job``'s result is read and
         written."""
+        return Path(self._entry_path(job))
+
+    def _entry_path(self, job: SimJob) -> str:
+        """:meth:`path_for` as a string joined onto the live
+        generation's directory, kept as a string between lookups (the
+        read path opens it directly)."""
+        version = code_version()
+        if version != self._live_version:
+            self._live_root = os.path.join(self.directory, version)
+            self._live_version = version
         job_hash = job.job_hash()
-        return (
-            self.version_dir() / shard_name(job_hash) / f"{job_hash}.json"
+        return os.path.join(
+            self._live_root, shard_name(job_hash), job_hash + ".json"
         )
 
     def get(self, job: SimJob) -> Optional[SimulationResult]:
@@ -155,7 +166,7 @@ class ResultCache:
         """
         from repro import telemetry
 
-        path = self.path_for(job)
+        path = self._entry_path(job)
         try:
             record = self._read_entry(path)
         except FileNotFoundError:
@@ -178,7 +189,7 @@ class ResultCache:
         telemetry.counter("cache.miss")
         return None
 
-    def _read_entry(self, path: Path) -> Optional[Dict[str, Any]]:
+    def _read_entry(self, path: str) -> Optional[Dict[str, Any]]:
         """Verified entry record at ``path``; corrupt ⇒ quarantine + None.
 
         ``FileNotFoundError`` propagates (a missing entry is a miss,
@@ -202,9 +213,10 @@ class ResultCache:
     def put(self, job: SimJob, result: SimulationResult) -> None:
         """Store a result; an unwritable cache degrades to a no-op.
 
-        The entry is sealed (payload sha256) and written via atomic
-        temp-file rename, so a process killed mid-``put`` leaves
-        either the previous entry or no entry — never a torn one.
+        The entry is sealed (payload sha256, written last) and written
+        via atomic temp-file rename, so a process killed mid-``put``
+        leaves either the previous entry or no entry — never a torn
+        one.
         """
         try:
             path = self.path_for(job)
@@ -212,7 +224,7 @@ class ResultCache:
                 "job": job.canonical(), "result": result_to_dict(result)
             }
             atomic_write_json(
-                path, seal(record),
+                path, record, sealed=True,
                 fault_site="cache.entry.write", fault_key=job.job_hash(),
             )
         except OSError:
@@ -220,14 +232,15 @@ class ResultCache:
         self.index_for_version().append(record_for_put(job, path))
 
     def verify(self, job: SimJob) -> str:
-        """Integrity state of one job's entry without deserializing it.
+        """Integrity state of one job's entry: the JSON is parsed and its
+        seal checked, but no :class:`SimulationResult` is built.
 
         Returns ``"ok"``, ``"missing"``, or ``"corrupt"`` (the corrupt
         file is quarantined as a side effect, same as :meth:`get`).
         Used by ``repro campaign verify`` and the campaign audit.
         """
         try:
-            record = self._read_entry(self.path_for(job))
+            record = self._read_entry(self._entry_path(job))
         except FileNotFoundError:
             return "missing"
         if record is None or "result" not in record:

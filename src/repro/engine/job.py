@@ -28,6 +28,9 @@ Params = Tuple[Tuple[str, Any], ...]
 
 _SCALARS = (str, int, float, bool, type(None))
 
+#: Where :meth:`SimJob.job_hash` keeps its value on an instance.
+_HASH_ATTR = "_job_hash"
+
 
 def freeze_params(params: Optional[Mapping[str, Any]]) -> Params:
     """Normalize a mapping of JSON scalars into a hashable tuple."""
@@ -137,11 +140,26 @@ class SimJob:
         }
 
     def job_hash(self) -> str:
-        """Content hash identifying the job (dedup + cache key)."""
-        payload = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+        """Content hash identifying the job (dedup + cache key).
+
+        Computed once per instance and kept in the instance
+        ``__dict__`` under a name that is not a field, so eq, hash,
+        repr, ``replace`` and :meth:`canonical` never see it; pickles
+        and copies drop it (:meth:`__getstate__`) and recompute.
+        """
+        cached = self.__dict__.get(_HASH_ATTR)
+        if cached is None:
+            payload = json.dumps(
+                self.canonical(), sort_keys=True, separators=(",", ":")
+            )
+            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+            object.__setattr__(self, _HASH_ATTR, cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop(_HASH_ATTR, None)
+        return state
 
     @classmethod
     def from_canonical(cls, data: Mapping[str, Any]) -> "SimJob":

@@ -42,9 +42,6 @@ class TraceCore:
     def done_issuing(self) -> bool:
         return self.index >= len(self.trace)
 
-    def peek(self) -> TraceEntry:
-        return self.entry_list()[self.index]
-
     def issue(self, cycle: int) -> TraceEntry:
         """Consume the next trace entry at ``cycle``."""
         entries = self.entries

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Hashable, List
+from typing import Hashable
 
 
 class FrequencyEstimator(abc.ABC):
@@ -24,18 +24,3 @@ class FrequencyEstimator(abc.ABC):
     @abc.abstractmethod
     def estimate(self, element: Hashable) -> int:
         """Estimated occurrence count of ``element`` so far."""
-
-    def observe_many(self, elements, count: int = 1) -> None:
-        """Record ``count`` occurrences of each element of an iterable.
-
-        Semantically ``for e in elements: observe(e, count)``.
-        """
-        for element in elements:
-            self.observe(element, count)
-
-    def estimate_many(self, elements) -> List[int]:
-        """Estimates for each element, as a list.
-
-        Semantically ``[estimate(e) for e in elements]``.
-        """
-        return [self.estimate(element) for element in elements]

@@ -11,12 +11,12 @@ pytestmark = pytest.mark.slow
 
 from repro.core.config import min_entries_for
 from repro.core.mithril import MithrilScheme
-from repro.mitigations.blockhammer import BlockHammerScheme
 from repro.mitigations.graphene import GrapheneScheme
 from repro.mitigations.parfm import ParfmScheme
 from repro.mitigations.rfm_graphene import RfmGrapheneScheme
 from repro.mitigations.twice import TwiceScheme
 from repro.protection import NoProtection
+from repro.schemes import build_scheme, paper_config
 from repro.verify.adversary import (
     double_sided_stream,
     feinting_stream,
@@ -154,7 +154,8 @@ class TestBaselineSchemeSafety:
     def test_blockhammer_protects(self):
         """Throttling, not refreshing: ACT rate capping keeps counts
         below FlipTH inside the replay's tREFW-scale window."""
-        scheme = BlockHammerScheme(flip_th=FLIP_TH)
+        params, _ = paper_config("blockhammer", FLIP_TH)
+        scheme = build_scheme("blockhammer", **params)
         report = run_safety_trace(
             scheme, double_sided_stream(1000, ACTS), FLIP_TH
         )

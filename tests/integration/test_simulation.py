@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.mithril import MithrilScheme
-from repro.mitigations.blockhammer import BlockHammerScheme
 from repro.mitigations.graphene import GrapheneScheme
 from repro.mitigations.parfm import ParfmScheme
 from repro.params import DEFAULT_CONFIG
+from repro.schemes import paper_config, scheme_factory
 from repro.sim.system import SimulatedSystem, simulate
 from repro.workloads.spec_like import mix_blend, mix_high
 from repro.workloads.synthetic import streaming_sweep_trace
@@ -148,13 +148,18 @@ class TestAttackScenarios:
         assert result.flips > 0
 
 
+def _blockhammer_factory(flip_th):
+    params, _ = paper_config("blockhammer", flip_th)
+    return scheme_factory("blockhammer", **params)
+
+
 class TestBlockHammerBehaviour:
     def test_throttles_attacker(self):
         attacker = double_sided_trace(victim_row=5_000, bank_index=0,
                                       total_requests=3_000)
         result = simulate(
             [attacker],
-            scheme_factory=lambda: BlockHammerScheme(flip_th=1_500),
+            scheme_factory=_blockhammer_factory(1_500),
             flip_th=1_500,
         )
         assert result.throttle_events > 0
@@ -166,7 +171,7 @@ class TestBlockHammerBehaviour:
         base = simulate([attacker], flip_th=1_500)
         throttled = simulate(
             [attacker],
-            scheme_factory=lambda: BlockHammerScheme(flip_th=1_500),
+            scheme_factory=_blockhammer_factory(1_500),
             flip_th=1_500,
         )
         assert throttled.total_cycles > base.total_cycles * 2

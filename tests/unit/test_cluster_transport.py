@@ -85,6 +85,18 @@ class TestRoundtrip:
         assert got.sender == "host-1"
         assert got.seq > 0 and got.sent > 0
 
+    def test_keys_sorting_after_the_seal_survive(self, spool):
+        """``type`` and the payload sort after ``sha256``: the seal is
+        still written last, and the message reads back whole."""
+        spool.send(COORDINATOR_MAILBOX, Message(
+            type="result", sender="host-1", payload={"z": 1},
+        ))
+        [path] = spool.inbox(COORDINATOR_MAILBOX).glob("msg-*.json")
+        assert list(json.loads(path.read_text()))[-1] == "sha256"
+        [got] = spool.recv(COORDINATOR_MAILBOX)
+        assert (got.type, got.payload) == ("result", {"z": 1})
+        assert not list(spool.inbox(COORDINATOR_MAILBOX).rglob("*.json*"))
+
     def test_mailbox_names(self):
         assert host_mailbox("2") == "host-2"
         assert COORDINATOR_MAILBOX == "coordinator"

@@ -7,6 +7,7 @@ an exception mid-campaign.  The injected torn/corrupt writes exercise
 the exact window the atomic protocol protects.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -17,13 +18,13 @@ from repro.engine.durable import (
     SEAL_KEY,
     CorruptEntryError,
     atomic_write_json,
-    is_sealed_ok,
     payload_checksum,
     quarantine_file,
     quarantine_log,
     read_json_verified,
     read_jsonl,
     seal,
+    sealed_json,
 )
 from repro.engine.store import CacheIndex
 from repro.faults import FAULT_PLAN_ENV
@@ -34,22 +35,35 @@ class TestSeal:
     def test_seal_roundtrip(self):
         record = seal({"a": 1, "b": [2, 3]})
         assert record[SEAL_KEY] == payload_checksum(record)
-        assert is_sealed_ok(record)
 
     def test_tamper_breaks_the_seal(self):
         record = seal({"a": 1})
         record["a"] = 2
-        assert not is_sealed_ok(record)
+        assert record[SEAL_KEY] != payload_checksum(record)
 
     def test_checksum_ignores_the_seal_field(self):
         record = {"a": 1}
         assert payload_checksum(record) == payload_checksum(seal(record))
 
+    def test_seal_is_the_last_member_over_the_bytes_before_it(self):
+        digest = hashlib.sha256(b'{"a":1,"z":[2]}').hexdigest()
+        assert sealed_json({"z": [2], "a": 1}) == (
+            '{"a":1,"z":[2],"sha256":"' + digest + '"}'
+        )
+        empty = hashlib.sha256(b"{}").hexdigest()
+        assert sealed_json({}) == '{"sha256":"' + empty + '"}'
+
+    def test_sealed_text_matches_the_canonical_dump(self):
+        record = {"job": {"b": 1, "a": [1.5, None]}, "result": {"x": "y"}}
+        assert sealed_json(record) == json.dumps(
+            seal(record), sort_keys=True, separators=(",", ":")
+        )
+
 
 class TestReadVerified:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "entry.json"
-        atomic_write_json(path, seal({"x": 41}))
+        atomic_write_json(path, {"x": 41}, sealed=True)
         assert read_json_verified(path)["x"] == 41
 
     def test_missing_file_is_not_corruption(self, tmp_path):
@@ -72,6 +86,36 @@ class TestReadVerified:
         path = tmp_path / "entry.json"
         path.write_text(json.dumps({"x": 1}))
         with pytest.raises(CorruptEntryError, match="no sha256 seal"):
+            read_json_verified(path)
+
+    @pytest.mark.parametrize("record", [
+        {},
+        {"a": 1},
+        {"type": "result", "seq": 3, "payload": {"n": 1}},
+    ])
+    def test_sealed_writes_round_trip(self, tmp_path, record):
+        path = tmp_path / "entry.json"
+        atomic_write_json(path, record, sealed=True)
+        assert path.read_text().rstrip().endswith(
+            '"' + SEAL_KEY + '":"' + payload_checksum(record) + '"}'
+        )
+        assert read_json_verified(path) == seal(record)
+
+    def test_pretty_printed_record_with_correct_seal_is_corrupt(
+        self, tmp_path
+    ):
+        """The seal covers the writer's bytes: the same record in any
+        other layout reads as corrupt, even with the right digest."""
+        path = tmp_path / "entry.json"
+        record = seal({"a": 1, "b": [2, 3]})
+        path.write_text(json.dumps(record, indent=2, sort_keys=True))
+        with pytest.raises(CorruptEntryError, match="seal mismatch"):
+            read_json_verified(path)
+
+    def test_non_string_seal_is_corrupt(self, tmp_path):
+        path = tmp_path / "entry.json"
+        path.write_text('{"a":1,"sha256":7}')
+        with pytest.raises(CorruptEntryError, match="seal mismatch"):
             read_json_verified(path)
 
     def test_failed_seal_is_corrupt(self, tmp_path):
@@ -99,11 +143,13 @@ class TestAtomicWrite:
                         "times": 1}],
         }))
         path = tmp_path / "entry.json"
-        atomic_write_json(path, seal({"x": 1}), fault_site="test.write")
+        atomic_write_json(path, {"x": 1}, sealed=True,
+                          fault_site="test.write")
         with pytest.raises(CorruptEntryError):
             read_json_verified(path)
         # budget spent: the next write is clean
-        atomic_write_json(path, seal({"x": 2}), fault_site="test.write")
+        atomic_write_json(path, {"x": 2}, sealed=True,
+                          fault_site="test.write")
         assert read_json_verified(path)["x"] == 2
 
     def test_injected_corrupt_write_fails_the_seal(
@@ -114,18 +160,39 @@ class TestAtomicWrite:
                         "times": 1}],
         }))
         path = tmp_path / "entry.json"
-        atomic_write_json(path, seal({"x": 1}), fault_site="test.write")
+        atomic_write_json(path, {"x": 1}, sealed=True,
+                          fault_site="test.write")
         # valid JSON on disk — the seal is what catches it
         assert isinstance(json.loads(path.read_text()), dict)
         with pytest.raises(CorruptEntryError):
             read_json_verified(path)
+
+    def test_injected_corrupt_write_reverses_only_the_seal(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
+            "faults": [{"site": "test.rot", "kind": "corrupt",
+                        "times": 1}],
+        }))
+        record = {"a": 1, "b": [2, 3]}
+        rotted, clean = tmp_path / "rotted.json", tmp_path / "clean.json"
+        atomic_write_json(rotted, record, sealed=True,
+                          fault_site="test.rot")
+        atomic_write_json(clean, record, sealed=True,
+                          fault_site="test.rot")
+        digest = payload_checksum(record)
+        assert rotted.read_text() != clean.read_text()
+        assert rotted.read_text() == clean.read_text().replace(
+            digest, digest[::-1]
+        )
 
     def test_unrelated_site_does_not_fire(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
             "faults": [{"site": "other.site", "kind": "torn"}],
         }))
         path = tmp_path / "entry.json"
-        atomic_write_json(path, seal({"x": 1}), fault_site="test.write")
+        atomic_write_json(path, {"x": 1}, sealed=True,
+                          fault_site="test.write")
         assert read_json_verified(path)["x"] == 1
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the declarative job model (SimJob / WorkloadSpec)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.engine import SimJob, WorkloadSpec, build_config, freeze_params
@@ -73,6 +76,44 @@ class TestSimJob:
         )
         payload = json.dumps(job.canonical(), sort_keys=True)
         assert "graphene" in payload and "frfcfs" in payload
+
+
+class TestJobHashCache:
+    def _job(self, **knobs):
+        return SimJob(workload=WorkloadSpec.make("fft", seed=21), **knobs)
+
+    def test_equal_jobs_stay_equal_once_one_is_hashed(self):
+        hashed, fresh = self._job(), self._job()
+        hashed.job_hash()
+        assert hashed == fresh
+        assert hash(hashed) == hash(fresh)
+        assert repr(hashed) == repr(fresh)
+        assert hashed.job_hash() == fresh.job_hash()
+
+    def test_replace_hashes_the_new_job(self):
+        job = self._job()
+        old = job.job_hash()
+        moved = dataclasses.replace(job, flip_th=1_500)
+        assert moved.job_hash() != old
+        assert moved.job_hash() == self._job(flip_th=1_500).job_hash()
+
+    def test_pickle_round_trip_keeps_the_hash(self):
+        job = self._job()
+        unhashed = pickle.dumps(job)
+        expected = job.job_hash()
+        assert pickle.dumps(job) == unhashed
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job
+        assert clone.job_hash() == expected
+
+    def test_canonical_carries_no_cached_key(self):
+        job = self._job()
+        before = job.canonical()
+        job.job_hash()
+        assert job.canonical() == before
+        assert set(before) == {
+            field.name for field in dataclasses.fields(SimJob)
+        }
 
 
 class TestSchemeFactoryFor:

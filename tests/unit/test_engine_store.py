@@ -11,6 +11,8 @@ from repro.engine import (
     WorkloadSpec,
     code_version,
 )
+from repro.engine.cache import result_to_dict
+from repro.engine.durable import seal
 from repro.engine.store import (
     count_entries,
     is_shard_dir,
@@ -66,6 +68,29 @@ class TestShardedLayout:
         assert "no sha256 seal" in quarantined[0]["reason"]
         path.write_text(json.dumps(record))
         assert cache.verify(job) == "corrupt"
+
+    def test_put_writes_the_canonical_sealed_bytes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = _job()
+        cache.put(job, _result())
+        record = {"job": job.canonical(), "result": result_to_dict(_result())}
+        assert cache.path_for(job).read_text() == json.dumps(
+            seal(record), sort_keys=True, separators=(",", ":")
+        ) + "\n"
+
+    def test_one_character_change_in_result_is_quarantined(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = _job()
+        cache.put(job, _result())
+        path = cache.path_for(job)
+        text = path.read_text()
+        edited = text.replace('"total_cycles":1234', '"total_cycles":1235')
+        assert edited != text and json.loads(edited)["result"]
+        path.write_text(edited)
+        assert cache.verify(job) == "corrupt"
+        assert cache.get(job) is None
+        [record] = cache.quarantine_records()
+        assert "seal mismatch" in record["reason"]
 
     def test_mixed_layout_counts_and_iterates(self, tmp_path):
         cache = ResultCache(tmp_path)
