@@ -150,7 +150,14 @@ def materialize_job(job: SimJob):
 
 
 def execute_job(job: SimJob) -> SimulationResult:
-    """Materialize and run one job (also the worker-process entry)."""
+    """Materialize and run one job (also the worker-process entry).
+
+    The only caller of the result-only drain: the system and schemes
+    are built here from the job and dropped with the result, so the
+    kernel skips writing back tracker state that no one can read.
+    ``simulate()`` and ``SimulatedSystem.run()`` called directly keep
+    the full write-back, since their caller may hold the schemes.
+    """
     from repro.sim.system import simulate
 
     traces, factory, config, rfm_th = materialize_job(job)
@@ -163,6 +170,7 @@ def execute_job(job: SimJob) -> SimulationResult:
         mlp=job.mlp,
         track_hammer=job.track_hammer,
         max_cycles=job.max_cycles,
+        result_only=True,
     )
 
 

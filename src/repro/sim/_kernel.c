@@ -2230,14 +2230,16 @@ static int ordered_items(const Map *map, const Entry *entries,
     return 0;
 }
 
-/* (disturbance {row: level}, flips [(cycle, row, level, aggressor)],
- *  max_level, max_row | None) */
-static PyObject *hammer_out(const Hammer *h)
+/* (disturbance {row: level} | None, flips [(cycle, row, level,
+ *  aggressor)], max_level, max_row | None); the disturbance dict only
+ *  with `full` */
+static PyObject *hammer_out(const Hammer *h, int full)
 {
     int64_t *rows = NULL, *levels = NULL;
     PyObject *out = NULL;
     PyObject *flips = PyList_New((Py_ssize_t)h->num_flips);
-    if (flips == NULL || ordered_items(&h->levels, NULL, &rows, &levels)) {
+    if (flips == NULL
+        || (full && ordered_items(&h->levels, NULL, &rows, &levels))) {
         goto done;
     }
     for (size_t i = 0; i < h->num_flips; i++) {
@@ -2251,8 +2253,11 @@ static PyObject *hammer_out(const Hammer *h)
         PyList_SET_ITEM(flips, i, item);
     }
     out = Py_BuildValue(
-        "(NOdN)", number_dict(rows, levels, h->levels.size, 1), flips,
-        (double)h->max_level, optional_int(h->has_max_row, h->max_row));
+        "(NOdN)",
+        full ? number_dict(rows, levels, h->levels.size, 1)
+             : Py_NewRef(Py_None),
+        flips, (double)h->max_level,
+        optional_int(h->has_max_row, h->max_row));
 done:
     free(rows);
     free(levels);
@@ -2464,8 +2469,9 @@ static PyObject *tracker_out(const Bank *b)
 }
 
 /* One bank: (open_row | None, timing, refresh, energy, stats, rfm,
- * hammer | None, tracker | None); see kernel.py's write-back. */
-static PyObject *bank_out(const Bank *b)
+ * hammer | None, tracker | None); see kernel.py's write-back.  Without
+ * `full` the tracker is None and so is the hammer's disturbance dict. */
+static PyObject *bank_out(const Bank *b, int full)
 {
     int64_t timing[] = {
         b->ready, b->last_act, b->act_count, b->pre_count,
@@ -2476,7 +2482,7 @@ static PyObject *bank_out(const Bank *b)
     int64_t rfm[] = {b->raa, b->rfm_issued, b->rfm_elided, b->mrr_reads};
     PyObject *hammer;
     if (b->has_hammer) {
-        hammer = hammer_out(&b->hammer);
+        hammer = hammer_out(&b->hammer, full);
     } else {
         Py_INCREF(Py_None);
         hammer = Py_None;
@@ -2490,7 +2496,7 @@ static PyObject *bank_out(const Bank *b)
         ints_tuple(b->stats, ST_COUNT),
         ints_tuple(rfm, 4),
         hammer,
-        tracker_out(b));
+        full ? tracker_out(b) : Py_NewRef(Py_None));
 }
 
 static PyObject *faw_out(const Faw *faw)
@@ -2532,8 +2538,9 @@ static PyObject *scheduler_out(const Scheduler *s)
                          (long long)s->streak, listed);
 }
 
-/* (seq, row_hits, row_misses, cores, banks, bus_free, faws, schedulers) */
-static PyObject *build_output(Ctx *ctx)
+/* (seq, row_hits, row_misses, cores, banks, bus_free, faws, schedulers);
+ * see bank_out for `full` */
+static PyObject *build_output(Ctx *ctx, int full)
 {
     PyObject *cores = PyList_New(ctx->num_cores);
     PyObject *banks = PyList_New(ctx->num_banks);
@@ -2556,7 +2563,7 @@ static PyObject *build_output(Ctx *ctx)
         PyList_SET_ITEM(cores, i, item);
     }
     for (int64_t i = 0; i < ctx->num_banks; i++) {
-        PyObject *item = bank_out(&ctx->banks[i]);
+        PyObject *item = bank_out(&ctx->banks[i], full);
         if (item == NULL) {
             goto done;
         }
@@ -2593,19 +2600,23 @@ done:
 /* ------------------------------------------------------------------ */
 
 PyDoc_STRVAR(drain_doc,
-"drain(config, cores, banks, num_channels, faws, schedulers, extras)\n"
+"drain(config, cores, banks, num_channels, faws, schedulers, extras,\n"
+"      full)\n"
 "\n"
 "Run a pristine covered system until its event heap is empty and\n"
-"return its final state as plain ints, tuples and lists.");
+"return its final state as plain ints, tuples and lists.  With full\n"
+"false, each bank's tracker state and hammer disturbance dict come\n"
+"back as None (nothing a SimulationResult reads).");
 
 static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *config, *cores, *banks, *faws, *schedulers, *extras;
     Py_ssize_t num_channels;
-    if (!PyArg_ParseTuple(args, "OO!O!nO!O!O!", &config, &PyList_Type,
+    int full;
+    if (!PyArg_ParseTuple(args, "OO!O!nO!O!O!p", &config, &PyList_Type,
                           &cores, &PyList_Type, &banks, &num_channels,
                           &PyList_Type, &faws, &PyList_Type, &schedulers,
-                          &PyList_Type, &extras)) {
+                          &PyList_Type, &extras, &full)) {
         return NULL;
     }
     Ctx *ctx = calloc(1, sizeof(Ctx));
@@ -2659,7 +2670,7 @@ static PyObject *drain(PyObject *Py_UNUSED(module), PyObject *args)
             complete(ctx, ident, event.cycle);
         }
     }
-    PyObject *out = build_output(ctx);
+    PyObject *out = build_output(ctx, full);
     ctx_free(ctx);
     return out;
 }

@@ -37,6 +37,17 @@ here and everything else in its python loop.
   filter counters are the one exception: the kernel increments and
   clears each filter's own ``array('q')`` in place through a writable
   buffer, so no copy of the 2 x 8192 counters per bank is ever made.
+* **Result only.**  ``drain(..., result_only=True)`` skips what
+  ``_collect`` never reads: each tracker's state (CbS tables, Graphene
+  triggers, BlockHammer releases, random states, TWiCe and CBT tables)
+  and the hammer's disturbance dict stay as constructed, and the kernel
+  never builds them (BlockHammer's filter counters still move in
+  place).  Every scalar, the stats, energy, flips and the maximum
+  disturbance are still written.  Only the engine's
+  ``execute_job`` asks for it: it builds the system from a job and
+  drops it after the result, so no caller can read the rest.  A
+  ``simulate()`` caller's factory may keep its schemes and read them
+  after the run, so ``simulate()`` and ``run()`` write back everything.
 
 A hook patched on an *instance* (``controller._apply_arr = ...``), at
 any time before ``run()``, keeps that run in python.  A stock class
@@ -770,15 +781,17 @@ def pack(system) -> Optional[tuple]:
 # ----------------------------------------------------------------------
 
 
-def drain(system, packed: tuple) -> None:
+def drain(system, packed: tuple, *, result_only: bool = False) -> None:
     """Run ``packed`` (from :func:`pack`) on the kernel and write the
-    final state back onto ``system``'s objects."""
+    final state back onto ``system``'s objects; with ``result_only``,
+    all but the tracker state and hammer disturbance dicts (see
+    "Result only" above)."""
     config, cores, banks, channel_states, faws, schedulers, extras = packed
     (seq, row_hits, row_misses, core_states, bank_states, bus_free,
      faw_states, scheduler_states) = load().drain(
         config, cores, banks, len(channel_states),
         [(faw.window, faw.tfaw_cycles) for faw in faws], schedulers,
-        extras,
+        extras, not result_only,
     )
     system._seq = seq
     system.row_hits += row_hits
@@ -825,8 +838,10 @@ def _write_bank(controller, state) -> None:
          rfm_logic.mrr_reads) = rfm
     hammer = controller.hammer
     if hammer is not None:
-        (hammer._disturbance, flips, hammer.max_disturbance,
+        (disturbance, flips, hammer.max_disturbance,
          hammer.max_disturbance_row) = hammer_state
+        if disturbance is not None:
+            hammer._disturbance = disturbance
         if flips:
             hammer.flips.extend(
                 FlipEvent(cycle=cycle, row=row, disturbance=level,
@@ -834,7 +849,7 @@ def _write_bank(controller, state) -> None:
                 for cycle, row, level, aggressor in flips
             )
     writer = _WRITERS.get(type(scheme))
-    if writer is not None:
+    if writer is not None and tracker is not None:
         writer(scheme, tracker)
 
 

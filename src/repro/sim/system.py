@@ -391,7 +391,15 @@ class SimulatedSystem:
 
     # ------------------------------------------------------------------
 
-    def run(self, max_cycles: Optional[int] = None) -> SimulationResult:
+    def run(
+        self, max_cycles: Optional[int] = None, *, result_only: bool = False
+    ) -> SimulationResult:
+        """Drain every event and collect the result.
+
+        ``result_only`` lets a kernel drain skip writing back state the
+        result does not read (see :mod:`repro.sim.kernel`); pass it only
+        when nothing reads the system's objects after the run.
+        """
         if self._ran:
             raise RuntimeError("a SimulatedSystem can only run once")
         self._ran = True
@@ -408,7 +416,7 @@ class SimulatedSystem:
             if packed is None:
                 self._drain_python(max_cycles)
             else:
-                kernel.drain(self, packed)
+                kernel.drain(self, packed, result_only=result_only)
         if tel is not None:
             tel.event("sim.run.done", path=self.drain_path)
         return self._collect()
@@ -570,8 +578,16 @@ def simulate(
     track_hammer: bool = True,
     max_cycles: Optional[int] = None,
     backend: Optional[str] = None,
+    *,
+    result_only: bool = False,
 ) -> SimulationResult:
-    """Build and run one system; the one-call entry point for benches."""
+    """Build and run one system; the one-call entry point for benches.
+
+    Every object ``scheme_factory`` returns holds its post-run state
+    (callers read trackers after the run); ``result_only`` gives that
+    up for speed and is for callers that keep nothing from the
+    factory, as the engine's ``execute_job`` does.
+    """
     from repro import telemetry
 
     system = make_system(
@@ -589,4 +605,4 @@ def simulate(
         backend=system.backend,
         cores=len(system.cores),
     ):
-        return system.run(max_cycles=max_cycles)
+        return system.run(max_cycles=max_cycles, result_only=result_only)

@@ -16,6 +16,10 @@ This battery pins it to the python loop it replaces there:
   every simulator object, including each CbS bucket's FIFO order,
   every filter counter, the BlockHammer, Graphene and TWiCe dicts'
   insertion order, PARA's and PARFM's random state and CBT's tree;
+* the result-only drain that ``execute_job`` asks for gives every
+  golden's result, hands back no tracker or disturbance state, and
+  leaves ``simulate()`` (whose factory's schemes a caller may keep)
+  writing everything back;
 * targeted cases reach the throttle's abstain and retry paths, CBF
   rotation, Graphene's reset with ARR, TWiCe's pruning and CBT's
   splits and range refreshes;
@@ -34,6 +38,7 @@ import random
 import shutil
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -44,7 +49,7 @@ from repro.core.config import paper_default_config
 from repro.core.mithril import MithrilScheme
 from repro.engine.cache import result_to_dict
 from repro.engine.catalog import build_config
-from repro.engine.executor import materialize_job
+from repro.engine.executor import execute_job, materialize_job, run_jobs
 from repro.engine.job import SimJob, WorkloadSpec
 from repro.mc.scheduler import BlissScheduler, FrFcfsScheduler
 from repro.mitigations.blockhammer import BlockHammerScheme
@@ -55,9 +60,11 @@ from repro.mitigations.parfm import ParfmScheme
 from repro.mitigations.twice import TwiceScheme
 from repro.params import DramTimings
 from repro.protection import NoProtection
+from repro.schemes import build_scheme, paper_config
 from repro.sim import kernel
-from repro.sim.system import make_system
+from repro.sim.system import make_system, simulate
 from repro.types import MemoryRequest, RowAddress
+from repro.workloads.attacks import multi_sided_trace
 from repro.workloads.trace import CoreTrace
 
 GOLDEN_PATH = (
@@ -283,6 +290,150 @@ def test_covered_golden_runs_on_kernel(record, monkeypatch):
     result = _assert_same_run(lambda: _build(job), monkeypatch)
     canonical = json.dumps(result_to_dict(result), sort_keys=True)
     assert canonical == json.dumps(record["result"], sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# the result-only drain (the engine's execute_job)
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def drains(monkeypatch):
+    """Each kernel drain as (the system's drain_path, result_only), on
+    the native backend whatever ``REPRO_SIM_BACKEND`` says."""
+    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+    calls = []
+    real = kernel.drain
+
+    def drain(system, packed, *, result_only=False):
+        calls.append((system.drain_path, result_only))
+        real(system, packed, result_only=result_only)
+
+    monkeypatch.setattr(kernel, "drain", drain)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "record", COVERED,
+    ids=[f"{r['job']['workload']['kind']}-{r['job']['scheme']}"
+         for r in COVERED],
+)
+def test_execute_job_result_only_matches_full_run(record, drains):
+    """``execute_job`` drains result-only and gives the result of a
+    full ``run()``; both take the kernel."""
+    job = _job_from_canonical(record["job"])
+    result_only = execute_job(job)
+    full = _build(job, backend=None).run()
+    assert drains == [("kernel", True), ("kernel", False)]
+    assert result_to_dict(result_only) == result_to_dict(full)
+    assert result_to_dict(full) == record["result"]
+
+
+def _raw_outputs(make, monkeypatch):
+    """The C drain's own output for a full and a result-only run of two
+    systems ``make()`` builds alike (the same packed input)."""
+    module = kernel.load()
+    outputs = []
+
+    def drain(*args):
+        outputs.append(module.drain(*args))
+        return outputs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "load", lambda: SimpleNamespace(drain=drain))
+        full_system, lean_system = make(), make()
+        full_result = full_system.run()
+        lean_result = lean_system.run(result_only=True)
+    assert full_system.drain_path == lean_system.drain_path == "kernel"
+    assert full_result == lean_result
+    return outputs
+
+
+@pytest.mark.parametrize("scheme", COVERED_SCHEMES)
+def test_result_only_kernel_output(scheme, monkeypatch):
+    """Drained full and result-only, the same input gives equal scalar,
+    stats, flips and maximum tuples; the result-only drain hands back
+    None for every tracker and every hammer disturbance dict."""
+    spec = WorkloadSpec.make("attack", pattern="multi-sided", scale=0.05,
+                             seed=3)
+    traces, factory, config, rfm_th = materialize_job(
+        SimJob(workload=spec, scheme=scheme, flip_th=1500, scale=0.05)
+    )
+    # a hammer threshold far below the schemes' own, so rows flip
+    full, lean = _raw_outputs(
+        lambda: make_system(traces, scheme_factory=factory, config=config,
+                            rfm_th=rfm_th, flip_th=20, backend="native"),
+        monkeypatch,
+    )
+    assert full[:4] == lean[:4]  # seq, row hits and misses, cores
+    assert full[5:] == lean[5:]  # bus, tFAW windows, schedulers
+    flips = 0
+    for full_bank, lean_bank in zip(full[4], lean[4], strict=True):
+        assert full_bank[:6] == lean_bank[:6]  # timing .. RFM
+        full_hammer, lean_hammer = full_bank[6], lean_bank[6]
+        assert type(full_hammer[0]) is dict and lean_hammer[0] is None
+        assert full_hammer[1:] == lean_hammer[1:]  # flips, maxima
+        flips += len(full_hammer[1])
+        assert lean_bank[7] is None
+        if scheme != "none":
+            assert full_bank[7] is not None
+    if scheme == "none":
+        assert flips  # the flips list is carried, not just empty
+    else:
+        assert any(bank[6][0] for bank in full[4])
+
+
+def test_retained_factory_reads_post_run_trackers(monkeypatch, drains):
+    """``simulate()`` writes everything back: a factory that keeps its
+    Mithril schemes (as examples/workload_characterization.py does)
+    reads each one's post-run tracker state, equal to the python
+    drain's."""
+    traces = [multi_sided_trace(num_victims=32, total_requests=8_000)]
+    params, rfm_th = paper_config("mithril", 6250)
+
+    def run(backend):
+        schemes = []
+
+        def factory():
+            scheme = build_scheme("mithril", **params)
+            schemes.append(scheme)
+            return scheme
+
+        result = simulate(traces, scheme_factory=factory,
+                          rfm_th=rfm_th, flip_th=6250,
+                          backend=backend)
+        return result, [
+            (scheme.table.max_spread_seen,
+             list(scheme.table._summary._counts.items()),
+             [(count, list(rows))
+              for count, rows in scheme.table._summary._buckets.items()],
+             scheme.table._summary.evictions)
+            for scheme in schemes
+        ]
+
+    native_result, native_state = run("native")
+    python_result, python_state = run("python")
+    assert drains == [("kernel", False)]
+    assert native_result == python_result
+    assert native_state == python_state
+    assert max(state[0] for state in native_state) > 0
+
+
+def test_run_jobs_spans_per_point(tmp_path, monkeypatch, drains):
+    """``run_jobs`` over covered jobs: one ``sim.simulate`` and one
+    kernel ``sim.drain`` span per point."""
+    monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "telemetry"))
+    telemetry.reset()
+    spec = WorkloadSpec.make("fft", scale=0.05, seed=2)
+    jobs = [SimJob(workload=spec, scheme=scheme, flip_th=6250, scale=0.05)
+            for scheme in ("none", "mithril", "blockhammer")]
+    run_jobs(jobs, use_cache=False)
+    spans = [r for r in telemetry.get().ring if r["kind"] == "span"]
+    simulates = [r for r in spans if r["name"] == "sim.simulate"]
+    paths = [r["attrs"]["path"] for r in spans if r["name"] == "sim.drain"]
+    assert len(simulates) == 3
+    assert paths == ["kernel"] * 3
+    assert drains == [("kernel", True)] * 3
 
 
 # ----------------------------------------------------------------------
