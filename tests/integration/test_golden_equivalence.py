@@ -280,3 +280,49 @@ def test_analytic_experiment_rows_are_pinned(name):
     rows = _canonical_json(run_experiment(name))
     digest = hashlib.sha256(rows.encode()).hexdigest()
     assert digest == ANALYTIC_ROW_PINS[name]
+
+
+#: Simulation-bound driver -> (params, sha256 of ``json.dumps(rows)``,
+#: sha256 of its ordered, concatenated ``plan_jobs`` hashes), run with
+#: the store off.  The rows digest pins every value and the key order
+#: of every row; the jobs digest pins each job's identity and the
+#: order the driver registers them in.
+SIM_ROW_PINS = {
+    "fig7": (
+        {"scale": 0.02},
+        "bf48a23a6a32b2740b6d8b6b056aa7e60923cd2179947b0d0f389d8843b7e9b6",
+        "90d6bde38ec24a9b3ab68278e46af0415c3e6954357797a94bc9dc2dffe9156c",
+    ),
+    "fig9": (
+        {"scale": 0.02, "extra_workloads": ["capacity-pressure"]},
+        "86971622417ed430253c548796005b879b96dfc257103b80e5730d2fa74f324c",
+        "20dda4574b1d845346130c6e17c934c8ec456650fd7d92a34cf8b904a7db2302",
+    ),
+    "fig10": (
+        {"scale": 0.02, "flip_thresholds": [6250, 3125],
+         "attack_seeds": [31, 41]},
+        "d92d893d4691c66a4f2527366c5ff01e8bb58ce67ef57e3af209769b42f3dfcb",
+        "061ff4a9c5d983be9dc9e6e1694923eba2491898c92189ee43c1028046921db6",
+    ),
+    "fig11": (
+        {"scale": 0.02, "schemes": ["graphene", "mithril"],
+         "extra_workloads": ["capacity-pressure", "row-conflict-heavy"]},
+        "376213389ce095afd4d2ceff246a0d37c05a04de1a0704cca459daff028097a5",
+        "87ef4b649c00d91020473f91009b0067de48b1fffa5ed1ed570ae0031963ee0e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIM_ROW_PINS))
+def test_sim_experiment_rows_are_pinned(name):
+    import hashlib
+    import importlib
+
+    from repro.experiments.runner import EXPERIMENTS
+
+    params, rows_pin, jobs_pin = SIM_ROW_PINS[name]
+    module = importlib.import_module(EXPERIMENTS[name][0])
+    jobs = "".join(job.job_hash() for job in module.plan_jobs(**params))
+    rows = json.dumps(module.run(use_cache=False, **params))
+    assert hashlib.sha256(jobs.encode()).hexdigest() == jobs_pin
+    assert hashlib.sha256(rows.encode()).hexdigest() == rows_pin
