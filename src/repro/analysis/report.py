@@ -7,7 +7,7 @@ charts (for the CLI), with no plotting dependencies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
 def markdown_table(
@@ -38,6 +38,20 @@ def markdown_table(
             "| " + " | ".join(fmt(row.get(col)) for col in columns) + " |"
         )
     return "\n".join(lines)
+
+
+def split_panels(rows: Iterable[Mapping]) -> Tuple[List, Dict[str, List]]:
+    """(main rows, panel kind -> its rows) of a driver's rows: the rows
+    ``extra_workloads`` adds carry ``"panel": <kind>`` and a shape of
+    their own."""
+    main: List[Mapping] = []
+    panels: Dict[str, List[Mapping]] = {}
+    for row in rows:
+        if "panel" in row:
+            panels.setdefault(row["panel"], []).append(row)
+        else:
+            main.append(row)
+    return main, panels
 
 
 def bar_chart(
@@ -123,4 +137,8 @@ def format_experiment(name: str, result) -> str:
         rows = [{"key": k, "value": v} for k, v in result.items()
                 if not isinstance(v, (list, tuple))]
         return f"### {name}\n\n" + markdown_table(rows)
-    return f"### {name}\n\n" + markdown_table(list(result))
+    main, panels = split_panels(result)
+    sections = [f"### {name}\n\n" + markdown_table(main)]
+    for kind, panel_rows in panels.items():
+        sections.append(f"### panel: {kind}\n\n" + markdown_table(panel_rows))
+    return "\n\n".join(sections)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import importlib
 from typing import Any, Dict, List
 
-from repro.analysis.report import markdown_table
+from repro.analysis.report import markdown_table, split_panels
 from repro.campaigns.executor import CampaignManifest, manifest_path
 from repro.campaigns.spec import CampaignError, CampaignSpec
 from repro.engine.executor import run_jobs
@@ -112,11 +112,7 @@ def build_report(
             **{k: v for k, v in (experiment.get("params") or {}).items()},
         )
         replay_stats = run_jobs.last_stats
-        main_rows = [row for row in rows if "panel" not in row]
-        panels: Dict[str, List[Dict[str, Any]]] = {}
-        for row in rows:
-            if "panel" in row:
-                panels.setdefault(row["panel"], []).append(row)
+        main_rows, panels = split_panels(rows)
         experiments.append(
             {
                 "name": experiment["name"],

@@ -653,8 +653,8 @@ def _cmd_campaign_verify(args) -> int:
 
     0 — clean: every planned point accounted for (``--strict`` also
         requires an empty quarantine);
-    1 — findings: missing/corrupt/unaccounted/duplicate entries (or
-        quarantined points under ``--strict``);
+    1 — findings: missing/corrupt/unaccounted entries (or quarantined
+        points under ``--strict``);
     2 — unreadable state: the campaign spec cannot be resolved or the
         store/campaign state cannot be read at all.
     """

@@ -1,8 +1,8 @@
 """Distributed campaign execution (docs/CAMPAIGNS.md § distributed).
 
 A **coordinator** shards the hash-deduplicated campaign job pool
-across **host agents** over a pluggable :class:`~repro.cluster.
-transport.Transport` (filesystem spool today, SSH tomorrow).  Host
+across **host agents** over a filesystem spool
+(:class:`~repro.cluster.transport.SpoolTransport`).  Host
 leases renewed by heartbeats layer on the engine's per-job leases;
 dead or partitioned hosts have their outstanding chunks reassigned,
 late duplicate results are discarded by hash, and the atomic
@@ -29,7 +29,6 @@ from repro.cluster.transport import (
     COORDINATOR_MAILBOX,
     Message,
     SpoolTransport,
-    Transport,
     heartbeat_gate,
     host_mailbox,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "LocalAgentLauncher",
     "Message",
     "SpoolTransport",
-    "Transport",
     "agent_main",
     "heartbeat_gate",
     "host_mailbox",

@@ -1,19 +1,19 @@
-"""Pluggable cluster messaging with a filesystem-spool implementation.
+"""Cluster messaging over a shared-filesystem spool.
 
 The coordinator and its host agents never share memory: every word
 between them is a :class:`Message` envelope moving through a
-:class:`Transport`.  The interface is deliberately tiny — ``send`` to
-a named mailbox, ``recv`` everything pending in one — so tomorrow's
-SSH transport only has to move the same envelopes over a wire.
+:class:`SpoolTransport`.  Its surface is deliberately tiny — ``send``
+to a named mailbox, ``recv`` everything pending in one — so another
+transport (SSH, say) would only have to move the same envelopes over
+a wire.
 
-Today's implementation, :class:`SpoolTransport`, is a shared-
-filesystem spool: each mailbox is a directory of one-message JSON
-files written atomically (temp + rename, sealed like every other
-durable record in this repo), named so a sorted directory listing
-replays per-sender order.  A torn or unparsable message file is
-quarantined and skipped — messages are *transport*, the sealed result
-store remains the only source of truth, so a lost message costs a
-retransmit or a lease timeout, never a wrong result.
+Each mailbox is a directory of one-message JSON files written
+atomically (temp + rename, sealed like every other durable record in
+this repo), named so a sorted directory listing replays per-sender
+order.  A torn or unparsable message file is quarantined and skipped —
+messages are *transport*, the sealed result store remains the only
+source of truth, so a lost message costs a retransmit or a lease
+timeout, never a wrong result.
 
 This is also where the fault harness (:mod:`repro.faults`,
 docs/FAULTS.md) injects network weather deterministically:
@@ -94,23 +94,12 @@ class Message:
         )
 
 
-class Transport:
-    """Abstract message fabric between coordinator and host agents.
-
-    Implementations must deliver messages at-most-once per ``send``
-    call (duplicates only under injected faults), preserve per-sender
-    order, and never deliver a torn message as if it were whole.
-    """
-
-    def send(self, mailbox: str, message: Message) -> None:
-        raise NotImplementedError
-
-    def recv(self, mailbox: str, limit: Optional[int] = None) -> List[Message]:
-        raise NotImplementedError
-
-
-class SpoolTransport(Transport):
+class SpoolTransport:
     """Shared-filesystem spool transport.
+
+    The delivery contract: at most once per ``send`` (duplicates only
+    under injected faults), per-sender order preserved, and a torn
+    message never delivered as if it were whole.
 
     Layout under ``root``::
 

@@ -19,6 +19,7 @@ Everything a job references by name is resolved here:
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from typing import Callable, Dict, List, Tuple
 
 from repro.engine.job import Params, SimJob, WorkloadSpec
@@ -129,80 +130,50 @@ def traceset_spec(path, **params) -> WorkloadSpec:
 #: over (short closed-loop traces are interleaving-phase sensitive).
 DEFAULT_ATTACK_SEEDS = (31, 41, 51)
 
-#: (name, seed) of the paper's benign suite: 2 multiprogrammed + 3
-#: multithreaded workloads.
-NORMAL_WORKLOAD_SEEDS = (
-    ("mix-high", 11),
-    ("mix-blend", 12),
-    ("fft", 21),
-    ("radix", 22),
-    ("pagerank", 23),
-)
+_SPEC_LIKE = "repro.workloads.spec_like"
+_THREADED = "repro.workloads.multithreaded"
+_FAMILIES = "repro.traces.families"
+
+#: Benign workload kinds — the paper's suite and the stress families:
+#: kind -> (generator module, generator name, default seed).  Each row
+#: registers one builder through :func:`register_workload` (see
+#: :func:`_generated_builder`); the generator is imported on the first
+#: build.
+BENIGN_KINDS: Dict[str, Tuple[str, str, int]] = {
+    "mix-high": (_SPEC_LIKE, "mix_high", 11),
+    "mix-blend": (_SPEC_LIKE, "mix_blend", 12),
+    "fft": (_THREADED, "fft_like", 21),
+    "radix": (_THREADED, "radix_like", 22),
+    "pagerank": (_THREADED, "pagerank_like", 23),
+    "capacity-pressure": (_FAMILIES, "capacity_pressure", 61),
+    "row-conflict-heavy": (_FAMILIES, "row_conflict_heavy", 62),
+    "multi-channel-imbalanced": (_FAMILIES, "multi_channel_imbalanced", 63),
+}
+
+#: The paper's benign suite: 2 multiprogrammed + 3 multithreaded
+#: workloads, each at its table seed.
+NORMAL_WORKLOADS = ("mix-high", "mix-blend", "fft", "radix", "pagerank")
 
 
-@register_workload("mix-high")
-def _build_mix_high(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-    seed: int = 11,
-) -> List[CoreTrace]:
-    from repro.workloads.spec_like import mix_high
+def _generated_builder(module: str, name: str, default_seed: int):
+    """The builder of one :data:`BENIGN_KINDS` row.
 
-    return mix_high(num_cores, _sized(scale, DEFAULT_REQUESTS), num_banks,
-                    seed=seed)
+    Explicit parameters, so a spec naming any other one fails with a
+    ``TypeError`` instead of being silently dropped.
+    """
 
+    def build(scale: float = 1.0, num_cores: int = DEFAULT_CORES,
+              num_banks: int = DEFAULT_BANKS,
+              seed: int = default_seed) -> List[CoreTrace]:
+        generator = getattr(importlib.import_module(module), name)
+        return generator(num_cores=num_cores, num_banks=num_banks, seed=seed,
+                         num_requests=_sized(scale, DEFAULT_REQUESTS))
 
-@register_workload("mix-blend")
-def _build_mix_blend(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-    seed: int = 12,
-) -> List[CoreTrace]:
-    from repro.workloads.spec_like import mix_blend
-
-    return mix_blend(num_cores, _sized(scale, DEFAULT_REQUESTS), num_banks,
-                     seed=seed)
+    return build
 
 
-@register_workload("fft")
-def _build_fft(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-    seed: int = 21,
-) -> List[CoreTrace]:
-    from repro.workloads.multithreaded import fft_like
-
-    return fft_like(num_cores, _sized(scale, DEFAULT_REQUESTS), num_banks,
-                    seed=seed)
-
-
-@register_workload("radix")
-def _build_radix(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-    seed: int = 22,
-) -> List[CoreTrace]:
-    from repro.workloads.multithreaded import radix_like
-
-    return radix_like(num_cores, _sized(scale, DEFAULT_REQUESTS), num_banks,
-                      seed=seed)
-
-
-@register_workload("pagerank")
-def _build_pagerank(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-    seed: int = 23,
-) -> List[CoreTrace]:
-    from repro.workloads.multithreaded import pagerank_like
-
-    return pagerank_like(num_cores, _sized(scale, DEFAULT_REQUESTS),
-                         num_banks, seed=seed)
+for _kind, _row in BENIGN_KINDS.items():
+    register_workload(_kind)(_generated_builder(*_row))
 
 
 @register_workload("attack")
@@ -263,51 +234,6 @@ def _build_attack(
     return benign + [attacker]
 
 
-@register_workload("capacity-pressure")
-def _build_capacity_pressure(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-    seed: int = 61,
-) -> List[CoreTrace]:
-    from repro.traces.families import capacity_pressure
-
-    return capacity_pressure(
-        num_cores=num_cores, num_requests=_sized(scale, DEFAULT_REQUESTS),
-        num_banks=num_banks, seed=seed,
-    )
-
-
-@register_workload("row-conflict-heavy")
-def _build_row_conflict_heavy(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-    seed: int = 62,
-) -> List[CoreTrace]:
-    from repro.traces.families import row_conflict_heavy
-
-    return row_conflict_heavy(
-        num_cores=num_cores, num_requests=_sized(scale, DEFAULT_REQUESTS),
-        num_banks=num_banks, seed=seed,
-    )
-
-
-@register_workload("multi-channel-imbalanced")
-def _build_multi_channel_imbalanced(
-    scale: float = 1.0,
-    num_cores: int = DEFAULT_CORES,
-    num_banks: int = DEFAULT_BANKS,
-    seed: int = 63,
-) -> List[CoreTrace]:
-    from repro.traces.families import multi_channel_imbalanced
-
-    return multi_channel_imbalanced(
-        num_cores=num_cores, num_requests=_sized(scale, DEFAULT_REQUESTS),
-        num_banks=num_banks, seed=seed,
-    )
-
-
 def smoke_workload_specs(scale: float = 0.1) -> Dict[str, WorkloadSpec]:
     """One tiny spec per registered kind (the CI smoke surface).
 
@@ -335,9 +261,9 @@ def normal_workload_specs(
     return {
         name: WorkloadSpec.make(
             name, scale=scale, num_cores=num_cores, num_banks=num_banks,
-            seed=seed,
+            seed=BENIGN_KINDS[name][2],
         )
-        for name, seed in NORMAL_WORKLOAD_SEEDS
+        for name in NORMAL_WORKLOADS
     }
 
 

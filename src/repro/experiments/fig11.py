@@ -10,7 +10,8 @@ panels: each kind gets its own unprotected baseline and, per
 (FlipTH, scheme), a relative-performance/energy row tagged
 ``"panel": <kind>``.
 
-The job list is exported through :func:`build_plan` /
+The sweep is :func:`repro.experiments.runner.comparison_plan`, shared
+with Figure 10.  The job list is exported through :func:`build_plan` /
 :func:`plan_jobs` for campaign planners (docs/CAMPAIGNS.md).
 """
 
@@ -18,19 +19,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.energy import energy_overhead_percent
-from repro.engine import (
-    JobPlan,
-    SimJob,
-    WorkloadSpec,
-    attack_workload_spec,
-    normal_workload_specs,
-)
+from repro.engine import JobPlan, SimJob
 from repro.engine.catalog import DEFAULT_ATTACK_SEEDS as ATTACK_SEEDS
-from repro.experiments.runner import geo_mean
+from repro.experiments.runner import comparison_plan, run_comparison
 from repro.params import PAPER_FLIP_THRESHOLDS
 
 DEFAULT_SCHEMES = ("para", "cbt", "twice", "graphene", "mithril", "mithril+")
+
+ATTACK_KINDS = ("multi-sided",)
 
 
 def build_plan(
@@ -41,56 +37,10 @@ def build_plan(
     extra_workloads: Sequence[str] = (),
 ) -> Tuple[JobPlan, Dict]:
     """(plan, context) for one sweep — jobs keyed for row assembly."""
-    benign_specs = normal_workload_specs(scale)
-    extra_specs = {
-        kind: WorkloadSpec.make(kind, scale=scale)
-        for kind in extra_workloads
-    }
-
-    plan = JobPlan()
-    for name, spec in benign_specs.items():
-        plan.add(("benign-base", name), SimJob(workload=spec))
-    for kind, spec in extra_specs.items():
-        plan.add(("panel-base", kind), SimJob(workload=spec))
-    for flip_th in flip_thresholds:
-        attack_specs = {
-            seed: attack_workload_spec(
-                "multi-sided", scale, flip_th=flip_th, seed=seed
-            )
-            for seed in attack_seeds
-        }
-        for seed, spec in attack_specs.items():
-            plan.add(
-                ("attack-base", flip_th, seed),
-                SimJob(workload=spec, flip_th=flip_th),
-            )
-        for scheme in schemes:
-            for name, spec in benign_specs.items():
-                plan.add(
-                    ("benign", flip_th, scheme, name),
-                    SimJob(
-                        workload=spec, scheme=scheme, flip_th=flip_th,
-                        scale=scale,
-                    ),
-                )
-            for seed, spec in attack_specs.items():
-                plan.add(
-                    ("attack", flip_th, scheme, seed),
-                    SimJob(
-                        workload=spec, scheme=scheme, flip_th=flip_th,
-                        scale=scale,
-                    ),
-                )
-            for kind, spec in extra_specs.items():
-                plan.add(
-                    ("panel", flip_th, scheme, kind),
-                    SimJob(
-                        workload=spec, scheme=scheme, flip_th=flip_th,
-                        scale=scale,
-                    ),
-                )
-    context = {"benign_specs": benign_specs, "extra_specs": extra_specs}
-    return plan, context
+    return comparison_plan(
+        flip_thresholds, schemes, scale, attack_seeds, ATTACK_KINDS,
+        extra_workloads,
+    )
 
 
 def plan_jobs(**kwargs) -> List[SimJob]:
@@ -107,65 +57,10 @@ def run(
     use_cache: bool = True,
     extra_workloads: Sequence[str] = (),
 ) -> List[Dict]:
-    plan, context = build_plan(
-        flip_thresholds, schemes, scale, attack_seeds, extra_workloads
+    return run_comparison(
+        flip_thresholds, schemes, scale, attack_seeds, ATTACK_KINDS,
+        extra_workloads, n_jobs=n_jobs, use_cache=use_cache,
     )
-    res = plan.run(n_jobs=n_jobs, use_cache=use_cache)
-
-    benign_specs = context["benign_specs"]
-    extra_specs = context["extra_specs"]
-    rows = []
-    for flip_th in flip_thresholds:
-        for scheme in schemes:
-            rels = []
-            energies = []
-            for name in benign_specs:
-                result = res[("benign", flip_th, scheme, name)]
-                baseline = res[("benign-base", name)]
-                rels.append(result.relative_performance(baseline))
-                energies.append(
-                    max(energy_overhead_percent(result, baseline), 1e-6)
-                )
-            attack_rels = [
-                res[("attack", flip_th, scheme, seed)].relative_performance(
-                    res[("attack-base", flip_th, seed)]
-                )
-                for seed in attack_seeds
-            ]
-            rows.append(
-                {
-                    "flip_th": flip_th,
-                    "scheme": scheme,
-                    "normal_rel_perf_pct": round(geo_mean(rels), 3),
-                    "multi_sided_rel_perf_pct": round(
-                        sum(attack_rels) / len(attack_rels), 3
-                    ),
-                    "normal_energy_overhead_pct": round(geo_mean(energies), 4),
-                }
-            )
-    for kind in extra_specs:
-        baseline = res[("panel-base", kind)]
-        for flip_th in flip_thresholds:
-            for scheme in schemes:
-                result = res[("panel", flip_th, scheme, kind)]
-                rows.append(
-                    {
-                        "flip_th": flip_th,
-                        "scheme": scheme,
-                        "panel": kind,
-                        "rel_perf_pct": round(
-                            result.relative_performance(baseline), 3
-                        ),
-                        "energy_overhead_pct": round(
-                            max(
-                                energy_overhead_percent(result, baseline),
-                                1e-6,
-                            ),
-                            4,
-                        ),
-                    }
-                )
-    return rows
 
 
 def print_rows(rows: List[Dict]) -> None:

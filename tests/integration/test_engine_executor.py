@@ -21,6 +21,7 @@ from repro.engine import (
     run_jobs,
     workload_kinds,
 )
+from repro.engine.catalog import BENIGN_KINDS
 
 TINY = 0.1
 
@@ -51,6 +52,11 @@ class TestCatalog:
         a = build_workload(spec)
         b = build_workload(spec)
         assert [list(t) for t in a] == [list(t) for t in b]
+
+    @pytest.mark.parametrize("kind", sorted(BENIGN_KINDS))
+    def test_unknown_param_raises(self, kind):
+        with pytest.raises(TypeError):
+            build_workload(WorkloadSpec.make(kind, scale=TINY, bogus=1))
 
     def test_unknown_kind_raises(self):
         with pytest.raises(KeyError):

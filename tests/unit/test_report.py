@@ -7,6 +7,7 @@ from repro.analysis.report import (
     format_experiment,
     line_chart,
     markdown_table,
+    split_panels,
 )
 
 
@@ -79,6 +80,26 @@ class TestFormatExperiment:
         )
         assert "Mithril" in text
         assert "50000" in text
+
+    def test_panel_rows_get_their_own_tables(self):
+        main = {"flip_th": 1500, "scheme": "graphene",
+                "normal_rel_perf_pct": 99.5}
+        panel = {"flip_th": 1500, "scheme": "graphene",
+                 "panel": "capacity-pressure", "rel_perf_pct": 97.25}
+        text = format_experiment("fig11", [main, panel])
+        head, _, tail = text.partition("### panel: capacity-pressure")
+        assert "| flip_th | scheme | normal_rel_perf_pct |" in head
+        assert "97.25" not in head
+        assert "| flip_th | scheme | panel | rel_perf_pct |" in tail
+        assert "| 1500 | graphene | capacity-pressure | 97.250 |" in tail
+
+    def test_split_panels_groups_by_kind_in_order(self):
+        rows = [{"a": 1}, {"panel": "y", "b": 1}, {"a": 2},
+                {"panel": "x", "b": 2}, {"panel": "y", "b": 3}]
+        main, panels = split_panels(rows)
+        assert main == [{"a": 1}, {"a": 2}]
+        assert list(panels) == ["y", "x"]
+        assert [row["b"] for row in panels["y"]] == [1, 3]
 
     def test_flat_mapping(self):
         text = format_experiment("fig8", {"mean_burst_length": 128.0})
