@@ -10,7 +10,7 @@ Expected shapes (panels a-e):
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig10
+from repro.experiments import fig10, run_experiment
 
 FLIP_THS = (50_000, 25_000, 12_500, 6_250, 3_125, 1_500)
 
@@ -19,8 +19,8 @@ def test_fig10_rfm_scheme_comparison(
     benchmark, save_rows, repro_scale, repro_jobs, repro_use_cache
 ):
     rows = run_once(
-        benchmark, fig10.run, flip_thresholds=FLIP_THS, scale=repro_scale,
-        n_jobs=repro_jobs, use_cache=repro_use_cache,
+        benchmark, run_experiment, "fig10", flip_thresholds=FLIP_THS,
+        scale=repro_scale, n_jobs=repro_jobs, use_cache=repro_use_cache,
     )
     save_rows("fig10", rows)
     fig10.print_rows(rows)

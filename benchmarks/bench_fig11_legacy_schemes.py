@@ -6,7 +6,7 @@ overhead dwarfs the deterministic schemes' as FlipTH drops.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig11
+from repro.experiments import fig11, run_experiment
 
 FLIP_THS = (50_000, 12_500, 3_125, 1_500)
 
@@ -15,8 +15,8 @@ def test_fig11_legacy_scheme_comparison(
     benchmark, save_rows, repro_scale, repro_jobs, repro_use_cache
 ):
     rows = run_once(
-        benchmark, fig11.run, flip_thresholds=FLIP_THS, scale=repro_scale,
-        n_jobs=repro_jobs, use_cache=repro_use_cache,
+        benchmark, run_experiment, "fig11", flip_thresholds=FLIP_THS,
+        scale=repro_scale, n_jobs=repro_jobs, use_cache=repro_use_cache,
     )
     save_rows("fig11", rows)
     fig11.print_rows(rows)

@@ -11,8 +11,8 @@ from benchmarks.conftest import run_once
 from repro.experiments import fig6
 
 
-def test_fig6_configuration_space(benchmark, save_rows, repro_scale):
-    rows = run_once(benchmark, fig6.run, scale=repro_scale)
+def test_fig6_configuration_space(benchmark, save_rows):
+    rows = run_once(benchmark, fig6.run)
     save_rows("fig6", rows)
     fig6.print_rows(rows)
 

@@ -6,15 +6,15 @@ table entries stay bounded (~12% worst case in the paper).
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig7
+from repro.experiments import fig7, run_experiment
 
 
 def test_fig7_adaptive_refresh(
     benchmark, save_rows, repro_scale, repro_jobs, repro_use_cache
 ):
     rows = run_once(
-        benchmark, fig7.run, scale=repro_scale, n_jobs=repro_jobs,
-        use_cache=repro_use_cache,
+        benchmark, run_experiment, "fig7", scale=repro_scale,
+        n_jobs=repro_jobs, use_cache=repro_use_cache,
     )
     save_rows("fig7", rows)
     fig7.print_rows(rows)

@@ -6,15 +6,15 @@ FlipTH drops; FlipTH = 6.25K at RFM_TH = 128 costs < 1% and ~1KB.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig9
+from repro.experiments import fig9, run_experiment
 
 
 def test_fig9_tradeoff(
     benchmark, save_rows, repro_scale, repro_jobs, repro_use_cache
 ):
     rows = run_once(
-        benchmark, fig9.run, scale=repro_scale, n_jobs=repro_jobs,
-        use_cache=repro_use_cache,
+        benchmark, run_experiment, "fig9", scale=repro_scale,
+        n_jobs=repro_jobs, use_cache=repro_use_cache,
     )
     save_rows("fig9", rows)
     fig9.print_rows(rows)

@@ -1,12 +1,12 @@
 """Campaign planning: spec → deduplicated job list with provenance.
 
 The planner asks each experiment's driver for its exact job list
-(every simulation-bound driver exports ``plan_jobs()``), hashes the
-jobs, and merges them into one deduplicated pool.  Provenance is kept
-both ways: each planned experiment records the hashes it needs, and
-the pool records which experiments want each hash — unprotected
-baselines shared between figures (fig9/fig10/fig11 all run the benign
-suite) plan once and simulate once.
+(the jobs of the plan a simulation-bound driver's ``build_plan()``
+returns), hashes the jobs, and merges them into one deduplicated
+pool.  Provenance is kept both ways: each planned experiment records
+the hashes it needs, and the pool records which experiments want each
+hash — unprotected baselines shared between figures (fig9/fig10/fig11
+all run the benign suite) plan once and simulate once.
 
 Planning never simulates anything; ``repro campaign plan`` and
 ``repro campaign run --dry-run`` are pure expansions of this module.
@@ -14,7 +14,6 @@ Planning never simulates anything; ``repro campaign plan`` and
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -85,12 +84,6 @@ class CampaignPlan:
         }
 
 
-def _driver_module(kind: str):
-    from repro.experiments.runner import EXPERIMENTS
-
-    return importlib.import_module(EXPERIMENTS[kind][0])
-
-
 def plan_campaign(
     spec: CampaignSpec, scale: Optional[float] = None
 ) -> CampaignPlan:
@@ -100,16 +93,18 @@ def plan_campaign(
     stroke — how CI and the tests shrink the built-in campaigns
     without forking their specs.
     """
+    from repro.experiments.runner import driver
+
     spec.validate()
     experiments: List[PlannedExperiment] = []
     jobs: Dict[str, SimJob] = {}
     wanted_by: Dict[str, List[str]] = {}
     for experiment in spec.experiments:
-        module = _driver_module(experiment.kind)
-        if not hasattr(module, "plan_jobs"):
+        module = driver(experiment.kind)
+        if not hasattr(module, "build_plan"):
             raise CampaignError(
                 f"experiment {experiment.name!r}: driver "
-                f"{experiment.kind!r} does not export plan_jobs() and "
+                f"{experiment.kind!r} does not export build_plan() and "
                 "cannot join a campaign (only the simulation-bound "
                 "drivers can)"
             )
@@ -117,7 +112,7 @@ def plan_campaign(
         if scale is not None:
             params["scale"] = scale
         try:
-            exp_jobs = module.plan_jobs(**params)
+            exp_jobs = module.build_plan(**params)[0].jobs
         except (TypeError, KeyError, ValueError) as error:
             raise CampaignError(
                 f"experiment {experiment.name!r} ({experiment.kind}) "

@@ -1,8 +1,10 @@
 """Campaign reports: per-experiment rows, slowdown panels, cache stats.
 
 A report is assembled *from the drivers*, not from raw cache entries:
-each experiment's ``run()`` is re-invoked with the campaign's exact
-parameters, which on a completed campaign is a pure warm-cache replay
+each experiment is re-run through
+:func:`~repro.experiments.runner.run_experiment` with the campaign's
+exact parameters (its driver's ``build_plan`` runs and ``rows`` reduces
+the results), which on a completed campaign is a pure warm-cache replay
 (``simulated == 0``) — the report generator proves its own freshness
 by recording the executor stats of every replay.
 
@@ -15,7 +17,6 @@ down).
 
 from __future__ import annotations
 
-import importlib
 from typing import Any, Dict, List
 
 from repro.analysis.report import markdown_table, split_panels
@@ -94,7 +95,7 @@ def build_report(
             f"campaign {spec.name!r} has no manifest yet — "
             "run `repro campaign run` (or `plan`) first"
         )
-    from repro.experiments.runner import EXPERIMENTS
+    from repro.experiments.runner import run_experiment
 
     if probes_dir is not None:
         from repro.sim.probes import probe_files
@@ -102,14 +103,13 @@ def build_report(
     experiments = []
     for experiment in manifest.data.get("experiments") or []:
         kind = experiment["kind"]
-        module = importlib.import_module(EXPERIMENTS[kind][0])
         seen_streams = (
             {p.name for p in probe_files(probes_dir)}
             if probes_dir is not None else set()
         )
-        rows = module.run(
-            n_jobs=n_jobs, use_cache=use_cache,
-            **{k: v for k, v in (experiment.get("params") or {}).items()},
+        rows = run_experiment(
+            kind, n_jobs=n_jobs, use_cache=use_cache,
+            **(experiment.get("params") or {}),
         )
         replay_stats = run_jobs.last_stats
         main_rows, panels = split_panels(rows)

@@ -57,10 +57,10 @@ class ExperimentSpec:
 
     ``kind`` names a registered experiment driver
     (:data:`repro.experiments.runner.EXPERIMENTS`) that exports
-    ``plan_jobs``; ``params`` are keyword arguments passed verbatim to
-    the driver's ``build_plan``/``run`` (so anything the driver sweeps
-    — scale, flip_thresholds, schemes, attack_seeds, sweep,
-    extra_workloads — is overridable per experiment).
+    ``build_plan``; ``params`` are keyword arguments passed verbatim to
+    that ``build_plan`` (so anything the driver sweeps — scale,
+    flip_thresholds, schemes, attack_seeds, sweep, extra_workloads — is
+    overridable per experiment).
     """
 
     name: str

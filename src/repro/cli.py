@@ -49,7 +49,6 @@ stdlib logging; ``campaign status --follow`` tails live progress.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import logging
 import os
@@ -57,7 +56,7 @@ import sys
 from pathlib import Path
 
 from repro.core.config import configuration_curve
-from repro.experiments.runner import EXPERIMENTS
+from repro.experiments.runner import EXPERIMENTS, driver, run_experiment
 from repro.schemes import build_scheme, paper_config, scheme_names
 from repro.verify.adversary import (
     double_sided_stream,
@@ -117,23 +116,22 @@ def _cmd_experiment(args) -> int:
     import inspect
 
     _apply_probes_flag(args)
-    module = importlib.import_module(EXPERIMENTS[args.id][0])
-    kwargs = {
-        "scale": args.scale,
-        "n_jobs": args.jobs,
-        "use_cache": not args.no_cache,
-    }
+    module = driver(args.id)
+    params = {}
+    if args.scale is not None:
+        params["scale"] = args.scale
     if args.extra_workloads:
-        if "extra_workloads" not in inspect.signature(
-            module.run
-        ).parameters:
-            print(
-                f"experiment {args.id!r} does not support "
-                "--extra-workloads (fig9 and fig11 do)"
-            )
+        params["extra_workloads"] = tuple(args.extra_workloads)
+    entry = getattr(module, "build_plan", None) or module.run
+    accepted = inspect.signature(entry).parameters
+    for key in params:
+        if key not in accepted:
+            flag = "--" + key.replace("_", "-")
+            print(f"experiment {args.id!r} does not support {flag}")
             return 1
-        kwargs["extra_workloads"] = tuple(args.extra_workloads)
-    result = module.run(**kwargs)
+    result = run_experiment(
+        args.id, n_jobs=args.jobs, use_cache=not args.no_cache, **params
+    )
     if args.json:
         print(json.dumps(result, indent=2, default=str))
     elif args.markdown:
@@ -989,8 +987,10 @@ def main(argv=None) -> int:
 
     p_exp = sub.add_parser("experiment", help="run a paper experiment")
     p_exp.add_argument("id", choices=sorted(EXPERIMENTS))
-    p_exp.add_argument("--scale", type=float, default=1.0,
-                       help="trace-length multiplier (default 1.0)")
+    p_exp.add_argument("--scale", type=float, default=None,
+                       help="trace-length multiplier (default: the "
+                            "driver's own, 1.0; table4, fig6 and "
+                            "appendix_parfm take none)")
     p_exp.add_argument("--jobs", type=int, default=1,
                        help="worker processes for simulation jobs "
                             "(default 1 = serial; results are identical "

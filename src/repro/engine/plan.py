@@ -58,8 +58,8 @@ class JobPlan:
     def jobs(self) -> List[SimJob]:
         """The registered jobs, in registration order (a copy).
 
-        The export surface behind every driver's ``plan_jobs()`` — the
-        campaign planner reuses a driver's exact job list without
+        What the campaign planner reads from a driver's
+        ``build_plan()``: it reuses the driver's exact job list without
         running anything.
         """
         return list(self._jobs)

@@ -21,12 +21,7 @@ def run(
     flip_thresholds: Sequence[int] = PAPER_FLIP_THRESHOLDS,
     target: float = 1e-15,
     n_banks: int = 22,
-    scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
 ) -> List[Dict]:
-    # n_jobs/use_cache accepted for CLI uniformity (analytic driver).
-    del n_jobs, use_cache
     rows = []
     for flip_th in flip_thresholds:
         rfm_th = parfm_rfm_th_for(flip_th, target=target, n_banks=n_banks)

@@ -17,9 +17,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.area import blockhammer_table_kb
 from repro.core.config import MithrilConfig
-from repro.engine import JobPlan, SimJob
+from repro.engine import JobPlan, PlanResults
 from repro.engine.catalog import DEFAULT_ATTACK_SEEDS as ATTACK_SEEDS
-from repro.experiments.runner import comparison_plan, run_comparison
+from repro.experiments.runner import comparison_plan, comparison_rows
 from repro.params import PAPER_FLIP_THRESHOLDS
 from repro.schemes import paper_config
 
@@ -40,26 +40,12 @@ def build_plan(
     )
 
 
-def plan_jobs(**kwargs) -> List[SimJob]:
-    """The sweep's job list (campaign planner export)."""
-    return build_plan(**kwargs)[0].jobs
-
-
-def run(
-    flip_thresholds: Sequence[int] = PAPER_FLIP_THRESHOLDS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    scale: float = 1.0,
-    attack_seeds: Sequence[int] = ATTACK_SEEDS,
-    n_jobs: int = 1,
-    use_cache: bool = True,
-) -> List[Dict]:
-    rows = run_comparison(
-        flip_thresholds, schemes, scale, attack_seeds, ATTACK_KINDS,
-        n_jobs=n_jobs, use_cache=use_cache,
-    )
-    for row in rows:
+def rows(results: PlanResults, context: Dict) -> List[Dict]:
+    """The comparison rows, each with its scheme's table size."""
+    table = comparison_rows(results, context)
+    for row in table:
         row["table_kb"] = _table_kb(row["scheme"], row["flip_th"])
-    return rows
+    return table
 
 
 def _table_kb(scheme_name: str, flip_th: int):

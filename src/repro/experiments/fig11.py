@@ -11,17 +11,20 @@ panels: each kind gets its own unprotected baseline and, per
 ``"panel": <kind>``.
 
 The sweep is :func:`repro.experiments.runner.comparison_plan`, shared
-with Figure 10.  The job list is exported through :func:`build_plan` /
-:func:`plan_jobs` for campaign planners (docs/CAMPAIGNS.md).
+with Figure 10; campaign planners expand it through :func:`build_plan`
+(docs/CAMPAIGNS.md), and :func:`rows` is the shared
+:func:`~repro.experiments.runner.comparison_rows` unchanged.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
-from repro.engine import JobPlan, SimJob
+from repro.analysis.report import split_panels
+from repro.engine import JobPlan
 from repro.engine.catalog import DEFAULT_ATTACK_SEEDS as ATTACK_SEEDS
-from repro.experiments.runner import comparison_plan, run_comparison
+from repro.experiments.runner import comparison_plan, comparison_rows
 from repro.params import PAPER_FLIP_THRESHOLDS
 
 DEFAULT_SCHEMES = ("para", "cbt", "twice", "graphene", "mithril", "mithril+")
@@ -43,24 +46,8 @@ def build_plan(
     )
 
 
-def plan_jobs(**kwargs) -> List[SimJob]:
-    """The sweep's job list (campaign planner export)."""
-    return build_plan(**kwargs)[0].jobs
-
-
-def run(
-    flip_thresholds: Sequence[int] = PAPER_FLIP_THRESHOLDS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    scale: float = 1.0,
-    attack_seeds: Sequence[int] = ATTACK_SEEDS,
-    n_jobs: int = 1,
-    use_cache: bool = True,
-    extra_workloads: Sequence[str] = (),
-) -> List[Dict]:
-    return run_comparison(
-        flip_thresholds, schemes, scale, attack_seeds, ATTACK_KINDS,
-        extra_workloads, n_jobs=n_jobs, use_cache=use_cache,
-    )
+#: The comparison rows are this figure's rows as they are.
+rows = comparison_rows
 
 
 def print_rows(rows: List[Dict]) -> None:
@@ -68,23 +55,21 @@ def print_rows(rows: List[Dict]) -> None:
         f"{'FlipTH':>7} {'scheme':>10} {'normal%':>9} {'multiRH%':>9} "
         f"{'E-ovh%':>8}"
     )
-    for row in rows:
-        if "panel" in row:
-            continue
+    main, panels = split_panels(rows)
+    for row in main:
         print(
             f"{row['flip_th']:>7} {row['scheme']:>10} "
             f"{row['normal_rel_perf_pct']:>9} "
             f"{row['multi_sided_rel_perf_pct']:>9} "
             f"{row['normal_energy_overhead_pct']:>8}"
         )
-    panels = [row for row in rows if "panel" in row]
     if panels:
         print()
         print(
             f"{'panel':<26} {'FlipTH':>7} {'scheme':>10} {'perf%':>8} "
             f"{'E-ovh%':>8}"
         )
-        for row in panels:
+        for row in chain.from_iterable(panels.values()):
             print(
                 f"{row['panel']:<26} {row['flip_th']:>7} "
                 f"{row['scheme']:>10} {row['rel_perf_pct']:>8} "

@@ -31,15 +31,8 @@ def run(
     rfm_th: int = 64,
     empirical: bool = False,
     scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
 ) -> List[Dict]:
-    """One row per predefined threshold.
-
-    ``n_jobs``/``use_cache`` are accepted for CLI uniformity; this
-    driver is analytic (plus safety replays) and runs no sim jobs.
-    """
-    del n_jobs, use_cache
+    """One row per predefined threshold."""
     rows = []
     for threshold in thresholds:
         row = {

@@ -23,13 +23,7 @@ DEFAULT_RFM_THS = (16, 32, 64, 128, 256, 512)
 def run(
     flip_thresholds=PAPER_FLIP_THRESHOLDS,
     rfm_th_values=DEFAULT_RFM_THS,
-    scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
 ) -> List[Dict]:
-    # n_jobs/use_cache accepted for CLI uniformity; the configuration
-    # space is analytic (Theorem 1), so there are no sim jobs to run.
-    del n_jobs, use_cache
     rows = []
     for flip_th in flip_thresholds:
         for rfm_th in rfm_th_values:

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.energy import energy_overhead_percent
 from repro.core.config import min_entries_for
-from repro.engine import JobPlan, SimJob, normal_workload_specs
+from repro.engine import JobPlan, PlanResults, SimJob, normal_workload_specs
 from repro.experiments.runner import geo_mean
 
 DEFAULT_CONFIGS = ((3_125, 16), (6_250, 64))
@@ -60,37 +60,24 @@ def build_plan(
     return plan, {"points": points, "specs": specs}
 
 
-def plan_jobs(**kwargs) -> List[SimJob]:
-    """The sweep's job list (campaign planner export)."""
-    return build_plan(**kwargs)[0].jobs
-
-
-def run(
-    configs: Sequence = DEFAULT_CONFIGS,
-    adth_values: Sequence[int] = DEFAULT_ADTH_SWEEP,
-    scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
-) -> List[Dict]:
+def rows(results: PlanResults, context: Dict) -> List[Dict]:
+    """One row per (FlipTH, RFM_TH, AdTH) point of the sweep."""
     multiprogrammed = ("mix-high", "mix-blend")
     multithreaded = ("fft", "radix", "pagerank")
 
-    plan, context = build_plan(configs, adth_values, scale)
-    res = plan.run(n_jobs=n_jobs, use_cache=use_cache)
-
     specs = context["specs"]
-    rows = []
+    table = []
     for flip_th, rfm_th, adth, entries, base_entries in context["points"]:
         overheads = {}
         skipped = {}
         for name in specs:
-            result = res[(flip_th, rfm_th, adth, name)]
+            result = results[(flip_th, rfm_th, adth, name)]
             overheads[name] = energy_overhead_percent(
-                result, res[("base", name)]
+                result, results[("base", name)]
             )
             total_rfms = result.rfm_commands or 1
             skipped[name] = 100.0 * result.rfms_skipped / total_rfms
-        rows.append(
+        table.append(
             {
                 "flip_th": flip_th,
                 "rfm_th": rfm_th,
@@ -115,7 +102,7 @@ def run(
                 ),
             }
         )
-    return rows
+    return table
 
 
 def print_rows(rows: List[Dict]) -> None:

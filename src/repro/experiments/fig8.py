@@ -24,12 +24,7 @@ def run(
     accesses_per_row: int = 128,
     small_window: int = 512,
     scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
 ) -> Dict:
-    # n_jobs/use_cache accepted for CLI uniformity; this driver only
-    # characterizes a generated trace and runs no sim jobs.
-    del n_jobs, use_cache
     trace = streaming_sweep_trace(
         name="lbm-like",
         num_requests=int(num_requests * scale),

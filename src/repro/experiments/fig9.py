@@ -10,17 +10,22 @@ alongside the benign geomean: each family gets its own unprotected
 baseline and a per-(FlipTH, RFM_TH) relative-performance row tagged
 ``"panel": <kind>``.
 
-Like every simulation-bound driver, the job list is exported through
-:func:`build_plan` / :func:`plan_jobs` so campaign planners can expand
-and deduplicate the sweep without running it (docs/CAMPAIGNS.md).
+Like every simulation-bound driver, it is a :func:`build_plan` that
+campaign planners expand and deduplicate without running it
+(docs/CAMPAIGNS.md), plus :func:`rows`, which reduces the plan's
+results to the figure's rows.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
+from repro.analysis.report import split_panels
 from repro.core.config import MithrilConfig, min_entries_for
-from repro.engine import JobPlan, SimJob, WorkloadSpec, normal_workload_specs
+from repro.engine import (
+    JobPlan, PlanResults, SimJob, WorkloadSpec, normal_workload_specs,
+)
 from repro.experiments.runner import geo_mean
 from repro.params import DEFAULT_ADAPTIVE_THRESHOLD
 
@@ -103,28 +108,13 @@ def build_plan(
     return plan, context
 
 
-def plan_jobs(**kwargs) -> List[SimJob]:
-    """The sweep's job list (campaign planner export)."""
-    return build_plan(**kwargs)[0].jobs
-
-
-def run(
-    sweep: Sequence[Tuple[int, int]] = DEFAULT_SWEEP,
-    adaptive_th: int = DEFAULT_ADAPTIVE_THRESHOLD,
-    scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
-    extra_workloads: Sequence[str] = (),
-) -> List[Dict]:
-    plan, context = build_plan(sweep, adaptive_th, scale, extra_workloads)
-    res = plan.run(n_jobs=n_jobs, use_cache=use_cache)
-
-    specs = context["specs"]
-    extra_specs = context["extra_specs"]
-    rows = []
+def rows(results: PlanResults, context: Dict) -> List[Dict]:
+    """One row per sweep point, then one per (panel, feasible point)."""
+    adaptive_th = context["adaptive_th"]
+    table = []
     for flip_th, rfm_th, n in context["points"]:
         if n is None:
-            rows.append(
+            table.append(
                 {
                     "flip_th": flip_th,
                     "rfm_th": rfm_th,
@@ -139,13 +129,13 @@ def run(
         perf = {}
         for scheme in ("mithril", "mithril+"):
             rels = [
-                res[(flip_th, rfm_th, scheme, name)].relative_performance(
-                    res[("base", name)]
+                results[(flip_th, rfm_th, scheme, name)].relative_performance(
+                    results[("base", name)]
                 )
-                for name in specs
+                for name in context["specs"]
             ]
             perf[scheme] = round(geo_mean(rels), 3)
-        rows.append(
+        table.append(
             {
                 "flip_th": flip_th,
                 "rfm_th": rfm_th,
@@ -156,28 +146,28 @@ def run(
                 "mithril_plus_rel_perf_pct": perf["mithril+"],
             }
         )
-    for kind in extra_specs:
+    for kind in context["extra_specs"]:
         for flip_th, rfm_th, n in context["points"]:
             if n is None:
                 continue
-            rows.append(
+            table.append(
                 {
                     "flip_th": flip_th,
                     "rfm_th": rfm_th,
                     "panel": kind,
                     "mithril_rel_perf_pct": round(
-                        res[(flip_th, rfm_th, "mithril", "panel", kind)]
-                        .relative_performance(res[("panel-base", kind)]),
+                        results[(flip_th, rfm_th, "mithril", "panel", kind)]
+                        .relative_performance(results[("panel-base", kind)]),
                         3,
                     ),
                     "mithril_plus_rel_perf_pct": round(
-                        res[(flip_th, rfm_th, "mithril+", "panel", kind)]
-                        .relative_performance(res[("panel-base", kind)]),
+                        results[(flip_th, rfm_th, "mithril+", "panel", kind)]
+                        .relative_performance(results[("panel-base", kind)]),
                         3,
                     ),
                 }
             )
-    return rows
+    return table
 
 
 def print_rows(rows: List[Dict]) -> None:
@@ -185,9 +175,8 @@ def print_rows(rows: List[Dict]) -> None:
         f"{'FlipTH':>7} {'RFM_TH':>7} {'KB':>8} "
         f"{'Mithril%':>9} {'Mithril+%':>10}"
     )
-    for row in rows:
-        if "panel" in row:
-            continue
+    main, panels = split_panels(rows)
+    for row in main:
         if not row.get("feasible"):
             print(f"{row['flip_th']:>7} {row['rfm_th']:>7} {'infeasible':>8}")
             continue
@@ -196,14 +185,13 @@ def print_rows(rows: List[Dict]) -> None:
             f"{row['mithril_rel_perf_pct']:>9} "
             f"{row['mithril_plus_rel_perf_pct']:>10}"
         )
-    panels = [row for row in rows if "panel" in row]
     if panels:
         print()
         print(
             f"{'panel':<26} {'FlipTH':>7} {'RFM_TH':>7} "
             f"{'Mithril%':>9} {'Mithril+%':>10}"
         )
-        for row in panels:
+        for row in chain.from_iterable(panels.values()):
             print(
                 f"{row['panel']:<26} {row['flip_th']:>7} "
                 f"{row['rfm_th']:>7} {row['mithril_rel_perf_pct']:>9} "

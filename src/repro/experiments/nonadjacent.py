@@ -31,12 +31,7 @@ def run(
     rfm_th: int = 64,
     acts: int = 120_000,
     scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
 ) -> List[Dict]:
-    # n_jobs/use_cache accepted for CLI uniformity; the safety replays
-    # drive schemes directly rather than running full-system sim jobs.
-    del n_jobs, use_cache
     rows = []
     for flip_th in flip_thresholds:
         adjacent_entries = min_entries_for(flip_th, rfm_th)

@@ -1,10 +1,16 @@
 """Shared machinery for the experiment drivers.
 
+A simulation-bound driver (fig7, fig9, fig10, fig11) is
+``build_plan(**params) -> (JobPlan, context)`` plus ``rows(results,
+context)``, which reduces the plan's results to rows; an analytic
+driver is ``run(**params)``.  Each also has ``print_rows``.
+:func:`run_experiment` runs either kind by id for every caller.
+
 Workload construction and the per-(scheme, FlipTH) factories live in
 the engine catalog (:mod:`repro.engine.catalog`); this module keeps the
 aggregation helper, the scheme-comparison sweep Figures 10 and 11 share,
-and the experiment registry the CLI dispatches through.  The engine is
-imported inside the functions, so the registry import stays light.
+and the experiment registry.  The engine is imported inside the
+functions, so the registry import stays light.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 if TYPE_CHECKING:
-    from repro.engine import JobPlan
+    from repro.engine import JobPlan, PlanResults
 
 
 def geo_mean(values: Sequence[float]) -> float:
@@ -73,20 +79,13 @@ def comparison_plan(
                     workload=spec, scheme=scheme, flip_th=flip_th,
                     scale=scale,
                 ))
-    return plan, {"benign": list(benign), "panels": list(panels)}
+    sweep = (flip_thresholds, schemes, attack_seeds, attack_kinds)
+    return plan, {"sweep": sweep, "benign": list(benign),
+                  "panels": list(panels)}
 
 
-def run_comparison(
-    flip_thresholds: Sequence[int],
-    schemes: Sequence[str],
-    scale: float,
-    attack_seeds: Sequence[int],
-    attack_kinds: Sequence[str],
-    extra_workloads: Sequence[str] = (),
-    n_jobs: int = 1,
-    use_cache: bool = True,
-) -> List[Dict]:
-    """Run :func:`comparison_plan` and assemble its rows.
+def comparison_rows(results: PlanResults, context: Dict) -> List[Dict]:
+    """Reduce a :func:`comparison_plan`'s results to its rows.
 
     One row per (FlipTH, scheme): the benign geomean relative
     performance, one ``<kind>_rel_perf_pct`` seed mean per attack kind
@@ -95,17 +94,15 @@ def run_comparison(
     """
     from repro.analysis.energy import energy_overhead_percent
 
-    plan, context = comparison_plan(
-        flip_thresholds, schemes, scale, attack_seeds, attack_kinds,
-        extra_workloads,
-    )
-    res = plan.run(n_jobs=n_jobs, use_cache=use_cache)
+    flip_thresholds, schemes, attack_seeds, attack_kinds = context["sweep"]
 
     def rel(key, base_key) -> float:
-        return res[key].relative_performance(res[base_key])
+        return results[key].relative_performance(results[base_key])
 
     def energy(key, base_key) -> float:
-        return max(energy_overhead_percent(res[key], res[base_key]), 1e-6)
+        return max(
+            energy_overhead_percent(results[key], results[base_key]), 1e-6
+        )
 
     rows = []
     for flip_th in flip_thresholds:
@@ -167,13 +164,24 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, **kwargs):
-    """Run an experiment by id (the CLI entry point)."""
+def driver(name: str):
+    """The driver module of experiment ``name``."""
     import importlib
 
     if name not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}"
         )
-    module = importlib.import_module(EXPERIMENTS[name][0])
-    return module.run(**kwargs)
+    return importlib.import_module(EXPERIMENTS[name][0])
+
+
+def run_experiment(
+    name: str, n_jobs: int = 1, use_cache: bool = True, **params
+):
+    """Run experiment ``name``; the engine knobs reach only a
+    simulation-bound driver's plan."""
+    module = driver(name)
+    if not hasattr(module, "build_plan"):
+        return module.run(**params)
+    plan, context = module.build_plan(**params)
+    return module.rows(plan.run(n_jobs=n_jobs, use_cache=use_cache), context)

@@ -10,12 +10,7 @@ from repro.params import PAPER_FLIP_THRESHOLDS
 
 def run(
     flip_thresholds: Sequence[int] = PAPER_FLIP_THRESHOLDS,
-    scale: float = 1.0,
-    n_jobs: int = 1,
-    use_cache: bool = True,
 ) -> Dict[str, Dict[int, float]]:
-    # n_jobs/use_cache accepted for CLI uniformity (analytic driver).
-    del n_jobs, use_cache
     return table_size_comparison(flip_thresholds)
 
 

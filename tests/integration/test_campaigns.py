@@ -102,11 +102,11 @@ class TestResumability:
         assert after_manifest.status == "complete"
 
         # the experiment replays entirely from cache: 0 simulate calls
-        from repro.experiments import fig11
+        from repro.experiments import run_experiment
 
-        fig11.run(
-            scale=TINY, flip_thresholds=(6_250,), schemes=("mithril",),
-            attack_seeds=(31,),
+        run_experiment(
+            "fig11", scale=TINY, flip_thresholds=(6_250,),
+            schemes=("mithril",), attack_seeds=(31,),
         )
         assert run_jobs.last_stats.simulated == 0
 
@@ -400,11 +400,11 @@ class TestExtraWorkloadsPanels:
     """The satellite: stress families as figure-driver extra panels."""
 
     def test_fig11_panel_rows(self):
-        from repro.experiments import fig11
+        from repro.experiments import run_experiment
 
-        rows = fig11.run(
-            scale=TINY, flip_thresholds=(6_250,), schemes=("mithril",),
-            attack_seeds=(31,),
+        rows = run_experiment(
+            "fig11", scale=TINY, flip_thresholds=(6_250,),
+            schemes=("mithril",), attack_seeds=(31,),
             extra_workloads=("capacity-pressure", "row-conflict-heavy"),
         )
         panels = [row for row in rows if "panel" in row]
@@ -416,10 +416,10 @@ class TestExtraWorkloadsPanels:
             assert "energy_overhead_pct" in row
 
     def test_fig9_panel_rows(self):
-        from repro.experiments import fig9
+        from repro.experiments import run_experiment
 
-        rows = fig9.run(
-            scale=TINY, sweep=((6_250, 64),),
+        rows = run_experiment(
+            "fig9", scale=TINY, sweep=((6_250, 64),),
             extra_workloads=("multi-channel-imbalanced",),
         )
         panels = [row for row in rows if "panel" in row]
@@ -429,11 +429,11 @@ class TestExtraWorkloadsPanels:
         assert "mithril_plus_rel_perf_pct" in panels[0]
 
     def test_panels_default_off_and_rows_unchanged(self):
-        from repro.experiments import fig11
+        from repro.experiments import run_experiment
 
-        rows = fig11.run(
-            scale=TINY, flip_thresholds=(6_250,), schemes=("mithril",),
-            attack_seeds=(31,),
+        rows = run_experiment(
+            "fig11", scale=TINY, flip_thresholds=(6_250,),
+            schemes=("mithril",), attack_seeds=(31,),
         )
         assert all("panel" not in row for row in rows)
 

@@ -95,6 +95,14 @@ class TestCliCommands:
             "rfm commands:      3125\n"
         )
 
+    def test_experiment_rejects_a_flag_its_driver_lacks(self, capsys):
+        assert main(["experiment", "table4", "--scale", "0.5"]) == 1
+        assert "does not support --scale" in capsys.readouterr().out
+
+    def test_analytic_experiment_accepts_engine_flags(self, capsys):
+        assert main(["experiment", "fig6", "--jobs", "2"]) == 0
+        assert "lossy-counting" in capsys.readouterr().out
+
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])

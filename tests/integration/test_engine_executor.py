@@ -235,27 +235,27 @@ class TestDriverDeterminism:
     def test_fig10_parallel_equals_serial_with_cache_reuse(
         self, monkeypatch, tmp_path
     ):
-        from repro.experiments import fig10
+        from repro.experiments import run_experiment
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         kwargs = dict(
             flip_thresholds=(6_250,), schemes=("mithril",), scale=TINY,
             attack_seeds=(31,),
         )
-        serial = fig10.run(n_jobs=1, use_cache=False, **kwargs)
-        parallel = fig10.run(n_jobs=4, use_cache=True, **kwargs)
+        serial = run_experiment("fig10", n_jobs=1, use_cache=False, **kwargs)
+        parallel = run_experiment("fig10", n_jobs=4, use_cache=True, **kwargs)
         assert json.dumps(serial) == json.dumps(parallel)
-        warm = fig10.run(n_jobs=4, use_cache=True, **kwargs)
+        warm = run_experiment("fig10", n_jobs=4, use_cache=True, **kwargs)
         assert run_jobs.last_stats.simulated == 0
         assert json.dumps(serial) == json.dumps(warm)
 
     def test_fig6_accepts_engine_kwargs(self):
-        from repro.experiments import fig6
+        from repro.experiments import run_experiment
 
-        rows_serial = fig6.run(
-            flip_thresholds=(6_250,), rfm_th_values=(64,), n_jobs=1
+        rows_serial = run_experiment(
+            "fig6", flip_thresholds=(6_250,), rfm_th_values=(64,), n_jobs=1
         )
-        rows_parallel = fig6.run(
-            flip_thresholds=(6_250,), rfm_th_values=(64,), n_jobs=4
+        rows_parallel = run_experiment(
+            "fig6", flip_thresholds=(6_250,), rfm_th_values=(64,), n_jobs=4
         )
         assert rows_serial == rows_parallel

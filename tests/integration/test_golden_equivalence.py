@@ -283,7 +283,7 @@ def test_analytic_experiment_rows_are_pinned(name):
 
 
 #: Simulation-bound driver -> (params, sha256 of ``json.dumps(rows)``,
-#: sha256 of its ordered, concatenated ``plan_jobs`` hashes), run with
+#: sha256 of its ordered, concatenated ``build_plan`` job hashes), run with
 #: the store off.  The rows digest pins every value and the key order
 #: of every row; the jobs digest pins each job's identity and the
 #: order the driver registers them in.
@@ -316,13 +316,12 @@ SIM_ROW_PINS = {
 @pytest.mark.parametrize("name", sorted(SIM_ROW_PINS))
 def test_sim_experiment_rows_are_pinned(name):
     import hashlib
-    import importlib
 
-    from repro.experiments.runner import EXPERIMENTS
+    from repro.experiments.runner import driver, run_experiment
 
     params, rows_pin, jobs_pin = SIM_ROW_PINS[name]
-    module = importlib.import_module(EXPERIMENTS[name][0])
-    jobs = "".join(job.job_hash() for job in module.plan_jobs(**params))
-    rows = json.dumps(module.run(use_cache=False, **params))
+    plan, _context = driver(name).build_plan(**params)
+    jobs = "".join(job.job_hash() for job in plan.jobs)
+    rows = json.dumps(run_experiment(name, use_cache=False, **params))
     assert hashlib.sha256(jobs.encode()).hexdigest() == jobs_pin
     assert hashlib.sha256(rows.encode()).hexdigest() == rows_pin

@@ -134,7 +134,7 @@ class TestPlanner:
             name="analytic",
             experiments=[ExperimentSpec(name="t4", kind="table4")],
         )
-        with pytest.raises(CampaignError, match="plan_jobs"):
+        with pytest.raises(CampaignError, match="build_plan"):
             plan_campaign(spec)
 
     def test_bad_params_surface_the_experiment_name(self):
