@@ -39,10 +39,6 @@ faults (docs/FAULTS.md):
 * ``SIGTERM``/``SIGINT`` request a **graceful drain**: the in-flight
   batch finishes, the manifest checkpoints, and the run returns
   resumable (a second signal aborts the old-fashioned way).
-
-Completed batches also annotate the result-cache index with
-per-experiment provenance (``experiments`` field), so
-``repro cache --query experiment=<name>`` works after a campaign run.
 """
 
 from __future__ import annotations
@@ -642,12 +638,6 @@ def run_campaign(
         if tel is not None:
             tel.event("campaign.done", campaign=spec.name,
                       status=manifest.status, **stats.as_dict())
-
-    # Annotate only when this run did work: a zero-submission resume
-    # (status checks, the CI resume-noop step) must not append another
-    # full copy of the annotation set to the generation's index.
-    if use_cache and stats.submitted:
-        _annotate_provenance(plan, cache_dir)
     return CampaignRunResult(
         plan=plan,
         manifest_path=manifest.path,
@@ -715,9 +705,3 @@ def verify_campaign(
         "ok": not (missing or corrupt or unaccounted),
     }
 
-
-def _annotate_provenance(plan: CampaignPlan, cache_dir=None) -> None:
-    """Tag the result-cache index with experiment attributions."""
-    cache = ResultCache(cache_dir)
-    for experiment in plan.experiments:
-        cache.annotate(sorted(set(experiment.job_hashes)), experiment.name)

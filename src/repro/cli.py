@@ -14,7 +14,8 @@ configure           Print safe Mithril configurations for a FlipTH.
 schemes             List the protection schemes (the scheme table).
 cache               Show (or clear / --gc) the simulation result
                     cache; ``--stats`` for per-generation size/age,
-                    ``--query`` against the sharded index.
+                    ``--query`` to count entries by scheme, workload,
+                    FlipTH or campaign experiment.
 campaign <cmd>      Declarative multi-experiment campaigns: list,
                     plan, run (resumable + fault-tolerant: retries,
                     per-job timeouts, quarantine, graceful drain;
@@ -223,6 +224,30 @@ def _cmd_cache_stats(cache, live: str) -> int:
     return 0
 
 
+def _experiment_job_hashes(name: str) -> set:
+    """The union of ``job_hashes`` over the experiments called
+    ``name`` in every campaign manifest on disk.
+
+    Manifests are read as plain JSON, without
+    :meth:`CampaignManifest.load`'s recovery (a read-only query must
+    not quarantine or rotate anything); one that does not parse is
+    skipped.
+    """
+    from repro.campaigns import campaign_dir
+    from repro.campaigns.executor import MANIFEST_NAME
+
+    hashes = set()
+    for path in sorted(campaign_dir().glob(f"*/{MANIFEST_NAME}")):
+        try:
+            experiments = json.loads(path.read_text())["experiments"]
+            for experiment in experiments:
+                if experiment["name"] == name:
+                    hashes.update(experiment["job_hashes"])
+        except (OSError, ValueError, KeyError, TypeError):
+            continue
+    return hashes
+
+
 def _cmd_cache_query(cache, live: str, query: str) -> int:
     criteria = {}
     for clause in query.split(","):
@@ -244,7 +269,11 @@ def _cmd_cache_query(cache, live: str, query: str) -> int:
                 return 1
         else:
             criteria[key] = value.strip()
-    records = cache.index(live).query(**criteria)
+    filters = dict(criteria)
+    experiment = filters.pop("experiment", None)
+    if experiment is not None:
+        filters["hashes"] = _experiment_job_hashes(experiment)
+    records = cache.query(live, **filters)
     total = sum(int(r.get("bytes") or 0) for r in records)
     print(f"{len(records)} entr{'y' if len(records) == 1 else 'ies'} "
           f"({_format_bytes(total)}) in generation {live} matching "
@@ -1039,7 +1068,8 @@ def main(argv=None) -> int:
     p_cache.add_argument("--query", metavar="KEY=VALUE[,KEY=VALUE]",
                          help="count entries in the live generation by "
                               "scheme/workload/experiment/flip_th "
-                              "(served from the sharded index)")
+                              "(experiment= reads the campaign "
+                              "manifests)")
     p_cache.set_defaults(func=_cmd_cache)
 
     p_campaign = sub.add_parser(
@@ -1356,7 +1386,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     _configure_logging(args.log_level)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull
+        # so the interpreter's exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.bounds import (
     adaptive_bound,

@@ -11,7 +11,7 @@ All times are integer memory-clock cycles.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional
 
 from repro.params import DramTimings

@@ -9,7 +9,7 @@ tREFW apart even with no protection scheme at all).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.params import DramOrganization, DramTimings
 

@@ -57,7 +57,7 @@ from repro.engine.executor import (
 )
 from repro.engine.job import SimJob, WorkloadSpec, freeze_params
 from repro.engine.plan import JobPlan, PlanResults
-from repro.engine.store import CacheIndex, GenerationStats
+from repro.engine.store import GenerationStats
 from repro.engine.supervisor import JobFailure, RetryPolicy, SupervisedPool
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "quarantine_file",
     "read_json_verified",
     "ResultCache",
-    "CacheIndex",
     "GenerationStats",
     "default_cache_dir",
     "code_version",

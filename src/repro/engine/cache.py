@@ -7,11 +7,10 @@ Completed simulation points are stored as sealed JSON under::
 where ``hh`` is the two-hex-character shard prefix of the job hash
 (:mod:`repro.engine.store`).  That path is the one place a job's
 result can live: a lookup is one read, and an entry that is missing
-its ``sha256`` seal is corrupt (:mod:`repro.engine.durable`).  Each
-generation also carries an ``index.jsonl``
-(:class:`~repro.engine.store.CacheIndex`) answering count/size/query
-by scheme, workload, FlipTH, or campaign experiment without opening
-entry files.
+its ``sha256`` seal is corrupt (:mod:`repro.engine.durable`).  The
+entry files are the store's only record: :meth:`ResultCache.stats` is
+a ``stat`` scan and :meth:`ResultCache.query` parses the entries, so a
+``put`` writes exactly one file.
 
 The *code version* is a hash over every ``*.py`` and ``*.c`` file of
 the ``repro`` package plus an explicit schema salt, so any change to
@@ -35,11 +34,11 @@ import dataclasses
 import functools
 import hashlib
 import os
+import shutil
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.engine.durable import (
-    QUARANTINE_DIR,
     CorruptEntryError,
     atomic_write_json,
     quarantine_file,
@@ -48,13 +47,10 @@ from repro.engine.durable import (
 )
 from repro.engine.job import SimJob
 from repro.engine.store import (
-    INDEX_NAME,
-    CacheIndex,
     GenerationStats,
     count_entries,
-    is_shard_dir,
-    iter_entry_paths,
-    record_for_put,
+    entry_records,
+    generation_stats,
     shard_name,
 )
 from repro.sim.metrics import SimulationResult
@@ -228,8 +224,7 @@ class ResultCache:
                 fault_site="cache.entry.write", fault_key=job.job_hash(),
             )
         except OSError:
-            return
-        self.index_for_version().append(record_for_put(job, path))
+            pass
 
     def verify(self, job: SimJob) -> str:
         """Integrity state of one job's entry: the JSON is parsed and its
@@ -271,51 +266,38 @@ class ResultCache:
             if child.is_dir()
         }
 
-    # -- index, stats, garbage collection -----------------------------
-
-    def index_for_version(self, version: Optional[str] = None) -> CacheIndex:
-        """The raw (possibly stale) index of one generation."""
-        return CacheIndex(self.version_dir(version))
-
-    def index(self, version: Optional[str] = None) -> CacheIndex:
-        """A fresh index for one generation, rebuilt if it disagrees
-        with the entry files on disk (lost index, manual deletions)."""
-        index = self.index_for_version(version)
-        if not index.is_fresh():
-            index.rebuild()
-        return index
+    # -- stats, query, garbage collection -----------------------------
 
     def stats(self) -> Dict[str, GenerationStats]:
-        """Per-generation entry count / bytes / oldest & newest mtime.
-
-        Served from each generation's index (rebuilt when stale), so
-        repeated stats calls on a large cache never rescan entries.
-        """
+        """Per-generation entry count / bytes / oldest & newest mtime,
+        from a ``stat`` scan of each generation's entry files."""
         if not self.directory.is_dir():
             return {}
         return {
-            child.name: self.index(child.name).stats()
+            child.name: generation_stats(child)
             for child in sorted(self.directory.iterdir())
             if child.is_dir()
         }
 
-    def annotate(
+    def query(
         self,
-        job_hashes: Iterable[str],
-        experiment: str,
         version: Optional[str] = None,
-    ) -> None:
-        """Tag entries with a campaign-experiment attribution.
-
-        Appends annotation records that merge into the index (the
-        ``experiments`` field unions), enabling
-        ``query(experiment=...)``.  Annotations are advisory — an index
-        rebuild drops them until the next campaign run re-appends.
-        """
-        self.index_for_version(version).append_many(
-            {"hash": job_hash, "experiments": [experiment]}
-            for job_hash in job_hashes
-        )
+        scheme: Optional[str] = None,
+        workload: Optional[str] = None,
+        flip_th: Optional[int] = None,
+        hashes: Optional[Iterable[str]] = None,
+    ) -> List[Dict[str, Any]]:
+        """Entry records (:func:`~repro.engine.store.record_for_entry`)
+        of one generation (default live) matching every given
+        criterion; ``hashes`` keeps only those job hashes."""
+        wanted = {"scheme": scheme, "workload": workload, "flip_th": flip_th}
+        keep = None if hashes is None else set(hashes)
+        return [
+            record for record in entry_records(self.version_dir(version))
+            if (keep is None or record["hash"] in keep)
+            and all(value is None or record[key] == value
+                    for key, value in wanted.items())
+        ]
 
     def gc(self, version: str) -> int:
         """Delete one dead generation's entries; returns the count.
@@ -360,41 +342,10 @@ class ResultCache:
         )
 
     def _remove_generation(self, version_dir: Path) -> int:
-        """Delete one generation's entries, index, quarantine, and
-        emptied directories; returns the number of entries removed
-        (quarantined files are not entries)."""
-        if not version_dir.is_dir():
-            return 0
-        removed = 0
-        for path in list(iter_entry_paths(version_dir)):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        try:
-            (version_dir / INDEX_NAME).unlink()
-        except OSError:
-            pass
-        quarantine = version_dir / QUARANTINE_DIR
-        if quarantine.is_dir():
-            for stale in list(quarantine.iterdir()):
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
-            try:
-                quarantine.rmdir()
-            except OSError:
-                pass
-        for child in list(version_dir.iterdir()):
-            if is_shard_dir(child):
-                try:
-                    child.rmdir()
-                except OSError:
-                    pass
-        try:
-            version_dir.rmdir()
-        except OSError:
-            pass
+        """Delete one generation directory with everything in it
+        (entries, quarantine, files of older store layouts); returns
+        the number of entries removed (quarantined files are not
+        entries)."""
+        removed = count_entries(version_dir)
+        shutil.rmtree(version_dir, ignore_errors=True)
         return removed

@@ -13,7 +13,7 @@ disturbance than under ARR semantics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.mitigations.rfm_graphene import (
     RfmGrapheneScheme,

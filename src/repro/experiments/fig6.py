@@ -7,7 +7,6 @@ Lossy-Counting equivalents for 25K and 50K (the dotted lines).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
 from repro.core.config import (

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.config import MithrilConfig, min_entries_for
+from repro.core.config import min_entries_for
 from repro.core.mithril import MithrilScheme
-from repro.verify.adversary import double_sided_stream, many_sided_stream
+from repro.verify.adversary import many_sided_stream
 from repro.verify.safety import run_safety_trace
 
 #: distance weights: the aggregated effect over range 2 here is

@@ -63,9 +63,9 @@ Kinds:
 
 Documented sites (see docs/FAULTS.md): ``worker.execute`` (key = job
 hash), ``cache.entry.write`` (job hash), ``manifest.write`` (campaign
-name), ``index.append`` (cache generation), ``transport.send`` /
-``transport.recv`` (``<mailbox>:<message type>``), ``host.heartbeat``
-(host id).  Site names are free-form lowercase dotted identifiers —
+name), ``transport.send`` / ``transport.recv``
+(``<mailbox>:<message type>``), ``host.heartbeat`` (host id).  Site
+names are free-form lowercase dotted identifiers —
 a malformed name (empty, whitespace, uppercase) raises
 :class:`FaultPlanError` at parse time rather than silently never
 matching.

@@ -16,7 +16,7 @@ paper actually happens:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.dram.bank import BankServiceResult, BankTimingModel, FawTracker

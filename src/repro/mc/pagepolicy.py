@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.types import MemoryRequest
 

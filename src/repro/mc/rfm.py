@@ -15,7 +15,6 @@ DRAM reports a small table spread, the RFM is skipped entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass

@@ -15,7 +15,6 @@ paper's Figure 10(c) probes.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.params import BLOCKHAMMER_CONFIGS, DramTimings

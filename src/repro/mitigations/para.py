@@ -8,7 +8,6 @@ probabilistic guarantee, and the refresh rate (energy) scales with
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Optional
 

@@ -14,7 +14,6 @@ count already possible while the entry was below the pruning line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 

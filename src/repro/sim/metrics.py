@@ -8,7 +8,7 @@ deterministic, and pure python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.types import EnergyCounts

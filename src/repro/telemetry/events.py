@@ -4,9 +4,9 @@ Each process that had telemetry enabled appended newline-JSON records
 to its own ``events-<pid>.jsonl`` under the telemetry directory.  The
 merger reads every stream, drops lines that do not parse (a process
 that died mid-``write()`` can tear at most the trailing line of its
-file — same failure model the durable store's ``index.jsonl`` append
-path tolerates), and orders the survivors by ``(ts, host, pid, seq)``.
-``pid`` and ``seq`` break wall-clock ties deterministically, so two
+file — same failure model the store's quarantine log tolerates),
+and orders the survivors by ``(ts, host, pid, seq)``.  ``pid`` and
+``seq`` break wall-clock ties deterministically, so two
 merges of the same directory always agree line for line.
 
 Distributed campaigns add one level of nesting: each host agent

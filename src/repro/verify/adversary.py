@@ -17,7 +17,7 @@ The patterns cover the attack space the paper's proofs address:
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 def double_sided_stream(

@@ -11,7 +11,7 @@ users can point it at their own schemes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.params import DramTimings

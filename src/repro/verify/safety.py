@@ -15,7 +15,7 @@ deterministic guarantee to hold — plus every flip event if it did not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.dram.hammer import FlipEvent, HammerModel

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
-from repro.core.bounds import adaptive_bound, estimated_growth_bound
 from repro.core.mithril import MithrilScheme
 from repro.mc.rfm import RfmIssueLogic
 from repro.params import DramTimings

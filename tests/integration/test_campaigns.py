@@ -154,15 +154,23 @@ class TestResumability:
         out = capsys.readouterr().out
         assert f"would submit {total} point(s) (0 already" in out
 
-    def test_noop_resume_does_not_grow_the_index(self):
+    def test_noop_resume_leaves_the_store_untouched(self):
         from repro.engine import ResultCache
 
         spec = _tiny_spec()
         run_campaign(spec)
-        index_path = ResultCache().index_for_version().path
-        size = index_path.stat().st_size
+        live = ResultCache().version_dir()
+
+        def snapshot():
+            return {
+                path: path.stat().st_mtime_ns
+                for path in live.rglob("*") if path.is_file()
+            }
+
+        before = snapshot()
+        assert len(before) == len(plan_campaign(spec).jobs)
         run_campaign(spec)  # zero-submission resume
-        assert index_path.stat().st_size == size
+        assert snapshot() == before
 
     def test_distributed_noop_resume_starts_no_agent(self, monkeypatch):
         """``hosts > 0`` over a completed manifest drives the
@@ -387,13 +395,47 @@ class TestCampaignRunAndReport:
         manifest = CampaignManifest.load(manifest_path("resume-test"))
         assert manifest.status == "complete"
 
-    def test_provenance_annotations_reach_the_cache_index(self):
-        from repro.engine import ResultCache
+    def test_experiment_query_reads_the_manifests(self, capsys):
+        from repro.campaigns import campaign_dir
+        from repro.cli import main
 
         spec = _tiny_spec()
         run_campaign(spec)
-        records = ResultCache().index().query(experiment="f11")
-        assert len(records) == plan_campaign(spec).total_points
+        torn = campaign_dir() / "torn" / "manifest.json"
+        torn.parent.mkdir()
+        torn.write_text('{"experiments": [')
+        total = plan_campaign(spec).total_points
+        assert main(["cache", "--query", "experiment=f11"]) == 0
+        assert capsys.readouterr().out.startswith(f"{total} entries")
+        assert main(["cache", "--query", "experiment=f11,scheme=none"]) == 0
+        assert capsys.readouterr().out.startswith(f"{total // 2} entries")
+        assert main(["cache", "--query", "experiment=nope"]) == 0
+        assert capsys.readouterr().out.startswith("0 entries")
+        # read as plain JSON: the unparsable manifest is skipped, not
+        # quarantined or replaced
+        assert sorted(p.name for p in torn.parent.iterdir()) == [
+            "manifest.json"
+        ]
+
+    def test_experiment_query_counts_the_stored_points_after_quarantine(
+        self, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.faults import FAULT_PLAN_ENV
+
+        spec = _tiny_spec()
+        plan = plan_campaign(spec)
+        poison = sorted(plan.jobs)[0]
+        monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
+            "faults": [{"site": "worker.execute", "kind": "error",
+                        "match": poison, "times": None}],
+        }))
+        result = run_campaign(spec, max_retries=0)
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        assert list(result.quarantined) == [poison]
+        assert main(["cache", "--query", "experiment=f11"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{plan.total_points - 1} entries")
 
 
 class TestExtraWorkloadsPanels:

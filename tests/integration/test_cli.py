@@ -1,6 +1,10 @@
 """Integration: the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +211,27 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "--query", "flip_th=abc"]) == 1
         assert "must be an integer" in capsys.readouterr().out
+
+
+
+class TestClosedPipe:
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        """``repro ... | head -1``: once the reader is gone, the CLI
+        exits 1 without a BrokenPipeError traceback."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestTracesCommands:

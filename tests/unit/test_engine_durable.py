@@ -26,7 +26,6 @@ from repro.engine.durable import (
     seal,
     sealed_json,
 )
-from repro.engine.store import CacheIndex
 from repro.faults import FAULT_PLAN_ENV
 from repro.telemetry import read_events
 
@@ -242,14 +241,15 @@ class TestReadJsonl:
         assert list(read_jsonl(tmp_path / "absent.jsonl")) == []
 
     def test_every_reader_skips_non_object_lines(self, tmp_path):
-        index = CacheIndex(tmp_path)
-        index.path.write_text(
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(
             '{"hash": "aa", "scheme": "none"}\n' + _NOT_OBJECTS
             + '{"hash": "bb", "scheme": "mithril"}\n'
         )
-        assert sorted(
-            (r["hash"], r["scheme"]) for r in index.records()
-        ) == [("aa", "none"), ("bb", "mithril")]
+        assert list(read_jsonl(stream)) == [
+            {"hash": "aa", "scheme": "none"},
+            {"hash": "bb", "scheme": "mithril"},
+        ]
 
         log = tmp_path / QUARANTINE_DIR / QUARANTINE_LOG
         log.parent.mkdir()
